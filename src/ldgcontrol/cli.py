@@ -50,7 +50,7 @@ CSV_HEADER = ("elements,h,err_y_L2,rate_y,err_u_Gamma,rate_u,"
 
 _PROBLEM_KEYS = {"example", "epsilon", "omega", "mode", "u_lower", "u_upper",
                  "c12_direction", "coarse"}
-_STUDY_KEYS = {"levels", "reference", "pdas_max_iter", "seed"}
+_STUDY_KEYS = {"levels", "reference", "pdas_max_iter"}
 _OUTPUT_KEYS = {"directory", "csv", "markdown", "vtk", "matrices"}
 
 _BOOL = {"true": True, "yes": True, "1": True, "on": True,
@@ -59,6 +59,31 @@ _BOOL = {"true": True, "yes": True, "1": True, "on": True,
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent run configurations."""
+
+
+def _mesh_level(example: int, elements: int, coarse: str = "fan3") -> int:
+    """Mesh parameter of an element count: n with 2 n^2 elements on the
+    unit square (examples 1, 2), or the refinement level k with
+    base * 4^k elements on the skewed domain (example 3)."""
+    if elements < 1:
+        raise ConfigError(f"{elements} is not a positive element count")
+    if example in (1, 2):
+        n = int(round(np.sqrt(elements / 2.0)))
+        if 2 * n * n != elements:
+            raise ConfigError(
+                f"{elements} is not a valid element count for the square "
+                f"(needs 2 n^2)")
+        return n
+    base = 3 if coarse == "fan3" else 2
+    level, k = 0, elements
+    while k % 4 == 0:
+        k //= 4
+        level += 1
+    if k != base:
+        raise ConfigError(
+            f"{elements} is not a valid element count for the skewed "
+            f"domain (needs {base} * 4^k)")
+    return level
 
 
 @dataclasses.dataclass
@@ -76,7 +101,6 @@ class RunConfig:
     coarse: str = "fan3"         # initial-mesh family of the skewed domain
     reference: int = None
     pdas_max_iter: int = 50
-    seed: int = 0
     directory: str = "out"
     csv: bool = True
     markdown: bool = False
@@ -105,23 +129,8 @@ class RunConfig:
         self._validate_mesh_counts()
 
     def _validate_mesh_counts(self):
-        if self.example in (1, 2):
-            for m in self.levels + ((self.reference,) if self.reference else ()):
-                n = int(round(np.sqrt(m / 2.0)))
-                if 2 * n * n != m:
-                    raise ConfigError(
-                        f"{m} is not a valid element count for the square "
-                        f"(needs 2 n^2)")
-        else:
-            base = 3 if self.coarse == "fan3" else 2
-            for m in self.levels + ((self.reference,) if self.reference else ()):
-                k = m
-                while k % 4 == 0:
-                    k //= 4
-                if k != base:
-                    raise ConfigError(
-                        f"{m} is not a valid element count for the skewed "
-                        f"domain (needs {base} * 4^k)")
+        for m in self.levels + ((self.reference,) if self.reference else ()):
+            _mesh_level(self.example, m, self.coarse)
         if self.example in (2, 3):
             if self.reference is None:
                 raise ConfigError(
@@ -198,7 +207,6 @@ class RunConfig:
             levels=fetch(study, "levels", as_levels, None),
             reference=fetch(study, "reference", int, None),
             pdas_max_iter=fetch(study, "pdas_max_iter", int, 50),
-            seed=fetch(study, "seed", int, 0),
             directory=fetch(out, "directory", str, "out"),
             csv=fetch(out, "csv", as_bool, True),
             markdown=fetch(out, "markdown", as_bool, False),
@@ -251,8 +259,7 @@ def _mesh_chain(config: RunConfig, counts):
     """Meshes for the requested element counts, nested along one chain."""
     target = sorted(set(counts))
     if config.example in (1, 2):
-        n0 = int(round(np.sqrt(target[0] / 2.0)))
-        mesh = build_unit_square_mesh(n0)
+        mesh = build_unit_square_mesh(_mesh_level(config.example, target[0]))
     else:
         mesh = example3_mesh(0, coarse=config.coarse)
     chain = {}
@@ -291,8 +298,7 @@ def run_example(config: RunConfig, keep_solutions: list = None) -> ErrorReport:
 
     if config.example == 1:
         for m in config.levels:
-            n = int(round(np.sqrt(m / 2.0)))
-            mesh = build_unit_square_mesh(n)
+            mesh = build_unit_square_mesh(_mesh_level(1, m))
             ops, sol = _solve_level(mesh, data, config, m)
             report.add_row(ErrorReportRow(
                 elements=m,
@@ -429,17 +435,16 @@ def _battery(seed: int = 0):
     mesh = build_unit_square_mesh(4)
     ops = assemble_forms(mesh, build_spaces(mesh), data)
 
-    matrix = ops.forward_matrix()
-    lu = ops.state_factorization()[0]
+    factor = ops.state_factorization()
     dual_gap = 0.0
     for _ in range(5):
-        r1 = rng.standard_normal(matrix.shape[0])
-        r2 = rng.standard_normal(matrix.shape[0])
-        x = lu.solve(r1)
-        w = lu.solve(r2, trans="T")
+        r1 = rng.standard_normal(factor.matrix.shape[0])
+        r2 = rng.standard_normal(factor.matrix.shape[0])
+        x = factor.solve(r1)
+        w = factor.solve(r2, trans="T")
         scale = max(1.0, abs(r2 @ x))
         dual_gap = max(dual_gap, abs(r2 @ x - r1 @ w) / scale)
-    yield ("forward/adjoint factorizations are mutually transposed",
+    yield ("forward/adjoint solves of the state operator are mutually transposed",
            dual_gap < 1e-10, f"max gap {dual_gap:.2e}")
 
     n_u = ops.M_Gamma.shape[0]
@@ -510,19 +515,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dump_mesh(args) -> int:
+    level = _mesh_level(args.example, args.elements, args.coarse)
     if args.example in (1, 2):
-        n = int(round(np.sqrt(args.elements / 2.0)))
-        if 2 * n * n != args.elements:
-            raise ConfigError(f"{args.elements} is not 2 n^2")
-        mesh = build_unit_square_mesh(n)
+        mesh = build_unit_square_mesh(level)
     else:
-        base = 3 if args.coarse == "fan3" else 2
-        level, k = 0, args.elements
-        while k % 4 == 0:
-            k //= 4
-            level += 1
-        if k != base:
-            raise ConfigError(f"{args.elements} is not {base} * 4^k")
         mesh = example3_mesh(level, coarse=args.coarse)
     write_mesh_text(mesh, args.output)
     print(f"wrote {args.output}")

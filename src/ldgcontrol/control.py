@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ldg import BlockOperator, ProblemData, solve_adjoint, solve_state
+from .ldg import BlockOperator, ProblemData, boundary_kappa, solve_adjoint, solve_state
 from .linsolve import solve_optimality_system
 from .spaces import (
     DiscreteField,
@@ -217,12 +217,10 @@ class DiscreteSolution:
         pn = np.atleast_2d(trace_on_edge(self.p, edge_id, 0, s)) @ n
         zv = np.atleast_1d(trace_on_edge(self.z, edge_id, 0, s))
         beta = data.beta_fun()
-        inflow = self.ops.flux.classification.is_inflow(edge_id)
-        kap = np.array([
-            self.data.penalty_sign * data.sqrt_eps * self.ops.flux.c11[edge_id]
-            + (abs(float(np.dot(beta(x), n))) if inflow else 0.0)
-            for x in xg
-        ])
+        beta_n = np.array([float(np.dot(beta(x), n)) for x in xg])
+        flux = self.ops.flux
+        kap = boundary_kappa(data, flux.c11[edge_id], beta_n,
+                             flux.classification.is_inflow(edge_id))
         return (pn - kap * zv) / data.omega
 
     def control_on_edge(self, edge_id: int, s) -> np.ndarray:
@@ -367,7 +365,7 @@ def _initial_control(data: ProblemData, n: int) -> np.ndarray:
 
 def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode=None,
                u0=None, max_iter: int = 50,
-               strategy: str = "auto") -> DiscreteSolution:
+               strategy: str = "condensed") -> DiscreteSolution:
     """Primal-dual active set iteration for the bound-constrained problem.
 
     Each step solves the coupled optimality system for the current bound
@@ -375,7 +373,7 @@ def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode=None,
     shifted multiplier test mu + c (u - bound) indicates a violated bound.
     Iteration stops when the sets repeat; the unconstrained problem stops
     after a single solve.  ``strategy`` is forwarded to the linear solver
-    ("auto" switches to the flux-condensed path on large meshes).
+    ("monolithic" selects the unreduced reference solve).
     """
     if data is None:
         data = ops.data

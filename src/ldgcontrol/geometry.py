@@ -314,7 +314,7 @@ def classify_boundary_edges(mesh: Mesh, beta) -> EdgeClassification:
     For non-constant velocity fields the sign is taken at the edge midpoint.
     ``beta`` may be a callable x -> (2,) or a constant 2-vector.
     """
-    beta_fun = _as_vector_function(beta)
+    beta_fun = as_vector_function(beta)
     ids = mesh.boundary_edges
     mids = mesh.edge_midpoints(ids)
     inflow = np.empty(ids.shape[0], dtype=bool)
@@ -324,10 +324,11 @@ def classify_boundary_edges(mesh: Mesh, beta) -> EdgeClassification:
     return EdgeClassification(ids, inflow)
 
 
-def _as_vector_function(beta):
-    if callable(beta):
-        return beta
-    const = np.asarray(beta, dtype=float).reshape(2)
+def as_vector_function(f):
+    """A callable x -> (2,) as given, or a constant 2-vector as a callable."""
+    if callable(f):
+        return f
+    const = np.asarray(f, dtype=float).reshape(2)
     return lambda x: const
 
 

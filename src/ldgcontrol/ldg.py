@@ -39,8 +39,9 @@ nonsingular forward operators on the meshes used here; the -1 convention
 is what the convergence references in the analysis module were computed
 with.
 
-The adjoint system uses the transposed operator, so one factorization
-serves both solves.
+The state and adjoint solves eliminate the flux element by element and
+share one factorization of S = C + B' A^-1 B (the adjoint uses its
+transpose).
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .geometry import EdgeClassification, Mesh, classify_boundary_edges
+from .geometry import EdgeClassification, Mesh, as_vector_function, classify_boundary_edges
+from .linsolve import Factorization, _condensation_operators
 from .spaces import (
     DiscreteField,
     SpaceSet,
@@ -84,13 +85,6 @@ def as_scalar_function(f) -> Callable:
         return f
     value = float(f)
     return lambda x: value
-
-
-def as_vector_function(f) -> Callable:
-    if callable(f):
-        return f
-    const = np.asarray(f, dtype=float).reshape(2)
-    return lambda x: const
 
 
 @dataclass
@@ -169,6 +163,15 @@ class ProblemData:
                 raise ValueError(f"velocity field is not divergence free at {x}")
 
 
+def boundary_kappa(data, c11, beta_n, inflow):
+    """Boundary multiplier weight s_pen sqrt(eps) C11 + [inflow] |beta . n|.
+
+    Broadcasts over the edge penalties ``c11``, the normal velocities
+    ``beta_n`` and the inflow flags ``inflow``.
+    """
+    return data.penalty_sign * data.sqrt_eps * c11 + np.where(inflow, np.abs(beta_n), 0.0)
+
+
 class FluxParameters:
     """Per-edge numerical flux coefficients.
 
@@ -203,13 +206,10 @@ class FluxParameters:
                 self.c12n[e] = 0.5 if sv > 0.0 else -0.5
             sb = np.dot(beta(mids[e]), n0)
             self.d11n[e] = 0.5 if sb >= 0.0 else -0.5
-        s_pen = data.penalty_sign
-        sqrt_eps = data.sqrt_eps
         for e in mesh.boundary_edges:
-            n0 = mesh.edge_normals[e, 0]
-            bn = np.dot(beta(mids[e]), n0)
-            chi = 1.0 if classification.is_inflow(e) else 0.0
-            self.kappa_z[e] = s_pen * sqrt_eps * self.c11[e] + chi * abs(bn)
+            bn = np.dot(beta(mids[e]), mesh.edge_normals[e, 0])
+            self.kappa_z[e] = boundary_kappa(data, self.c11[e], bn,
+                                             classification.is_inflow(e))
 
 
 def compute_flux_parameters(mesh: Mesh, data: ProblemData,
@@ -240,7 +240,6 @@ class BoundaryQuadrature:
         phi = edge_basis_values(rule.points)  # (ns, 2)
         beta = data.beta_fun()
         sqrt_eps = data.sqrt_eps
-        s_pen = data.penalty_sign
         b_edges = mesh.boundary_edges
         nq = ns * len(b_edges)
 
@@ -275,7 +274,7 @@ class BoundaryQuadrature:
                 self.points[row] = x
                 self.normals[row] = n0
                 self.beta_n[row] = bn
-                self.kappa[row] = s_pen * sqrt_eps * flux.c11[e] + (abs(bn) if inflow else 0.0)
+                self.kappa[row] = boundary_kappa(data, flux.c11[e], bn, inflow)
                 for loc in range(2):
                     rows_u.append(row)
                     cols_u.append(udofs[loc])
@@ -330,14 +329,10 @@ class BlockOperator:
     def num_elements(self):
         return self.mesh.num_elements
 
-    def forward_matrix(self) -> sp.csr_matrix:
-        """The state-system matrix [[A, B], [-B', C]] on unknowns (q, y)."""
-        return sp.bmat([[self.A, self.B], [-self.B.T, self.C]], format="csc")
-
-    def state_factorization(self):
+    def state_factorization(self) -> Factorization:
+        """Factorization of the flux-eliminated state operator S = C + B' A^-1 B."""
         if self._state_lu is None:
-            matrix = self.forward_matrix()
-            self._state_lu = (spla.splu(matrix), matrix)
+            self._state_lu = Factorization(_condensation_operators(self)[2])
         return self._state_lu
 
 
@@ -639,41 +634,28 @@ def _control_rhs(ops: BlockOperator, u):
     return bq.M1_qp @ uq, bq.M2_qp @ uq
 
 
-def _refined_solve(lu, matrix, rhs, trans="N", tol=1e-12, max_refine=2):
-    x = lu.solve(rhs, trans=trans)
-    op = matrix if trans == "N" else matrix.T
-    norm_rhs = np.linalg.norm(rhs)
-    if norm_rhs == 0.0:
-        return np.zeros_like(rhs)
-    for _ in range(max_refine):
-        residual = rhs - op @ x
-        if np.linalg.norm(residual) <= tol * norm_rhs:
-            break
-        x = x + lu.solve(residual, trans=trans)
-    return x
-
-
 def solve_state(ops: BlockOperator, u, data: ProblemData = None):
-    """Solve the state system for a given control; returns (y_h, q_h)."""
-    rhs1, rhs2 = _control_rhs(ops, u)
-    rhs = np.concatenate([rhs1, ops.F + rhs2])
-    lu, matrix = ops.state_factorization()
-    x = _refined_solve(lu, matrix, rhs)
-    nW = ops.spaces.flux.num_dofs
-    q = DiscreteField(ops.spaces.flux, x[:nW])
-    y = DiscreteField(ops.spaces.potential, x[nW:])
-    return y, q
+    """Solve the state system for a given control; returns (y_h, q_h).
+
+    The flux is eliminated exactly: S y = F + r2 + B' A^-1 r1, then
+    q = A^-1 (r1 - B y), with (r1, r2) the control loads.
+    """
+    r1, r2 = _control_rhs(ops, u)
+    Ainv = _condensation_operators(ops)[0]
+    y = ops.state_factorization().solve(ops.F + r2 + ops.B.T @ (Ainv @ r1))
+    q = Ainv @ (r1 - ops.B @ y)
+    return DiscreteField(ops.spaces.potential, y), DiscreteField(ops.spaces.flux, q)
 
 
 def solve_adjoint(ops: BlockOperator, rhs_field=None, load_vector=None):
     """Solve the adjoint system for a right-hand side; returns (z_h, p_h).
 
-    The adjoint operator is the transpose of the state operator, so the
-    state factorization is reused.  ``rhs_field`` may be a scalar
-    DiscreteField or a callable; alternatively a preassembled load vector
-    (tested against the scalar space) can be passed directly.
+    The adjoint operator is the transpose of the state operator, so
+    z = S^-T g reuses the state factorization and p = A^-1 B z.
+    ``rhs_field`` may be a scalar DiscreteField or a callable;
+    alternatively a preassembled load vector g (tested against the scalar
+    space) can be passed directly.
     """
-    nW = ops.spaces.flux.num_dofs
     nV = ops.spaces.potential.num_dofs
     if load_vector is None:
         if isinstance(rhs_field, DiscreteField):
@@ -690,12 +672,9 @@ def solve_adjoint(ops: BlockOperator, rhs_field=None, load_vector=None):
                 load_vector[base3 + i] = 2.0 * mesh.areas * ((gv * lam_d[None, :, i]) @ rule.weights)
         else:
             raise ValueError("rhs_field must be a DiscreteField or callable")
-    rhs = np.concatenate([np.zeros(nW), load_vector])
-    lu, matrix = ops.state_factorization()
-    x = _refined_solve(lu, matrix, rhs, trans="T")
-    p = DiscreteField(ops.spaces.flux, x[:nW])
-    z = DiscreteField(ops.spaces.potential, x[nW:])
-    return z, p
+    z = ops.state_factorization().solve(load_vector, trans="T")
+    p = _condensation_operators(ops)[1] @ z
+    return DiscreteField(ops.spaces.potential, z), DiscreteField(ops.spaces.flux, p)
 
 
 def export_matrix_market(path, matrix) -> None:

@@ -1,39 +1,40 @@
-"""Sparse storage, block KKT composition, and direct solution.
+"""Block optimality systems and their sparse direct solution.
 
-The coupled first-order optimality system is solved with one sparse LU
-factorization per active-set configuration.  Unknown ordering is
-(q, y, p, z, u) — state flux, state, adjoint flux, adjoint, control — so a
-full-discretization system on m elements and b boundary edges has
-6m + 3m + 6m + 3m + 2b rows.  In variational mode the control is not a
-DOF block: on inactive quadrature points it is eliminated through the
-pointwise projection formula, leaving an 18m system.
+Unknown ordering is (q, y, p, z, u) -- state flux, state, adjoint flux,
+adjoint, control -- so a full-discretization system on m elements and b
+boundary edges has 6m + 3m + 6m + 3m + 2b rows.  In variational mode the
+control is not a DOF block: on inactive quadrature points it is
+eliminated through the pointwise projection formula, leaving an 18m
+system.
 
-Two equivalent solve paths exist.  ``compose_kkt`` + ``direct_solve``
-factors the coupled block matrix directly, which is the reference path on
-the meshes where it is affordable.  Both flux blocks are mass matrices
-that never couple neighbouring elements, so they can also be eliminated
-exactly element by element before factoring; ``condense_kkt`` builds that
-reduced system, which has one third of the unknowns and — more
-importantly — orders of magnitude less LU fill, and is what makes the
-deepest reference meshes fit in ordinary desktop memory.  Agreement of
-the two paths is part of the test suite.  ``solve_optimality_system``
-picks a path by problem size and is the entry point the active-set
-iteration uses.
+The flux ansatz is discontinuous P1, so both flux blocks A are
+element-local mass matrices and their elimination is exact.  The state
+operator S = C + B' A^-1 B then acts on the scalar unknown alone.
+``condense_kkt`` builds the optimality system after that elimination, with
+the active controls substituted by their bounds; it has about one third of
+the unknowns and far less LU fill than the coupled matrix.  It is the
+production path (``strategy="condensed"``).  ``compose_kkt`` builds the
+unreduced five-block matrix; ``strategy="monolithic"`` factors it directly
+and is the reference that the tests and ``ldgcontrol check`` compare the
+production path against.  The state and adjoint solves of ``ldg`` factor
+S once per operator set and use it for both (the adjoint transposed).
+
+Every factorization is a ``Factorization``: a sparse LU with iterative
+refinement that raises ``SingularSystemError`` when the factorization
+fails, produces non-finite entries or the refinement stalls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
-    "TripletBuffer",
     "SingularSystemError",
-    "finalize",
+    "Factorization",
     "direct_solve",
     "BlockSystem",
     "compose_kkt",
@@ -42,85 +43,55 @@ __all__ = [
     "solve_optimality_system",
 ]
 
-# Above this unknown count the optimality solves eliminate the two flux
-# blocks first (exact, element-local) instead of factoring the five-block
-# matrix: the flux-coupled factorizations fill in badly enough to exhaust
-# desk-scale memory on the deepest reference meshes.
-CONDENSE_THRESHOLD = 40_000
-
 
 class SingularSystemError(RuntimeError):
     """Raised when a direct factorization meets a singular matrix."""
 
 
-@dataclass
-class TripletBuffer:
-    """Coordinate-format accumulator for sparse assembly."""
+class Factorization:
+    """Sparse LU of a square matrix with refined, checked solves."""
 
-    shape: tuple
-    rows: list = field(default_factory=list)
-    cols: list = field(default_factory=list)
-    vals: list = field(default_factory=list)
+    def __init__(self, matrix):
+        self.matrix = sp.csc_matrix(matrix)
+        if self.matrix.shape[0] != self.matrix.shape[1]:
+            raise ValueError("a factorization needs a square matrix")
+        try:
+            self.lu = spla.splu(self.matrix)
+        except RuntimeError as exc:  # scipy reports 'Factor is exactly singular'
+            raise SingularSystemError(f"sparse LU failed: {exc}") from exc
 
-    def add(self, i, j, v):
-        self.rows.append(int(i))
-        self.cols.append(int(j))
-        self.vals.append(float(v))
+    def solve(self, b, trans: str = "N", tol: float = 1e-10, max_refine: int = 3):
+        """Solve A x = b (``trans="T"``: A' x = b) with iterative refinement.
 
-    def extend(self, rows, cols, vals):
-        self.rows.extend(np.asarray(rows, dtype=int).ravel())
-        self.cols.extend(np.asarray(cols, dtype=int).ravel())
-        self.vals.extend(np.asarray(vals, dtype=float).ravel())
-
-
-def finalize(triplets: TripletBuffer) -> sp.csr_matrix:
-    """Compress a triplet buffer to CSR, summing duplicate entries."""
-    nr, nc = triplets.shape
-    if triplets.rows:
-        rows = np.asarray(triplets.rows, dtype=int)
-        cols = np.asarray(triplets.cols, dtype=int)
-        if rows.size and (rows.min() < 0 or rows.max() >= nr
-                          or cols.min() < 0 or cols.max() >= nc):
-            raise IndexError("triplet index outside matrix dimensions")
-        mat = sp.coo_matrix((triplets.vals, (rows, cols)), shape=(nr, nc)).tocsr()
-    else:
-        mat = sp.csr_matrix((nr, nc))
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
+        The relative residual is driven below ``tol`` (usually one
+        refinement sweep suffices); non-finite entries or a stalled
+        refinement are reported as a singular system.
+        """
+        b = np.asarray(b, dtype=float)
+        if b.shape[0] != self.matrix.shape[0]:
+            raise ValueError("right-hand side does not match the factored matrix")
+        op = self.matrix if trans == "N" else self.matrix.T
+        x = self.lu.solve(b, trans=trans)
+        if not np.all(np.isfinite(x)):
+            raise SingularSystemError("sparse LU produced non-finite entries (singular system)")
+        norm_b = np.linalg.norm(b)
+        if norm_b == 0.0:
+            return np.zeros_like(b)
+        for _ in range(max_refine):
+            residual = b - op @ x
+            if np.linalg.norm(residual) <= tol * norm_b:
+                return x
+            x = x + self.lu.solve(residual, trans=trans)
+        residual = np.linalg.norm(b - op @ x) / norm_b
+        if residual > tol:
+            raise SingularSystemError(
+                f"iterative refinement stalled at relative residual {residual:.3e}")
+        return x
 
 
 def direct_solve(A, b, tol: float = 1e-10, max_refine: int = 3):
-    """Solve A x = b by sparse LU with iterative refinement.
-
-    The relative residual is driven below ``tol`` (usually one refinement
-    sweep suffices); a singular factorization is reported with the pivot
-    position scipy identifies.
-    """
-    A = sp.csc_matrix(A)
-    b = np.asarray(b, dtype=float)
-    if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
-        raise ValueError("direct_solve needs a square system matching the right-hand side")
-    try:
-        lu = spla.splu(A)
-    except RuntimeError as exc:  # scipy reports 'Factor is exactly singular'
-        raise SingularSystemError(f"sparse LU failed: {exc}") from exc
-    x = lu.solve(b)
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("sparse LU produced non-finite entries (singular system)")
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return np.zeros_like(b)
-    for _ in range(max_refine):
-        residual = b - A @ x
-        if np.linalg.norm(residual) <= tol * norm_b:
-            return x
-        x = x + lu.solve(residual)
-    residual = np.linalg.norm(b - A @ x) / norm_b
-    if residual > tol:
-        raise SingularSystemError(
-            f"iterative refinement stalled at relative residual {residual:.3e}")
-    return x
+    """Factor A and solve A x = b once (see ``Factorization.solve``)."""
+    return Factorization(A).solve(b, tol=tol, max_refine=max_refine)
 
 
 @dataclass
@@ -147,7 +118,21 @@ class BlockSystem:
         return {name: x[sl] for name, sl in self.slices.items()}
 
 
-def _validate_active(active, n_controls, data):
+def _control_blocks(ops, active, data, mode):
+    """Active-set data shared by ``compose_kkt`` and ``condense_kkt``.
+
+    Returns (inactive, bound_vals, coupling): the inactive mask over the
+    control unknowns of ``mode``, the bound values on the active ones (0
+    elsewhere), and in variational mode the products (G1, H1, G2, H2) =
+    M_qp D_I T / omega that substitute the inactive pointwise control
+    u = (T_pn p - T_kz z)/omega into the two state rows (None in full mode).
+    """
+    if mode == "full":
+        n_controls = ops.M_Gamma.shape[0]
+    elif mode == "variational":
+        n_controls = ops.bq.num_points
+    else:
+        raise ValueError(f"unknown discretization mode: {mode!r}")
     if isinstance(active, tuple):
         raw_lower, raw_upper = active
     else:
@@ -162,92 +147,70 @@ def _validate_active(active, n_controls, data):
         raise ValueError("lower-active set requires a finite lower bound")
     if np.any(upper) and not np.isfinite(data.u_upper):
         raise ValueError("upper-active set requires a finite upper bound")
-    return lower, upper
+    inactive = ~(lower | upper)
+    bound_vals = np.where(lower, data.u_lower, 0.0) + np.where(upper, data.u_upper, 0.0)
+    if mode == "full":
+        return inactive, bound_vals, None
+    bq = ops.bq
+    D_I = sp.diags(inactive.astype(float) / data.omega)
+    coupling = tuple((M_qp @ D_I @ T).tocsr()
+                     for M_qp in (bq.M1_qp, bq.M2_qp) for T in (bq.T_pn, bq.T_kz))
+    return inactive, bound_vals, coupling
 
 
 def compose_kkt(ops, active, data, mode: str = "full") -> BlockSystem:
     """Build the coupled optimality system for the given active sets.
 
     Full mode rows: the two state equations, the two adjoint equations,
-    and per-DOF control rows — the consistent-mass gradient equation on
+    and per-DOF control rows -- the consistent-mass gradient equation on
     inactive DOFs, u pinned to its bound on active DOFs.  Variational
     mode eliminates the control: inactive quadrature points carry
     u = (sqrt(eps) p.n - kappa z)/omega, active points the bound value,
     both substituted into the state equations.
     """
     A, B, C = ops.A, ops.B, ops.C
-    M1, M2 = ops.M1, ops.M2
-    M_Omega, M_Gamma = ops.M_Omega, ops.M_Gamma
+    M_Omega = ops.M_Omega
     nW = A.shape[0]
     nV = C.shape[0]
-    omega = data.omega
+    inactive, bound_vals, coupling = _control_blocks(ops, active, data, mode)
 
     if mode == "full":
-        nU = M_Gamma.shape[0]
-        lower, upper = _validate_active(active, nU, data)
-        inactive = ~(lower | upper)
+        nU = ops.M_Gamma.shape[0]
         # control rows: D_I (omega M_Gamma u + M1' p + M2' z) + D_A u = D_A u_bound
         D_I = sp.diags(inactive.astype(float))
         D_A = sp.diags((~inactive).astype(float))
-        ctrl_p = D_I @ M1.T
-        ctrl_z = D_I @ M2.T
-        ctrl_u = omega * (D_I @ M_Gamma) + D_A
-        bound_vals = np.where(lower, data.u_lower, 0.0) + np.where(upper, data.u_upper, 0.0)
         K = sp.bmat([
-            [A,     B,    None,  None,  -M1],
-            [-B.T,  C,    None,  None,  -M2],
+            [A,     B,    None,  None,  -ops.M1],
+            [-B.T,  C,    None,  None,  -ops.M2],
             [None,  None, A,     -B,    None],
             [None, -M_Omega, B.T, C.T,  None],
-            [None,  None, ctrl_p, ctrl_z, ctrl_u],
+            [None,  None, D_I @ ops.M1.T, D_I @ ops.M2.T,
+             data.omega * (D_I @ ops.M_Gamma) + D_A],
         ], format="csc")
         rhs = np.concatenate([
             np.zeros(nW), ops.F, np.zeros(nW), -ops.Yd, bound_vals,
         ])
         offs = np.cumsum([0, nW, nV, nW, nV, nU])
-        slices = {
-            "q": slice(offs[0], offs[1]),
-            "y": slice(offs[1], offs[2]),
-            "p": slice(offs[2], offs[3]),
-            "z": slice(offs[3], offs[4]),
-            "u": slice(offs[4], offs[5]),
-        }
-        control_dofs = np.arange(offs[4], offs[5])
-        return BlockSystem(K, rhs, slices, "full", control_dofs)
+        slices = {name: slice(offs[i], offs[i + 1]) for i, name in enumerate("qypzu")}
+        return BlockSystem(K, rhs, slices, "full", np.arange(offs[4], offs[5]))
 
-    if mode == "variational":
-        bq = ops.bq
-        nq = bq.num_points
-        lower, upper = _validate_active(active, nq, data)
-        inactive = ~(lower | upper)
-        D_I = sp.diags(inactive.astype(float) / omega)
-        bound_vals = np.where(lower, data.u_lower, 0.0) + np.where(upper, data.u_upper, 0.0)
-        # inactive points: u = (T_pn p - T_kz z)/omega enters both state rows
-        G1 = (bq.M1_qp @ D_I @ bq.T_pn).tocsr()
-        H1 = (bq.M1_qp @ D_I @ bq.T_kz).tocsr()
-        G2 = (bq.M2_qp @ D_I @ bq.T_pn).tocsr()
-        H2 = (bq.M2_qp @ D_I @ bq.T_kz).tocsr()
-        K = sp.bmat([
-            [A,     B,    -G1,   H1],
-            [-B.T,  C,    -G2,   H2],
-            [None,  None, A,     -B],
-            [None, -M_Omega, B.T, C.T],
-        ], format="csc")
-        rhs = np.concatenate([
-            bq.M1_qp @ bound_vals,
-            ops.F + bq.M2_qp @ bound_vals,
-            np.zeros(nW),
-            -ops.Yd,
-        ])
-        offs = np.cumsum([0, nW, nV, nW, nV])
-        slices = {
-            "q": slice(offs[0], offs[1]),
-            "y": slice(offs[1], offs[2]),
-            "p": slice(offs[2], offs[3]),
-            "z": slice(offs[3], offs[4]),
-        }
-        return BlockSystem(K, rhs, slices, "variational", np.array([], dtype=int))
-
-    raise ValueError(f"unknown discretization mode: {mode!r}")
+    G1, H1, G2, H2 = coupling
+    K = sp.bmat([
+        [A,     B,    -G1,   H1],
+        [-B.T,  C,    -G2,   H2],
+        [None,  None, A,     -B],
+        [None, -M_Omega, B.T, C.T],
+    ], format="csc")
+    bq = ops.bq
+    rhs = np.concatenate([
+        bq.M1_qp @ bound_vals,
+        ops.F + bq.M2_qp @ bound_vals,
+        np.zeros(nW),
+        -ops.Yd,
+    ])
+    offs = np.cumsum([0, nW, nV, nW, nV])
+    slices = {name: slice(offs[i], offs[i + 1]) for i, name in enumerate("qypz")}
+    return BlockSystem(K, rhs, slices, "variational", np.array([], dtype=int))
 
 
 def _flux_block_inverse(ops):
@@ -299,10 +262,12 @@ def _condensation_operators(ops):
 class CondensedSystem:
     """Reduced optimality system after element-local flux elimination.
 
-    ``matrix`` acts on (y, z, u) in full mode and on (y, z) in variational
-    mode.  ``recover`` reconstructs the eliminated flux unknowns from a
-    reduced solution vector; the reconstruction is exact because the flux
-    blocks are block-diagonal mass matrices.
+    ``matrix`` acts on (y, z, u_I) in full mode, with u_I the inactive
+    controls, and on (y, z) in variational mode.  ``recover`` reconstructs
+    the eliminated flux unknowns and, in full mode, the whole control (the
+    active part is its bound) from a reduced solution vector; the
+    reconstruction is exact because the flux blocks are block-diagonal
+    mass matrices.
     """
 
     matrix: sp.csc_matrix
@@ -329,7 +294,10 @@ class CondensedSystem:
         z = parts["z"]
         p = AinvB @ z
         if self.mode == "full":
-            q = Ainv @ (self.ops.M1 @ parts["u"]) - AinvB @ y
+            u = self.aux["bound_vals"].copy()
+            u[self.aux["inactive"]] = parts["u"]
+            parts["u"] = u
+            q = Ainv @ (self.ops.M1 @ u) - AinvB @ y
         else:
             # q = A^-1 (r1 - B y + G1 p - H1 z) with r1 the active-bound load
             resid = self.aux["r1"] - self.ops.B @ y
@@ -345,103 +313,72 @@ def condense_kkt(ops, active, data=None, mode="full"):
 
     Exactly equivalent to ``compose_kkt`` followed by block elimination of
     the two flux rows: the flux blocks are invertible element by element,
-    so no approximation is involved.  The reduced matrix couples each
-    element only to its distance-<=2 neighbours, which keeps direct
-    factorization affordable on meshes where the coupled system is not.
+    so no approximation is involved.  In full mode the active controls are
+    substituted by their bounds as well, so they hold them exactly.  The
+    reduced matrix couples each element only to its distance-<=2
+    neighbours, which keeps direct factorization affordable on meshes
+    where the coupled system is not.
     """
     if data is None:
         data = ops.data
-    omega = data.omega
     Ainv, AinvB, S, Mt = _condensation_operators(ops)
     nV = S.shape[0]
     M_Omega = ops.M_Omega
+    inactive, bound_vals, coupling = _control_blocks(ops, active, data, mode)
 
     if mode == "full":
-        n_u = ops.M_Gamma.shape[0]
-        lower, upper = _validate_active(active, n_u, data)
-        inactive = ~(lower | upper)
-        D_I = sp.diags(inactive.astype(float))
-        D_A = sp.diags((lower | upper).astype(float))
-        bound_vals = np.where(lower, data.u_lower, 0.0) + np.where(upper, data.u_upper, 0.0)
-        ctrl_z = (D_I @ Mt.T).tocsr()
-        ctrl_u = (omega * (D_I @ ops.M_Gamma) + D_A).tocsr()
+        # S y - Mt u = F and the inactive control rows, with u_A = bound
+        free = np.flatnonzero(inactive)
+        Mt_I = Mt[:, free]
+        M_Gamma_I = ops.M_Gamma[free]
         R = sp.bmat([
-            [S,        None, -Mt],
-            [-M_Omega, S.T,  None],
-            [None,     ctrl_z, ctrl_u],
+            [S,        None,     -Mt_I],
+            [-M_Omega, S.T,      None],
+            [None,     Mt_I.T,   data.omega * M_Gamma_I[:, free]],
         ], format="csc")
-        rhs = np.concatenate([ops.F, -ops.Yd, bound_vals])
-        offs = np.cumsum([0, nV, nV, n_u])
-        slices = {
-            "y": slice(offs[0], offs[1]),
-            "z": slice(offs[1], offs[2]),
-            "u": slice(offs[2], offs[3]),
-        }
-        return CondensedSystem(R, rhs, slices, "full", ops, {})
+        rhs = np.concatenate([ops.F + Mt @ bound_vals, -ops.Yd,
+                              -data.omega * (M_Gamma_I @ bound_vals)])
+        offs = np.cumsum([0, nV, nV, free.size])
+        slices = {name: slice(offs[i], offs[i + 1]) for i, name in enumerate("yzu")}
+        aux = {"inactive": free, "bound_vals": bound_vals}
+        return CondensedSystem(R, rhs, slices, "full", ops, aux)
 
-    if mode == "variational":
-        bq = ops.bq
-        nq = bq.num_points
-        lower, upper = _validate_active(active, nq, data)
-        inactive = ~(lower | upper)
-        D_I = sp.diags(inactive.astype(float) / omega)
-        bound_vals = np.where(lower, data.u_lower, 0.0) + np.where(upper, data.u_upper, 0.0)
-        G1 = (bq.M1_qp @ D_I @ bq.T_pn).tocsr()
-        H1 = (bq.M1_qp @ D_I @ bq.T_kz).tocsr()
-        G2 = (bq.M2_qp @ D_I @ bq.T_pn).tocsr()
-        H2 = (bq.M2_qp @ D_I @ bq.T_kz).tocsr()
-        r1 = bq.M1_qp @ bound_vals
-        r2 = ops.F + bq.M2_qp @ bound_vals
-        # Substituting q = A^-1 (r1 - B y + G1 p - H1 z) and p = A^-1 B z
-        # into the scalar state row leaves a two-block system in (y, z).
-        Gc = (G2 + ops.B.T @ (Ainv @ G1)).tocsr()
-        Hc = (H2 + ops.B.T @ (Ainv @ H1)).tocsr()
-        Z_blk = (Hc - Gc @ AinvB).tocsr()
-        R = sp.bmat([
-            [S,        Z_blk],
-            [-M_Omega, S.T],
-        ], format="csc")
-        rhs = np.concatenate([r2 + ops.B.T @ (Ainv @ r1), -ops.Yd])
-        slices = {"y": slice(0, nV), "z": slice(nV, 2 * nV)}
-        aux = {"G1": G1, "H1": H1, "r1": r1}
-        return CondensedSystem(R, rhs, slices, "variational", ops, aux)
-
-    raise ValueError(f"unknown discretization mode: {mode!r}")
-
-
-def _coupled_dimension(ops, mode):
-    nW = ops.A.shape[0]
-    nV = ops.C.shape[0]
-    n = 2 * (nW + nV)
-    if mode == "full":
-        n += ops.M_Gamma.shape[0]
-    return n
+    G1, H1, G2, H2 = coupling
+    bq = ops.bq
+    r1 = bq.M1_qp @ bound_vals
+    r2 = ops.F + bq.M2_qp @ bound_vals
+    # Substituting q = A^-1 (r1 - B y + G1 p - H1 z) and p = A^-1 B z
+    # into the scalar state row leaves a two-block system in (y, z).
+    Gc = (G2 + ops.B.T @ (Ainv @ G1)).tocsr()
+    Hc = (H2 + ops.B.T @ (Ainv @ H1)).tocsr()
+    Z_blk = (Hc - Gc @ AinvB).tocsr()
+    R = sp.bmat([
+        [S,        Z_blk],
+        [-M_Omega, S.T],
+    ], format="csc")
+    rhs = np.concatenate([r2 + ops.B.T @ (Ainv @ r1), -ops.Yd])
+    slices = {"y": slice(0, nV), "z": slice(nV, 2 * nV)}
+    aux = {"G1": G1, "H1": H1, "r1": r1}
+    return CondensedSystem(R, rhs, slices, "variational", ops, aux)
 
 
 def solve_optimality_system(ops, active, data=None, mode="full",
-                            strategy="auto", tol=1e-10):
+                            strategy="condensed", tol=1e-10):
     """Solve one active-set linearization of the optimality system.
 
     strategy
-        "monolithic" factors the coupled block matrix, "condensed"
-        eliminates the flux blocks first (exact), and "auto" picks
-        monolithic below ``CONDENSE_THRESHOLD`` coupled unknowns and
-        condensed above it.
+        "condensed" (the default) eliminates the flux blocks and the active
+        controls first (exact); "monolithic" factors the coupled block
+        matrix and is kept as the reference to compare against.
 
     Returns the parts dict with keys q, y, p, z and, in full mode, u.
     """
     if data is None:
         data = ops.data
-    if strategy == "auto":
-        strategy = ("condensed"
-                    if _coupled_dimension(ops, mode) > CONDENSE_THRESHOLD
-                    else "monolithic")
-    if strategy == "monolithic":
-        system = compose_kkt(ops, active, data, mode=mode)
-        x = direct_solve(system.matrix, system.rhs, tol=tol)
-        return system.split(x)
     if strategy == "condensed":
         system = condense_kkt(ops, active, data=data, mode=mode)
-        x = direct_solve(system.matrix, system.rhs, tol=tol)
-        return system.recover(x)
+        return system.recover(direct_solve(system.matrix, system.rhs, tol=tol))
+    if strategy == "monolithic":
+        system = compose_kkt(ops, active, data, mode=mode)
+        return system.split(direct_solve(system.matrix, system.rhs, tol=tol))
     raise ValueError(f"unknown solve strategy: {strategy!r}")

@@ -66,6 +66,18 @@ levels = 128,32
 """))
 
 
+def test_config_rejects_nonpositive_count(tmp_path):
+    # 0 = 0 * 4^k for every k: the skewed-domain count must not loop on it
+    with pytest.raises(ConfigError, match="positive"):
+        RunConfig.from_file(write_config(tmp_path, """
+[problem]
+example = 3
+[study]
+levels = 0, 12
+reference = 48
+"""))
+
+
 def test_config_rejects_invalid_square_count(tmp_path):
     with pytest.raises(ConfigError, match="2 n\\^2"):
         RunConfig.from_file(write_config(tmp_path, """

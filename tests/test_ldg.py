@@ -182,6 +182,31 @@ def test_adjoint_transpose_duality():
         assert abs(lhs - rhs) < 1e-11 * scale
 
 
+@pytest.mark.parametrize("penalty_sign", [+1, -1])
+def test_eliminated_solves_match_forward_block_matrix(penalty_sign):
+    # the state and adjoint solves work on S = C + B' A^-1 B; solving the
+    # unreduced forward matrix [[A, B], [-B', C]] directly must agree
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    rng = np.random.default_rng(11)
+    mesh, spaces, data, flux, ops = make_ops(4, epsilon=0.5, penalty_sign=penalty_sign)
+    K = sp.bmat([[ops.A, ops.B], [-ops.B.T, ops.C]], format="csc")
+    nW = spaces.flux.num_dofs
+    u = DiscreteField(spaces.control, rng.standard_normal(spaces.control.num_dofs))
+    g = rng.standard_normal(spaces.potential.num_dofs)
+
+    y_h, q_h = solve_state(ops, u, data)
+    x = spla.spsolve(K, np.concatenate([ops.M1 @ u.coefficients,
+                                        ops.F + ops.M2 @ u.coefficients]))
+    z_h, p_h = solve_adjoint(ops, load_vector=g)
+    w = spla.spsolve(K.T.tocsc(), np.concatenate([np.zeros(nW), g]))
+    for computed, expected in ((q_h, x[:nW]), (y_h, x[nW:]),
+                               (p_h, w[:nW]), (z_h, w[nW:])):
+        scale = max(1.0, np.abs(expected).max())
+        assert np.abs(computed.coefficients - expected).max() <= 1e-10 * scale
+
+
 def test_boundary_tables_compose_couplings():
     # the quadrature-point tables must reproduce the assembled coupling
     # blocks when composed with the control trace operator

@@ -1,20 +1,17 @@
-"""Tests of sparse assembly helpers and the optimality-system solvers."""
+"""Tests of the direct solver and the optimality-system solve paths."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import ldgcontrol.linsolve as linsolve
 from ldgcontrol.analysis import error_l2_boundary, example2_data, manufactured_example1
 from ldgcontrol.geometry import build_unit_square_mesh
 from ldgcontrol.ldg import assemble_forms, solve_adjoint, solve_state
 from ldgcontrol.linsolve import (
     SingularSystemError,
-    TripletBuffer,
     compose_kkt,
     condense_kkt,
     direct_solve,
-    finalize,
     solve_optimality_system,
 )
 from ldgcontrol.spaces import DiscreteField, DofMap, build_spaces
@@ -40,42 +37,6 @@ def ex2_ops_128():
 def no_active(ops, mode):
     n = ops.M_Gamma.shape[0] if mode == "full" else ops.bq.num_points
     return np.zeros(n, bool), np.zeros(n, bool)
-
-
-# ---------------------------------------------------------------- triplets
-
-
-def test_finalize_sums_duplicates():
-    buf = TripletBuffer((2, 2))
-    buf.add(0, 0, 1.0)
-    buf.add(0, 0, 2.0)
-    buf.add(1, 0, -1.0)
-    mat = finalize(buf)
-    assert mat[0, 0] == 3.0
-    assert mat[1, 0] == -1.0
-    assert mat.nnz == 2
-
-
-def test_finalize_empty_buffer_is_zero():
-    mat = finalize(TripletBuffer((3, 5)))
-    assert mat.shape == (3, 5)
-    assert mat.nnz == 0
-
-
-def test_finalize_identity_matvec():
-    buf = TripletBuffer((5, 5))
-    for i in range(5):
-        buf.add(i, i, 1.0)
-    mat = finalize(buf)
-    x = np.arange(1.0, 6.0)
-    assert np.abs(mat @ x - x).max() < 1e-15
-
-
-def test_finalize_rejects_out_of_range():
-    buf = TripletBuffer((2, 2))
-    buf.add(2, 0, 1.0)
-    with pytest.raises(IndexError):
-        finalize(buf)
 
 
 # ------------------------------------------------------------ direct solve
@@ -195,8 +156,7 @@ def test_condensed_matches_monolithic_unconstrained(mode, ex1_ops):
     active = no_active(ops, mode)
     pm = solve_optimality_system(ops, active, ops.data, mode=mode,
                                  strategy="monolithic")
-    pc = solve_optimality_system(ops, active, ops.data, mode=mode,
-                                 strategy="condensed")
+    pc = solve_optimality_system(ops, active, ops.data, mode=mode)
     for name in pm:
         scale = max(1.0, np.abs(pm[name]).max())
         assert np.abs(pm[name] - pc[name]).max() < 1e-9 * scale, name
@@ -213,11 +173,29 @@ def test_condensed_matches_monolithic_with_active_bounds(mode, ex2_ops_128):
     active = (sol.active.lower, sol.active.upper)
     pm = solve_optimality_system(ops, active, data, mode=mode,
                                  strategy="monolithic")
-    pc = solve_optimality_system(ops, active, data, mode=mode,
-                                 strategy="condensed")
+    pc = solve_optimality_system(ops, active, data, mode=mode)
     for name in pm:
         scale = max(1.0, np.abs(pm[name]).max())
         assert np.abs(pm[name] - pc[name]).max() < 1e-9 * scale, name
+
+
+def test_active_controls_hold_their_bounds_exactly(ex2_ops_128):
+    # converged mixed active set of the constrained example: the default
+    # path substitutes the active controls, so they equal the bound bit
+    # for bit while the inactive ones still match the reference solve
+    from ldgcontrol.control import pdas_solve
+
+    data, ops = ex2_ops_128
+    sol = pdas_solve(ops, data, mode="full", strategy="monolithic")
+    lower, upper = sol.active.lower, sol.active.upper
+    assert upper.any() and sol.active.inactive.any()
+    parts = solve_optimality_system(ops, (lower, upper), data, mode="full")
+    assert np.all(parts["u"][upper] == data.u_upper)
+    assert np.all(parts["u"][lower] == data.u_lower)
+    ref = solve_optimality_system(ops, (lower, upper), data, mode="full",
+                                  strategy="monolithic")
+    inactive = sol.active.inactive
+    assert np.abs(parts["u"][inactive] - ref["u"][inactive]).max() < 1e-9
 
 
 def test_condensed_solution_satisfies_coupled_system(ex2_ops_128):
@@ -239,21 +217,6 @@ def test_condensed_reduced_dimension(ex1_ops):
     n_u = ops.M_Gamma.shape[0]
     assert red.dimension == 2 * nV + n_u
     assert full.dimension == red.dimension + 2 * ops.A.shape[0]
-
-
-def test_auto_strategy_threshold(monkeypatch, ex1_ops):
-    case, ops = ex1_ops
-    active = no_active(ops, "full")
-    ref = solve_optimality_system(ops, active, ops.data, mode="full",
-                                  strategy="monolithic")
-    auto = solve_optimality_system(ops, active, ops.data, mode="full",
-                                   strategy="auto")
-    assert np.abs(auto["u"] - ref["u"]).max() < 1e-12
-    # force the condensed branch through the same entry point
-    monkeypatch.setattr(linsolve, "CONDENSE_THRESHOLD", 10)
-    forced = solve_optimality_system(ops, active, ops.data, mode="full",
-                                     strategy="auto")
-    assert np.abs(forced["u"] - ref["u"]).max() < 1e-9
 
 
 def test_active_mask_validation(ex1_ops):
