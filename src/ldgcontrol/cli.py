@@ -482,7 +482,8 @@ def _battery(seed: int = 0):
 
 def _cmd_run(args) -> int:
     config = RunConfig.from_file(args.config)
-    keep = []
+    # a kept level holds its operators and their elimination cache to the end
+    keep = [] if config.vtk or config.matrices else None
     report = run_example(config, keep_solutions=keep)
     outdir = config.resolve_output_dir()
     os.makedirs(outdir, exist_ok=True)

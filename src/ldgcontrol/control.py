@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .geometry import point_values
 from .ldg import BlockOperator, ProblemData, boundary_kappa, solve_adjoint, solve_state
 from .linsolve import solve_optimality_system
 from .spaces import (
@@ -216,8 +217,7 @@ class DiscreteSolution:
         xg = a[None, :] + s[:, None] * (b - a)[None, :]
         pn = np.atleast_2d(trace_on_edge(self.p, edge_id, 0, s)) @ n
         zv = np.atleast_1d(trace_on_edge(self.z, edge_id, 0, s))
-        beta = data.beta_fun()
-        beta_n = np.array([float(np.dot(beta(x), n)) for x in xg])
+        beta_n = point_values(data.beta_fun(), xg) @ n
         flux = self.ops.flux
         kap = boundary_kappa(data, flux.c11[edge_id], beta_n,
                              flux.classification.is_inflow(edge_id))
@@ -285,24 +285,15 @@ def evaluate_cost(y_h: DiscreteField, u_h, data: ProblemData, ops: BlockOperator
     """
     mesh = y_h.dofmap.mesh
     rule = quadrature_rule("triangle", 6)
-    lam = tri_basis_values(rule.points)
-    pts = physical_points(mesh, rule.points)
-    yd = data.y_desired_fun()
-    nt = mesh.num_elements
-    coeff = y_h.coefficients.reshape(nt, 3)
-    vals = np.einsum("ti,ki->tk", coeff, lam)
-    track = 0.0
-    for t in range(nt):
-        diff = vals[t] - np.array([yd(x) for x in pts[t]])
-        track += 2.0 * mesh.areas[t] * float(np.dot(rule.weights, diff**2))
+    vals = np.einsum("ti,ki->tk", y_h.coefficients.reshape(-1, 3), tri_basis_values(rule.points))
+    diff = vals - point_values(data.y_desired_fun(), physical_points(mesh, rule.points))
+    track = float((2.0 * mesh.areas) @ (diff**2 @ rule.weights))
 
     if isinstance(u_h, DiscreteField):
+        # boundary-edge dofs are (start, end) pairs in boundary-edge order
         erule = quadrature_rule("edge", 4)
-        phi = edge_basis_values(erule.points)
-        bdry = 0.0
-        for e in mesh.boundary_edges:
-            uv = trace_on_edge(u_h, e, 0, erule.points)
-            bdry += mesh.edge_lengths[e] * float(np.dot(erule.weights, uv**2))
+        uv = u_h.coefficients.reshape(-1, 2) @ edge_basis_values(erule.points).T
+        bdry = float(mesh.edge_lengths[mesh.boundary_edges] @ (uv**2 @ erule.weights))
     else:
         if ops is None:
             raise ValueError("pointwise controls need the assembled operators for weights")

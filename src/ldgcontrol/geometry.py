@@ -5,8 +5,8 @@ convex polygonal domain.  Besides the usual vertex/triangle arrays, every
 mesh carries a complete edge data structure: endpoint indices, the one or
 two adjacent elements, outward unit normals per adjacent element, edge
 lengths and an interior/boundary flag.  This is the information a
-discontinuous Galerkin assembly loop needs to evaluate jumps, averages and
-numerical fluxes edge by edge.
+discontinuous Galerkin assembly needs to evaluate jumps, averages and
+numerical fluxes on every edge.
 
 Uniform (red) refinement splits each triangle into four congruent children
 and keeps a parent-child map, so fields computed on a refined mesh can be
@@ -25,6 +25,7 @@ __all__ = [
     "build_polygon_mesh",
     "refine_uniform",
     "classify_boundary_edges",
+    "point_values",
     "write_mesh_text",
 ]
 
@@ -206,10 +207,9 @@ class EdgeClassification:
         self.inflow_mask = np.asarray(inflow_mask, dtype=bool)
         self.inflow_edges = self.boundary_edges[self.inflow_mask]
         self.outflow_edges = self.boundary_edges[~self.inflow_mask]
-        self._is_inflow = dict(zip(self.boundary_edges.tolist(), self.inflow_mask.tolist()))
 
     def is_inflow(self, edge_id: int) -> bool:
-        return self._is_inflow[int(edge_id)]
+        return bool(np.isin(edge_id, self.inflow_edges))
 
 
 def build_unit_square_mesh(n: int) -> Mesh:
@@ -314,14 +314,10 @@ def classify_boundary_edges(mesh: Mesh, beta) -> EdgeClassification:
     For non-constant velocity fields the sign is taken at the edge midpoint.
     ``beta`` may be a callable x -> (2,) or a constant 2-vector.
     """
-    beta_fun = as_vector_function(beta)
     ids = mesh.boundary_edges
-    mids = mesh.edge_midpoints(ids)
-    inflow = np.empty(ids.shape[0], dtype=bool)
-    for i, e in enumerate(ids):
-        n = mesh.edge_normals[e, 0]
-        inflow[i] = float(np.dot(beta_fun(mids[i]), n)) < 0.0
-    return EdgeClassification(ids, inflow)
+    beta_mid = point_values(as_vector_function(beta), mesh.edge_midpoints(ids))
+    beta_n = np.sum(beta_mid * mesh.edge_normals[ids, 0], axis=1)
+    return EdgeClassification(ids, beta_n < 0.0)
 
 
 def as_vector_function(f):
@@ -330,6 +326,18 @@ def as_vector_function(f):
         return f
     const = np.asarray(f, dtype=float).reshape(2)
     return lambda x: const
+
+
+def point_values(fun, points) -> np.ndarray:
+    """Values of a pointwise callable at every point of a stacked array.
+
+    ``fun`` takes one point of shape (2,) and returns a scalar or a
+    2-vector; ``points`` has shape (..., 2).  The result has shape
+    points.shape[:-1], with a trailing axis of 2 for vector values.
+    """
+    points = np.asarray(points, dtype=float)
+    vals = np.array([fun(x) for x in points.reshape(-1, 2)], dtype=float)
+    return vals.reshape(points.shape[:-1] + vals.shape[1:])
 
 
 def write_mesh_text(mesh: Mesh, path) -> None:

@@ -39,6 +39,21 @@ nonsingular forward operators on the meshes used here; the -1 convention
 is what the convergence references in the analysis module were computed
 with.
 
+Assembly is one batched pass over all elements and all edges.  Each edge
+side gets a trace table L[e, side, g, i] (the nodal basis function i of
+that side's element at edge quadrature point g), filled once from
+``Mesh.edge_local``; every edge term is a (test side, trial side) block of
+weighted products of these tables, and all local blocks go into the
+sparse matrices through one scatter.  Boundary edges need no branch of
+their own: their terms are the side-0 block of the interior formulas,
+with the b weight 1/2 - C12 . n replaced by 1, and with the upwind factor
+1/2 + D11 . n of c equal to 1 on outflow and 0 on inflow edges (D11 and
+the inflow/outflow split test the same sign of beta(midpoint) . n).
+
+Data callables (beta, alpha, f, y_desired and pointwise controls) are
+pointwise: they take one point of shape (2,); ``geometry.point_values``
+evaluates them on stacked point arrays.
+
 The state and adjoint solves eliminate the flux element by element and
 share one factorization of S = C + B' A^-1 B (the adjoint uses its
 transpose).
@@ -46,14 +61,20 @@ transpose).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .geometry import EdgeClassification, Mesh, as_vector_function, classify_boundary_edges
+from .geometry import (
+    EdgeClassification,
+    Mesh,
+    as_vector_function,
+    classify_boundary_edges,
+    point_values,
+)
 from .linsolve import Factorization, _condensation_operators
 from .spaces import (
     DiscreteField,
@@ -187,29 +208,19 @@ class FluxParameters:
     """
 
     def __init__(self, mesh, data, classification):
-        beta = data.beta_fun()
         v12 = np.asarray(data.c12_direction, dtype=float)
-        tie_tol = 1e-12 * float(np.linalg.norm(v12))
-        ne = mesh.num_edges
+        n0 = mesh.edge_normals[:, 0]
+        sv = n0 @ v12
+        beta_n = np.sum(point_values(data.beta_fun(), mesh.edge_midpoints()) * n0, axis=1)
         self.c11 = data.epsilon / mesh.edge_lengths
-        self.c12n = np.empty(ne)
-        self.d11n = np.empty(ne)
-        self.kappa_z = np.full(ne, np.nan)
+        self.c12n = np.where(np.abs(sv) <= 1e-12 * float(np.linalg.norm(v12)), data.c12_tie,
+                             np.where(sv > 0.0, 0.5, -0.5))
+        self.d11n = np.where(beta_n >= 0.0, 0.5, -0.5)
+        self.kappa_z = np.full(mesh.num_edges, np.nan)
+        ids = classification.boundary_edges
+        self.kappa_z[ids] = boundary_kappa(data, self.c11[ids], beta_n[ids],
+                                           classification.inflow_mask)
         self.classification = classification
-        mids = mesh.edge_midpoints()
-        for e in range(ne):
-            n0 = mesh.edge_normals[e, 0]
-            sv = np.dot(n0, v12)
-            if abs(sv) <= tie_tol:
-                self.c12n[e] = data.c12_tie
-            else:
-                self.c12n[e] = 0.5 if sv > 0.0 else -0.5
-            sb = np.dot(beta(mids[e]), n0)
-            self.d11n[e] = 0.5 if sb >= 0.0 else -0.5
-        for e in mesh.boundary_edges:
-            bn = np.dot(beta(mids[e]), mesh.edge_normals[e, 0])
-            self.kappa_z[e] = boundary_kappa(data, self.c11[e], bn,
-                                             classification.is_inflow(e))
 
 
 def compute_flux_parameters(mesh: Mesh, data: ProblemData,
@@ -219,12 +230,72 @@ def compute_flux_parameters(mesh: Mesh, data: ProblemData,
     return FluxParameters(mesh, data, classification)
 
 
+def _edge_quadrature(mesh, degree, edges):
+    """Points, weights and scalar trace table of an edge rule on ``edges``.
+
+    Returns xg (n, k, 2), wt (n, k) and L (n, 2, k, 3), where L[e, side, g, i]
+    is the nodal basis function i of the element on ``side`` of edge
+    ``edges[e]`` at its quadrature point g (zero where the side is missing).
+    """
+    rule = quadrature_rule("edge", degree)
+    phi = edge_basis_values(rule.points)  # (k, 2)
+    a, b = (mesh.vertices[mesh.edges[edges, end]] for end in range(2))
+    xg = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
+    wt = rule.weights[None, :] * mesh.edge_lengths[edges, None]
+    L = np.zeros((len(edges), 2, len(rule.points), 3))
+    e, side = np.nonzero(mesh.edge_elems[edges] >= 0)
+    for end in range(2):
+        L[e, side, :, mesh.edge_local[edges[e], side, end]] = phi[:, end]
+    return xg, wt, L
+
+
+def _gram(wt, L):
+    """Edge blocks G[e, r, s, i, j] = sum_g wt[e, g] L[e, r, g, i] L[e, s, g, j]."""
+    return np.einsum("ergi,esgj->ersij", wt[:, None, :, None] * L, L)
+
+
+def _side_pairs(mesh):
+    """(edge, test side, trial side) index arrays of the side pairs present:
+    all four on an interior edge, (0, 0) on a boundary edge."""
+    present = mesh.edge_elems >= 0
+    return np.nonzero(present[:, :, None] & present[:, None, :])
+
+
+def _flux_edge_blocks(mesh, pairs, G, coef):
+    """Edge part of a flux coupling: (coef G)_{ij} n0 on (flux test, scalar trial)."""
+    e, r, s = pairs
+    blk = (G[e, r, s] * coef[e, r, s, None, None])[:, :, None, :]
+    vals = blk * mesh.edge_normals[e, 0][:, None, :, None]  # (n, 3, 2, 3)
+    rows = 6 * mesh.edge_elems[e, r, None] + np.arange(6)
+    cols = 3 * mesh.edge_elems[e, s, None] + np.arange(3)
+    return vals.reshape(-1, 6, 3), rows, cols
+
+
+def _scatter(shape, *blocks):
+    """Sparse sum of local blocks, each given as (vals (n, I, J), rows (n, I), cols (n, J))."""
+    vals = np.concatenate([v.ravel() for v, _, _ in blocks])
+    rows = np.concatenate([np.broadcast_to(r[:, :, None], v.shape).ravel() for v, r, _ in blocks])
+    cols = np.concatenate([np.broadcast_to(c[:, None, :], v.shape).ravel() for v, _, c in blocks])
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+    mat.eliminate_zeros()  # e.g. the trace of the vertex opposite an edge
+    return mat
+
+
+def _load_vector(mesh, fun, degree):
+    """(fun, v) for every scalar basis function v, by a degree-``degree`` rule."""
+    rule = quadrature_rule("triangle", degree)
+    vals = point_values(fun, physical_points(mesh, rule.points))  # (nt, k)
+    lam = tri_basis_values(rule.points)
+    load = np.einsum("tg,gi,g->ti", vals, lam, rule.weights)
+    return ((2.0 * mesh.areas)[:, None] * load).ravel()
+
+
 class BoundaryQuadrature:
     """Quadrature-point tables on the boundary edges.
 
     Rows are boundary quadrature points (edge-major, parameter-minor).
-    Besides geometric data the object carries three sparse evaluation
-    operators and the derived coupling matrices:
+    Besides the points and weights the object carries three sparse
+    evaluation operators and the derived coupling matrices:
 
         E_U  : (nq, 2b) control-space values at the points,
         T_pn : (nq, 6m) sqrt(eps) * (vector field . outward normal),
@@ -235,71 +306,35 @@ class BoundaryQuadrature:
     """
 
     def __init__(self, mesh, spaces, data, flux, degree):
-        rule = quadrature_rule("edge", degree)
-        ns = len(rule.points)
-        phi = edge_basis_values(rule.points)  # (ns, 2)
-        beta = data.beta_fun()
-        sqrt_eps = data.sqrt_eps
-        b_edges = mesh.boundary_edges
-        nq = ns * len(b_edges)
-
-        self.degree = degree
-        self.edge_ids = np.repeat(b_edges, ns)
-        self.s = np.tile(rule.points, len(b_edges))
-        self.weights = np.empty(nq)
-        self.points = np.empty((nq, 2))
-        self.normals = np.empty((nq, 2))
-        self.kappa = np.empty(nq)
-        self.beta_n = np.empty(nq)
-
-        rows_u, cols_u, vals_u = [], [], []
-        rows_p, cols_p, vals_p = [], [], []
-        rows_z, cols_z, vals_z = [], [], []
-        row = 0
-        for e in b_edges:
-            a, b = mesh.vertices[mesh.edges[e]]
-            h = mesh.edge_lengths[e]
-            n0 = mesh.edge_normals[e, 0]
-            t0 = mesh.edge_elems[e, 0]
-            la, lb = mesh.edge_local[e, 0]
-            inflow = flux.classification.is_inflow(e)
-            udofs = spaces.control.edge_dofs(e)
-            lam = np.zeros((ns, 3))
-            lam[:, la] = phi[:, 0]
-            lam[:, lb] = phi[:, 1]
-            for g in range(ns):
-                x = a + rule.points[g] * (b - a)
-                bn = float(np.dot(beta(x), n0))
-                self.weights[row] = rule.weights[g] * h
-                self.points[row] = x
-                self.normals[row] = n0
-                self.beta_n[row] = bn
-                self.kappa[row] = boundary_kappa(data, flux.c11[e], bn, inflow)
-                for loc in range(2):
-                    rows_u.append(row)
-                    cols_u.append(udofs[loc])
-                    vals_u.append(phi[g, loc])
-                for j in range(3):
-                    if lam[g, j] == 0.0:
-                        continue
-                    for comp in range(2):
-                        rows_p.append(row)
-                        cols_p.append(6 * t0 + 2 * j + comp)
-                        vals_p.append(sqrt_eps * lam[g, j] * n0[comp])
-                    rows_z.append(row)
-                    cols_z.append(3 * t0 + j)
-                    vals_z.append(self.kappa[row] * lam[g, j])
-                row += 1
+        ids = mesh.boundary_edges
+        xg, wt, L = _edge_quadrature(mesh, degree, ids)
+        nq = wt.size
+        n0 = mesh.edge_normals[ids, 0]
+        beta_n = np.einsum("egd,ed->eg", point_values(data.beta_fun(), xg), n0)
+        kappa = boundary_kappa(data, flux.c11[ids, None], beta_n,
+                               flux.classification.inflow_mask[:, None])
+        L0 = L[:, 0]  # (b, k, 3)
+        t0 = mesh.edge_elems[ids, 0, None]
+        phi = edge_basis_values(quadrature_rule("edge", degree).points)
+        rows = np.arange(nq).reshape(wt.shape)  # the points of each edge
 
         self.num_points = nq
-        self.E_U = sp.csr_matrix((vals_u, (rows_u, cols_u)), shape=(nq, spaces.control.num_dofs))
-        self.T_pn = sp.csr_matrix((vals_p, (rows_p, cols_p)), shape=(nq, spaces.flux.num_dofs))
-        self.T_kz = sp.csr_matrix((vals_z, (rows_z, cols_z)), shape=(nq, spaces.potential.num_dofs))
+        self.points = xg.reshape(nq, 2)
+        self.weights = wt.ravel()
+        self.E_U = _scatter((nq, spaces.control.num_dofs), (
+            np.broadcast_to(phi, wt.shape + (2,)), rows,
+            2 * spaces.control.boundary_index[ids, None] + np.arange(2)))
+        self.T_pn = _scatter((nq, spaces.flux.num_dofs), (
+            (data.sqrt_eps * L0[:, :, :, None] * n0[:, None, None, :]).reshape(wt.shape + (6,)),
+            rows, 6 * t0 + np.arange(6)))
+        self.T_kz = _scatter((nq, spaces.potential.num_dofs), (
+            kappa[:, :, None] * L0, rows, 3 * t0 + np.arange(3)))
         W = sp.diags(self.weights)
         self.M1_qp = (-(self.T_pn.T) @ W).tocsr()
         self.M2_qp = (self.T_kz.T @ W).tocsr()
 
 
+@dataclass(eq=False)
 class BlockOperator:
     """Assembled matrices and load vectors of the LDG optimality blocks.
 
@@ -314,16 +349,30 @@ class BlockOperator:
         F : (3m,) source load.
         Yd : (3m,) target-state load (y_desired, v).
         bq : BoundaryQuadrature tables used for pointwise controls.
+        quad_degree / data_degree : rule degrees of the forms and the loads.
+
+    ``_state_lu`` and ``_condensation`` cache the factorization of S and
+    the flux-elimination operators (``linsolve._condensation_operators``).
     """
 
-    def __init__(self, mesh, spaces, data, flux, **blocks):
-        self.mesh = mesh
-        self.spaces = spaces
-        self.data = data
-        self.flux = flux
-        for name, value in blocks.items():
-            setattr(self, name, value)
-        self._state_lu = None
+    mesh: Mesh
+    spaces: SpaceSet
+    data: ProblemData
+    flux: FluxParameters
+    A: sp.csr_matrix
+    B: sp.csr_matrix
+    C: sp.csr_matrix
+    M1: sp.csr_matrix
+    M2: sp.csr_matrix
+    M_Omega: sp.csr_matrix
+    M_Gamma: sp.csr_matrix
+    F: np.ndarray
+    Yd: np.ndarray
+    bq: BoundaryQuadrature
+    quad_degree: int
+    data_degree: int
+    _state_lu: Optional[Factorization] = field(default=None, init=False, repr=False)
+    _condensation: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def num_elements(self):
@@ -336,30 +385,12 @@ class BlockOperator:
         return self._state_lu
 
 
-def _scalar_values(fun, points):
-    flat = points.reshape(-1, 2)
-    return np.array([fun(x) for x in flat], dtype=float).reshape(points.shape[:-1])
-
-
-def _triplet_buffer():
-    return ([], [], [])
-
-
-def _push(buf, rows, cols, vals):
-    buf[0].append(np.asarray(rows).ravel())
-    buf[1].append(np.asarray(cols).ravel())
-    buf[2].append(np.asarray(vals).ravel())
-
-
-def _to_csr(buf, shape):
-    if not buf[0]:
-        return sp.csr_matrix(shape)
-    rows = np.concatenate(buf[0])
-    cols = np.concatenate(buf[1])
-    vals = np.concatenate(buf[2])
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-    mat.sum_duplicates()
-    return mat
+def _volume_tables(mesh, degree):
+    """Element rule data: (rule, lam (k, 3), grads (nt, 3, 2), int_lam (nt, 3))."""
+    rule = quadrature_rule("triangle", degree)
+    lam = tri_basis_values(rule.points)
+    int_lam = (2.0 * mesh.areas)[:, None] * (rule.weights @ lam)[None, :]
+    return rule, lam, element_gradients(mesh), int_lam
 
 
 def assemble_forms(mesh: Mesh, spaces: SpaceSet = None, data: ProblemData = None,
@@ -381,171 +412,61 @@ def assemble_forms(mesh: Mesh, spaces: SpaceSet = None, data: ProblemData = None
     data.check_divergence_free(mesh.vertices[mesh.triangles].mean(axis=1)[:: max(1, mesh.num_elements // 8)])
 
     nt = mesh.num_elements
-    nW, nV, nU = spaces.flux.num_dofs, spaces.potential.num_dofs, spaces.control.num_dofs
+    nW, nV = spaces.flux.num_dofs, spaces.potential.num_dofs
     sqrt_eps = data.sqrt_eps
-    s_pen = data.penalty_sign
     beta = data.beta_fun()
-    alpha = data.alpha_fun()
-
-    tri_rule = quadrature_rule("triangle", quad_degree)
-    lam = tri_basis_values(tri_rule.points)  # (k, 3)
-    wq = tri_rule.weights
-    grads = element_gradients(mesh)  # (nt, 3, 2)
-    pts = physical_points(mesh, tri_rule.points)  # (nt, k, 2)
+    rule, lam, grads, int_lam = _volume_tables(mesh, quad_degree)
+    pts = physical_points(mesh, rule.points)  # (nt, k, 2)
     two_area = 2.0 * mesh.areas
+    dofs3 = 3 * np.arange(nt)[:, None] + np.arange(3)
+    dofs6 = 6 * np.arange(nt)[:, None] + np.arange(6)
 
-    # --- volume contributions (vectorized over elements) ---
-    alpha_vals = _scalar_values(alpha, pts)  # (nt, k)
-    beta_vals = np.empty((nt, len(wq), 2))
-    for t in range(nt):
-        for g in range(len(wq)):
-            beta_vals[t, g] = beta(pts[t, g])
+    # --- volume blocks, one per element ---
+    mass = two_area[:, None, None] * ((lam.T * rule.weights) @ lam)  # (nt, 3, 3)
+    mass6 = (mass[:, :, None, :, None] * np.eye(2)[:, None, :]).reshape(nt, 6, 6)
+    # b: sqrt(eps) grad(y_j)[comp] * integral(lam_i), row 2i + comp
+    B_vol = ((sqrt_eps * grads.transpose(0, 2, 1))[:, None] * int_lam[:, :, None, None]).reshape(nt, 6, 3)
+    # c: alpha y v - y beta . grad(v), test v = lam_i, trial y = lam_j
+    beta_grad = np.einsum("tgd,tid->tgi", point_values(beta, pts), grads)  # (nt, k, 3)
+    integrand = (point_values(data.alpha_fun(), pts)[:, :, None, None] * lam[None, :, None, :]
+                 * lam[None, :, :, None] - lam[None, :, None, :] * beta_grad[:, :, :, None])
+    C_vol = two_area[:, None, None] * np.einsum("tgij,g->tij", integrand, rule.weights)
 
-    # A: (element mass) x I2
-    mass_ref = (lam.T * wq) @ lam  # (3, 3); element mass = 2*area*mass_ref
-    iA, jA, vA = [], [], []
-    base6 = 6 * np.arange(nt)
-    for i in range(3):
-        for j in range(3):
-            for comp in range(2):
-                iA.append(base6 + 2 * i + comp)
-                jA.append(base6 + 2 * j + comp)
-                vA.append(two_area * mass_ref[i, j])
-    A = sp.coo_matrix(
-        (np.concatenate(vA), (np.concatenate(iA), np.concatenate(jA))), shape=(nW, nW)
-    ).tocsr()
+    # --- edge blocks, one per (edge, test side, trial side) ---
+    # Side 0 of a boundary edge carries the boundary terms: rcoef = 1 in b,
+    # and the upwind factor 1/2 + D11.n in c is 1 on outflow, 0 on inflow.
+    xg, wt, L = _edge_quadrature(mesh, quad_degree, np.arange(mesh.num_edges))
+    beta_n = np.einsum("egd,ed->eg", point_values(beta, xg), mesh.edge_normals[:, 0])
+    G = _gram(wt, L)
+    pairs = _side_pairs(mesh)
+    e, r, s = pairs
+    sign = np.array([1.0, -1.0])
+    # b: -sqrt(eps) (y1 - y2) [(1/2 - c12) r1.n + (1/2 + c12) r2.n]
+    rcoef = np.stack([np.where(mesh.boundary_mask, 1.0, 0.5 - flux.c12n), 0.5 + flux.c12n], axis=1)
+    coef_B = -sqrt_eps * sign[None, None, :] * rcoef[:, :, None]
+    # c: ({y} + D11 . [y]) beta . [v] and s_pen sqrt(eps) C11 [y] . [v]
+    ycoef = np.stack([0.5 + flux.d11n, 0.5 - flux.d11n], axis=1)
+    pen = data.penalty_sign * sqrt_eps * flux.c11
+    conv = _gram(wt * beta_n, L)[e, r, s] * (sign[r] * ycoef[e, s])[:, None, None]
+    C_edge = conv + G[e, r, s] * (pen[e] * sign[r] * sign[s])[:, None, None]
 
-    # M_Omega: scalar mass
-    base3 = 3 * np.arange(nt)
-    iM, jM, vM = [], [], []
-    for i in range(3):
-        for j in range(3):
-            iM.append(base3 + i)
-            jM.append(base3 + j)
-            vM.append(two_area * mass_ref[i, j])
-    M_Omega = sp.coo_matrix(
-        (np.concatenate(vM), (np.concatenate(iM), np.concatenate(jM))), shape=(nV, nV)
-    ).tocsr()
+    A = _scatter((nW, nW), (mass6, dofs6, dofs6))
+    M_Omega = _scatter((nV, nV), (mass, dofs3, dofs3))
+    B = _scatter((nW, nV), (B_vol, dofs6, dofs3), _flux_edge_blocks(mesh, pairs, G, coef_B))
+    edge_dofs = 3 * mesh.edge_elems[:, :, None] + np.arange(3)
+    C = _scatter((nV, nV), (C_vol, dofs3, dofs3), (C_edge, edge_dofs[e, r], edge_dofs[e, s]))
 
-    # B volume: sqrt(eps) grad(y_j)[comp] * integral(lam_i)
-    bufB = _triplet_buffer()
-    int_lam = two_area[:, None] * (wq @ lam)[None, :]  # (nt, 3): integral of lam_i
-    for i in range(3):
-        for comp in range(2):
-            for j in range(3):
-                _push(
-                    bufB,
-                    base6 + 2 * i + comp,
-                    base3 + j,
-                    sqrt_eps * grads[:, j, comp] * int_lam[:, i],
-                )
-
-    # C volume: alpha y v - y beta . grad(v)
-    bufC = _triplet_buffer()
-    for i in range(3):  # test v
-        beta_dot_grad_i = np.einsum("tgd,td->tg", beta_vals, grads[:, i, :])  # (nt, k)
-        for j in range(3):  # trial y
-            integrand = alpha_vals * lam[None, :, j] * lam[None, :, i] - lam[None, :, j] * beta_dot_grad_i
-            _push(bufC, base3 + i, base3 + j, two_area * (integrand @ wq))
-
-    # --- edge contributions ---
-    edge_rule = quadrature_rule("edge", quad_degree)
-    se = edge_rule.points
-    we = edge_rule.weights
-    phi = edge_basis_values(se)  # (ks, 2)
-    ks = len(se)
-
-    for e in range(mesh.num_edges):
-        h = mesh.edge_lengths[e]
-        n0 = mesh.edge_normals[e, 0]
-        a_pt, b_pt = mesh.vertices[mesh.edges[e]]
-        xg = a_pt[None, :] + se[:, None] * (b_pt - a_pt)[None, :]
-        wt = we * h
-        c11 = flux.c11[e]
-        boundary = mesh.boundary_mask[e]
-
-        # scalar trace tables per side: (ks, 3)
-        sides = [0] if boundary else [0, 1]
-        tr = []
-        for sdx in sides:
-            la, lb = mesh.edge_local[e, sdx]
-            L = np.zeros((ks, 3))
-            L[:, la] = phi[:, 0]
-            L[:, lb] = phi[:, 1]
-            tr.append(L)
-        elems = [mesh.edge_elems[e, sdx] for sdx in sides]
-        bn0 = np.array([float(np.dot(beta(x), n0)) for x in xg])
-
-        if not boundary:
-            c12 = flux.c12n[e]
-            d11 = flux.d11n[e]
-            # b, interior edges: -sqrt(eps) (y1 - y2) *
-            #                    [(1/2 - c12) r1.n + (1/2 + c12) r2.n]
-            ysign = (+1.0, -1.0)
-            rcoef = (0.5 - c12, 0.5 + c12)
-            for sr in (0, 1):
-                for sy in (0, 1):
-                    scale = -sqrt_eps * ysign[sy] * rcoef[sr]
-                    blk = np.einsum("g,gi,gj->ij", wt, tr[sr], tr[sy]) * scale  # (3, 3)
-                    rows = (6 * elems[sr] + 2 * np.arange(3)[:, None, None]
-                            + np.arange(2)[None, :, None]) * np.ones(3, dtype=int)[None, None, :]
-                    cols = np.broadcast_to(3 * elems[sy] + np.arange(3)[None, None, :], rows.shape)
-                    vals = blk[:, None, :] * n0[None, :, None]
-                    _push(bufB, rows, cols, vals)
-            # c, interior edges: upwinded convection + penalty
-            ycoef = (0.5 + d11, 0.5 - d11)
-            vsign = (+1.0, -1.0)
-            for sv in (0, 1):
-                for sy in (0, 1):
-                    conv = np.einsum("g,g,gi,gj->ij", wt, bn0, tr[sv], tr[sy]) * (vsign[sv] * ycoef[sy])
-                    pen = np.einsum("g,gi,gj->ij", wt, tr[sv], tr[sy]) * (
-                        s_pen * sqrt_eps * c11 * vsign[sv] * ysign[sy]
-                    )
-                    rows = np.broadcast_to(3 * elems[sv] + np.arange(3)[:, None], (3, 3))
-                    cols = np.broadcast_to(3 * elems[sy] + np.arange(3)[None, :], (3, 3))
-                    _push(bufC, rows, cols, conv + pen)
-        else:
-            t0 = elems[0]
-            L0 = tr[0]
-            # b, boundary edges: -sqrt(eps) y r.n
-            blk = np.einsum("g,gi,gj->ij", wt, L0, L0) * (-sqrt_eps)
-            rows = (6 * t0 + 2 * np.arange(3)[:, None, None]
-                    + np.arange(2)[None, :, None]) * np.ones(3, dtype=int)[None, None, :]
-            cols = np.broadcast_to(3 * t0 + np.arange(3)[None, None, :], rows.shape)
-            _push(bufB, rows, cols, blk[:, None, :] * n0[None, :, None])
-            # c, boundary edges: penalty everywhere + convection on outflow
-            pen = np.einsum("g,gi,gj->ij", wt, L0, L0) * (s_pen * sqrt_eps * c11)
-            if not flux.classification.is_inflow(e):
-                pen = pen + np.einsum("g,g,gi,gj->ij", wt, bn0, L0, L0)
-            rows = np.broadcast_to(3 * t0 + np.arange(3)[:, None], (3, 3))
-            cols = np.broadcast_to(3 * t0 + np.arange(3)[None, :], (3, 3))
-            _push(bufC, rows, cols, pen)
-
-    B = _to_csr(bufB, (nW, nV))
-    C = _to_csr(bufC, (nV, nV))
-
-    # --- boundary coupling via quadrature-point tables ---
     bq = BoundaryQuadrature(mesh, spaces, data, flux, quad_degree)
-    M1 = (bq.M1_qp @ bq.E_U).tocsr()
-    M2 = (bq.M2_qp @ bq.E_U).tocsr()
-    M_Gamma = (bq.E_U.T @ sp.diags(bq.weights) @ bq.E_U).tocsr()
-
-    # --- load vectors at data_degree ---
-    data_rule = quadrature_rule("triangle", data_degree)
-    lam_d = tri_basis_values(data_rule.points)
-    pts_d = physical_points(mesh, data_rule.points)
-    f_vals = _scalar_values(data.f_fun(), pts_d)
-    yd_vals = _scalar_values(data.y_desired_fun(), pts_d)
-    F = np.zeros(nV)
-    Yd = np.zeros(nV)
-    for i in range(3):
-        F[base3 + i] = two_area * ((f_vals * lam_d[None, :, i]) @ data_rule.weights)
-        Yd[base3 + i] = two_area * ((yd_vals * lam_d[None, :, i]) @ data_rule.weights)
-
     return BlockOperator(
         mesh, spaces, data, flux,
-        A=A, B=B, C=C, M1=M1, M2=M2, M_Omega=M_Omega, M_Gamma=M_Gamma,
-        F=F, Yd=Yd, bq=bq, quad_degree=quad_degree, data_degree=data_degree,
+        A=A, B=B, C=C,
+        M1=(bq.M1_qp @ bq.E_U).tocsr(),
+        M2=(bq.M2_qp @ bq.E_U).tocsr(),
+        M_Omega=M_Omega,
+        M_Gamma=(bq.E_U.T @ sp.diags(bq.weights) @ bq.E_U).tocsr(),
+        F=_load_vector(mesh, data.f_fun(), data_degree),
+        Yd=_load_vector(mesh, data.y_desired_fun(), data_degree),
+        bq=bq, quad_degree=quad_degree, data_degree=data_degree,
     )
 
 
@@ -560,59 +481,20 @@ def assemble_divergence_form_b(mesh: Mesh, spaces: SpaceSet, data: ProblemData,
     integrated-by-parts shape produced by assemble_forms.
     """
     nt = mesh.num_elements
-    nW, nV = spaces.flux.num_dofs, spaces.potential.num_dofs
     sqrt_eps = data.sqrt_eps
-    tri_rule = quadrature_rule("triangle", quad_degree)
-    lam = tri_basis_values(tri_rule.points)
-    wq = tri_rule.weights
-    grads = element_gradients(mesh)
-    two_area = 2.0 * mesh.areas
-    base3 = 3 * np.arange(nt)
-    base6 = 6 * np.arange(nt)
-
-    buf = _triplet_buffer()
-    int_lam = two_area[:, None] * (wq @ lam)[None, :]
+    _, _, grads, int_lam = _volume_tables(mesh, quad_degree)
     # volume: -sqrt(eps) y div(r); div of basis (i, comp) is grads[:, i, comp]
-    for i in range(3):
-        for comp in range(2):
-            for j in range(3):
-                _push(
-                    buf,
-                    base6 + 2 * i + comp,
-                    base3 + j,
-                    -sqrt_eps * grads[:, i, comp] * int_lam[:, j],
-                )
-
-    edge_rule = quadrature_rule("edge", quad_degree)
-    se, we = edge_rule.points, edge_rule.weights
-    phi = edge_basis_values(se)
-    ks = len(se)
-    for e in mesh.interior_edges:
-        h = mesh.edge_lengths[e]
-        n0 = mesh.edge_normals[e, 0]
-        wt = we * h
-        c12 = flux.c12n[e]
-        tr = []
-        for sdx in (0, 1):
-            la, lb = mesh.edge_local[e, sdx]
-            L = np.zeros((ks, 3))
-            L[:, la] = phi[:, 0]
-            L[:, lb] = phi[:, 1]
-            tr.append(L)
-        elems = mesh.edge_elems[e]
-        # trace weight of ({y} + C12 [y]): side 0 gets 1/2 + c12, side 1 gets
-        # 1/2 - c12; [r] contributes r.n0 on side 0 and -r.n0 on side 1.
-        ycoef = (0.5 + c12, 0.5 - c12)
-        rsign = (+1.0, -1.0)
-        for sr in (0, 1):
-            for sy in (0, 1):
-                scale = sqrt_eps * rsign[sr] * ycoef[sy]
-                blk = np.einsum("g,gi,gj->ij", wt, tr[sr], tr[sy]) * scale
-                rows = (6 * elems[sr] + 2 * np.arange(3)[:, None, None]
-                        + np.arange(2)[None, :, None]) * np.ones(3, dtype=int)[None, None, :]
-                cols = np.broadcast_to(3 * elems[sy] + np.arange(3)[None, None, :], rows.shape)
-                _push(buf, rows, cols, blk[:, None, :] * n0[None, :, None])
-    return _to_csr(buf, (nW, nV))
+    B_vol = ((-sqrt_eps * grads)[:, :, :, None] * int_lam[:, None, None, :]).reshape(nt, 6, 3)
+    # trace weight of ({y} + C12 [y]): side 0 gets 1/2 + c12, side 1 gets
+    # 1/2 - c12; [r] contributes r.n0 on side 0 and -r.n0 on side 1.
+    _, wt, L = _edge_quadrature(mesh, quad_degree, np.arange(mesh.num_edges))
+    sign = np.array([1.0, -1.0])
+    ycoef = np.where(mesh.boundary_mask[:, None], 0.0,
+                     np.stack([0.5 + flux.c12n, 0.5 - flux.c12n], axis=1))
+    coef = sqrt_eps * sign[None, :, None] * ycoef[:, None, :]
+    dofs = (6 * np.arange(nt)[:, None] + np.arange(6), 3 * np.arange(nt)[:, None] + np.arange(3))
+    return _scatter((spaces.flux.num_dofs, spaces.potential.num_dofs), (B_vol,) + dofs,
+                    _flux_edge_blocks(mesh, _side_pairs(mesh), _gram(wt, L), coef))
 
 
 def _control_rhs(ops: BlockOperator, u):
@@ -626,7 +508,7 @@ def _control_rhs(ops: BlockOperator, u):
         coeff = u.coefficients
         return ops.M1 @ coeff, ops.M2 @ coeff
     if callable(u):
-        uq = np.array([u(x) for x in bq.points], dtype=float)
+        uq = point_values(u, bq.points)
     else:
         uq = np.asarray(u, dtype=float)
         if uq.shape != (bq.num_points,):
@@ -656,20 +538,11 @@ def solve_adjoint(ops: BlockOperator, rhs_field=None, load_vector=None):
     alternatively a preassembled load vector g (tested against the scalar
     space) can be passed directly.
     """
-    nV = ops.spaces.potential.num_dofs
     if load_vector is None:
         if isinstance(rhs_field, DiscreteField):
             load_vector = ops.M_Omega @ rhs_field.coefficients
         elif callable(rhs_field):
-            mesh = ops.mesh
-            rule = quadrature_rule("triangle", ops.data_degree)
-            lam_d = tri_basis_values(rule.points)
-            pts_d = physical_points(mesh, rule.points)
-            gv = _scalar_values(rhs_field, pts_d)
-            load_vector = np.zeros(nV)
-            base3 = 3 * np.arange(mesh.num_elements)
-            for i in range(3):
-                load_vector[base3 + i] = 2.0 * mesh.areas * ((gv * lam_d[None, :, i]) @ rule.weights)
+            load_vector = _load_vector(ops.mesh, rhs_field, ops.data_degree)
         else:
             raise ValueError("rhs_field must be a DiscreteField or callable")
     z = ops.state_factorization().solve(load_vector, trans="T")

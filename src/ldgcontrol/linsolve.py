@@ -99,16 +99,15 @@ class BlockSystem:
     """Assembled coupled optimality system with its unknown layout.
 
     ``slices`` maps block names ('q', 'y', 'p', 'z', and 'u' in full mode)
-    to index ranges of the global vector; ``control_dofs`` gives the global
-    indices of the control block (empty in variational mode, where the
-    control lives at quadrature points and is recovered from p and z).
+    to index ranges of the global vector.  Variational mode has no 'u'
+    block: the control lives at quadrature points and is recovered from p
+    and z.
     """
 
     matrix: sp.spmatrix
     rhs: np.ndarray
     slices: dict
     mode: str
-    control_dofs: np.ndarray
 
     @property
     def dimension(self):
@@ -192,7 +191,7 @@ def compose_kkt(ops, active, data, mode: str = "full") -> BlockSystem:
         ])
         offs = np.cumsum([0, nW, nV, nW, nV, nU])
         slices = {name: slice(offs[i], offs[i + 1]) for i, name in enumerate("qypzu")}
-        return BlockSystem(K, rhs, slices, "full", np.arange(offs[4], offs[5]))
+        return BlockSystem(K, rhs, slices, "full")
 
     G1, H1, G2, H2 = coupling
     K = sp.bmat([
@@ -210,7 +209,7 @@ def compose_kkt(ops, active, data, mode: str = "full") -> BlockSystem:
     ])
     offs = np.cumsum([0, nW, nV, nW, nV])
     slices = {name: slice(offs[i], offs[i + 1]) for i, name in enumerate("qypz")}
-    return BlockSystem(K, rhs, slices, "variational", np.array([], dtype=int))
+    return BlockSystem(K, rhs, slices, "variational")
 
 
 def _flux_block_inverse(ops):
@@ -246,16 +245,13 @@ def _condensation_operators(ops):
     diffusion operator acting on the scalar unknown alone, and
     Mt = M2 + B^T A^-1 M1 the matching condensed control-to-state load.
     """
-    cache = getattr(ops, "_condensation", None)
-    if cache is not None:
-        return cache
-    Ainv = _flux_block_inverse(ops)
-    AinvB = (Ainv @ ops.B).tocsr()
-    S = (ops.C + ops.B.T @ AinvB).tocsr()
-    Mt = (ops.M2 + ops.B.T @ (Ainv @ ops.M1)).tocsr()
-    cache = (Ainv, AinvB, S, Mt)
-    ops._condensation = cache
-    return cache
+    if ops._condensation is None:
+        Ainv = _flux_block_inverse(ops)
+        AinvB = (Ainv @ ops.B).tocsr()
+        S = (ops.C + ops.B.T @ AinvB).tocsr()
+        Mt = (ops.M2 + ops.B.T @ (Ainv @ ops.M1)).tocsr()
+        ops._condensation = (Ainv, AinvB, S, Mt)
+    return ops._condensation
 
 
 @dataclass

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ldgcontrol.geometry import Mesh, build_unit_square_mesh
+from ldgcontrol.geometry import Mesh, as_vector_function, build_unit_square_mesh
 from ldgcontrol.ldg import (
     ProblemData,
     assemble_divergence_form_b,
@@ -119,13 +119,24 @@ def test_source_load_total():
     assert ops.F.sum() == pytest.approx(1.0, rel=1e-13)
 
 
+def rotating_beta(x):
+    return np.array([0.5 - x[1], x[0] - 0.5])
+
+
 @pytest.mark.parametrize("penalty_sign", [+1, -1])
-@pytest.mark.parametrize("n", [2, 4])
-def test_state_solver_reproduces_global_linear(penalty_sign, n):
+@pytest.mark.parametrize("n, beta", [
+    pytest.param(2, (1.0, 1.0), id="2"),
+    pytest.param(4, (1.0, 1.0), id="4"),
+    # divergence free, beta.n varies along edges and changes sign around the
+    # boundary (with even n no single boundary edge changes flow direction)
+    pytest.param(2, rotating_beta, id="2-rotating"),
+    pytest.param(4, rotating_beta, id="4-rotating"),
+])
+def test_state_solver_reproduces_global_linear(penalty_sign, n, beta):
     # a globally linear state with matching flux, control trace and source
     # satisfies the scheme exactly, whatever the penalty sign
     eps = 0.3
-    beta = np.array([1.0, 1.0])
+    beta_at = as_vector_function(beta)
     alpha = 1.0
 
     def y_exact(x):
@@ -134,7 +145,7 @@ def test_state_solver_reproduces_global_linear(penalty_sign, n):
     grad_y = np.array([2.0, -3.0])
 
     def f(x):
-        return float(beta @ grad_y) + alpha * y_exact(x)
+        return float(beta_at(x) @ grad_y) + alpha * y_exact(x)
 
     mesh = build_unit_square_mesh(n)
     spaces = build_spaces(mesh)
