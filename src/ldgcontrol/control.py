@@ -11,9 +11,11 @@ solver interface:
   bound interval; active-set tests run pointwise at those quadrature
   points.
 
-The active-set iteration solves one coupled system per step and stops
-when the bound sets repeat.  For unconstrained bounds both modes converge
-in a single step.
+The active-set iteration solves one linearization per step (by default
+in control space, on the state-operator factorization the operator set
+keeps; see ``linsolve``) and stops when the bound sets repeat, or raises
+when they return to an earlier pair.  For unconstrained bounds both modes
+converge in a single step.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "DiscreteSolution",
     "BoundaryGradient",
     "PdasNonconvergence",
+    "PdasStep",
     "project_admissible",
     "quasi_interpolate",
     "evaluate_cost",
@@ -53,7 +56,7 @@ __all__ = [
 
 
 class PdasNonconvergence(RuntimeError):
-    """Raised when the active-set iteration hits its iteration cap."""
+    """Raised when the active-set iteration cycles or hits its iteration cap."""
 
 
 @dataclass
@@ -161,6 +164,20 @@ def quasi_interpolate(u, mesh, degree: int = 6) -> DiscreteField:
     return DiscreteField(dofmap, out)
 
 
+@dataclass(frozen=True)
+class PdasStep:
+    """What one active-set step solved: the sizes of its lower-active,
+    upper-active and inactive sets, and the CG iterations and final
+    relative residual of its reduced solve (0 and None on the direct
+    reference paths)."""
+
+    lower: int
+    upper: int
+    inactive: int
+    cg_iterations: int
+    cg_residual: Optional[float]
+
+
 @dataclass
 class DiscreteSolution:
     """Converged output of the active-set solver.
@@ -169,7 +186,7 @@ class DiscreteSolution:
     at the boundary quadrature points in variational mode; in both modes
     ``control_on_edge`` evaluates the control anywhere on the boundary (in
     variational mode through the projection formula applied to the traces
-    of p and z).
+    of p and z).  ``log`` holds one ``PdasStep`` per active-set step.
     """
 
     y: DiscreteField
@@ -184,6 +201,7 @@ class DiscreteSolution:
     mode: str
     ops: BlockOperator
     data: ProblemData
+    log: list = dataclass_field(default_factory=list)
 
     def __post_init__(self):
         tol = 1e-10 * max(
@@ -356,15 +374,18 @@ def _initial_control(data: ProblemData, n: int) -> np.ndarray:
 
 def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode=None,
                u0=None, max_iter: int = 50,
-               strategy: str = "condensed") -> DiscreteSolution:
+               strategy: str = "reduced") -> DiscreteSolution:
     """Primal-dual active set iteration for the bound-constrained problem.
 
     Each step solves the coupled optimality system for the current bound
     sets, forms the multiplier, and re-marks every control unknown whose
     shifted multiplier test mu + c (u - bound) indicates a violated bound.
     Iteration stops when the sets repeat; the unconstrained problem stops
-    after a single solve.  ``strategy`` is forwarded to the linear solver
-    ("monolithic" selects the unreduced reference solve).
+    after a single solve.  A step that returns to an earlier set other than
+    the last one is a cycle and raises ``PdasNonconvergence``.  ``strategy``
+    is forwarded to the linear solver ("monolithic" and "condensed" select
+    the direct reference solves); the reduced solve of each step starts
+    from the control of the step before.
     """
     if data is None:
         data = ops.data
@@ -380,23 +401,28 @@ def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode=None,
     else:
         n = ops.bq.num_points
     if u0 is None:
-        u_curr = _initial_control(data, n)
+        u_vec = _initial_control(data, n)
     elif isinstance(u0, DiscreteField):
-        u_curr = u0.coefficients.copy()
+        u_vec = u0.coefficients.copy()
     else:
-        u_curr = np.asarray(u0, dtype=float).copy()
-        if u_curr.shape != (n,):
+        u_vec = np.asarray(u0, dtype=float).copy()
+        if u_vec.shape != (n,):
             raise ValueError("initial control has the wrong length")
 
-    lower = np.isfinite(ua) & (c * (u_curr - ua) < 0.0)
-    upper = np.isfinite(ub) & (c * (u_curr - ub) > 0.0)
+    lower = np.isfinite(ua) & (c * (u_vec - ua) < 0.0)
+    upper = np.isfinite(ub) & (c * (u_vec - ub) > 0.0)
     active = ActiveSetState(lower, upper, iteration=0, mode=mode.tag)
     lumped = _lumped_boundary_mass(ops) if mode.tag == "full" else None
 
     history = [active]
+    log = []
     for it in range(1, max_iter + 1):
         parts = solve_optimality_system(ops, active, data, mode=mode.tag,
-                                        strategy=strategy)
+                                        strategy=strategy, u_start=u_vec)
+        cg = parts.get("cg")
+        log.append(PdasStep(int(active.lower.sum()), int(active.upper.sum()),
+                            int(active.inactive.sum()),
+                            cg.iterations if cg else 0, cg.residual if cg else None))
         p_coeff = parts["p"]
         z_coeff = parts["z"]
 
@@ -433,8 +459,13 @@ def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode=None,
             return DiscreteSolution(
                 y=y, q=q, z=z, p=p, u=u_out,
                 active=new_active, cost=cost, iterations=it,
-                converged=True, mode=mode.tag, ops=ops, data=data,
+                converged=True, mode=mode.tag, ops=ops, data=data, log=log,
             )
+        for earlier in history[:-1]:
+            if new_active.same_as(earlier):
+                raise PdasNonconvergence(
+                    f"active sets cycling: step {it} returned to the sets of "
+                    f"step {earlier.iteration}")
         history.append(new_active)
         active = new_active
 

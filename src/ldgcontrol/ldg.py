@@ -281,10 +281,19 @@ def _scatter(shape, *blocks):
     return mat
 
 
-def _load_vector(mesh, fun, degree):
-    """(fun, v) for every scalar basis function v, by a degree-``degree`` rule."""
+def _load_vector(mesh, fun, degree, name):
+    """(fun, v) for every scalar basis function v, by a degree-``degree`` rule.
+
+    Raises ValueError, naming the data callable ``name``, when ``fun`` is
+    not finite at a quadrature point.
+    """
     rule = quadrature_rule("triangle", degree)
-    vals = point_values(fun, physical_points(mesh, rule.points))  # (nt, k)
+    pts = physical_points(mesh, rule.points)
+    vals = point_values(fun, pts)  # (nt, k)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise ValueError(f"{name} is not finite at {int(bad.sum())} of {bad.size} "
+                         f"quadrature points (first at x = {pts[bad][0].tolist()})")
     lam = tri_basis_values(rule.points)
     load = np.einsum("tg,gi,g->ti", vals, lam, rule.weights)
     return ((2.0 * mesh.areas)[:, None] * load).ravel()
@@ -352,7 +361,9 @@ class BlockOperator:
         quad_degree / data_degree : rule degrees of the forms and the loads.
 
     ``_state_lu`` and ``_condensation`` cache the factorization of S and
-    the flux-elimination operators (``linsolve._condensation_operators``).
+    the flux-elimination operators (``linsolve._condensation_operators``);
+    ``_qp_load`` caches the variational control-to-state load of
+    ``linsolve._control_load``.
     """
 
     mesh: Mesh
@@ -373,6 +384,7 @@ class BlockOperator:
     data_degree: int
     _state_lu: Optional[Factorization] = field(default=None, init=False, repr=False)
     _condensation: Optional[tuple] = field(default=None, init=False, repr=False)
+    _qp_load: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False)
 
     @property
     def num_elements(self):
@@ -464,8 +476,8 @@ def assemble_forms(mesh: Mesh, spaces: SpaceSet = None, data: ProblemData = None
         M2=(bq.M2_qp @ bq.E_U).tocsr(),
         M_Omega=M_Omega,
         M_Gamma=(bq.E_U.T @ sp.diags(bq.weights) @ bq.E_U).tocsr(),
-        F=_load_vector(mesh, data.f_fun(), data_degree),
-        Yd=_load_vector(mesh, data.y_desired_fun(), data_degree),
+        F=_load_vector(mesh, data.f_fun(), data_degree, "f"),
+        Yd=_load_vector(mesh, data.y_desired_fun(), data_degree, "y_desired"),
         bq=bq, quad_degree=quad_degree, data_degree=data_degree,
     )
 
@@ -542,7 +554,7 @@ def solve_adjoint(ops: BlockOperator, rhs_field=None, load_vector=None):
         if isinstance(rhs_field, DiscreteField):
             load_vector = ops.M_Omega @ rhs_field.coefficients
         elif callable(rhs_field):
-            load_vector = _load_vector(ops.mesh, rhs_field, ops.data_degree)
+            load_vector = _load_vector(ops.mesh, rhs_field, ops.data_degree, "rhs_field")
         else:
             raise ValueError("rhs_field must be a DiscreteField or callable")
     z = ops.state_factorization().solve(load_vector, trans="T")

@@ -9,15 +9,24 @@ system.
 
 The flux ansatz is discontinuous P1, so both flux blocks A are
 element-local mass matrices and their elimination is exact.  The state
-operator S = C + B' A^-1 B then acts on the scalar unknown alone.
-``condense_kkt`` builds the optimality system after that elimination, with
-the active controls substituted by their bounds; it has about one third of
-the unknowns and far less LU fill than the coupled matrix.  It is the
-production path (``strategy="condensed"``).  ``compose_kkt`` builds the
-unreduced five-block matrix; ``strategy="monolithic"`` factors it directly
-and is the reference that the tests and ``ldgcontrol check`` compare the
-production path against.  The state and adjoint solves of ``ldg`` factor
-S once per operator set and use it for both (the adjoint transposed).
+operator S = C + B' A^-1 B then acts on the scalar unknown alone, and it
+does not depend on the active set.
+
+The production path (``strategy="reduced"``) factors S once per operator
+set (the same factorization the state and adjoint solves of ``ldg`` use,
+the adjoint transposed) and solves each active set in control space: the
+active controls are their bounds, and the inactive ones solve the SPD
+reduced system H_II u_I = b_I, H = omega W + L' S^-T M_Omega S^-1 L, by
+conjugate gradients preconditioned with (omega W_II)^-1.  Every CG step
+costs one solve with S and one with S'.  ``ReducedSolveError`` reports a
+CG run that misses its tolerance within ``CG_MAX_ITER`` steps.
+
+Two direct solves are kept as references.  ``condense_kkt`` builds the
+optimality system after the flux elimination, with the active controls
+substituted by their bounds (``strategy="condensed"``); ``compose_kkt``
+builds the unreduced five-block matrix (``strategy="monolithic"``), the
+oracle that the tests and ``ldgcontrol check`` compare the production
+path against.
 
 Every factorization is a ``Factorization``: a sparse LU with iterative
 refinement that raises ``SingularSystemError`` when the factorization
@@ -34,6 +43,8 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "SingularSystemError",
+    "ReducedSolveError",
+    "CgReport",
     "Factorization",
     "direct_solve",
     "BlockSystem",
@@ -46,6 +57,24 @@ __all__ = [
 
 class SingularSystemError(RuntimeError):
     """Raised when a direct factorization meets a singular matrix."""
+
+
+class ReducedSolveError(SingularSystemError):
+    """Raised when CG on the reduced control system misses its tolerance."""
+
+
+# Cap on the CG iterations of one reduced solve.  The preconditioned
+# reduced Hessian needs 5-12 iterations on the studies (omega = 1) and about
+# 100 at omega = 1e-4; the count grows as the regularization weight falls.
+CG_MAX_ITER = 500
+
+
+@dataclass(frozen=True)
+class CgReport:
+    """Iterations and final relative residual of one reduced CG solve."""
+
+    iterations: int
+    residual: float
 
 
 class Factorization:
@@ -118,13 +147,11 @@ class BlockSystem:
 
 
 def _control_blocks(ops, active, data, mode):
-    """Active-set data shared by ``compose_kkt`` and ``condense_kkt``.
+    """Validated active-set data shared by every solve path.
 
-    Returns (inactive, bound_vals, coupling): the inactive mask over the
-    control unknowns of ``mode``, the bound values on the active ones (0
-    elsewhere), and in variational mode the products (G1, H1, G2, H2) =
-    M_qp D_I T / omega that substitute the inactive pointwise control
-    u = (T_pn p - T_kz z)/omega into the two state rows (None in full mode).
+    Returns (inactive, bound_vals): the inactive mask over the control
+    unknowns of ``mode`` and the bound values on the active ones (0
+    elsewhere).
     """
     if mode == "full":
         n_controls = ops.M_Gamma.shape[0]
@@ -148,13 +175,20 @@ def _control_blocks(ops, active, data, mode):
         raise ValueError("upper-active set requires a finite upper bound")
     inactive = ~(lower | upper)
     bound_vals = np.where(lower, data.u_lower, 0.0) + np.where(upper, data.u_upper, 0.0)
-    if mode == "full":
-        return inactive, bound_vals, None
+    return inactive, bound_vals
+
+
+def _pointwise_coupling(ops, inactive, omega):
+    """Variational-mode products (G1, H1, G2, H2) = M_qp D_I T / omega.
+
+    They substitute the inactive pointwise control
+    u = (T_pn p - T_kz z)/omega into the two state rows of the coupled and
+    the flux-condensed systems.
+    """
     bq = ops.bq
-    D_I = sp.diags(inactive.astype(float) / data.omega)
-    coupling = tuple((M_qp @ D_I @ T).tocsr()
-                     for M_qp in (bq.M1_qp, bq.M2_qp) for T in (bq.T_pn, bq.T_kz))
-    return inactive, bound_vals, coupling
+    D_I = sp.diags(inactive.astype(float) / omega)
+    return tuple((M_qp @ D_I @ T).tocsr()
+                 for M_qp in (bq.M1_qp, bq.M2_qp) for T in (bq.T_pn, bq.T_kz))
 
 
 def compose_kkt(ops, active, data, mode: str = "full") -> BlockSystem:
@@ -171,7 +205,7 @@ def compose_kkt(ops, active, data, mode: str = "full") -> BlockSystem:
     M_Omega = ops.M_Omega
     nW = A.shape[0]
     nV = C.shape[0]
-    inactive, bound_vals, coupling = _control_blocks(ops, active, data, mode)
+    inactive, bound_vals = _control_blocks(ops, active, data, mode)
 
     if mode == "full":
         nU = ops.M_Gamma.shape[0]
@@ -193,7 +227,7 @@ def compose_kkt(ops, active, data, mode: str = "full") -> BlockSystem:
         slices = {name: slice(offs[i], offs[i + 1]) for i, name in enumerate("qypzu")}
         return BlockSystem(K, rhs, slices, "full")
 
-    G1, H1, G2, H2 = coupling
+    G1, H1, G2, H2 = _pointwise_coupling(ops, inactive, data.omega)
     K = sp.bmat([
         [A,     B,    -G1,   H1],
         [-B.T,  C,    -G2,   H2],
@@ -320,7 +354,7 @@ def condense_kkt(ops, active, data=None, mode="full"):
     Ainv, AinvB, S, Mt = _condensation_operators(ops)
     nV = S.shape[0]
     M_Omega = ops.M_Omega
-    inactive, bound_vals, coupling = _control_blocks(ops, active, data, mode)
+    inactive, bound_vals = _control_blocks(ops, active, data, mode)
 
     if mode == "full":
         # S y - Mt u = F and the inactive control rows, with u_A = bound
@@ -339,7 +373,7 @@ def condense_kkt(ops, active, data=None, mode="full"):
         aux = {"inactive": free, "bound_vals": bound_vals}
         return CondensedSystem(R, rhs, slices, "full", ops, aux)
 
-    G1, H1, G2, H2 = coupling
+    G1, H1, G2, H2 = _pointwise_coupling(ops, inactive, data.omega)
     bq = ops.bq
     r1 = bq.M1_qp @ bound_vals
     r2 = ops.F + bq.M2_qp @ bound_vals
@@ -358,19 +392,122 @@ def condense_kkt(ops, active, data=None, mode="full"):
     return CondensedSystem(R, rhs, slices, "variational", ops, aux)
 
 
+def _control_load(ops, mode):
+    """(L, W) of the reduced problem in the control unknowns of ``mode``.
+
+    After flux elimination the state equation is S y = F + L u, and the
+    gradient of the reduced cost is omega W u + L' z with the adjoint
+    S' z = M_Omega y - Yd.  Full mode: L = Mt and W = M_Gamma.  Variational
+    mode: L = M2_qp + B' A^-1 M1_qp (cached next to Mt) and W = diag of
+    the boundary quadrature weights; M1_qp = -T_pn' W and M2_qp = T_kz' W
+    make L' z = W (T_kz z - T_pn p), the pointwise stationarity term.
+    """
+    Ainv, _, _, Mt = _condensation_operators(ops)
+    if mode == "full":
+        return Mt, ops.M_Gamma
+    if ops._qp_load is None:
+        bq = ops.bq
+        ops._qp_load = (bq.M2_qp + ops.B.T @ (Ainv @ bq.M1_qp)).tocsr()
+    return ops._qp_load, sp.diags(ops.bq.weights, format="csr")
+
+
+def _pcg(apply, b, precond, x0, rtol, maxiter):
+    """Preconditioned conjugate gradients for an SPD operator.
+
+    Iterates from ``x0`` until ||b - apply(x)|| <= rtol ||b|| (recursively
+    updated residual) or ``maxiter`` steps.  Returns (x, iterations,
+    relative residual).
+    """
+    norm_b = np.linalg.norm(b)
+    if norm_b == 0.0:
+        return np.zeros_like(b), 0, 0.0
+    x = x0.copy()
+    r = b - apply(x) if x.any() else b.copy()
+    res = float(np.linalg.norm(r) / norm_b)
+    z = precond(r)
+    d = z.copy()
+    rz = r @ z
+    it = 0
+    while res > rtol and it < maxiter:
+        Hd = apply(d)
+        alpha = rz / (d @ Hd)
+        x += alpha * d
+        r -= alpha * Hd
+        it += 1
+        res = float(np.linalg.norm(r) / norm_b)
+        z = precond(r)
+        rz, rz_old = r @ z, rz
+        d = z + (rz / rz_old) * d
+    return x, it, res
+
+
+def _reduced_solve(ops, active, data, mode, tol, u_start):
+    """Solve one active set in control space on the cached factor of S.
+
+    The inactive controls solve H_II u_I = b_I with the SPD reduced Hessian
+    H = omega W + L' S^-T M_Omega S^-1 L, by CG preconditioned with
+    (omega W_II)^-1 and started from ``u_start``; b_I is minus the reduced
+    gradient at u_I = 0, u_A = bound.  The active controls are their
+    bounds, and y, z, p, q follow from one state and one adjoint solve.
+    """
+    inactive, u = _control_blocks(ops, active, data, mode)
+    free = np.flatnonzero(inactive)
+    L, W = _control_load(ops, mode)
+    lu = ops.state_factorization()
+    W_I = (data.omega * W[free][:, free]).tocsc()
+
+    def state_adjoint(load, target):
+        # y = S^-1 load and z = S^-T (M_Omega y - target)
+        y = lu.solve(load)
+        return y, lu.solve(ops.M_Omega @ y - target, trans="T")
+
+    def hessian(x):
+        v = np.zeros(u.size)
+        v[free] = x
+        return W_I @ x + (L.T @ state_adjoint(L @ v, 0.0)[1])[free]
+
+    _, z = state_adjoint(ops.F + L @ u, ops.Yd)
+    b = -(data.omega * (W @ u) + L.T @ z)[free]
+    x0 = np.zeros(free.size) if u_start is None else np.asarray(u_start, dtype=float)[free]
+    precond = spla.factorized(W_I) if free.size else None
+    # two digits below the direct solves' residual contract, so that the
+    # recovered parts agree with them to about tol
+    rtol = 1e-2 * tol
+    x, iterations, residual = _pcg(hessian, b, precond, x0, rtol, CG_MAX_ITER)
+    if not residual <= rtol:
+        raise ReducedSolveError(
+            f"CG on {free.size} inactive controls stopped after {iterations} "
+            f"iterations at reduced residual {residual:.3e} (tolerance {rtol:.0e})")
+    u[free] = x
+    y, z = state_adjoint(ops.F + L @ u, ops.Yd)
+    Ainv, AinvB, _, _ = _condensation_operators(ops)
+    M1 = ops.M1 if mode == "full" else ops.bq.M1_qp
+    parts = {"q": Ainv @ (M1 @ u - ops.B @ y), "y": y, "p": AinvB @ z, "z": z,
+             "cg": CgReport(iterations, residual)}
+    if mode == "full":
+        parts["u"] = u
+    return parts
+
+
 def solve_optimality_system(ops, active, data=None, mode="full",
-                            strategy="condensed", tol=1e-10):
+                            strategy="reduced", tol=1e-10, u_start=None):
     """Solve one active-set linearization of the optimality system.
 
     strategy
-        "condensed" (the default) eliminates the flux blocks and the active
-        controls first (exact); "monolithic" factors the coupled block
-        matrix and is kept as the reference to compare against.
+        "reduced" (the default) solves for the inactive controls by CG on
+        the cached factor of S, to a relative reduced residual of tol/100,
+        starting from ``u_start`` (a control vector, default 0);
+        "condensed" factors the flux-eliminated system and "monolithic"
+        the coupled block matrix, both direct (relative residual tol) and
+        kept as references.
 
-    Returns the parts dict with keys q, y, p, z and, in full mode, u.
+    Returns the parts dict with keys q, y, p, z and, in full mode, u; the
+    reduced path adds "cg", a ``CgReport`` of its iteration.
     """
     if data is None:
         data = ops.data
+    if strategy == "reduced":
+        return _reduced_solve(ops, active, data, mode, tol, u_start)
     if strategy == "condensed":
         system = condense_kkt(ops, active, data=data, mode=mode)
         return system.recover(direct_solve(system.matrix, system.rhs, tol=tol))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldgcontrol import control
 from ldgcontrol.analysis import (
     error_l2_boundary,
     example2_data,
@@ -22,6 +23,7 @@ from ldgcontrol.control import (
 )
 from ldgcontrol.geometry import build_unit_square_mesh
 from ldgcontrol.ldg import ProblemData, assemble_forms, solve_adjoint, solve_state
+from ldgcontrol.linsolve import solve_optimality_system
 from ldgcontrol.spaces import DiscreteField, DofMap, build_spaces
 
 
@@ -268,6 +270,36 @@ def test_pdas_iteration_cap_raises(ex2):
     data, ops = ex2
     with pytest.raises(PdasNonconvergence):
         pdas_solve(ops, data, mode="full", max_iter=1)
+
+
+def test_pdas_cycle_raises(ex2, monkeypatch):
+    # A solver that answers the active sets of steps 1 and 2 alternately
+    # sends the iteration back to the sets after step 1: a cycle of length 2.
+    data, ops = ex2
+    sol = pdas_solve(ops, data, mode="full")
+    assert sol.iterations == 3
+    n_u = ops.M_Gamma.shape[0]
+    first = solve_optimality_system(ops, (np.zeros(n_u, bool), np.zeros(n_u, bool)), data)
+    last = solve_optimality_system(ops, (sol.active.lower, sol.active.upper), data)
+    answers = iter([first, last] * 10)
+    monkeypatch.setattr(control, "solve_optimality_system",
+                        lambda *args, **kwargs: next(answers))
+    with pytest.raises(PdasNonconvergence, match="cycling"):
+        pdas_solve(ops, data, mode="full", max_iter=10)
+
+
+@pytest.mark.parametrize("mode", ["full", "variational"])
+def test_pdas_log_has_one_step_per_iteration(mode, ex2):
+    data, ops = ex2
+    sol = pdas_solve(ops, data, mode=mode)
+    assert len(sol.log) == sol.iterations > 1
+    n = ops.M_Gamma.shape[0] if mode == "full" else ops.bq.num_points
+    assert all(s.lower + s.upper + s.inactive == n for s in sol.log)
+    assert all(s.cg_iterations > 0 and s.cg_residual <= 1e-12 for s in sol.log)
+    final = sol.log[-1]
+    assert (final.lower, final.upper) == (sol.active.lower.sum(), sol.active.upper.sum())
+    direct = pdas_solve(ops, data, mode=mode, strategy="condensed")
+    assert [s.cg_iterations for s in direct.log] == [0] * direct.iterations
 
 
 def test_modes_agree_without_constraints(ex1):

@@ -248,3 +248,11 @@ def test_problem_data_validation():
     with pytest.raises(ValueError):
         data = ProblemData(epsilon=1.0, omega=1.0, beta=lambda x: np.array([x[0], 0.0]))
         data.check_divergence_free(np.array([[0.5, 0.5]]))
+
+
+def test_non_finite_target_fails_at_assembly():
+    mesh = build_unit_square_mesh(2)
+    data = ProblemData(epsilon=1.0, omega=1.0,
+                       y_desired=lambda x: np.nan if x[0] > 0.5 else 1.0)
+    with pytest.raises(ValueError, match="y_desired is not finite"):
+        assemble_forms(mesh, build_spaces(mesh), data)

@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ldgcontrol.analysis import error_l2_boundary, example2_data, manufactured_example1
+from ldgcontrol import linsolve
+from ldgcontrol.analysis import (
+    error_l2_boundary,
+    example2_data,
+    example3_data,
+    example3_mesh,
+    manufactured_example1,
+)
+from ldgcontrol.control import pdas_solve
 from ldgcontrol.geometry import build_unit_square_mesh
 from ldgcontrol.ldg import assemble_forms, solve_adjoint, solve_state
 from ldgcontrol.linsolve import (
+    ReducedSolveError,
     SingularSystemError,
     compose_kkt,
     condense_kkt,
@@ -156,7 +165,8 @@ def test_condensed_matches_monolithic_unconstrained(mode, ex1_ops):
     active = no_active(ops, mode)
     pm = solve_optimality_system(ops, active, ops.data, mode=mode,
                                  strategy="monolithic")
-    pc = solve_optimality_system(ops, active, ops.data, mode=mode)
+    pc = solve_optimality_system(ops, active, ops.data, mode=mode,
+                                 strategy="condensed")
     for name in pm:
         scale = max(1.0, np.abs(pm[name]).max())
         assert np.abs(pm[name] - pc[name]).max() < 1e-9 * scale, name
@@ -165,15 +175,14 @@ def test_condensed_matches_monolithic_unconstrained(mode, ex1_ops):
 @pytest.mark.parametrize("mode", ["full", "variational"])
 def test_condensed_matches_monolithic_with_active_bounds(mode, ex2_ops_128):
     # realistic active set from the bound-constrained example
-    from ldgcontrol.control import pdas_solve
-
     data, ops = ex2_ops_128
     sol = pdas_solve(ops, data, mode=mode, strategy="monolithic")
     assert sol.active.upper.any()
     active = (sol.active.lower, sol.active.upper)
     pm = solve_optimality_system(ops, active, data, mode=mode,
                                  strategy="monolithic")
-    pc = solve_optimality_system(ops, active, data, mode=mode)
+    pc = solve_optimality_system(ops, active, data, mode=mode,
+                                 strategy="condensed")
     for name in pm:
         scale = max(1.0, np.abs(pm[name]).max())
         assert np.abs(pm[name] - pc[name]).max() < 1e-9 * scale, name
@@ -183,8 +192,6 @@ def test_active_controls_hold_their_bounds_exactly(ex2_ops_128):
     # converged mixed active set of the constrained example: the default
     # path substitutes the active controls, so they equal the bound bit
     # for bit while the inactive ones still match the reference solve
-    from ldgcontrol.control import pdas_solve
-
     data, ops = ex2_ops_128
     sol = pdas_solve(ops, data, mode="full", strategy="monolithic")
     lower, upper = sol.active.lower, sol.active.upper
@@ -196,6 +203,65 @@ def test_active_controls_hold_their_bounds_exactly(ex2_ops_128):
                                   strategy="monolithic")
     inactive = sol.active.inactive
     assert np.abs(parts["u"][inactive] - ref["u"][inactive]).max() < 1e-9
+
+
+def assert_reduced_matches_monolithic(ops, active, data, mode):
+    # from the default zero start and from a random warm start
+    pm = solve_optimality_system(ops, active, data, mode=mode, strategy="monolithic")
+    n = active[0].size
+    for u_start in (None, np.random.default_rng(3).uniform(-1.0, 1.0, n)):
+        pr = solve_optimality_system(ops, active, data, mode=mode, u_start=u_start)
+        assert sorted(pm) == sorted(k for k in pr if k != "cg")
+        for name in pm:
+            scale = max(1.0, np.abs(pm[name]).max())
+            assert np.abs(pm[name] - pr[name]).max() <= 1e-10 * scale, name
+        assert pr["cg"].iterations > 0
+
+
+@pytest.mark.parametrize("mode", ["full", "variational"])
+def test_reduced_matches_monolithic_unconstrained(mode, ex1_ops):
+    case, ops = ex1_ops
+    assert_reduced_matches_monolithic(ops, no_active(ops, mode), ops.data, mode)
+
+
+@pytest.mark.parametrize("mode", ["full", "variational"])
+def test_reduced_matches_monolithic_with_active_bounds(mode, ex2_ops_128):
+    data, ops = ex2_ops_128
+    sol = pdas_solve(ops, data, mode=mode, strategy="monolithic")
+    assert sol.active.upper.any() and sol.active.inactive.any()
+    assert_reduced_matches_monolithic(ops, (sol.active.lower, sol.active.upper), data, mode)
+
+
+@pytest.mark.parametrize("mode", ["full", "variational"])
+def test_reduced_matches_monolithic_on_polygon_mesh(mode):
+    # skewed quadrilateral, lower bound only
+    data = example3_data()
+    mesh = example3_mesh(2)
+    ops = assemble_forms(mesh, build_spaces(mesh), data)
+    sol = pdas_solve(ops, data, mode=mode, strategy="monolithic")
+    assert sol.active.lower.any() and sol.active.inactive.any()
+    assert_reduced_matches_monolithic(ops, (sol.active.lower, sol.active.upper), data, mode)
+
+
+@pytest.mark.parametrize("mode", ["full", "variational"])
+def test_pdas_reduced_and_monolithic_take_the_same_steps(mode, ex2_ops_128):
+    data, ops = ex2_ops_128
+    ref = pdas_solve(ops, data, mode=mode, strategy="monolithic")
+    sol = pdas_solve(ops, data, mode=mode)
+    assert sol.iterations == ref.iterations > 1
+    assert sol.active.same_as(ref.active)
+    assert [(s.lower, s.upper) for s in sol.log] == [(s.lower, s.upper) for s in ref.log]
+
+
+def test_reduced_solve_raises_when_cg_misses_its_tolerance(ex2_ops_128, monkeypatch):
+    data, ops = ex2_ops_128
+
+    def stalled_cg(apply, b, precond, x0, rtol, maxiter):
+        return x0, maxiter, 3e-4
+    monkeypatch.setattr(linsolve, "_pcg", stalled_cg)
+    with pytest.raises(ReducedSolveError, match="reduced residual 3.000e-04"):
+        solve_optimality_system(ops, no_active(ops, "full"), data)
+    assert issubclass(ReducedSolveError, SingularSystemError)
 
 
 def test_condensed_solution_satisfies_coupled_system(ex2_ops_128):
