@@ -17,7 +17,10 @@ Three study problems are provided.
 All error norms use degree-6 quadrature: the discrete fields are
 piecewise linear, but the exact solutions are not polynomial, and the
 data loads were assembled at degree 6 as well, so cost values and
-gradients stay mutually consistent.
+gradients stay mutually consistent.  Every norm and the nested-reference
+comparison evaluate all quadrature points of all elements or boundary
+edges in one batched call (``spaces.eval_field``, ``spaces.trace_on_edge``,
+``NestedLocator.locate``/``locate_boundary``).
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from .geometry import (
 from .ldg import BlockOperator, ProblemData, solve_adjoint, solve_state
 from .spaces import (
     DiscreteField,
-    edge_basis_values,
+    barycentric,
+    edge_points,
     eval_field,
     physical_points,
     quadrature_rule,
@@ -393,14 +397,13 @@ def error_l2_domain(field: DiscreteField, exact, degree: int = 6) -> float:
     return float(np.sqrt((2.0 * mesh.areas) @ (diff2 @ rule.weights)))
 
 
-def _boundary_edge_loop(mesh, degree):
+def _boundary_rule(mesh, degree):
+    """An edge rule on every boundary edge: edge ids (b,), parameters s (k,),
+    points (b, k, 2), weights (b, k) and outward normals (b, 2)."""
     rule = quadrature_rule("edge", degree)
-    phi = edge_basis_values(rule.points)
-    for e in mesh.boundary_edges:
-        a, b = mesh.vertices[mesh.edges[e]]
-        xg = a[None, :] + rule.points[:, None] * (b - a)[None, :]
-        wt = rule.weights * mesh.edge_lengths[e]
-        yield e, xg, wt, phi, rule.points, mesh.edge_normals[e, 0]
+    ids = mesh.boundary_edges
+    return (ids, rule.points, edge_points(mesh, ids[:, None], rule.points),
+            rule.weights * mesh.edge_lengths[ids, None], mesh.edge_normals[ids, 0])
 
 
 def error_l2_boundary(source, exact, mesh: Mesh = None, degree: int = 6) -> float:
@@ -413,15 +416,12 @@ def error_l2_boundary(source, exact, mesh: Mesh = None, degree: int = 6) -> floa
         mesh = source.dofmap.mesh
     if mesh is None:
         raise ValueError("a mesh is required for callable sources")
-    err2 = 0.0
-    for e, xg, wt, phi, s, _n in _boundary_edge_loop(mesh, degree):
-        if isinstance(source, DiscreteField):
-            vals = trace_on_edge(source, e, 0, s)
-        else:
-            vals = np.array([source(x) for x in xg])
-        diff = np.array([exact(x) for x in xg]) - vals
-        err2 += float(np.dot(wt, diff**2))
-    return float(np.sqrt(err2))
+    ids, s, xg, wt, _n = _boundary_rule(mesh, degree)
+    if isinstance(source, DiscreteField):
+        vals = trace_on_edge(source, ids[:, None], 0, s)
+    else:
+        vals = point_values(source, xg)
+    return float(np.sqrt(np.sum(wt * (point_values(exact, xg) - vals) ** 2)))
 
 
 def error_flux_normal_boundary(p_h: DiscreteField, grad_z_exact, epsilon: float,
@@ -433,14 +433,10 @@ def error_flux_normal_boundary(p_h: DiscreteField, grad_z_exact, epsilon: float,
     """
     if mesh is None:
         mesh = p_h.dofmap.mesh
-    sqrt_eps = float(np.sqrt(epsilon))
-    err2 = 0.0
-    for e, xg, wt, phi, s, n in _boundary_edge_loop(mesh, degree):
-        vals = trace_on_edge(p_h, e, 0, s)  # (k, 2)
-        pn_h = vals @ n
-        pn_ex = np.array([sqrt_eps * float(np.dot(grad_z_exact(x), n)) for x in xg])
-        err2 += float(np.dot(wt, (pn_ex - pn_h) ** 2))
-    return float(np.sqrt(err2))
+    ids, s, xg, wt, n = _boundary_rule(mesh, degree)
+    pn_h = np.einsum("egd,ed->eg", trace_on_edge(p_h, ids[:, None], 0, s), n)
+    pn_ex = float(np.sqrt(epsilon)) * np.einsum("egd,ed->eg", point_values(grad_z_exact, xg), n)
+    return float(np.sqrt(np.sum(wt * (pn_ex - pn_h) ** 2)))
 
 
 def convergence_rate(e_coarse: float, e_fine: float) -> float:
@@ -470,10 +466,17 @@ class NestedLocator:
     """Maps points of a coarse mesh into a refined mesh of the same family.
 
     The fine mesh must descend from the coarse one through repeated uniform
-    refinement (the parent chain is followed and verified).  Elements are
-    located by walking down the chain and picking, per level, the child
-    with the best barycentric fit; boundary points are located through a
-    registration table of fine boundary edges against coarse ones.
+    refinement, which numbers the children of element t as 4t .. 4t+3 (the
+    parent chain is followed and verified).  Points are located by walking
+    down the chain and picking, per level, the child with the largest
+    smallest barycentric coordinate (the first child on a tie).  Boundary
+    points are located through a registration of the fine boundary edges
+    on the coarse ones, sorted by coarse edge, then by position:
+
+        boundary_coarse : (nf,) coarse edge containing each fine edge,
+        boundary_span : (nf, 2) parameters s0 < s1 of the fine edge's
+            endpoints along its coarse edge,
+        boundary_fine : (nf,) the fine boundary edge ids.
     """
 
     def __init__(self, coarse: Mesh, fine: Mesh):
@@ -488,65 +491,64 @@ class NestedLocator:
         self.chain = chain  # coarse ... fine
         self.coarse = coarse
         self.fine = fine
-        self._build_boundary_table()
+        self._register_boundary()
 
-    def _build_boundary_table(self):
+    def _register_boundary(self):
         coarse, fine = self.coarse, self.fine
-        starts = coarse.vertices[coarse.edges[coarse.boundary_edges, 0]]
-        ends = coarse.vertices[coarse.edges[coarse.boundary_edges, 1]]
-        tang = ends - starts
+        tol = 1e-10
+        cb = coarse.boundary_edges
+        starts = coarse.vertices[coarse.edges[cb, 0]]
+        tang = coarse.vertices[coarse.edges[cb, 1]] - starts
         lengths = np.sqrt(np.sum(tang**2, axis=1))
         unit = tang / lengths[:, None]
-        table = {int(e): [] for e in coarse.boundary_edges}
-        tol = 1e-10
-        for f in fine.boundary_edges:
-            fa, fb = fine.vertices[fine.edges[f]]
-            placed = False
-            for idx, e in enumerate(coarse.boundary_edges):
-                rel_a = fa - starts[idx]
-                rel_b = fb - starts[idx]
-                cross_a = unit[idx, 0] * rel_a[1] - unit[idx, 1] * rel_a[0]
-                cross_b = unit[idx, 0] * rel_b[1] - unit[idx, 1] * rel_b[0]
-                if abs(cross_a) > tol or abs(cross_b) > tol:
-                    continue
-                s0 = float(np.dot(rel_a, unit[idx])) / lengths[idx]
-                s1 = float(np.dot(rel_b, unit[idx])) / lengths[idx]
-                if -tol <= s0 < s1 <= 1.0 + tol:
-                    table[int(e)].append((s0, s1, int(f)))
-                    placed = True
-                    break
-            if not placed:
-                raise ValueError("fine boundary edge does not lie on the coarse boundary")
-        for e in table:
-            table[e].sort()
-        self._boundary_table = table
+        # rel[f, end, c]: endpoint ``end`` of fine edge f relative to coarse edge c
+        rel = fine.vertices[fine.edges[fine.boundary_edges]][:, :, None, :] - starts
+        cross = unit[:, 0] * rel[..., 1] - unit[:, 1] * rel[..., 0]
+        s = (rel[..., 0] * unit[:, 0] + rel[..., 1] * unit[:, 1]) / lengths
+        s0, s1 = s[:, 0], s[:, 1]
+        on_edge = (np.all(np.abs(cross) <= tol, axis=1)
+                   & (-tol <= s0) & (s0 < s1) & (s1 <= 1.0 + tol))
+        if not np.all(on_edge.any(axis=1)):
+            raise ValueError("fine boundary edge does not lie on the coarse boundary")
+        pos = np.argmax(on_edge, axis=1)  # first matching coarse edge
+        span = s[np.arange(len(pos)), :, pos]  # (nf, 2)
+        order = np.lexsort((span[:, 0], cb[pos]))
+        self.boundary_coarse = cb[pos][order]
+        self.boundary_span = span[order]
+        self.boundary_fine = fine.boundary_edges[order]
 
-    def locate(self, element_id: int, point) -> int:
-        """Fine element containing a point of the given coarse element."""
-        point = np.asarray(point, dtype=float)
-        t = int(element_id)
-        for lvl in range(1, len(self.chain)):
-            mesh = self.chain[lvl]
-            best_t, best_fit = -1, -np.inf
-            for child in range(4 * t, 4 * t + 4):
-                tri = mesh.vertices[mesh.triangles[child]]
-                T = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-                xy = np.linalg.solve(T, point - tri[0])
-                fit = min(1.0 - xy[0] - xy[1], xy[0], xy[1])
-                if fit > best_fit:
-                    best_fit, best_t = fit, child
-            t = best_t
-        return t
+    def locate(self, elements, points):
+        """Fine elements containing points of the given coarse elements.
 
-    def locate_boundary(self, edge_id: int, s: float):
-        """Fine boundary edge and local parameter for a coarse edge point."""
-        entries = self._boundary_table[int(edge_id)]
-        for s0, s1, f in entries:
-            if s <= s1 + 1e-12:
-                local = (s - s0) / (s1 - s0)
-                return f, float(np.clip(local, 0.0, 1.0))
-        s0, s1, f = entries[-1]
-        return f, 1.0
+        ``elements`` broadcasts against ``points`` (..., 2) without its last
+        axis; a scalar id with one point gives one fine element id.
+        """
+        t = np.asarray(elements)
+        for mesh in self.chain[1:]:
+            # child by child keeps the vertex gathers a quarter of the size
+            fit = np.stack([barycentric(mesh, 4 * t + k, points).min(axis=-1)
+                            for k in range(4)], axis=-1)
+            t = 4 * t + np.argmax(fit, axis=-1)
+        return t[()]
+
+    def locate_boundary(self, edges, s):
+        """Fine boundary edges and local parameters of coarse boundary points.
+
+        ``edges`` (coarse boundary edge ids) and ``s`` (parameters along
+        them) broadcast.  A point is given to the first fine edge of its
+        coarse edge that ends at or after it; the local parameter is
+        clamped to [0, 1].
+        """
+        edges, s = np.broadcast_arrays(np.asarray(edges), np.asarray(s, dtype=float))
+        # complex numbers sort lexicographically: by coarse edge, then by
+        # the end parameter of the fine edge (with its 1e-12 slack)
+        keys = self.boundary_coarse + 1j * (self.boundary_span[:, 1] + 1e-12)
+        last = np.searchsorted(self.boundary_coarse, edges, side="right") - 1
+        i = np.minimum(np.searchsorted(keys, edges + 1j * s), last)
+        if np.any(self.boundary_coarse[i] != edges):
+            raise ValueError("locate_boundary needs boundary edges of the coarse mesh")
+        s0, s1 = self.boundary_span[i, 0], self.boundary_span[i, 1]
+        return self.boundary_fine[i][()], np.clip((s - s0) / (s1 - s0), 0.0, 1.0)[()]
 
 
 def reference_compare(coarse_sol, reference_sol, degree: int = 6):
@@ -558,35 +560,24 @@ def reference_compare(coarse_sol, reference_sol, degree: int = 6):
     values rather than coefficients.
     """
     coarse_mesh = coarse_sol.mesh
-    ref_mesh = reference_sol.mesh
-    locator = NestedLocator(coarse_mesh, ref_mesh)
+    locator = NestedLocator(coarse_mesh, reference_sol.mesh)
 
     rule, lam, pts = _domain_quad(coarse_mesh, degree)
     nt = coarse_mesh.num_elements
-    coeff = coarse_sol.y.coefficients.reshape(nt, 3)
-    vals_h = np.einsum("ti,ki->tk", coeff, lam)
-    err_y2 = 0.0
-    for t in range(nt):
-        diff2 = 0.0
-        for g, x in enumerate(pts[t]):
-            tf = locator.locate(t, x)
-            y_ref = eval_field(reference_sol.y, tf, x, tol=1e-8)
-            diff2 += rule.weights[g] * (vals_h[t, g] - y_ref) ** 2
-        err_y2 += 2.0 * coarse_mesh.areas[t] * diff2
+    vals_h = np.einsum("ti,ki->tk", coarse_sol.y.coefficients.reshape(nt, 3), lam)
+    tf = locator.locate(np.arange(nt)[:, None], pts)
+    diff2 = (vals_h - eval_field(reference_sol.y, tf, pts, tol=1e-8)) ** 2
+    err_y2 = (2.0 * coarse_mesh.areas) @ (diff2 @ rule.weights)
 
-    err_u2 = err_z2 = err_pn2 = 0.0
-    for e, xg, wt, phi, s, n in _boundary_edge_loop(coarse_mesh, degree):
-        u_c = coarse_sol.control_on_edge(e, s)
-        z_c = trace_on_edge(coarse_sol.z, e, 0, s)
-        pn_c = trace_on_edge(coarse_sol.p, e, 0, s) @ n
-        for g in range(len(s)):
-            f, sf = locator.locate_boundary(e, s[g])
-            u_r = reference_sol.control_on_edge(f, np.array([sf]))[0]
-            z_r = trace_on_edge(reference_sol.z, f, 0, sf)
-            pn_r = float(trace_on_edge(reference_sol.p, f, 0, np.array([sf]))[0] @ n)
-            err_u2 += wt[g] * (u_c[g] - u_r) ** 2
-            err_z2 += wt[g] * (z_c[g] - z_r) ** 2
-            err_pn2 += wt[g] * (pn_c[g] - pn_r) ** 2
+    ids, s, _xg, wt, n = _boundary_rule(coarse_mesh, degree)
+    e = ids[:, None]
+    f, sf = locator.locate_boundary(e, s)
+    err_u2 = np.sum(wt * (coarse_sol.control_on_edge(e, s)
+                          - reference_sol.control_on_edge(f, sf)) ** 2)
+    err_z2 = np.sum(wt * (trace_on_edge(coarse_sol.z, e, 0, s)
+                          - trace_on_edge(reference_sol.z, f, 0, sf)) ** 2)
+    dp = trace_on_edge(coarse_sol.p, e, 0, s) - trace_on_edge(reference_sol.p, f, 0, sf)
+    err_pn2 = np.sum(wt * np.einsum("egd,ed->eg", dp, n) ** 2)
 
     return ErrorReportRow(
         elements=coarse_mesh.num_elements,
@@ -644,11 +635,9 @@ def galerkin_diagnostics(case: ManufacturedCase, mesh: Mesh, ops: BlockOperator)
     err_pn = error_flux_normal_boundary(p_hu, case.grad_z, case.epsilon, mesh)
     err_z = error_l2_boundary(z_hu, case.z, mesh)
 
-    weighted_z2 = 0.0
-    for e, xg, wt, phi, s, _n in _boundary_edge_loop(mesh, 6):
-        vals = trace_on_edge(z_hu, e, 0, s)
-        diff = np.array([case.z(x) for x in xg]) - vals
-        weighted_z2 += float(ops.flux.kappa_z[e] ** 2 * np.dot(wt, diff**2))
+    ids, s, xg, wt, _n = _boundary_rule(mesh, 6)
+    diff2 = (point_values(case.z, xg) - trace_on_edge(z_hu, ids[:, None], 0, s)) ** 2
+    weighted_z2 = float(np.sum(ops.flux.kappa_z[ids, None] ** 2 * wt * diff2))
 
     from .control import quasi_interpolate
 

@@ -396,10 +396,10 @@ def emit_fields(sol, mesh, path) -> list:
     with open(target, "w") as fh:
         fh.write("# arclength x1 x2 u\n")
         s_acc = 0.0
-        for e in _boundary_loop(mesh):
+        loop = _boundary_loop(mesh)
+        for e, vals in zip(loop, sol.control_on_edge(np.array(loop)[:, None], [0.0, 1.0])):
             a, b = mesh.vertices[mesh.edges[e]]
             length = float(np.hypot(*(b - a)))
-            vals = sol.control_on_edge(e, np.array([0.0, 1.0]))
             for s_loc, val in zip((0.0, 1.0), vals):
                 x = a + s_loc * (b - a)
                 fh.write(f"{s_acc + s_loc * length:.16e} "

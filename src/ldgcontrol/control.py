@@ -32,6 +32,7 @@ from .spaces import (
     DiscreteField,
     DofMap,
     edge_basis_values,
+    edge_points,
     physical_points,
     quadrature_rule,
     trace_on_edge,
@@ -124,44 +125,24 @@ def quasi_interpolate(u, mesh, degree: int = 6) -> DiscreteField:
     boundary edges.  Constants are reproduced and bounds are preserved
     (each nodal value is a convex average of u along the boundary).
     """
-    dofmap = DofMap(mesh, "boundary-edge")
     rule = quadrature_rule("edge", degree)
-    phi = edge_basis_values(rule.points)
-
+    ids = mesh.boundary_edges
     if isinstance(u, DiscreteField):
         if u.dofmap.kind != "boundary-edge":
             raise ValueError("quasi-interpolation sources must live on the boundary")
-        src = u
-
-        def values_on(e, xg, s):
-            return trace_on_edge(src, e, 0, s)
+        vals = trace_on_edge(u, ids[:, None], 0, rule.points)
     else:
-        def values_on(e, xg, s):
-            return np.array([u(x) for x in xg])
+        vals = point_values(u, edge_points(mesh, ids[:, None], rule.points))
 
-    # numerator / denominator accumulators per boundary vertex
-    num = {}
-    den = {}
-    for e in mesh.boundary_edges:
-        a_id, b_id = mesh.edges[e]
-        a, b = mesh.vertices[[a_id, b_id]]
-        h = mesh.edge_lengths[e]
-        xg = a[None, :] + rule.points[:, None] * (b - a)[None, :]
-        wt = rule.weights * h
-        vals = values_on(e, xg, rule.points)
-        # hat of the start vertex falls (1-s), hat of the end vertex rises (s)
-        for vid, basis in ((int(a_id), phi[:, 0]), (int(b_id), phi[:, 1])):
-            num[vid] = num.get(vid, 0.0) + float(np.dot(wt, basis * vals))
-            den[vid] = den.get(vid, 0.0) + float(np.dot(wt, basis))
-
-    nodal = {vid: num[vid] / den[vid] for vid in num}
-    out = np.zeros(dofmap.num_dofs)
-    for e in mesh.boundary_edges:
-        a_id, b_id = mesh.edges[e]
-        dofs = dofmap.edge_dofs(e)
-        out[dofs[0]] = nodal[int(a_id)]
-        out[dofs[1]] = nodal[int(b_id)]
-    return DiscreteField(dofmap, out)
+    # (u, hat) and (1, hat) of each edge's two end vertices: the hat of the
+    # start vertex falls (1-s), the hat of the end vertex rises (s)
+    wt = rule.weights * mesh.edge_lengths[ids, None]
+    phi = edge_basis_values(rule.points)
+    ends = mesh.edges[ids].ravel()
+    num = np.bincount(ends, ((wt * vals) @ phi).ravel(), minlength=mesh.num_vertices)
+    den = np.bincount(ends, (wt @ phi).ravel(), minlength=mesh.num_vertices)
+    # boundary-edge dofs are (start, end) pairs in boundary-edge order
+    return DiscreteField(DofMap(mesh, "boundary-edge"), num[ends] / den[ends])
 
 
 @dataclass(frozen=True)
@@ -186,7 +167,7 @@ class DiscreteSolution:
     at the boundary quadrature points in variational mode; in both modes
     ``control_on_edge`` evaluates the control anywhere on the boundary (in
     variational mode through the projection formula applied to the traces
-    of p and z).  ``log`` holds one ``PdasStep`` per active-set step.
+    of p and z), for arrays of edges and parameters at once.  ``log`` holds one ``PdasStep`` per active-set step.
     """
 
     y: DiscreteField
@@ -225,28 +206,27 @@ class DiscreteSolution:
             return self.ops.bq.E_U @ self.u.coefficients
         return np.asarray(self.u, dtype=float)
 
-    def _projection_argument(self, edge_id, s):
-        """(sqrt(eps) p.n - kappa z)/omega along one boundary edge."""
+    def _projection_argument(self, edges, s):
+        """(sqrt(eps) p.n - kappa z)/omega at parameters s of boundary edges
+        (``edges`` and ``s`` broadcast)."""
         mesh = self.mesh
         data = self.data
-        n = mesh.edge_normals[edge_id, 0]
-        a, b = mesh.vertices[mesh.edges[edge_id]]
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        xg = a[None, :] + s[:, None] * (b - a)[None, :]
-        pn = np.atleast_2d(trace_on_edge(self.p, edge_id, 0, s)) @ n
-        zv = np.atleast_1d(trace_on_edge(self.z, edge_id, 0, s))
-        beta_n = point_values(data.beta_fun(), xg) @ n
         flux = self.ops.flux
-        kap = boundary_kappa(data, flux.c11[edge_id], beta_n,
-                             flux.classification.is_inflow(edge_id))
+        n = mesh.edge_normals[edges, 0]
+        pn = np.sum(trace_on_edge(self.p, edges, 0, s) * n, axis=-1)
+        zv = trace_on_edge(self.z, edges, 0, s)
+        beta_n = np.sum(point_values(data.beta_fun(), edge_points(mesh, edges, s)) * n, axis=-1)
+        kap = boundary_kappa(data, flux.c11[edges], beta_n,
+                             flux.classification.is_inflow(edges))
         return (pn - kap * zv) / data.omega
 
-    def control_on_edge(self, edge_id: int, s) -> np.ndarray:
-        """Evaluate the control at parameters s of a boundary edge."""
+    def control_on_edge(self, edges, s) -> np.ndarray:
+        """Control values at parameters s of boundary edges; ``edges`` and
+        ``s`` broadcast, and the result is at least one-dimensional."""
         if self.mode == "full":
-            return np.atleast_1d(trace_on_edge(self.u, edge_id, 0, s))
-        w = self._projection_argument(edge_id, s)
-        return np.clip(w, self.data.u_lower, self.data.u_upper)
+            return np.atleast_1d(trace_on_edge(self.u, edges, 0, s))
+        w = self._projection_argument(edges, s)
+        return np.atleast_1d(np.clip(w, self.data.u_lower, self.data.u_upper))
 
 
 @dataclass

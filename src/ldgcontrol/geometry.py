@@ -208,8 +208,9 @@ class EdgeClassification:
         self.inflow_edges = self.boundary_edges[self.inflow_mask]
         self.outflow_edges = self.boundary_edges[~self.inflow_mask]
 
-    def is_inflow(self, edge_id: int) -> bool:
-        return bool(np.isin(edge_id, self.inflow_edges))
+    def is_inflow(self, edges):
+        """Inflow flags of edge ids (bool array of their shape)."""
+        return np.isin(edges, self.inflow_edges)
 
 
 def build_unit_square_mesh(n: int) -> Mesh:
@@ -288,14 +289,9 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
     # Global vertex id of the midpoint of the edge opposite local vertex k.
     mid_of = np.full((mesh.num_elements, 3), -1, dtype=np.int64)
-    for e in range(mesh.num_edges):
-        for s in range(2):
-            t = mesh.edge_elems[e, s]
-            if t == -1:
-                continue
-            la, lb = mesh.edge_local[e, s]
-            k = 3 - la - lb  # local vertex opposite this edge
-            mid_of[t, k] = nv + e
+    e, side = np.nonzero(mesh.edge_elems >= 0)
+    opposite = 3 - mesh.edge_local[e, side].sum(axis=1)
+    mid_of[mesh.edge_elems[e, side], opposite] = nv + e
 
     nt = mesh.num_elements
     triangles = np.empty((4 * nt, 3), dtype=np.int64)

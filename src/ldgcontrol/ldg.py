@@ -81,6 +81,7 @@ from .spaces import (
     SpaceSet,
     build_spaces,
     edge_basis_values,
+    edge_trace_table,
     element_gradients,
     physical_points,
     quadrature_rule,
@@ -238,15 +239,10 @@ def _edge_quadrature(mesh, degree, edges):
     ``edges[e]`` at its quadrature point g (zero where the side is missing).
     """
     rule = quadrature_rule("edge", degree)
-    phi = edge_basis_values(rule.points)  # (k, 2)
     a, b = (mesh.vertices[mesh.edges[edges, end]] for end in range(2))
     xg = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
     wt = rule.weights[None, :] * mesh.edge_lengths[edges, None]
-    L = np.zeros((len(edges), 2, len(rule.points), 3))
-    e, side = np.nonzero(mesh.edge_elems[edges] >= 0)
-    for end in range(2):
-        L[e, side, :, mesh.edge_local[edges[e], side, end]] = phi[:, end]
-    return xg, wt, L
+    return xg, wt, edge_trace_table(mesh, edges, rule.points)
 
 
 def _gram(wt, L):

@@ -13,13 +13,19 @@ All local bases are nodal (vertex values), which keeps traces, jumps and
 active-set logic on controls straightforward.  Quadrature rules of
 exactness degree up to 6 are tabulated for the reference triangle and
 generated with Gauss-Legendre nodes on the reference edge [0, 1].
+
+Evaluation is batched: in ``eval_field(field, elements, points)`` and
+``trace_on_edge(field, edges, side, s)`` the ids broadcast against the
+points (..., 2) or edge parameters, and the result has the broadcast
+shape (plus an axis of 2 for vector fields).  Element traces, here and in
+the LDG assembly, all read the table of ``edge_trace_table``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Mesh
+from .geometry import Mesh, point_values
 
 __all__ = [
     "DofMap",
@@ -32,6 +38,9 @@ __all__ = [
     "l2_project",
     "eval_field",
     "trace_on_edge",
+    "barycentric",
+    "edge_points",
+    "edge_trace_table",
     "element_gradients",
     "write_vtk",
 ]
@@ -132,9 +141,10 @@ def tri_basis_values(points) -> np.ndarray:
 
 
 def edge_basis_values(s) -> np.ndarray:
-    """Nodal P1 basis on the reference edge at parameters s in [0, 1]."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    return np.column_stack([1.0 - s, s])
+    """Nodal P1 basis on the reference edge at parameters s in [0, 1],
+    shape s.shape + (2,)."""
+    s = np.asarray(s, dtype=float)
+    return np.stack([1.0 - s, s], axis=-1)
 
 
 def element_gradients(mesh: Mesh) -> np.ndarray:
@@ -157,6 +167,44 @@ def physical_points(mesh: Mesh, ref_points) -> np.ndarray:
     """Map reference triangle points (k, 2) into every element, (nt, k, 2)."""
     lam = tri_basis_values(ref_points)  # (k, 3)
     return np.einsum("kj,tjd->tkd", lam, mesh.vertices[mesh.triangles])
+
+
+def barycentric(mesh: Mesh, elements, points) -> np.ndarray:
+    """Barycentric coordinates (..., 3) of points (..., 2) in elements (...).
+
+    ``elements`` broadcasts against ``points`` without its last axis.
+    """
+    p = mesh.vertices[mesh.triangles[elements]]  # (..., 3, 2)
+    d1 = p[..., 1, :] - p[..., 0, :]
+    d2 = p[..., 2, :] - p[..., 0, :]
+    r = np.asarray(points, dtype=float) - p[..., 0, :]
+    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    x = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / det
+    y = (d1[..., 0] * r[..., 1] - d1[..., 1] * r[..., 0]) / det
+    return np.stack([1.0 - x - y, x, y], axis=-1)
+
+
+def edge_points(mesh: Mesh, edges, s) -> np.ndarray:
+    """Physical points a + s (b - a) at parameters s along the stored edge
+    direction a -> b; ``edges`` and ``s`` broadcast, result (..., 2)."""
+    a, b = (mesh.vertices[mesh.edges[edges, end]] for end in range(2))
+    return a + np.asarray(s, dtype=float)[..., None] * (b - a)
+
+
+def edge_trace_table(mesh: Mesh, edges, s) -> np.ndarray:
+    """Scalar trace table L (n, 2, k, 3) of the elements on both sides of edges.
+
+    L[e, side, g, i] is the nodal basis function i of the element on
+    ``side`` of edge ``edges[e]`` at parameter s[g]; entries of a missing
+    side are zero.
+    """
+    edges = np.asarray(edges)
+    phi = edge_basis_values(s)  # (k, 2)
+    L = np.zeros((len(edges), 2, len(phi), 3))
+    e, side = np.nonzero(mesh.edge_elems[edges] >= 0)
+    for end in range(2):
+        L[e, side, :, mesh.edge_local[edges[e], side, end]] = phi[:, end]
+    return L
 
 
 class DofMap:
@@ -189,21 +237,6 @@ class DofMap:
         if kind == BOUNDARY:
             self.boundary_index = np.full(mesh.num_edges, -1, dtype=np.int64)
             self.boundary_index[mesh.boundary_edges] = np.arange(len(mesh.boundary_edges))
-
-    def element_dofs(self, t: int) -> np.ndarray:
-        if self.kind == SCALAR:
-            return 3 * t + np.arange(3)
-        if self.kind == VECTOR:
-            return 6 * t + np.arange(6)
-        raise ValueError("boundary-edge maps have no element dofs")
-
-    def edge_dofs(self, edge_id: int) -> np.ndarray:
-        if self.kind != BOUNDARY:
-            raise ValueError("edge dofs exist only for the boundary-edge space")
-        b = self.boundary_index[edge_id]
-        if b < 0:
-            raise ValueError(f"edge {edge_id} is not a boundary edge")
-        return 2 * b + np.arange(2)
 
 
 def build_dof_map(mesh: Mesh, kind: str) -> DofMap:
@@ -249,85 +282,86 @@ def l2_project(f, dofmap: DofMap, mesh: Mesh = None, degree: int = 4) -> Discret
 
     ``f`` is a pointwise function of the physical coordinate; for the vector
     space it must return a 2-vector.  Globally polynomial P1 data is
-    reproduced exactly.
+    reproduced exactly.  The inverse reference mass matrix is applied to
+    the load vectors of all entities at once.
     """
     mesh = mesh if mesh is not None else dofmap.mesh
-    out = np.zeros(dofmap.num_dofs)
     if dofmap.kind == BOUNDARY:
         rule = quadrature_rule("edge", degree)
         phi = edge_basis_values(rule.points)  # (k, 2)
-        M = (phi.T * rule.weights) @ phi
-        for e in mesh.boundary_edges:
-            a, b = mesh.vertices[mesh.edges[e]]
-            pts = a[None, :] + rule.points[:, None] * (b - a)[None, :]
-            fvals = np.array([f(p) for p in pts], dtype=float)
-            rhs = phi.T @ (rule.weights * fvals)
-            out[dofmap.edge_dofs(e)] = np.linalg.solve(M, rhs)
-        return DiscreteField(dofmap, out)
+        ids = mesh.boundary_edges
+        fvals = point_values(f, edge_points(mesh, ids[:, None], rule.points))  # (b, k)
+        coef = np.linalg.solve((phi.T * rule.weights) @ phi, phi.T @ (rule.weights * fvals).T)
+        return DiscreteField(dofmap, coef.T.ravel())  # (start, end) pairs in boundary order
 
     rule = quadrature_rule("triangle", degree)
     lam = tri_basis_values(rule.points)  # (k, 3)
-    Mref = (lam.T * rule.weights) @ lam  # reference mass / (2 area scaling)
-    pts = physical_points(mesh, rule.points)  # (nt, k, 2)
-    for t in range(mesh.num_elements):
-        fvals = np.array([f(p) for p in pts[t]], dtype=float)
-        if dofmap.kind == SCALAR:
-            rhs = lam.T @ (rule.weights * fvals)
-            out[3 * t : 3 * t + 3] = np.linalg.solve(Mref, rhs)
-        else:
-            for c in range(2):
-                rhs = lam.T @ (rule.weights * fvals[:, c])
-                out[6 * t + c : 6 * t + 6 : 2] = np.linalg.solve(Mref, rhs)
-    return DiscreteField(dofmap, out)
+    nt = mesh.num_elements
+    # (nt, k, c) values, c = 1 for scalars and 2 for vectors (interleaved per node)
+    fvals = point_values(f, physical_points(mesh, rule.points)).reshape(nt, len(rule.weights), -1)
+    rhs = np.einsum("ki,tkc->itc", lam * rule.weights[:, None], fvals)  # (3, nt, c)
+    coef = np.linalg.solve((lam.T * rule.weights) @ lam, rhs.reshape(3, -1))
+    return DiscreteField(dofmap, coef.reshape(rhs.shape).transpose(1, 0, 2).ravel())
 
 
-def eval_field(field: DiscreteField, element_id: int, point, tol: float = 1e-10):
-    """Evaluate an element field at a physical point inside the element."""
+def eval_field(field: DiscreteField, elements, points, tol: float = 1e-10):
+    """Values of an element field at physical points inside given elements.
+
+    ``elements`` broadcasts against ``points`` (..., 2) without its last
+    axis; the result has the broadcast shape (a float for one scalar
+    value), with a trailing axis of 2 for vector fields.  Raises
+    ValueError when a point lies outside its element by more than ``tol``
+    in barycentric coordinates.
+    """
     dofmap = field.dofmap
     if dofmap.kind == BOUNDARY:
         raise ValueError("use trace_on_edge for boundary-edge fields")
     mesh = dofmap.mesh
-    tri = mesh.triangles[element_id]
-    p0, p1, p2 = mesh.vertices[tri]
-    T = np.column_stack([p1 - p0, p2 - p0])
-    xy = np.linalg.solve(T, np.asarray(point, dtype=float) - p0)
-    lam = np.array([1.0 - xy[0] - xy[1], xy[0], xy[1]])
-    if np.any(lam < -tol) or np.any(lam > 1.0 + tol):
-        raise ValueError(f"point {point} lies outside element {element_id}")
+    lam = barycentric(mesh, elements, points)
+    elements = np.broadcast_to(elements, lam.shape[:-1])
+    outside = np.any((lam < -tol) | (lam > 1.0 + tol), axis=-1)
+    if outside.any():
+        i = tuple(np.argwhere(outside)[0])
+        point = np.broadcast_to(points, lam.shape[:-1] + (2,))[i]
+        raise ValueError(f"point {point} lies outside element {elements[i]}")
+    nodal = field.coefficients.reshape(mesh.num_elements, 3, -1)  # (nt, node, component)
+    vals = np.einsum("...i,...ic->...c", lam, nodal[elements])
     if dofmap.kind == SCALAR:
-        return float(lam @ field.coefficients[3 * element_id : 3 * element_id + 3])
-    coeff = field.coefficients[6 * element_id : 6 * element_id + 6].reshape(3, 2)
-    return lam @ coeff
+        vals = vals[..., 0]
+        return float(vals) if vals.ndim == 0 else vals
+    return vals
 
 
-def trace_on_edge(field: DiscreteField, edge_id: int, side: int, s):
-    """Edge trace of a field at parameters s along the stored edge direction.
+def trace_on_edge(field: DiscreteField, edges, side: int, s):
+    """Edge traces of a field at parameters s along the stored edge direction.
 
     ``side`` selects the first (0) or second (1) adjacent element; boundary
     edges only have side 0.  Both sides are parameterized by the same
     physical points, so jumps and averages can be formed directly.  For
     boundary-edge fields the single stored polynomial is returned.
+    ``edges`` and ``s`` broadcast; the result has their broadcast shape,
+    with a trailing axis of 2 for vector fields.
     """
     dofmap = field.dofmap
     mesh = dofmap.mesh
-    phi = edge_basis_values(s)  # (k, 2)
+    edges, s = np.broadcast_arrays(np.asarray(edges), np.asarray(s, dtype=float))
     if dofmap.kind == BOUNDARY:
         if side != 0:
             raise ValueError("boundary-edge fields have a single side")
-        dofs = dofmap.edge_dofs(edge_id)
-        vals = phi @ field.coefficients[dofs]
+        b = dofmap.boundary_index[edges]
+        if np.any(b < 0):
+            raise ValueError(f"edge {edges[b < 0][0]} is not a boundary edge")
+        ends = field.coefficients.reshape(-1, 2, 1)[b]  # (..., edge end, component)
     else:
-        t = mesh.edge_elems[edge_id, side]
-        if t == -1:
-            raise ValueError(f"edge {edge_id} has no side {side}")
-        la, lb = mesh.edge_local[edge_id, side]
-        if dofmap.kind == SCALAR:
-            c = field.coefficients[3 * t + np.array([la, lb])]
-            vals = phi @ c
-        else:
-            c = field.coefficients[6 * t : 6 * t + 6].reshape(3, 2)
-            vals = phi @ c[[la, lb]]
-    return vals[0] if np.isscalar(s) or np.ndim(s) == 0 else vals
+        t = mesh.edge_elems[edges, side]
+        if np.any(t == -1):
+            raise ValueError(f"edge {edges[t == -1][0]} has no side {side}")
+        # the values at the two edge ends: the trace table at s = 0 and s = 1
+        L = edge_trace_table(mesh, edges.ravel(), [0.0, 1.0])[:, side]  # (N, 2, 3)
+        nodal = field.coefficients.reshape(mesh.num_elements, 3, -1)[t.ravel()]
+        ends = np.einsum("nji,nic->njc", L, nodal).reshape(edges.shape + (2, -1))
+    vals = np.einsum("...j,...jc->...c", edge_basis_values(s), ends)
+    return vals if dofmap.kind == VECTOR else vals[..., 0][()]
 
 
 def write_vtk(path, mesh: Mesh, fields: dict) -> None:

@@ -28,6 +28,7 @@ from ldgcontrol.analysis import (
     least_squares_rate,
     manufactured_example1,
     reference_compare,
+    unit_square_sequence,
 )
 from ldgcontrol.control import (
     fd_gradient_check,
@@ -72,13 +73,6 @@ def _report(number, passed, detail):
     return line
 
 
-def _square_chain(base_n, depth):
-    meshes = [build_unit_square_mesh(base_n)]
-    for _ in range(depth - 1):
-        meshes.append(refine_uniform(meshes[-1]))
-    return meshes
-
-
 def _error_row(case, sol, mesh, epsilon):
     return {
         "err_y": error_l2_domain(sol.y, case.y),
@@ -99,7 +93,7 @@ def ex1_table():
     data = case.problem_data()
     t0 = time.perf_counter()
     rows = []
-    for mesh in _square_chain(4, 5):  # 32 ... 8192 elements
+    for mesh in unit_square_sequence(5, base_n=4):  # 32 ... 8192 elements
         ops = assemble_forms(mesh, build_spaces(mesh), data)
         sol = pdas_solve(ops, data)
         row = {"elements": mesh.num_elements, "iterations": sol.iterations}
@@ -117,7 +111,7 @@ def ex1_small_eps_table():
     data = case.problem_data()
     t0 = time.perf_counter()
     rows = []
-    for mesh in _square_chain(4, 6):  # 32 ... 32768 elements
+    for mesh in unit_square_sequence(6, base_n=4):  # 32 ... 32768 elements
         ops = assemble_forms(mesh, build_spaces(mesh), data)
         sol = pdas_solve(ops, data)
         row = {"elements": mesh.num_elements}
@@ -133,7 +127,7 @@ def ex2_study():
     reference (32768 elements), plus active-set statistics per level."""
     data = example2_data()
     t0 = time.perf_counter()
-    meshes = _square_chain(4, 6)  # 32 ... 32768 elements
+    meshes = unit_square_sequence(6, base_n=4)  # 32 ... 32768 elements
     ref_mesh = meshes[-1]
     ref_ops = assemble_forms(ref_mesh, build_spaces(ref_mesh), data)
     ref_sol = pdas_solve(ref_ops, data)

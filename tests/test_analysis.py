@@ -229,6 +229,60 @@ def test_locator_boundary_parametrization_is_geometric():
             assert np.abs(x_c - x_f).max() < 1e-12
 
 
+def _locate_pointwise(locator, t, x):
+    # one point at a time, each child's barycentric fit by a 2x2 solve
+    for mesh in locator.chain[1:]:
+        fits = []
+        for child in range(4 * t, 4 * t + 4):
+            tri = mesh.vertices[mesh.triangles[child]]
+            xy = np.linalg.solve(np.column_stack([tri[1] - tri[0], tri[2] - tri[0]]), x - tri[0])
+            fits.append(min(1.0 - xy[0] - xy[1], xy[0], xy[1]))
+        t = 4 * t + int(np.argmax(fits))
+    return t
+
+
+def test_locator_batched_matches_pointwise_on_skewed_domain():
+    coarse = example3_mesh(1)
+    fine = refine_uniform(refine_uniform(refine_uniform(coarse)))
+    locator = NestedLocator(coarse, fine)
+    rng = np.random.default_rng(5)
+    lam = rng.dirichlet(np.ones(3), size=(coarse.num_elements, 7))
+    pts = np.einsum("tgi,tid->tgd", lam, coarse.vertices[coarse.triangles])
+    tf = locator.locate(np.arange(coarse.num_elements)[:, None], pts)
+    assert tf.shape == (coarse.num_elements, 7)
+    for t in range(coarse.num_elements):
+        for g in range(7):
+            assert tf[t, g] == _locate_pointwise(locator, t, pts[t, g])
+
+
+def test_locator_tie_on_child_edge_goes_to_first_child():
+    # barycentric (1/2, 1/4, 1/4) lies on the edge shared by children 0 and 3
+    coarse = build_unit_square_mesh(4)
+    locator = NestedLocator(coarse, refine_uniform(coarse))
+    pts = np.array([0.5, 0.25, 0.25]) @ coarse.vertices[coarse.triangles]
+    tf = locator.locate(np.arange(coarse.num_elements), pts)
+    assert np.array_equal(tf, 4 * np.arange(coarse.num_elements))
+    assert locator.locate(3, pts[3]) == 12
+
+
+def test_locator_boundary_registration_partitions_coarse_edges():
+    coarse = example3_mesh(1)
+    fine = refine_uniform(refine_uniform(coarse))
+    locator = NestedLocator(coarse, fine)
+    assert np.array_equal(np.sort(locator.boundary_fine), fine.boundary_edges)
+    for e in coarse.boundary_edges:
+        span = locator.boundary_span[locator.boundary_coarse == e]
+        assert len(span) == 4
+        assert span[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert span[-1, 1] == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(span[1:, 0], span[:-1, 1], atol=1e-12)
+    # endpoints of every fine edge sit at their registered coarse parameters
+    a, b = (coarse.vertices[coarse.edges[locator.boundary_coarse, end]] for end in range(2))
+    for end in range(2):
+        x = a + locator.boundary_span[:, end, None] * (b - a)
+        assert np.abs(x - fine.vertices[fine.edges[locator.boundary_fine, end]]).max() < 1e-12
+
+
 def test_locator_rejects_unrelated_meshes():
     with pytest.raises(ValueError):
         NestedLocator(build_unit_square_mesh(2), build_unit_square_mesh(4))
@@ -237,52 +291,46 @@ def test_locator_rejects_unrelated_meshes():
 class _ProlongedReference:
     """Coarse solution expressed exactly on a refined mesh (test double)."""
 
-    def __init__(self, coarse_sol, fine_mesh, table):
+    def __init__(self, coarse_sol, fine_mesh, locator):
         self.mesh = fine_mesh
         spaces_f = build_spaces(fine_mesh)
-        self.y = self._prolong_scalar(coarse_sol.y, spaces_f.potential)
-        self.z = self._prolong_scalar(coarse_sol.z, spaces_f.potential)
-        self.p = self._prolong_vector(coarse_sol.p, spaces_f.flux)
+        self.y = self._prolong(coarse_sol.y, spaces_f.potential)
+        self.z = self._prolong(coarse_sol.z, spaces_f.potential)
+        self.p = self._prolong(coarse_sol.p, spaces_f.flux)
         self._coarse = coarse_sol
-        self._parent_edge = {f: (e, s0, s1)
-                             for e, entries in table.items()
-                             for s0, s1, f in entries}
+        pos = np.full(fine_mesh.num_edges, -1)
+        pos[locator.boundary_fine] = np.arange(len(locator.boundary_fine))
+        self._pos, self._locator = pos, locator
 
-    def _prolong_scalar(self, field, dofmap):
+    @staticmethod
+    def _prolong(field, dofmap):
+        # nodal values of each child at its vertices, read in the parent
         mesh = dofmap.mesh
-        coeff = np.empty(dofmap.num_dofs)
-        for t in range(mesh.num_elements):
-            parent = t // 4
-            for i, v in enumerate(mesh.triangles[t]):
-                coeff[3 * t + i] = eval_field(field, parent, mesh.vertices[v], tol=1e-9)
-        return DiscreteField(dofmap, coeff)
+        parent = np.arange(mesh.num_elements) // 4
+        vals = eval_field(field, parent[:, None], mesh.vertices[mesh.triangles], tol=1e-9)
+        return DiscreteField(dofmap, vals.ravel())
 
-    def _prolong_vector(self, field, dofmap):
-        mesh = dofmap.mesh
-        coeff = np.empty(dofmap.num_dofs)
-        for t in range(mesh.num_elements):
-            parent = t // 4
-            for i, v in enumerate(mesh.triangles[t]):
-                val = eval_field(field, parent, mesh.vertices[v], tol=1e-9)
-                coeff[6 * t + 2 * i] = val[0]
-                coeff[6 * t + 2 * i + 1] = val[1]
-        return DiscreteField(dofmap, coeff)
-
-    def control_on_edge(self, edge_id, s):
-        e, s0, s1 = self._parent_edge[int(edge_id)]
-        return self._coarse.control_on_edge(e, s0 + np.asarray(s) * (s1 - s0))
+    def control_on_edge(self, edges, s):
+        i = self._pos[edges]
+        s0, s1 = np.moveaxis(self._locator.boundary_span[i], -1, 0)
+        return self._coarse.control_on_edge(self._locator.boundary_coarse[i],
+                                            s0 + np.asarray(s) * (s1 - s0))
 
 
-def test_reference_compare_exact_embedding_gives_zero():
-    # prolonging a solution onto the refined mesh must produce a zero
-    # error row: this pins down the locator and quadrature plumbing
+def _prolonged_pair(mode):
     case = manufactured_example1()
     mesh = build_unit_square_mesh(3)
     ops = assemble_forms(mesh, build_spaces(mesh), case.problem_data())
-    sol = pdas_solve(ops, mode="full")
+    sol = pdas_solve(ops, mode=mode)
     fine = refine_uniform(mesh)
-    table = NestedLocator(mesh, fine)._boundary_table
-    ref = _ProlongedReference(sol, fine, table)
+    return sol, _ProlongedReference(sol, fine, NestedLocator(mesh, fine))
+
+
+@pytest.mark.parametrize("mode", ["full", "variational"])
+def test_reference_compare_exact_embedding_gives_zero(mode):
+    # prolonging a solution onto the refined mesh must produce a zero
+    # error row: this pins down the locator and quadrature plumbing
+    sol, ref = _prolonged_pair(mode)
     row = reference_compare(sol, ref)
     assert row.err_y < 1e-10
     assert row.err_u < 1e-10
@@ -290,16 +338,11 @@ def test_reference_compare_exact_embedding_gives_zero():
     assert row.err_pn < 1e-10
 
 
-def test_reference_compare_detects_known_offset():
+@pytest.mark.parametrize("mode", ["full", "variational"])
+def test_reference_compare_detects_known_offset(mode):
     # shifting the reference state by a constant must surface as exactly
     # that constant in the domain column and leave the others untouched
-    case = manufactured_example1()
-    mesh = build_unit_square_mesh(3)
-    ops = assemble_forms(mesh, build_spaces(mesh), case.problem_data())
-    sol = pdas_solve(ops, mode="full")
-    fine = refine_uniform(mesh)
-    table = NestedLocator(mesh, fine)._boundary_table
-    ref = _ProlongedReference(sol, fine, table)
+    sol, ref = _prolonged_pair(mode)
     ref.y = DiscreteField(ref.y.dofmap, ref.y.coefficients + 0.25)
     row = reference_compare(sol, ref)
     assert row.err_y == pytest.approx(0.25, rel=1e-10)

@@ -218,8 +218,8 @@ class _ZeroSolution:
         self.y = DiscreteField(spaces.potential, np.zeros(spaces.potential.num_dofs))
         self.z = DiscreteField(spaces.potential, np.zeros(spaces.potential.num_dofs))
 
-    def control_on_edge(self, edge_id, s):
-        return np.zeros(np.asarray(s).shape)
+    def control_on_edge(self, edges, s):
+        return np.zeros(np.broadcast(np.asarray(edges), np.asarray(s)).shape)
 
 
 def _read_vtk_scalars(path, name):
@@ -258,6 +258,15 @@ def test_emit_fields_round_trip(tmp_path):
     assert u_rows.shape[0] == 2 * len(mesh.boundary_edges)
     assert np.all(np.diff(u_rows[:, 0]) >= -1e-12)
     assert u_rows[-1, 0] == pytest.approx(4.0, abs=1e-12)
+    # each row pair is one boundary edge (start, end) with its nodal controls
+    ends = mesh.vertices[mesh.edges[mesh.boundary_edges]]  # (b, 2 ends, 2)
+    for start, end in zip(u_rows[0::2], u_rows[1::2]):
+        hit = np.nonzero((np.abs(ends[:, 0] - start[1:3]).max(axis=1) < 1e-12)
+                         & (np.abs(ends[:, 1] - end[1:3]).max(axis=1) < 1e-12))[0]
+        assert len(hit) == 1
+        b = sol.u.dofmap.boundary_index[mesh.boundary_edges[hit[0]]]
+        assert start[3] == sol.u.coefficients[2 * b]
+        assert end[3] == sol.u.coefficients[2 * b + 1]
 
 
 # ------------------------------------------------------------ run driver
