@@ -35,7 +35,7 @@ from .geometry import (
     Mesh,
     build_polygon_mesh,
     build_unit_square_mesh,
-    point_values,
+    data_values,
     refine_uniform,
 )
 from .ldg import BlockOperator, ProblemData, solve_adjoint, solve_state
@@ -88,30 +88,24 @@ def _segment_data(vertices):
 
 
 def _boundary_samples(vertices, per_side=25):
-    """Points strictly inside each polygon side, with outward normals."""
+    """Points strictly inside each polygon side, with outward normals,
+    both (sides * per_side, 2) in side-major order."""
     starts, unit, lengths, normals = _segment_data(vertices)
-    pts, nrm = [], []
-    params = np.linspace(0.05, 0.95, per_side)
-    for i in range(starts.shape[0]):
-        for t in params:
-            pts.append(starts[i] + t * lengths[i] * unit[i])
-            nrm.append(normals[i])
-    return np.array(pts), np.array(nrm)
+    t = np.linspace(0.05, 0.95, per_side)[None, :, None] * lengths[:, None, None]
+    pts = starts[:, None, :] + t * unit[:, None, :]
+    return pts.reshape(-1, 2), np.repeat(normals, per_side, axis=0)
 
 
-def _point_in_polygon(vertices, x):
+def _inside_polygon(vertices, x, margin):
+    """Whether points x (n, 2) lie inside the polygon, farther than
+    ``margin`` from its boundary."""
     starts, unit, lengths, _ = _segment_data(vertices)
-    rel = np.asarray(x) - starts
-    cross = unit[:, 0] * rel[:, 1] - unit[:, 1] * rel[:, 0]
-    return bool(np.all(cross > 0.0))
-
-
-def _distance_to_boundary(vertices, x):
-    starts, unit, lengths, _ = _segment_data(vertices)
-    rel = np.asarray(x) - starts
-    t = np.clip(np.sum(rel * unit, axis=1), 0.0, lengths)
-    foot = starts + t[:, None] * unit
-    return float(np.min(np.sqrt(np.sum((foot - np.asarray(x)) ** 2, axis=1))))
+    rel = x[:, None, :] - starts  # (n, side, 2)
+    cross = unit[:, 0] * rel[..., 1] - unit[:, 1] * rel[..., 0]
+    t = np.clip(np.sum(rel * unit, axis=-1), 0.0, lengths)
+    foot = starts + t[..., None] * unit
+    dist = np.min(np.sqrt(np.sum((foot - x[:, None, :]) ** 2, axis=-1)), axis=1)
+    return np.all(cross > 0.0, axis=1) & (dist > margin)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +116,9 @@ def _distance_to_boundary(vertices, x):
 class ManufacturedCase:
     """Closed-form optimal solution of the control problem on a polygon.
 
-    The callables take a physical point (2,) and return scalars (y, z, u,
-    f, y_desired) or 2-vectors (grad_y, grad_z).  Construction validates
+    The callables take physical points of shape (..., 2) and return shape
+    (...) for the scalars (y, z, u, f, y_desired) or (..., 2) for the
+    gradients (grad_y, grad_z).  Construction validates
     the two structural identities every admissible case must satisfy: the
     adjoint vanishes on the boundary, and the unconstrained optimality
     relation omega*u = eps * dz/dn holds along the boundary.
@@ -147,12 +142,15 @@ class ManufacturedCase:
 
     def __post_init__(self):
         pts, normals = _boundary_samples(self.vertices)
-        for x, n in zip(pts, normals):
-            if abs(self.z(x)) > 1e-12:
-                raise ValueError(f"adjoint does not vanish on the boundary at {x}")
-            lam = self.omega * self.u(x) - self.epsilon * float(np.dot(self.grad_z(x), n))
-            if abs(lam) > 1e-12 * max(1.0, self.omega * abs(self.u(x))):
-                raise ValueError(f"optimality relation violated on the boundary at {x}")
+        bad = np.abs(data_values(self.z, pts, "z")) > 1e-12
+        if bad.any():
+            raise ValueError(f"adjoint does not vanish on the boundary at {pts[bad][0]}")
+        u = data_values(self.u, pts, "u")
+        dz_dn = np.sum(data_values(self.grad_z, pts, "grad_z", vector=True) * normals, axis=1)
+        bad = np.abs(self.omega * u - self.epsilon * dz_dn) > 1e-12 * np.maximum(
+            1.0, self.omega * np.abs(u))
+        if bad.any():
+            raise ValueError(f"optimality relation violated on the boundary at {pts[bad][0]}")
 
     @property
     def sqrt_eps(self) -> float:
@@ -201,33 +199,38 @@ def manufactured_example1(epsilon: float = 1.0, omega: float = 1.0) -> Manufactu
     alpha = 1.0
 
     def y_fun(x):
-        return -(se / omega) * (x[0] * (1.0 - x[0]) + x[1] * (1.0 - x[1]))
+        x1, x2 = x[..., 0], x[..., 1]
+        return -(se / omega) * (x1 * (1.0 - x1) + x2 * (1.0 - x2))
 
     def grad_y_fun(x):
-        return np.array([-(se / omega) * (1.0 - 2.0 * x[0]), -(se / omega) * (1.0 - 2.0 * x[1])])
+        return np.stack([-(se / omega) * (1.0 - 2.0 * x[..., 0]),
+                         -(se / omega) * (1.0 - 2.0 * x[..., 1])], axis=-1)
 
     def z_fun(x):
-        return inv_se * x[0] * x[1] * (1.0 - x[0]) * (1.0 - x[1])
+        x1, x2 = x[..., 0], x[..., 1]
+        return inv_se * x1 * x2 * (1.0 - x1) * (1.0 - x2)
 
     def grad_z_fun(x):
-        return np.array([
-            inv_se * (1.0 - 2.0 * x[0]) * x[1] * (1.0 - x[1]),
-            inv_se * x[0] * (1.0 - x[0]) * (1.0 - 2.0 * x[1]),
-        ])
+        x1, x2 = x[..., 0], x[..., 1]
+        return np.stack([
+            inv_se * (1.0 - 2.0 * x1) * x2 * (1.0 - x2),
+            inv_se * x1 * (1.0 - x1) * (1.0 - 2.0 * x2),
+        ], axis=-1)
 
     def lap_z_fun(x):
-        return -2.0 * inv_se * (x[0] * (1.0 - x[0]) + x[1] * (1.0 - x[1]))
+        x1, x2 = x[..., 0], x[..., 1]
+        return -2.0 * inv_se * (x1 * (1.0 - x1) + x2 * (1.0 - x2))
 
     def f_fun(x):
         # f = -eps lap(y) + beta . grad(y) + alpha y  (divergence-free beta)
         lap_y = 4.0 * se / omega
         conv = grad_y_fun(x)
-        return -epsilon * lap_y + conv[0] + conv[1] + alpha * y_fun(x)
+        return -epsilon * lap_y + conv[..., 0] + conv[..., 1] + alpha * y_fun(x)
 
     def y_desired_fun(x):
         # adjoint -eps lap(z) - beta . grad(z) + alpha z = y - y_desired
         gz = grad_z_fun(x)
-        return y_fun(x) + epsilon * lap_z_fun(x) + gz[0] + gz[1] - alpha * z_fun(x)
+        return y_fun(x) + epsilon * lap_z_fun(x) + gz[..., 0] + gz[..., 1] - alpha * z_fun(x)
 
     return ManufacturedCase(
         epsilon=epsilon,
@@ -250,42 +253,37 @@ def check_strong_form(case: ManufacturedCase, num_points: int = 200,
     """Finite-difference residuals of the strong state/adjoint equations.
 
     Samples random interior points (kept a few stencil widths away from the
-    boundary) and returns the maximum absolute residual of the state
-    equation and of the adjoint equation.
+    boundary), drawn uniformly from the bounding box in batches of
+    ``num_points`` with the outside ones rejected, and returns the maximum
+    absolute residual of the state equation and of the adjoint equation.
     """
     rng = np.random.default_rng(seed)
     verts = case.vertices
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
-    pts = []
-    while len(pts) < num_points:
-        x = lo + rng.random(2) * (hi - lo)
-        if _point_in_polygon(verts, x) and _distance_to_boundary(verts, x) > 4.0 * step:
-            pts.append(x)
+    x = np.empty((0, 2))
+    while len(x) < num_points:
+        draw = lo + rng.random((num_points, 2)) * (hi - lo)
+        x = np.concatenate([x, draw[_inside_polygon(verts, draw, 4.0 * step)]])
+    x = x[:num_points]
     beta = np.asarray(case.beta, dtype=float)
-    ex = np.array([step, 0.0])
-    ey = np.array([0.0, step])
-    res_state = 0.0
-    res_adjoint = 0.0
-    for x in pts:
-        lap_y = (case.y(x + ex) + case.y(x - ex) + case.y(x + ey) + case.y(x - ey)
-                 - 4.0 * case.y(x)) / step**2
-        grad_y = np.array([
-            (case.y(x + ex) - case.y(x - ex)) / (2.0 * step),
-            (case.y(x + ey) - case.y(x - ey)) / (2.0 * step),
-        ])
-        r1 = -case.epsilon * lap_y + float(np.dot(beta, grad_y)) + case.alpha * case.y(x) - case.f(x)
-        lap_z = (case.z(x + ex) + case.z(x - ex) + case.z(x + ey) + case.z(x - ey)
-                 - 4.0 * case.z(x)) / step**2
-        grad_z = np.array([
-            (case.z(x + ex) - case.z(x - ex)) / (2.0 * step),
-            (case.z(x + ey) - case.z(x - ey)) / (2.0 * step),
-        ])
-        r2 = (-case.epsilon * lap_z - float(np.dot(beta, grad_z)) + case.alpha * case.z(x)
-              - (case.y(x) - case.y_desired(x)))
-        res_state = max(res_state, abs(r1))
-        res_adjoint = max(res_adjoint, abs(r2))
-    return res_state, res_adjoint
+    # stencil x, x + step e1, x - step e1, x + step e2, x - step e2
+    stencil = x[:, None, :] + step * np.array(
+        [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+    def fd_terms(fun, name):
+        """Value, five-point Laplacian and central-difference beta . grad."""
+        v = data_values(fun, stencil, name)
+        lap = (v[:, 1] + v[:, 2] + v[:, 3] + v[:, 4] - 4.0 * v[:, 0]) / step**2
+        grad = np.stack([v[:, 1] - v[:, 2], v[:, 3] - v[:, 4]], axis=1) / (2.0 * step)
+        return v[:, 0], lap, grad @ beta
+
+    y, lap_y, conv_y = fd_terms(case.y, "y")
+    z, lap_z, conv_z = fd_terms(case.z, "z")
+    r1 = -case.epsilon * lap_y + conv_y + case.alpha * y - data_values(case.f, x, "f")
+    r2 = (-case.epsilon * lap_z - conv_z + case.alpha * z
+          - (y - data_values(case.y_desired, x, "y_desired")))
+    return float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +300,7 @@ def example2_data(epsilon: float = 1.0) -> ProblemData:
     """
 
     def y_desired(x):
-        return (x[0] * x[0] + x[1] * x[1]) ** (-1.0 / 3.0)
+        return (x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]) ** (-1.0 / 3.0)
 
     return ProblemData(
         epsilon=epsilon,
@@ -355,7 +353,7 @@ def example3_data(epsilon: float = 1.0) -> ProblemData:
     """
 
     def y_desired(x):
-        return -1.0 if x[1] < 0.5 else 1.0
+        return np.where(x[..., 1] < 0.5, -1.0, 1.0)
 
     return ProblemData(
         epsilon=epsilon,
@@ -388,10 +386,10 @@ def error_l2_domain(field: DiscreteField, exact, degree: int = 6) -> float:
     rule, lam, pts = _domain_quad(mesh, degree)
     if field.dofmap.kind == "scalar-element":
         vals_h = np.einsum("ti,ki->tk", field.coefficients.reshape(-1, 3), lam)
-        diff2 = (point_values(exact, pts) - vals_h) ** 2
+        diff2 = (data_values(exact, pts, "exact") - vals_h) ** 2
     elif field.dofmap.kind == "vector-element":
         vals_h = np.einsum("tic,ki->tkc", field.coefficients.reshape(-1, 3, 2), lam)
-        diff2 = np.sum((point_values(exact, pts) - vals_h) ** 2, axis=2)
+        diff2 = np.sum((data_values(exact, pts, "exact", vector=True) - vals_h) ** 2, axis=2)
     else:
         raise ValueError("domain errors need an element field")
     return float(np.sqrt((2.0 * mesh.areas) @ (diff2 @ rule.weights)))
@@ -410,7 +408,8 @@ def error_l2_boundary(source, exact, mesh: Mesh = None, degree: int = 6) -> floa
     """L2(boundary) distance between a trace source and an exact function.
 
     ``source`` may be a boundary-edge field (controls), a scalar element
-    field (its boundary trace is used), or a plain callable.
+    field (its boundary trace is used), or a constant or callable on point
+    arrays like ``exact`` (see ``geometry.data_values``).
     """
     if isinstance(source, DiscreteField):
         mesh = source.dofmap.mesh
@@ -420,8 +419,8 @@ def error_l2_boundary(source, exact, mesh: Mesh = None, degree: int = 6) -> floa
     if isinstance(source, DiscreteField):
         vals = trace_on_edge(source, ids[:, None], 0, s)
     else:
-        vals = point_values(source, xg)
-    return float(np.sqrt(np.sum(wt * (point_values(exact, xg) - vals) ** 2)))
+        vals = data_values(source, xg, "source")
+    return float(np.sqrt(np.sum(wt * (data_values(exact, xg, "exact") - vals) ** 2)))
 
 
 def error_flux_normal_boundary(p_h: DiscreteField, grad_z_exact, epsilon: float,
@@ -435,7 +434,8 @@ def error_flux_normal_boundary(p_h: DiscreteField, grad_z_exact, epsilon: float,
         mesh = p_h.dofmap.mesh
     ids, s, xg, wt, n = _boundary_rule(mesh, degree)
     pn_h = np.einsum("egd,ed->eg", trace_on_edge(p_h, ids[:, None], 0, s), n)
-    pn_ex = float(np.sqrt(epsilon)) * np.einsum("egd,ed->eg", point_values(grad_z_exact, xg), n)
+    grad_z = data_values(grad_z_exact, xg, "grad_z_exact", vector=True)
+    pn_ex = float(np.sqrt(epsilon)) * np.einsum("egd,ed->eg", grad_z, n)
     return float(np.sqrt(np.sum(wt * (pn_ex - pn_h) ** 2)))
 
 
@@ -636,7 +636,7 @@ def galerkin_diagnostics(case: ManufacturedCase, mesh: Mesh, ops: BlockOperator)
     err_z = error_l2_boundary(z_hu, case.z, mesh)
 
     ids, s, xg, wt, _n = _boundary_rule(mesh, 6)
-    diff2 = (point_values(case.z, xg) - trace_on_edge(z_hu, ids[:, None], 0, s)) ** 2
+    diff2 = (data_values(case.z, xg, "z") - trace_on_edge(z_hu, ids[:, None], 0, s)) ** 2
     weighted_z2 = float(np.sum(ops.flux.kappa_z[ids, None] ** 2 * wt * diff2))
 
     from .control import quasi_interpolate

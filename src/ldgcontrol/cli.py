@@ -223,32 +223,17 @@ class RunConfig:
 
 def _example_data(config: RunConfig):
     """Problem data and (for the closed-form case) the exact solution."""
+    overrides = {key: getattr(config, key)
+                 for key in ("omega", "u_lower", "u_upper", "c12_direction")
+                 if getattr(config, key) is not None}
     try:
         if config.example == 1:
-            case = manufactured_example1(config.epsilon,
-                                         config.omega if config.omega else 1.0)
-            overrides = {}
-            if config.u_lower is not None:
-                overrides["u_lower"] = config.u_lower
-            if config.u_upper is not None:
-                overrides["u_upper"] = config.u_upper
-            if config.c12_direction is not None:
-                overrides["c12_direction"] = config.c12_direction
+            # the closed-form solution depends on omega, so it stays in the case
+            case = manufactured_example1(config.epsilon, overrides.pop("omega", 1.0))
             return case.problem_data(**overrides), case
         data = (example2_data(config.epsilon) if config.example == 2
                 else example3_data(config.epsilon))
-        overrides = {}
-        if config.omega is not None:
-            overrides["omega"] = config.omega
-        if config.u_lower is not None:
-            overrides["u_lower"] = config.u_lower
-        if config.u_upper is not None:
-            overrides["u_upper"] = config.u_upper
-        if config.c12_direction is not None:
-            overrides["c12_direction"] = config.c12_direction
-        if overrides:
-            data = dataclasses.replace(data, **overrides)
-        return data, None
+        return dataclasses.replace(data, **overrides), None
     except ConfigError:
         raise
     except ValueError as exc:

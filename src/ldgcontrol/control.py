@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import point_values
+from .geometry import data_values
 from .ldg import BlockOperator, ProblemData, boundary_kappa, solve_adjoint, solve_state
 from .linsolve import solve_optimality_system
 from .spaces import (
@@ -123,7 +123,8 @@ def quasi_interpolate(u, mesh, degree: int = 6) -> DiscreteField:
     The value at a boundary node is (u, hat)_Gamma / (1, hat)_Gamma with
     the node's piecewise-linear hat function supported on its two adjacent
     boundary edges.  Constants are reproduced and bounds are preserved
-    (each nodal value is a convex average of u along the boundary).
+    (each nodal value is a convex average of u along the boundary).  ``u``
+    is a boundary DiscreteField, a constant or a callable on point arrays.
     """
     rule = quadrature_rule("edge", degree)
     ids = mesh.boundary_edges
@@ -132,7 +133,7 @@ def quasi_interpolate(u, mesh, degree: int = 6) -> DiscreteField:
             raise ValueError("quasi-interpolation sources must live on the boundary")
         vals = trace_on_edge(u, ids[:, None], 0, rule.points)
     else:
-        vals = point_values(u, edge_points(mesh, ids[:, None], rule.points))
+        vals = data_values(u, edge_points(mesh, ids[:, None], rule.points), "u")
 
     # (u, hat) and (1, hat) of each edge's two end vertices: the hat of the
     # start vertex falls (1-s), the hat of the end vertex rises (s)
@@ -167,7 +168,8 @@ class DiscreteSolution:
     at the boundary quadrature points in variational mode; in both modes
     ``control_on_edge`` evaluates the control anywhere on the boundary (in
     variational mode through the projection formula applied to the traces
-    of p and z), for arrays of edges and parameters at once.  ``log`` holds one ``PdasStep`` per active-set step.
+    of p and z), for arrays of edges and parameters at once.  ``log``
+    holds one ``PdasStep`` per active-set step.
     """
 
     y: DiscreteField
@@ -215,7 +217,8 @@ class DiscreteSolution:
         n = mesh.edge_normals[edges, 0]
         pn = np.sum(trace_on_edge(self.p, edges, 0, s) * n, axis=-1)
         zv = trace_on_edge(self.z, edges, 0, s)
-        beta_n = np.sum(point_values(data.beta_fun(), edge_points(mesh, edges, s)) * n, axis=-1)
+        beta = data_values(data.beta, edge_points(mesh, edges, s), "beta", vector=True)
+        beta_n = np.sum(beta * n, axis=-1)
         kap = boundary_kappa(data, flux.c11[edges], beta_n,
                              flux.classification.is_inflow(edges))
         return (pn - kap * zv) / data.omega
@@ -284,7 +287,7 @@ def evaluate_cost(y_h: DiscreteField, u_h, data: ProblemData, ops: BlockOperator
     mesh = y_h.dofmap.mesh
     rule = quadrature_rule("triangle", 6)
     vals = np.einsum("ti,ki->tk", y_h.coefficients.reshape(-1, 3), tri_basis_values(rule.points))
-    diff = vals - point_values(data.y_desired_fun(), physical_points(mesh, rule.points))
+    diff = vals - data_values(data.y_desired, physical_points(mesh, rule.points), "y_desired")
     track = float((2.0 * mesh.areas) @ (diff**2 @ rule.weights))
 
     if isinstance(u_h, DiscreteField):

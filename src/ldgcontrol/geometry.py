@@ -25,7 +25,7 @@ __all__ = [
     "build_polygon_mesh",
     "refine_uniform",
     "classify_boundary_edges",
-    "point_values",
+    "data_values",
     "write_mesh_text",
 ]
 
@@ -308,32 +308,41 @@ def classify_boundary_edges(mesh: Mesh, beta) -> EdgeClassification:
     """Mark each boundary edge inflow (beta . n < 0) or outflow (>= 0).
 
     For non-constant velocity fields the sign is taken at the edge midpoint.
-    ``beta`` may be a callable x -> (2,) or a constant 2-vector.
+    ``beta`` is a constant 2-vector or a callable on point arrays (see
+    ``data_values``).
     """
     ids = mesh.boundary_edges
-    beta_mid = point_values(as_vector_function(beta), mesh.edge_midpoints(ids))
+    beta_mid = data_values(beta, mesh.edge_midpoints(ids), "beta", vector=True)
     beta_n = np.sum(beta_mid * mesh.edge_normals[ids, 0], axis=1)
     return EdgeClassification(ids, beta_n < 0.0)
 
 
-def as_vector_function(f):
-    """A callable x -> (2,) as given, or a constant 2-vector as a callable."""
-    if callable(f):
-        return f
-    const = np.asarray(f, dtype=float).reshape(2)
-    return lambda x: const
+def data_values(fun, points, name: str, vector: bool = False) -> np.ndarray:
+    """Values of problem data at every point of a stacked array (..., 2).
 
-
-def point_values(fun, points) -> np.ndarray:
-    """Values of a pointwise callable at every point of a stacked array.
-
-    ``fun`` takes one point of shape (2,) and returns a scalar or a
-    2-vector; ``points`` has shape (..., 2).  The result has shape
-    points.shape[:-1], with a trailing axis of 2 for vector values.
+    ``fun`` is a constant (a number, or a 2-vector when ``vector``), which
+    is broadcast to a read-only view, or a callable, which is called once
+    on the whole point array and returns shape points.shape[:-1], plus a
+    trailing axis of 2 when ``vector``.  Raises ValueError naming the data
+    ``name`` when the values have another shape or are not finite.
     """
     points = np.asarray(points, dtype=float)
-    vals = np.array([fun(x) for x in points.reshape(-1, 2)], dtype=float)
-    return vals.reshape(points.shape[:-1] + vals.shape[1:])
+    shape = points.shape[:-1] + ((2,) if vector else ())
+    if callable(fun):
+        vals = np.asarray(fun(points), dtype=float)
+    else:
+        vals = np.asarray(fun, dtype=float)
+        if vals.shape == shape[points.ndim - 1:]:
+            vals = np.broadcast_to(vals, shape)
+    if vals.shape != shape:
+        raise ValueError(f"{name} gave values of shape {vals.shape} at points of shape "
+                         f"{points.shape} (expected {shape}); data callables take a "
+                         "whole (..., 2) point array")
+    bad = ~np.isfinite(vals).all(axis=-1) if vector else ~np.isfinite(vals)
+    if bad.any():
+        raise ValueError(f"{name} is not finite at {int(bad.sum())} of {bad.size} "
+                         f"points (first at x = {points[bad][0].tolist()})")
+    return vals
 
 
 def write_mesh_text(mesh: Mesh, path) -> None:

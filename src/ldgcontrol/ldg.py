@@ -50,9 +50,10 @@ with the b weight 1/2 - C12 . n replaced by 1, and with the upwind factor
 1/2 + D11 . n of c equal to 1 on outflow and 0 on inflow edges (D11 and
 the inflow/outflow split test the same sign of beta(midpoint) . n).
 
-Data callables (beta, alpha, f, y_desired and pointwise controls) are
-pointwise: they take one point of shape (2,); ``geometry.point_values``
-evaluates them on stacked point arrays.
+Data (beta, alpha, f, y_desired, a callable control or adjoint
+right-hand side) is a constant or a callable on whole point arrays
+(..., 2); ``geometry.data_values`` evaluates it, once per stacked array,
+and checks the shape and finiteness of the values.
 
 The state and adjoint solves eliminate the flux element by element and
 share one factorization of S = C + B' A^-1 B (the adjoint uses its
@@ -62,19 +63,13 @@ transpose).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .geometry import (
-    EdgeClassification,
-    Mesh,
-    as_vector_function,
-    classify_boundary_edges,
-    point_values,
-)
+from .geometry import EdgeClassification, Mesh, classify_boundary_edges, data_values
 from .linsolve import Factorization, _condensation_operators
 from .spaces import (
     DiscreteField,
@@ -102,25 +97,22 @@ __all__ = [
 ]
 
 
-def as_scalar_function(f) -> Callable:
-    if callable(f):
-        return f
-    value = float(f)
-    return lambda x: value
-
-
 @dataclass
 class ProblemData:
     """Data of the boundary control problem.
 
+    The four data fields are constants or callables on point arrays: a
+    callable takes points of shape (..., 2) and returns shape (...), or
+    (..., 2) for beta (see ``geometry.data_values``).
+
     Attributes:
         epsilon : diffusion parameter (> 0).
         omega : control regularization weight (> 0).
-        beta : velocity field, callable x -> (2,) or a constant 2-vector;
-            must be divergence free.
+        beta : velocity field, callable or a constant 2-vector; must be
+            divergence free.
         alpha : reaction coefficient, callable or constant (>= 0).
         f : source term, callable or constant.
-        y_desired : target state, callable.
+        y_desired : target state, callable or constant.
         u_lower / u_upper : control bounds (-inf/+inf for unconstrained).
         c12_direction : auxiliary direction fixing the C12 edge switches; the
             default has an irrational slope so it is never orthogonal to an
@@ -163,26 +155,16 @@ class ProblemData:
     def sqrt_eps(self) -> float:
         return float(np.sqrt(self.epsilon))
 
-    def beta_fun(self) -> Callable:
-        return as_vector_function(self.beta)
-
-    def alpha_fun(self) -> Callable:
-        return as_scalar_function(self.alpha)
-
-    def f_fun(self) -> Callable:
-        return as_scalar_function(self.f)
-
-    def y_desired_fun(self) -> Callable:
-        return as_scalar_function(self.y_desired)
-
     def check_divergence_free(self, points, step: float = 1e-6, tol: float = 1e-8) -> None:
-        """Assert div(beta) = 0 by central differences at sample points."""
-        beta = self.beta_fun()
-        for x in np.atleast_2d(points):
-            dx = (beta(x + [step, 0.0])[0] - beta(x - [step, 0.0])[0]) / (2 * step)
-            dy = (beta(x + [0.0, step])[1] - beta(x - [0.0, step])[1]) / (2 * step)
-            if abs(dx + dy) > tol:
-                raise ValueError(f"velocity field is not divergence free at {x}")
+        """Assert div(beta) = 0 by central differences at sample points (n, 2)."""
+        points = np.asarray(points, dtype=float)
+        # beta at x + step e1, x - step e1, x + step e2, x - step e2
+        b = data_values(self.beta, points[:, None, :] + step * np.array(
+            [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), "beta", vector=True)
+        div = (b[:, 0, 0] - b[:, 1, 0]) / (2 * step) + (b[:, 2, 1] - b[:, 3, 1]) / (2 * step)
+        bad = np.abs(div) > tol
+        if bad.any():
+            raise ValueError(f"velocity field is not divergence free at {points[bad][0]}")
 
 
 def boundary_kappa(data, c11, beta_n, inflow):
@@ -212,7 +194,8 @@ class FluxParameters:
         v12 = np.asarray(data.c12_direction, dtype=float)
         n0 = mesh.edge_normals[:, 0]
         sv = n0 @ v12
-        beta_n = np.sum(point_values(data.beta_fun(), mesh.edge_midpoints()) * n0, axis=1)
+        beta_mid = data_values(data.beta, mesh.edge_midpoints(), "beta", vector=True)
+        beta_n = np.sum(beta_mid * n0, axis=1)
         self.c11 = data.epsilon / mesh.edge_lengths
         self.c12n = np.where(np.abs(sv) <= 1e-12 * float(np.linalg.norm(v12)), data.c12_tie,
                              np.where(sv > 0.0, 0.5, -0.5))
@@ -227,7 +210,7 @@ class FluxParameters:
 def compute_flux_parameters(mesh: Mesh, data: ProblemData,
                             classification: Optional[EdgeClassification] = None) -> FluxParameters:
     if classification is None:
-        classification = classify_boundary_edges(mesh, data.beta_fun())
+        classification = classify_boundary_edges(mesh, data.beta)
     return FluxParameters(mesh, data, classification)
 
 
@@ -278,18 +261,10 @@ def _scatter(shape, *blocks):
 
 
 def _load_vector(mesh, fun, degree, name):
-    """(fun, v) for every scalar basis function v, by a degree-``degree`` rule.
-
-    Raises ValueError, naming the data callable ``name``, when ``fun`` is
-    not finite at a quadrature point.
-    """
+    """(fun, v) for every scalar basis function v, by a degree-``degree`` rule
+    (``data_values`` checks the values of the data ``name``)."""
     rule = quadrature_rule("triangle", degree)
-    pts = physical_points(mesh, rule.points)
-    vals = point_values(fun, pts)  # (nt, k)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        raise ValueError(f"{name} is not finite at {int(bad.sum())} of {bad.size} "
-                         f"quadrature points (first at x = {pts[bad][0].tolist()})")
+    vals = data_values(fun, physical_points(mesh, rule.points), name)  # (nt, k)
     lam = tri_basis_values(rule.points)
     load = np.einsum("tg,gi,g->ti", vals, lam, rule.weights)
     return ((2.0 * mesh.areas)[:, None] * load).ravel()
@@ -315,7 +290,7 @@ class BoundaryQuadrature:
         xg, wt, L = _edge_quadrature(mesh, degree, ids)
         nq = wt.size
         n0 = mesh.edge_normals[ids, 0]
-        beta_n = np.einsum("egd,ed->eg", point_values(data.beta_fun(), xg), n0)
+        beta_n = np.einsum("egd,ed->eg", data_values(data.beta, xg, "beta", vector=True), n0)
         kappa = boundary_kappa(data, flux.c11[ids, None], beta_n,
                                flux.classification.inflow_mask[:, None])
         L0 = L[:, 0]  # (b, k, 3)
@@ -417,12 +392,11 @@ def assemble_forms(mesh: Mesh, spaces: SpaceSet = None, data: ProblemData = None
         raise ValueError("problem data is required")
     if flux is None:
         flux = compute_flux_parameters(mesh, data)
-    data.check_divergence_free(mesh.vertices[mesh.triangles].mean(axis=1)[:: max(1, mesh.num_elements // 8)])
+    data.check_divergence_free(mesh.vertices[mesh.triangles].mean(axis=1))
 
     nt = mesh.num_elements
     nW, nV = spaces.flux.num_dofs, spaces.potential.num_dofs
     sqrt_eps = data.sqrt_eps
-    beta = data.beta_fun()
     rule, lam, grads, int_lam = _volume_tables(mesh, quad_degree)
     pts = physical_points(mesh, rule.points)  # (nt, k, 2)
     two_area = 2.0 * mesh.areas
@@ -435,8 +409,9 @@ def assemble_forms(mesh: Mesh, spaces: SpaceSet = None, data: ProblemData = None
     # b: sqrt(eps) grad(y_j)[comp] * integral(lam_i), row 2i + comp
     B_vol = ((sqrt_eps * grads.transpose(0, 2, 1))[:, None] * int_lam[:, :, None, None]).reshape(nt, 6, 3)
     # c: alpha y v - y beta . grad(v), test v = lam_i, trial y = lam_j
-    beta_grad = np.einsum("tgd,tid->tgi", point_values(beta, pts), grads)  # (nt, k, 3)
-    integrand = (point_values(data.alpha_fun(), pts)[:, :, None, None] * lam[None, :, None, :]
+    beta_grad = np.einsum("tgd,tid->tgi", data_values(data.beta, pts, "beta", vector=True),
+                          grads)  # (nt, k, 3)
+    integrand = (data_values(data.alpha, pts, "alpha")[:, :, None, None] * lam[None, :, None, :]
                  * lam[None, :, :, None] - lam[None, :, None, :] * beta_grad[:, :, :, None])
     C_vol = two_area[:, None, None] * np.einsum("tgij,g->tij", integrand, rule.weights)
 
@@ -444,7 +419,8 @@ def assemble_forms(mesh: Mesh, spaces: SpaceSet = None, data: ProblemData = None
     # Side 0 of a boundary edge carries the boundary terms: rcoef = 1 in b,
     # and the upwind factor 1/2 + D11.n in c is 1 on outflow, 0 on inflow.
     xg, wt, L = _edge_quadrature(mesh, quad_degree, np.arange(mesh.num_edges))
-    beta_n = np.einsum("egd,ed->eg", point_values(beta, xg), mesh.edge_normals[:, 0])
+    beta_n = np.einsum("egd,ed->eg", data_values(data.beta, xg, "beta", vector=True),
+                       mesh.edge_normals[:, 0])
     G = _gram(wt, L)
     pairs = _side_pairs(mesh)
     e, r, s = pairs
@@ -472,8 +448,8 @@ def assemble_forms(mesh: Mesh, spaces: SpaceSet = None, data: ProblemData = None
         M2=(bq.M2_qp @ bq.E_U).tocsr(),
         M_Omega=M_Omega,
         M_Gamma=(bq.E_U.T @ sp.diags(bq.weights) @ bq.E_U).tocsr(),
-        F=_load_vector(mesh, data.f_fun(), data_degree, "f"),
-        Yd=_load_vector(mesh, data.y_desired_fun(), data_degree, "y_desired"),
+        F=_load_vector(mesh, data.f, data_degree, "f"),
+        Yd=_load_vector(mesh, data.y_desired, data_degree, "y_desired"),
         bq=bq, quad_degree=quad_degree, data_degree=data_degree,
     )
 
@@ -508,15 +484,15 @@ def assemble_divergence_form_b(mesh: Mesh, spaces: SpaceSet, data: ProblemData,
 def _control_rhs(ops: BlockOperator, u):
     """Right-hand-side contributions (m1 part, m2 part) of a control.
 
-    ``u`` may be a boundary DiscreteField, a callable on boundary points, or
-    an array of values at the boundary quadrature points.
+    ``u`` may be a boundary DiscreteField, a callable on arrays of boundary
+    points, or an array of values at the boundary quadrature points.
     """
     bq = ops.bq
     if isinstance(u, DiscreteField):
         coeff = u.coefficients
         return ops.M1 @ coeff, ops.M2 @ coeff
     if callable(u):
-        uq = point_values(u, bq.points)
+        uq = data_values(u, bq.points, "u")
     else:
         uq = np.asarray(u, dtype=float)
         if uq.shape != (bq.num_points,):
@@ -542,7 +518,8 @@ def solve_adjoint(ops: BlockOperator, rhs_field=None, load_vector=None):
 
     The adjoint operator is the transpose of the state operator, so
     z = S^-T g reuses the state factorization and p = A^-1 B z.
-    ``rhs_field`` may be a scalar DiscreteField or a callable;
+    ``rhs_field`` may be a scalar DiscreteField or a callable on point
+    arrays;
     alternatively a preassembled load vector g (tested against the scalar
     space) can be passed directly.
     """

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Mesh, point_values
+from .geometry import Mesh, data_values
 
 __all__ = [
     "DofMap",
@@ -280,8 +280,9 @@ class DiscreteField:
 def l2_project(f, dofmap: DofMap, mesh: Mesh = None, degree: int = 4) -> DiscreteField:
     """Element-by-element (or edge-by-edge) L2 projection onto the space.
 
-    ``f`` is a pointwise function of the physical coordinate; for the vector
-    space it must return a 2-vector.  Globally polynomial P1 data is
+    ``f`` is a constant or a callable on physical point arrays (..., 2)
+    (see ``geometry.data_values``); for the vector space its values are
+    2-vectors, shape (..., 2).  Globally polynomial P1 data is
     reproduced exactly.  The inverse reference mass matrix is applied to
     the load vectors of all entities at once.
     """
@@ -290,7 +291,7 @@ def l2_project(f, dofmap: DofMap, mesh: Mesh = None, degree: int = 4) -> Discret
         rule = quadrature_rule("edge", degree)
         phi = edge_basis_values(rule.points)  # (k, 2)
         ids = mesh.boundary_edges
-        fvals = point_values(f, edge_points(mesh, ids[:, None], rule.points))  # (b, k)
+        fvals = data_values(f, edge_points(mesh, ids[:, None], rule.points), "f")  # (b, k)
         coef = np.linalg.solve((phi.T * rule.weights) @ phi, phi.T @ (rule.weights * fvals).T)
         return DiscreteField(dofmap, coef.T.ravel())  # (start, end) pairs in boundary order
 
@@ -298,7 +299,8 @@ def l2_project(f, dofmap: DofMap, mesh: Mesh = None, degree: int = 4) -> Discret
     lam = tri_basis_values(rule.points)  # (k, 3)
     nt = mesh.num_elements
     # (nt, k, c) values, c = 1 for scalars and 2 for vectors (interleaved per node)
-    fvals = point_values(f, physical_points(mesh, rule.points)).reshape(nt, len(rule.weights), -1)
+    fvals = data_values(f, physical_points(mesh, rule.points), "f",
+                        vector=dofmap.kind == VECTOR).reshape(nt, len(rule.weights), -1)
     rhs = np.einsum("ki,tkc->itc", lam * rule.weights[:, None], fvals)  # (3, nt, c)
     coef = np.linalg.solve((lam.T * rule.weights) @ lam, rhs.reshape(3, -1))
     return DiscreteField(dofmap, coef.reshape(rhs.shape).transpose(1, 0, 2).ravel())
@@ -372,29 +374,28 @@ def write_vtk(path, mesh: Mesh, fields: dict) -> None:
     zero third component.
     """
     nt = mesh.num_elements
-    pts = mesh.vertices[mesh.triangles].reshape(-1, 2)
+
+    def lines(fmt, rows):
+        # one ``fmt`` line per row, formatted in one operation
+        return (fmt * len(rows)) % tuple(np.ravel(rows).tolist())
+
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("piecewise linear element data\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {3 * nt} double\n")
-        for x, y in pts:
-            fh.write(f"{x:.16e} {y:.16e} 0.0\n")
+        fh.write(lines("%.16e %.16e 0.0\n", mesh.vertices[mesh.triangles].reshape(-1, 2)))
         fh.write(f"CELLS {nt} {4 * nt}\n")
-        for t in range(nt):
-            fh.write(f"3 {3 * t} {3 * t + 1} {3 * t + 2}\n")
+        fh.write(lines("3 %d %d %d\n", np.arange(3 * nt).reshape(nt, 3)))
         fh.write(f"CELL_TYPES {nt}\n")
         fh.write("5\n" * nt)
         fh.write(f"POINT_DATA {3 * nt}\n")
         for name, field in fields.items():
             if field.dofmap.kind == SCALAR:
                 fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                for v in field.coefficients:
-                    fh.write(f"{v:.16e}\n")
+                fh.write(lines("%.16e\n", field.coefficients))
             elif field.dofmap.kind == VECTOR:
                 fh.write(f"VECTORS {name} double\n")
-                comps = field.coefficients.reshape(-1, 2)
-                for vx, vy in comps:
-                    fh.write(f"{vx:.16e} {vy:.16e} 0.0\n")
+                fh.write(lines("%.16e %.16e 0.0\n", field.coefficients.reshape(-1, 2)))
             else:
                 raise ValueError("boundary-edge fields are not cell data")

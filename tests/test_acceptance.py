@@ -302,7 +302,7 @@ def test_criterion_05_linear_state_consistency():
     alpha = 1.0
 
     def linear(x):
-        return c0 + c1 * x[0] + c2 * x[1]
+        return c0 + c1 * x[..., 0] + c2 * x[..., 1]
 
     data = ProblemData(
         epsilon=0.5, omega=1.0, beta=beta, alpha=alpha,
@@ -316,8 +316,7 @@ def test_criterion_05_linear_state_consistency():
         ops = assemble_forms(mesh, spaces, data)
         u = l2_project(linear, spaces.control)
         y_h, q_h = solve_state(ops, u)
-        y_exact = np.array(
-            [linear(v) for t in mesh.triangles for v in mesh.vertices[t]])
+        y_exact = linear(mesh.vertices[mesh.triangles]).ravel()
         q_exact = np.tile(grad_flux, 3 * mesh.num_elements)
         worst_y = max(worst_y, float(np.abs(y_h.coefficients - y_exact).max()))
         worst_q = max(worst_q, float(np.abs(q_h.coefficients - q_exact).max()))
@@ -391,14 +390,9 @@ def test_criterion_08_control_error_bound(ex1_table):
 
 
 def _perimeter_coordinate(x):
-    x1, x2 = float(x[0]), float(x[1])
-    if abs(x2) < 1e-12:
-        return x1
-    if abs(x1 - 1.0) < 1e-12:
-        return 1.0 + x2
-    if abs(x2 - 1.0) < 1e-12:
-        return 3.0 - x1
-    return 4.0 - x2
+    x1, x2 = x[..., 0], x[..., 1]
+    return np.select([np.abs(x2) < 1e-12, np.abs(x1 - 1.0) < 1e-12, np.abs(x2 - 1.0) < 1e-12],
+                     [x1, 1.0 + x2, 3.0 - x1], 4.0 - x2)
 
 
 def _smooth_boundary(x):
@@ -408,7 +402,7 @@ def _smooth_boundary(x):
 
 def test_criterion_09_control_interpolation_properties():
     mesh = build_unit_square_mesh(4)
-    const = quasi_interpolate(lambda x: 3.25, mesh)
+    const = quasi_interpolate(lambda x: np.full(x.shape[:-1], 3.25), mesh)
     const_dev = float(np.abs(const.coefficients - 3.25).max())
 
     lo, hi = -0.25, 0.55

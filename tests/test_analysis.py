@@ -27,7 +27,7 @@ from ldgcontrol.analysis import (
     unit_square_sequence,
 )
 from ldgcontrol.control import pdas_solve
-from ldgcontrol.geometry import build_unit_square_mesh, refine_uniform
+from ldgcontrol.geometry import build_unit_square_mesh, data_values, refine_uniform
 from ldgcontrol.ldg import assemble_forms
 from ldgcontrol.spaces import (
     DiscreteField,
@@ -43,7 +43,7 @@ from ldgcontrol.spaces import (
 def test_domain_error_of_projection_is_tiny():
     mesh = build_unit_square_mesh(3)
     spaces = build_spaces(mesh)
-    lin = lambda x: 2.0 * x[0] - 0.5 * x[1] + 1.0
+    lin = lambda x: 2.0 * x[..., 0] - 0.5 * x[..., 1] + 1.0
     field = l2_project(lin, spaces.potential)
     assert error_l2_domain(field, lin) < 1e-12
 
@@ -52,7 +52,7 @@ def test_domain_error_zero_field_vs_constant():
     mesh = build_unit_square_mesh(2)
     spaces = build_spaces(mesh)
     zero = DiscreteField(spaces.potential, np.zeros(spaces.potential.num_dofs))
-    assert error_l2_domain(zero, lambda x: 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert error_l2_domain(zero, lambda x: np.ones(x.shape[:-1])) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_domain_error_zero_field_vs_coordinate():
@@ -60,7 +60,7 @@ def test_domain_error_zero_field_vs_coordinate():
     mesh = build_unit_square_mesh(2)
     spaces = build_spaces(mesh)
     zero = DiscreteField(spaces.potential, np.zeros(spaces.potential.num_dofs))
-    err = error_l2_domain(zero, lambda x: x[0])
+    err = error_l2_domain(zero, lambda x: x[..., 0])
     assert err == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
 
 
@@ -68,7 +68,7 @@ def test_domain_error_vector_field():
     mesh = build_unit_square_mesh(2)
     spaces = build_spaces(mesh)
     zero = DiscreteField(spaces.flux, np.zeros(spaces.flux.num_dofs))
-    err = error_l2_domain(zero, lambda x: (1.0, 0.0))
+    err = error_l2_domain(zero, lambda x: np.broadcast_to([1.0, 0.0], x.shape))
     assert err == pytest.approx(1.0, rel=1e-12)
 
 
@@ -77,13 +77,14 @@ def test_boundary_error_constant_mismatch():
     mesh = build_unit_square_mesh(3)
     spaces = build_spaces(mesh)
     zero = DiscreteField(spaces.control, np.zeros(spaces.control.num_dofs))
-    assert error_l2_boundary(zero, lambda x: 1.0, mesh=mesh) == pytest.approx(2.0, rel=1e-12)
+    one = lambda x: np.ones(x.shape[:-1])
+    assert error_l2_boundary(zero, one, mesh=mesh) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_boundary_error_of_scalar_trace():
     mesh = build_unit_square_mesh(3)
     spaces = build_spaces(mesh)
-    lin = lambda x: x[0] + 3.0 * x[1]
+    lin = lambda x: x[..., 0] + 3.0 * x[..., 1]
     field = l2_project(lin, spaces.potential)
     assert error_l2_boundary(field, lin, mesh=mesh) < 1e-12
 
@@ -94,7 +95,8 @@ def test_flux_normal_error_constant_gradient():
     mesh = build_unit_square_mesh(2)
     spaces = build_spaces(mesh)
     zero = DiscreteField(spaces.flux, np.zeros(spaces.flux.num_dofs))
-    err = error_flux_normal_boundary(zero, lambda x: (1.0, 0.0), 1.0, mesh=mesh)
+    err = error_flux_normal_boundary(zero, lambda x: np.broadcast_to([1.0, 0.0], x.shape), 1.0,
+                                     mesh=mesh)
     assert err == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
@@ -172,9 +174,9 @@ def test_problem_data_carries_edge_conventions():
 def test_example2_data_facts():
     data = example2_data()
     assert (data.u_lower, data.u_upper) == (0.0, 0.2)
-    assert data.f_fun()(np.array([0.3, 0.7])) == 0.0
-    yd = data.y_desired_fun()
-    assert yd(np.array([1.0, 1.0])) == pytest.approx(2.0 ** (-1.0 / 3.0))
+    assert data_values(data.f, np.array([0.3, 0.7]), "f") == 0.0
+    yd = data_values(data.y_desired, np.array([[1.0, 1.0], [0.0, 1.0]]), "y_desired")
+    assert yd == pytest.approx([2.0 ** (-1.0 / 3.0), 1.0])
     assert data.beta == (1.0, 1.0) and data.alpha == 1.0
 
 
@@ -189,9 +191,8 @@ def test_example3_domain_and_meshes():
 
 def test_example3_data_facts():
     data = example3_data()
-    yd = data.y_desired_fun()
-    assert yd(np.array([0.5, 0.2])) == -1.0
-    assert yd(np.array([0.5, 0.8])) == 1.0
+    yd = data_values(data.y_desired, np.array([[0.5, 0.2], [0.5, 0.8]]), "y_desired")
+    assert yd.tolist() == [-1.0, 1.0]
     assert data.u_lower == 0.0 and not np.isfinite(data.u_upper)
     assert data.beta == (1.0, 0.0) and data.alpha == 2.0
 
@@ -204,7 +205,7 @@ def test_locator_follows_refinement_chain():
     fine = refine_uniform(refine_uniform(coarse))
     locator = NestedLocator(coarse, fine)
     spaces_f = build_spaces(fine)
-    lin = lambda x: 1.0 + 2.0 * x[0] - x[1]
+    lin = lambda x: 1.0 + 2.0 * x[..., 0] - x[..., 1]
     field = l2_project(lin, spaces_f.potential)
     rng = np.random.default_rng(2)
     for t in range(0, coarse.num_elements, 4):

@@ -10,6 +10,7 @@ from ldgcontrol.cli import (
     CSV_HEADER,
     ConfigError,
     RunConfig,
+    _example_data,
     emit_fields,
     emit_table,
     main,
@@ -54,6 +55,21 @@ levels = 32,128,512
     assert cfg.levels == (32, 128, 512)
     assert cfg.mode == "full" and cfg.csv and not cfg.vtk
     assert cfg.reference is None and cfg.pdas_max_iter == 50
+
+
+@pytest.mark.parametrize("example, levels, reference", [
+    (1, (32,), None), (2, (32,), 128), (3, (12,), 48)])
+def test_example_data_applies_overrides(example, levels, reference):
+    # omega, the bounds and the C12 direction reach every example; example
+    # 1 builds its closed-form case with the configured omega
+    cfg = RunConfig(example=example, levels=levels, reference=reference, omega=2.0,
+                    u_lower=-1.0, u_upper=3.0, c12_direction=(1.0, 2.0))
+    data, case = _example_data(cfg)
+    assert (data.omega, data.u_lower, data.u_upper) == (2.0, -1.0, 3.0)
+    assert data.c12_direction == (1.0, 2.0)
+    assert (case.omega == 2.0) if example == 1 else case is None
+    plain, _ = _example_data(RunConfig(example=example, levels=levels, reference=reference))
+    assert plain.omega == 1.0 and plain.c12_direction != (1.0, 2.0)
 
 
 def test_config_rejects_decreasing_levels(tmp_path):

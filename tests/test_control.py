@@ -78,27 +78,21 @@ def test_project_admissible_idempotent_and_bounded(vals, lo, hi):
 
 def _arclength_sine(x):
     # smooth and periodic in arclength along the unit-square boundary
-    x1, x2 = x
-    if abs(x2) < 1e-12:
-        s = x1
-    elif abs(x1 - 1.0) < 1e-12:
-        s = 1.0 + x2
-    elif abs(x2 - 1.0) < 1e-12:
-        s = 3.0 - x1
-    else:
-        s = 4.0 - x2
+    x1, x2 = x[..., 0], x[..., 1]
+    s = np.select([np.abs(x2) < 1e-12, np.abs(x1 - 1.0) < 1e-12, np.abs(x2 - 1.0) < 1e-12],
+                  [x1, 1.0 + x2, 3.0 - x1], 4.0 - x2)
     return np.sin(0.5 * np.pi * s)
 
 
 def test_quasi_interpolate_reproduces_constants():
     mesh = build_unit_square_mesh(4)
-    field = quasi_interpolate(lambda x: 2.5, mesh)
+    field = quasi_interpolate(lambda x: np.full(x.shape[:-1], 2.5), mesh)
     assert np.abs(field.coefficients - 2.5).max() < 1e-13
 
 
 def test_quasi_interpolate_preserves_bounds():
     mesh = build_unit_square_mesh(6)
-    fun = lambda x: np.clip(10.0 * (x[0] - 0.5), -1.0, 1.0)
+    fun = lambda x: np.clip(10.0 * (x[..., 0] - 0.5), -1.0, 1.0)
     field = quasi_interpolate(fun, mesh)
     assert field.coefficients.min() >= -1.0 - 1e-12
     assert field.coefficients.max() <= 1.0 + 1e-12
@@ -121,7 +115,7 @@ def test_quasi_interpolate_averaging_rate():
 
 def test_cost_zero_when_target_met():
     data = ProblemData(epsilon=1.0, omega=1.0, beta=(1.0, 1.0), alpha=1.0,
-                       y_desired=lambda x: 1.0)
+                       y_desired=lambda x: np.ones(x.shape[:-1]))
     mesh = build_unit_square_mesh(3)
     spaces = build_spaces(mesh)
     y_h = DiscreteField(spaces.potential, np.ones(spaces.potential.num_dofs))
@@ -131,7 +125,7 @@ def test_cost_zero_when_target_met():
 
 def test_cost_unit_mismatch_is_half():
     data = ProblemData(epsilon=1.0, omega=1.0, beta=(1.0, 1.0), alpha=1.0,
-                       y_desired=lambda x: 0.0)
+                       y_desired=lambda x: np.zeros(x.shape[:-1]))
     mesh = build_unit_square_mesh(3)
     spaces = build_spaces(mesh)
     y_h = DiscreteField(spaces.potential, np.ones(spaces.potential.num_dofs))
@@ -143,7 +137,7 @@ def test_cost_boundary_term_scales_with_weight():
     # unit control on the whole boundary of the unit square: perimeter 4,
     # so with weight 2 the penalty contributes (2/2) * 4
     data = ProblemData(epsilon=1.0, omega=2.0, beta=(1.0, 1.0), alpha=1.0,
-                       y_desired=lambda x: 1.0)
+                       y_desired=lambda x: np.ones(x.shape[:-1]))
     mesh = build_unit_square_mesh(3)
     spaces = build_spaces(mesh)
     y_h = DiscreteField(spaces.potential, np.ones(spaces.potential.num_dofs))

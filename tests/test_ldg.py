@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ldgcontrol.geometry import Mesh, as_vector_function, build_unit_square_mesh
+from ldgcontrol.geometry import Mesh, build_unit_square_mesh, data_values
 from ldgcontrol.ldg import (
     ProblemData,
     assemble_divergence_form_b,
@@ -120,7 +120,7 @@ def test_source_load_total():
 
 
 def rotating_beta(x):
-    return np.array([0.5 - x[1], x[0] - 0.5])
+    return np.stack([0.5 - x[..., 1], x[..., 0] - 0.5], axis=-1)
 
 
 @pytest.mark.parametrize("penalty_sign", [+1, -1])
@@ -136,16 +136,15 @@ def test_state_solver_reproduces_global_linear(penalty_sign, n, beta):
     # a globally linear state with matching flux, control trace and source
     # satisfies the scheme exactly, whatever the penalty sign
     eps = 0.3
-    beta_at = as_vector_function(beta)
     alpha = 1.0
 
     def y_exact(x):
-        return 1.0 + 2.0 * x[0] - 3.0 * x[1]
+        return 1.0 + 2.0 * x[..., 0] - 3.0 * x[..., 1]
 
     grad_y = np.array([2.0, -3.0])
 
     def f(x):
-        return float(beta_at(x) @ grad_y) + alpha * y_exact(x)
+        return data_values(beta, x, "beta", vector=True) @ grad_y + alpha * y_exact(x)
 
     mesh = build_unit_square_mesh(n)
     spaces = build_spaces(mesh)
@@ -155,7 +154,7 @@ def test_state_solver_reproduces_global_linear(penalty_sign, n, beta):
     u = l2_project(y_exact, spaces.control, mesh)
     y_h, q_h = solve_state(ops, u, data)
 
-    y_nodal = np.array([y_exact(v) for t in mesh.triangles for v in mesh.vertices[t]])
+    y_nodal = y_exact(mesh.vertices[mesh.triangles]).ravel()
     assert np.abs(y_h.coefficients - y_nodal).max() < 1e-10
     q_const = -np.sqrt(eps) * grad_y
     q_nodal = np.tile(q_const, 3 * mesh.num_elements)
@@ -246,13 +245,55 @@ def test_problem_data_validation():
     with pytest.raises(ValueError):
         ProblemData(epsilon=1.0, omega=1.0, penalty_sign=2)
     with pytest.raises(ValueError):
-        data = ProblemData(epsilon=1.0, omega=1.0, beta=lambda x: np.array([x[0], 0.0]))
+        data = ProblemData(epsilon=1.0, omega=1.0,
+                           beta=lambda x: np.stack([x[..., 0], 0.0 * x[..., 0]], axis=-1))
         data.check_divergence_free(np.array([[0.5, 0.5]]))
 
 
 def test_non_finite_target_fails_at_assembly():
     mesh = build_unit_square_mesh(2)
     data = ProblemData(epsilon=1.0, omega=1.0,
-                       y_desired=lambda x: np.nan if x[0] > 0.5 else 1.0)
+                       y_desired=lambda x: np.where(x[..., 0] > 0.5, np.nan, 1.0))
     with pytest.raises(ValueError, match="y_desired is not finite"):
+        assemble_forms(mesh, build_spaces(mesh), data)
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param("beta", lambda x: np.stack([np.where(x[..., 0] > 0.5, np.nan, 1.0),
+                                             np.ones(x.shape[:-1])], axis=-1),
+                 id="beta-callable"),
+    pytest.param("beta", (np.nan, 1.0), id="beta-constant"),
+    pytest.param("alpha", lambda x: np.where(x[..., 1] > 0.5, np.nan, 1.0), id="alpha-callable"),
+    pytest.param("alpha", np.nan, id="alpha-constant"),
+])
+def test_non_finite_coefficient_fails_at_assembly(name, value):
+    # a NaN velocity or reaction coefficient is named, not reported as a
+    # singular factorization
+    mesh = build_unit_square_mesh(2)
+    data = ProblemData(epsilon=1.0, omega=1.0, **{name: value})
+    with pytest.raises(ValueError, match=f"{name} is not finite"):
+        assemble_forms(mesh, build_spaces(mesh), data)
+
+
+@pytest.mark.parametrize("f", [
+    pytest.param(lambda x: x[0], id="pointwise"),
+    pytest.param(lambda x: 1.0, id="0-d"),
+])
+def test_pointwise_data_callable_is_rejected(f):
+    # data callables take the whole point array; one written for a single
+    # point returns the wrong shape and must not assemble silently
+    mesh = build_unit_square_mesh(2)
+    data = ProblemData(epsilon=1.0, omega=1.0, f=f)
+    with pytest.raises(ValueError, match="f gave values of shape"):
+        assemble_forms(mesh, build_spaces(mesh), data)
+
+
+def test_divergence_checked_on_every_element():
+    # beta = ((x1 - 0.9)_+^2, 0) is divergence free except for x1 > 0.9,
+    # which four element centroids of the 4x4 square reach, none of them
+    # among the eight (every fourth) a subsampled check would test
+    mesh = build_unit_square_mesh(4)
+    data = ProblemData(epsilon=1.0, omega=1.0, beta=lambda x: np.stack(
+        [np.maximum(x[..., 0] - 0.9, 0.0) ** 2, 0.0 * x[..., 0]], axis=-1))
+    with pytest.raises(ValueError, match="not divergence free"):
         assemble_forms(mesh, build_spaces(mesh), data)

@@ -9,6 +9,7 @@ from ldgcontrol.spaces import (
     SCALAR,
     VECTOR,
     DiscreteField,
+    barycentric,
     build_dof_map,
     edge_basis_values,
     eval_field,
@@ -89,10 +90,10 @@ def test_partition_of_unity():
 def test_project_zero_and_linear():
     m = build_unit_square_mesh(3)
     vmap = build_dof_map(m, SCALAR)
-    zero = l2_project(lambda x: 0.0, vmap, m)
+    zero = l2_project(lambda x: np.zeros(x.shape[:-1]), vmap, m)
     assert np.all(zero.coefficients == 0.0)
 
-    f = lambda x: 2.0 * x[0] - x[1]
+    f = lambda x: 2.0 * x[..., 0] - x[..., 1]
     fh = l2_project(f, vmap, m)
     for t in (0, 5, 10):
         for pt in m.vertices[m.triangles[t]]:
@@ -103,7 +104,7 @@ def test_project_zero_and_linear():
 def test_project_vector_linear():
     m = build_unit_square_mesh(2)
     wmap = build_dof_map(m, VECTOR)
-    f = lambda x: np.array([x[0] + 1.0, 3.0 * x[1]])
+    f = lambda x: np.stack([x[..., 0] + 1.0, 3.0 * x[..., 1]], axis=-1)
     fh = l2_project(f, wmap, m)
     p = np.array([0.3, 0.2])
     assert np.allclose(eval_field(fh, 0, p), f(p), atol=1e-12)
@@ -112,7 +113,7 @@ def test_project_vector_linear():
 def test_project_mean_preservation():
     m = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     vmap = build_dof_map(m, SCALAR)
-    f = lambda x: x[0] ** 2
+    f = lambda x: x[..., 0] ** 2
     fh = l2_project(f, vmap, m)
     rule = quadrature_rule("triangle", 4)
     pts = physical_points(m, rule.points)[0]
@@ -125,16 +126,14 @@ def test_project_mean_preservation():
 def test_project_idempotent():
     m = build_unit_square_mesh(2)
     vmap = build_dof_map(m, SCALAR)
-    fh = l2_project(lambda x: x[0] * x[1] + 0.5, vmap, m)
+    fh = l2_project(lambda x: x[..., 0] * x[..., 1] + 0.5, vmap, m)
 
     def as_fun(x):
-        # evaluate the projected field; identify the element by search
-        for t in range(m.num_elements):
-            try:
-                return eval_field(fh, t, x, tol=1e-13)
-            except ValueError:
-                continue
-        raise AssertionError
+        # evaluate the projected field; identify each point's element by
+        # search (the first element that contains it)
+        inside = [barycentric(m, t, x).min(axis=-1) >= -1e-13 for t in range(m.num_elements)]
+        assert np.any(inside, axis=0).all()
+        return eval_field(fh, np.argmax(inside, axis=0), x, tol=1e-13)
 
     gh = l2_project(as_fun, vmap, m)
     assert np.allclose(gh.coefficients, fh.coefficients, atol=1e-13)
@@ -156,7 +155,7 @@ def test_eval_field_basics():
 def test_trace_continuity_of_projected_linear():
     m = build_unit_square_mesh(2)
     vmap = build_dof_map(m, SCALAR)
-    fh = l2_project(lambda x: 1.0 + x[0] - 2.0 * x[1], vmap, m)
+    fh = l2_project(lambda x: 1.0 + x[..., 0] - 2.0 * x[..., 1], vmap, m)
     s = np.array([0.0, 0.3, 1.0])
     for e in m.interior_edges:
         t0 = trace_on_edge(fh, e, 0, s)
@@ -190,7 +189,7 @@ def test_trace_second_side_of_boundary_edge_rejected():
 def test_degree2_vs_degree4_element_integrals_agree():
     m = build_unit_square_mesh(2)
     vmap = build_dof_map(m, SCALAR)
-    fh = l2_project(lambda x: x[0] - 0.3 * x[1], vmap, m)
+    fh = l2_project(lambda x: x[..., 0] - 0.3 * x[..., 1], vmap, m)
     totals = []
     for deg in (2, 4):
         rule = quadrature_rule("triangle", deg)
@@ -206,11 +205,23 @@ def test_degree2_vs_degree4_element_integrals_agree():
 def test_vtk_write(tmp_path):
     m = build_unit_square_mesh(2)
     vmap = build_dof_map(m, SCALAR)
-    fh = l2_project(lambda x: x[0], vmap, m)
+    fh = l2_project(lambda x: x[..., 0], vmap, m)
+    qh = l2_project(lambda x: np.stack([x[..., 1], -2.0 * x[..., 0]], axis=-1),
+                    build_dof_map(m, VECTOR), m)
     path = tmp_path / "field.vtk"
-    write_vtk(path, m, {"y": fh})
+    write_vtk(path, m, {"y": fh, "q": qh})
     text = path.read_text()
-    assert f"CELLS {m.num_elements}" in text
-    data = text.split("LOOKUP_TABLE default\n", 1)[1].strip().split("\n")
-    vals = np.array([float(v) for v in data[: 3 * m.num_elements]])
+    nt = m.num_elements
+    assert f"CELLS {nt} {4 * nt}\n3 0 1 2\n3 3 4 5\n" in text
+    points = text.split(f"POINTS {3 * nt} double\n", 1)[1].split("\n")[: 3 * nt]
+    xyz = np.array([[float(v) for v in line.split()] for line in points])
+    assert np.array_equal(xyz, np.column_stack([m.vertices[m.triangles].reshape(-1, 2),
+                                                np.zeros(3 * nt)]))
+    data = text.split("LOOKUP_TABLE default\n", 1)[1].split("\n")
+    vals = np.array([float(v) for v in data[: 3 * nt]])
     assert np.allclose(vals, fh.coefficients, atol=1e-15)
+    assert data[3 * nt] == "VECTORS q double"
+    vecs = np.array([[float(v) for v in line.split()] for line in data[3 * nt + 1: 6 * nt + 1]])
+    assert vecs.shape == (3 * nt, 3) and np.all(vecs[:, 2] == 0.0)
+    assert np.array_equal(vecs[:, :2].ravel(), qh.coefficients)
+    assert data[6 * nt + 1:] == [""]
