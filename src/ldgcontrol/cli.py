@@ -465,6 +465,17 @@ def _battery(seed: int = 0):
            max(gaps) < 1e-9, "max difference full / variational "
            + " / ".join(f"{g:.2e}" for g in gaps))
 
+    mesh_nd = build_unit_square_mesh(32)
+    factor = assemble_forms(mesh_nd, build_spaces(mesh_nd), example2_data()).state_factorization()
+    errors = []
+    for trans, op in (("N", factor.matrix), ("T", factor.matrix.T)):
+        b = rng.standard_normal(op.shape[0])
+        errors.append(np.linalg.norm(op @ factor.solve(b, trans=trans) - b) / np.linalg.norm(b))
+    yield ("the state factor in nested-dissection order solves S and S' without refinement",
+           factor.sweeps == 0 and max(errors) <= 1e-10,
+           f"{mesh_nd.num_elements} elements, fill {factor.fill}, {factor.sweeps} sweeps, "
+           f"residuals {errors[0]:.1e} / {errors[1]:.1e}")
+
 
 # ---------------------------------------------------------------------------
 # entry points

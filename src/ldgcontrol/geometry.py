@@ -16,6 +16,7 @@ evaluated inside any element of a coarser mesh of the same hierarchy.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "DomainSpec",
@@ -25,6 +26,8 @@ __all__ = [
     "build_polygon_mesh",
     "refine_uniform",
     "classify_boundary_edges",
+    "dissection_paths",
+    "dissection_order",
     "data_values",
     "write_mesh_text",
 ]
@@ -302,6 +305,80 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     triangles[2::4] = np.column_stack([v[:, 2], mid_of[:, 1], mid_of[:, 0]])
     triangles[3::4] = mid_of
     return Mesh(vertices, triangles, parent=parent, parent_mesh=mesh)
+
+
+def dissection_paths(mesh: Mesh, coupling, leaf_size: int = 16):
+    """Nested-dissection tree of the mesh elements, one level at a time.
+
+    ``coupling`` is an (nt, nt) sparse matrix whose pattern, symmetrized,
+    tells which elements a factorization couples directly; for the LDG
+    state operator S = C + B' A^-1 B those are elements at most two edge
+    hops apart.  A tree node of more than ``leaf_size`` elements is cut at
+    the midpoint of its centroids' bounding box, across its longer side
+    (recursive coordinate bisection).  Its separator is the set of
+    elements of one half that are coupled to the other half, taken from
+    the half where that set is smaller; without it the two halves are
+    uncoupled.  All nodes of a level are cut at once.
+
+    Returns (paths, along).  Row t of the (nt, depth) int8 array ``paths``
+    holds one digit per level: 0 or 1 for the half of the node element t
+    falls in, 2 when it is in that node's separator, and 0 on the levels
+    below the leaf or separator it ends in.  ``along`` is each element's
+    centroid coordinate along the last cut that it met.
+    """
+    nt = mesh.num_elements
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    pattern = sp.coo_matrix(coupling)
+    if pattern.shape != (nt, nt):
+        raise ValueError("the coupling matrix needs one row and column per element")
+    pattern = sp.csr_matrix((np.ones(pattern.nnz), (pattern.row, pattern.col)), shape=(nt, nt))
+    pattern = (pattern + pattern.T).tocoo()
+    i, j = pattern.row, pattern.col
+    node = np.zeros(nt, dtype=np.int64)  # tree node of each unplaced element, else -1
+    along = np.zeros(nt)
+    columns = []
+    while (node >= 0).any():
+        live = np.flatnonzero(node >= 0)
+        counts = np.bincount(node[live])
+        starts = np.cumsum(counts) - counts
+        pts = centroids[live[np.argsort(node[live], kind="stable")]]
+        low = np.minimum.reduceat(pts, starts)
+        high = np.maximum.reduceat(pts, starts)
+        axis = (high - low).argmax(axis=1)
+        split = live[counts[node[live]] > leaf_size]
+        cut_axis = axis[node[split]]
+        mid = 0.5 * (low + high)[node[split], cut_axis]
+        half = np.full(nt, -1, dtype=np.int64)  # 0 or 1 inside a node that is cut
+        half[split] = centroids[split, cut_axis] > mid
+        cross = (half[i] >= 0) & (half[j] >= 0) & (half[i] != half[j]) & (node[i] == node[j])
+        border = np.zeros(nt, dtype=bool)
+        border[i[cross]] = True
+        size = [np.bincount(node[border & (half == h)], minlength=counts.size) for h in (0, 1)]
+        side = (size[1] < size[0]).astype(np.int64)
+        separator = border[split] & (half[split] == side[node[split]])
+        digit = np.zeros(nt, dtype=np.int8)
+        digit[split] = np.where(separator, 2, half[split])
+        along[split] = centroids[split, 1 - cut_axis]
+        columns.append(digit)
+        children = split[~separator]
+        child_node = np.unique(2 * node[children] + half[children], return_inverse=True)[1]
+        node[live] = -1
+        node[children] = child_node
+    return np.stack(columns, axis=1), along
+
+
+def dissection_order(mesh: Mesh, coupling, leaf_size: int = 16) -> np.ndarray:
+    """Nested-dissection elimination order of the mesh elements.
+
+    The elements sorted by their ``dissection_paths``, so that each node's
+    two halves come before its separator.  Inside a separator or a leaf
+    they follow the last cut they met, then their centroids: the order
+    depends on the geometry and the coupling pattern, not on the element
+    numbering.
+    """
+    paths, along = dissection_paths(mesh, coupling, leaf_size)
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    return np.lexsort((centroids[:, 1], centroids[:, 0], along) + tuple(paths.T[::-1]))
 
 
 def classify_boundary_edges(mesh: Mesh, beta) -> EdgeClassification:

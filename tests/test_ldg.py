@@ -297,3 +297,15 @@ def test_divergence_checked_on_every_element():
         [np.maximum(x[..., 0] - 0.9, 0.0) ** 2, 0.0 * x[..., 0]], axis=-1))
     with pytest.raises(ValueError, match="not divergence free"):
         assemble_forms(mesh, build_spaces(mesh), data)
+
+
+@pytest.mark.parametrize("scale", [100.0, 1000.0])
+def test_large_divergence_free_field_passes_the_check(scale):
+    # div beta = 0 exactly; rounding the beta values at x +- 1e-6 perturbs
+    # each difference quotient by about 1e-16 |beta| / 1e-6, which an
+    # absolute tolerance of 1e-8 does not admit at these scales
+    mesh = build_unit_square_mesh(64)
+    data = ProblemData(epsilon=1.0, omega=1.0, beta=lambda x: scale * np.stack(
+        [np.sin(3 * x[..., 0]) * np.cos(2 * x[..., 1]),
+         -1.5 * np.cos(3 * x[..., 0]) * np.sin(2 * x[..., 1])], axis=-1))
+    data.check_divergence_free(mesh.vertices[mesh.triangles].mean(axis=1))

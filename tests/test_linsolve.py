@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ldgcontrol import linsolve
 from ldgcontrol.analysis import (
@@ -13,9 +14,16 @@ from ldgcontrol.analysis import (
     manufactured_example1,
 )
 from ldgcontrol.control import pdas_solve
-from ldgcontrol.geometry import build_unit_square_mesh
+from ldgcontrol.geometry import (
+    Mesh,
+    build_unit_square_mesh,
+    dissection_order,
+    dissection_paths,
+    refine_uniform,
+)
 from ldgcontrol.ldg import assemble_forms, solve_adjoint, solve_state
 from ldgcontrol.linsolve import (
+    Factorization,
     ReducedSolveError,
     SingularSystemError,
     compose_kkt,
@@ -84,6 +92,131 @@ def test_direct_solve_singular_raises():
 def test_direct_solve_shape_mismatch():
     with pytest.raises(ValueError):
         direct_solve(sp.eye(3, format="csc"), np.ones(4))
+
+
+def test_direct_solve_in_a_given_order():
+    rng = np.random.default_rng(3)
+    A = sp.random(40, 40, density=0.1, random_state=4) + 10.0 * sp.eye(40)
+    order = rng.permutation(40)
+    b = rng.standard_normal(40)
+    x = direct_solve(A, b, order)
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    with pytest.raises(ValueError, match="permutation"):
+        Factorization(A, np.zeros(40, dtype=int))
+
+
+def test_zero_right_hand_side_needs_no_solve(monkeypatch):
+    factor = Factorization(sp.diags([2.0, 4.0]))
+
+    class NoSolve:
+        nnz = factor.fill
+
+        def solve(self, b, trans="N"):
+            raise AssertionError("LU solve called for b = 0")
+    monkeypatch.setattr(factor, "lu", NoSolve())
+    assert np.array_equal(factor.solve(np.zeros(2)), np.zeros(2))
+
+
+def test_refinement_counts_sweeps_then_reports_the_stall(monkeypatch):
+    rng = np.random.default_rng(5)
+    A = sp.csc_matrix(rng.standard_normal((30, 30)) + 30.0 * np.eye(30))
+    factor = Factorization(A)
+    assert factor.solve(rng.standard_normal(30)) is not None
+    assert factor.sweeps == 0
+
+    class Perturbed:
+        # every LU solve off by 1 %: each sweep shrinks the residual only
+        # by a factor of 100, so three sweeps cannot reach 1e-10
+        def __init__(self, lu):
+            self.lu = lu
+            self.nnz = lu.nnz
+
+        def solve(self, b, trans="N"):
+            return 1.01 * self.lu.solve(b, trans=trans)
+    monkeypatch.setattr(factor, "lu", Perturbed(factor.lu))
+    with pytest.raises(SingularSystemError, match="refinement stalled"):
+        factor.solve(rng.standard_normal(30), max_refine=3)
+    assert factor.sweeps == 3
+
+
+def chain_mesh_2048():
+    mesh = build_unit_square_mesh(4)
+    for _ in range(3):
+        mesh = refine_uniform(mesh)
+    return mesh
+
+
+@pytest.fixture(scope="module")
+def ex2_ops_2048():
+    mesh = chain_mesh_2048()
+    return assemble_forms(mesh, build_spaces(mesh), example2_data())
+
+
+def element_coupling(ops):
+    S = ops.state_factorization().matrix.tocoo()
+    nt = ops.num_elements
+    return sp.coo_matrix((S.data, (S.row // 3, S.col // 3)), shape=(nt, nt)).tocsr()
+
+
+# ------------------------------------------------ nested-dissection order
+
+
+def test_dissection_order_is_a_permutation(ex2_ops_2048):
+    order = dissection_order(ex2_ops_2048.mesh, element_coupling(ex2_ops_2048))
+    assert np.array_equal(np.sort(order), np.arange(ex2_ops_2048.num_elements))
+    assert np.array_equal(ex2_ops_2048.state_factorization().order,
+                          (3 * order[:, None] + np.arange(3)).ravel())
+
+
+def test_top_level_halves_are_uncoupled_in_S(ex2_ops_2048):
+    coupling = element_coupling(ex2_ops_2048)
+    paths, _ = dissection_paths(ex2_ops_2048.mesh, coupling)
+    top = paths[:, 0]
+    assert (top == 0).sum() > 900 and (top == 1).sum() > 900
+    assert 0 < (top == 2).sum() <= 64
+    assert coupling[top == 0][:, top == 1].nnz == 0
+    assert coupling[top == 1][:, top == 0].nnz == 0
+
+
+def test_state_fill_does_not_depend_on_element_numbering(ex2_ops_2048):
+    mesh = ex2_ops_2048.mesh
+    perm = np.random.default_rng(11).permutation(mesh.num_elements)
+    relabelled = Mesh(mesh.vertices, mesh.triangles[perm])
+    ops = assemble_forms(relabelled, build_spaces(relabelled), example2_data())
+    fill = ex2_ops_2048.state_factorization().fill
+    assert abs(ops.state_factorization().fill - fill) <= 0.1 * fill
+
+
+@pytest.mark.parametrize("case, bound", [
+    pytest.param("ex1", 0.55, id="ex1-eps1e-6"),
+    pytest.param("ex2", 0.6, id="ex2"),
+    pytest.param("ex3", 0.8, id="ex3-diag2"),
+])
+def test_dissection_fill_against_a_plain_factor(case, bound):
+    # measured at 2048 elements: 0.49 (ex1), 0.56 (ex2) and 0.75 (ex3) of
+    # the fill of scipy's default splu (COLAMD with partial pivoting)
+    if case == "ex3":
+        mesh, data = example3_mesh(5, "diag2"), example3_data()
+    else:
+        mesh = chain_mesh_2048()
+        data = (manufactured_example1(epsilon=1e-6).problem_data() if case == "ex1"
+                else example2_data())
+    assert mesh.num_elements == 2048
+    factor = assemble_forms(mesh, build_spaces(mesh), data).state_factorization()
+    assert factor.fill <= bound * spla.splu(factor.matrix).nnz
+
+
+def test_state_factor_solves_without_refinement(ex2_ops_2048):
+    # the nested-dissection factor of S, with diagonal pivots only, solves
+    # S and S' to the 1e-10 contract without a refinement sweep
+    factor = ex2_ops_2048.state_factorization()
+    S = factor.matrix
+    rng = np.random.default_rng(2)
+    for trans, op in (("N", S), ("T", S.T)):
+        b = rng.standard_normal(S.shape[0])
+        x = factor.solve(b, trans=trans)
+        assert np.linalg.norm(op @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert factor.sweeps == 0
 
 
 # ----------------------------------------------------- KKT composition
