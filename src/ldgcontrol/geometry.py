@@ -26,7 +26,6 @@ __all__ = [
     "build_polygon_mesh",
     "refine_uniform",
     "classify_boundary_edges",
-    "dissection_paths",
     "dissection_order",
     "data_values",
     "write_mesh_text",
@@ -307,78 +306,160 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     return Mesh(vertices, triangles, parent=parent, parent_mesh=mesh)
 
 
-def dissection_paths(mesh: Mesh, coupling, leaf_size: int = 16):
-    """Nested-dissection tree of the mesh elements, one level at a time.
+# tree nodes of at most this many points are leaves of the dissection
+_LEAF_SIZE = 12
+# cut directions, two perpendicular pairs: the axes and the diagonals
+_CUT_DIRECTIONS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
 
-    ``coupling`` is an (nt, nt) sparse matrix whose pattern, symmetrized,
-    tells which elements a factorization couples directly; for the LDG
-    state operator S = C + B' A^-1 B those are elements at most two edge
-    hops apart.  A tree node of more than ``leaf_size`` elements is cut at
-    the midpoint of its centroids' bounding box, across its longer side
-    (recursive coordinate bisection).  Its separator is the set of
-    elements of one half that are coupled to the other half, taken from
-    the half where that set is smaller; without it the two halves are
-    uncoupled.  All nodes of a level are cut at once.
 
-    Returns (paths, along).  Row t of the (nt, depth) int8 array ``paths``
-    holds one digit per level: 0 or 1 for the half of the node element t
+def _dissection_paths(points, coupling):
+    """Nested-dissection tree of a point set, one level at a time.
+
+    ``points`` (n, 2) are the positions of the unknowns of a sparse matrix
+    and ``coupling`` is an (n, n) sparse matrix whose pattern, symmetrized,
+    tells which unknowns a factorization couples directly.  A tree node of
+    more than ``_LEAF_SIZE`` points is cut across one of two perpendicular
+    directions, between two points that are consecutive along it.  All
+    such cuts with at least a quarter of the node's points on either side
+    are scored at once: a cut's separator is the smaller of the two sets of
+    points of one side coupled to the other side, and its score is
+    separator / (left * right), so thin and balanced cuts win.  The node
+    takes its best cut; without the separator the two halves are
+    uncoupled.  All nodes of a level are cut at once.  The pair of
+    directions, the axes or the diagonals, is the one whose best cut of
+    the whole set scores better.
+
+    Returns (paths, along).  Row i of the (n, depth) int8 array ``paths``
+    holds one digit per level: 0 or 1 for the half of the node point i
     falls in, 2 when it is in that node's separator, and 0 on the levels
-    below the leaf or separator it ends in.  ``along`` is each element's
-    centroid coordinate along the last cut that it met.
+    below the leaf or separator it ends in.  ``along`` is each point's
+    coordinate along the last cut it met.
     """
-    nt = mesh.num_elements
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    pattern = sp.coo_matrix(coupling)
-    if pattern.shape != (nt, nt):
-        raise ValueError("the coupling matrix needs one row and column per element")
-    pattern = sp.csr_matrix((np.ones(pattern.nnz), (pattern.row, pattern.col)), shape=(nt, nt))
-    pattern = (pattern + pattern.T).tocoo()
-    i, j = pattern.row, pattern.col
-    node = np.zeros(nt, dtype=np.int64)  # tree node of each unplaced element, else -1
-    along = np.zeros(nt)
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    pattern = sp.csr_matrix(coupling)
+    if pattern.shape != (n, n):
+        raise ValueError("the coupling matrix needs one row and column per point")
+    pattern = sp.csr_matrix((np.ones(pattern.nnz), pattern.indices, pattern.indptr), shape=(n, n))
+    pattern = (pattern + pattern.T + sp.identity(n, format="csr")).tocsr()
+    coord = points[:, :1] * _CUT_DIRECTIONS[:, 0] + points[:, 1:] * _CUT_DIRECTIONS[:, 1]
+    coord = np.ascontiguousarray(coord.T)  # (4, n)
+    dirs = range(len(_CUT_DIRECTIONS))
+    by_coord = np.argsort(coord, axis=1, kind="stable")
+    rank = np.empty_like(by_coord)
+    for k in dirs:
+        rank[k][by_coord[k]] = np.arange(n)
+    node = np.zeros(n, dtype=np.int64)  # tree node of each unplaced point, else -1
+    # the coupled points of the same node lying farthest along (high) and
+    # against (low) each direction, refreshed when they leave the node
+    high = np.empty_like(by_coord)
+    low = np.empty_like(by_coord)
+
+    def neighbours(pts):
+        lengths = pattern.indptr[pts + 1] - pattern.indptr[pts]
+        first = np.cumsum(lengths) - lengths
+        nbr = pattern.indices[np.repeat(pattern.indptr[pts] - first, lengths)
+                              + np.arange(lengths.sum())]
+        return nbr, lengths, first
+
+    def refresh(pts, nbr, seg):
+        for k in dirs:
+            r = rank[k][nbr]
+            high[k][pts] = by_coord[k][np.maximum.reduceat(r, seg)]
+            low[k][pts] = by_coord[k][np.minimum.reduceat(r, seg)]
+
+    refresh(np.arange(n), pattern.indices, pattern.indptr[:-1])
+    seqs = list(by_coord)  # live points, by node and then along each direction
+    # points that lost a coupled point of their node: the neighbours of the
+    # last level's separators (a coupling across a cut always has one end
+    # in the separator)
+    touched = np.zeros(n, dtype=bool)
+    pos = np.empty_like(by_coord)
+    along = np.zeros(n)
     columns = []
-    while (node >= 0).any():
-        live = np.flatnonzero(node >= 0)
+    while seqs[dirs[0]].size:
+        live = seqs[dirs[0]]
+        m = live.size
         counts = np.bincount(node[live])
-        starts = np.cumsum(counts) - counts
-        pts = centroids[live[np.argsort(node[live], kind="stable")]]
-        low = np.minimum.reduceat(pts, starts)
-        high = np.maximum.reduceat(pts, starts)
-        axis = (high - low).argmax(axis=1)
-        split = live[counts[node[live]] > leaf_size]
-        cut_axis = axis[node[split]]
-        mid = 0.5 * (low + high)[node[split], cut_axis]
-        half = np.full(nt, -1, dtype=np.int64)  # 0 or 1 inside a node that is cut
-        half[split] = centroids[split, cut_axis] > mid
-        cross = (half[i] >= 0) & (half[j] >= 0) & (half[i] != half[j]) & (node[i] == node[j])
-        border = np.zeros(nt, dtype=bool)
-        border[i[cross]] = True
-        size = [np.bincount(node[border & (half == h)], minlength=counts.size) for h in (0, 1)]
-        side = (size[1] < size[0]).astype(np.int64)
-        separator = border[split] & (half[split] == side[node[split]])
-        digit = np.zeros(nt, dtype=np.int8)
-        digit[split] = np.where(separator, 2, half[split])
-        along[split] = centroids[split, 1 - cut_axis]
+        start = np.cumsum(counts) - counts
+        block = np.repeat(np.arange(counts.size), counts)
+        cut = counts > _LEAF_SIZE
+        inside = cut[block]
+        split = live[inside]
+        home = node[split]
+        left = np.arange(1, m + 1) - start[block]
+        right = counts[block] - left
+        ok = inside & (4 * left >= counts[block]) & (4 * right >= counts[block])
+        weight = np.where(ok, 1.0 / np.maximum(left * right, 1), 0.0)
+        penalty = np.where(ok, 0.0, np.inf)
+        inside = inside.astype(np.int64)
+        near = split[touched[split]]
+        gone = np.zeros(near.size, dtype=bool)
+        for k in dirs:
+            gone |= (node[high[k][near]] != node[near]) | (node[low[k][near]] != node[near])
+        stale = near[gone]
+        if stale.size:
+            nbr, lengths, first = neighbours(stale)
+            same = node[nbr] == np.repeat(node[stale], lengths)  # each point is its own neighbour
+            count = np.add.reduceat(same.astype(np.int64), first)
+            refresh(stale, nbr[same], np.cumsum(count) - count)
+        best = np.full(counts.size, np.inf)
+        best_dir = np.zeros(counts.size, dtype=np.int64)
+        best_at = np.zeros(counts.size, dtype=np.int64)
+        best_left = np.zeros(counts.size, dtype=bool)
+        for k in dirs:
+            p = pos[k]
+            p[seqs[k]] = np.arange(m)
+            # a point is in the left (right) border of the cut after
+            # position q along k for q in [own, high) ([low, own))
+            b0 = np.cumsum(inside - np.bincount(p[high[k][split]], minlength=m))
+            b1 = np.cumsum(np.bincount(p[low[k][split]], minlength=m) - inside)
+            score = np.minimum(b0, b1) * weight + penalty
+            node_score = np.minimum.reduceat(score, start)
+            at = np.minimum.reduceat(np.where(score == node_score[block], np.arange(m), m - 1),
+                                     start)
+            better = node_score < best
+            best[better] = node_score[better]
+            best_dir[better] = k
+            best_at[better] = at[better]
+            best_left[better] = b0[at[better]] <= b1[at[better]]
+        if len(dirs) > 2:  # the root's cut picks the pair of directions
+            pair = 2 * (best_dir[0] // 2)
+            dirs = range(pair, pair + 2)
+        chosen, q = best_dir[home], best_at[home]
+        upper = pos[chosen, split] > q
+        separator = np.where(best_left[home], ~upper & (pos[chosen, high[chosen, split]] > q),
+                             upper & (pos[chosen, low[chosen, split]] <= q))
+        along[split] = coord[chosen ^ 1, split]
+        digit = np.zeros(n, dtype=np.int8)
+        digit[split] = np.where(separator, 2, upper)
         columns.append(digit)
         children = split[~separator]
-        child_node = np.unique(2 * node[children] + half[children], return_inverse=True)[1]
+        key = 2 * home[~separator] + upper[~separator]
+        present = np.zeros(2 * counts.size, dtype=bool)
+        present[key] = True
         node[live] = -1
-        node[children] = child_node
+        node[children] = (np.cumsum(present) - 1)[key]
+        touched[:] = False
+        touched[neighbours(split[separator])[0]] = True
+        for k in dirs:
+            s = seqs[k][node[seqs[k]] >= 0]
+            seqs[k] = s[np.argsort(node[s], kind="stable")]
     return np.stack(columns, axis=1), along
 
 
-def dissection_order(mesh: Mesh, coupling, leaf_size: int = 16) -> np.ndarray:
-    """Nested-dissection elimination order of the mesh elements.
+def dissection_order(points, coupling) -> np.ndarray:
+    """Nested-dissection elimination order of a point set.
 
-    The elements sorted by their ``dissection_paths``, so that each node's
+    The points sorted by their ``_dissection_paths``, so that each node's
     two halves come before its separator.  Inside a separator or a leaf
-    they follow the last cut they met, then their centroids: the order
-    depends on the geometry and the coupling pattern, not on the element
-    numbering.
+    they follow the last cut they met, then their coordinates: the order
+    depends on the geometry and the coupling pattern, not on the numbering
+    of the points.
     """
-    paths, along = dissection_paths(mesh, coupling, leaf_size)
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    return np.lexsort((centroids[:, 1], centroids[:, 0], along) + tuple(paths.T[::-1]))
+    points = np.asarray(points, dtype=float)
+    paths, along = _dissection_paths(points, coupling)
+    return np.lexsort((points[:, 1], points[:, 0], along) + tuple(paths.T[::-1]))
 
 
 def classify_boundary_edges(mesh: Mesh, beta) -> EdgeClassification:

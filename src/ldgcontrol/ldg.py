@@ -70,7 +70,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .geometry import EdgeClassification, Mesh, classify_boundary_edges, data_values
-from .linsolve import Factorization, _condensation_operators, _system_order
+from .linsolve import Factorization, _condensation_operators, _node_order
 from .spaces import (
     DiscreteField,
     SpaceSet,
@@ -159,8 +159,9 @@ class ProblemData:
         """Assert div(beta) = 0 by central differences at sample points (n, 2).
 
         Rounding the beta values perturbs each difference quotient by about
-        eps |beta| / step, so the absolute tolerance ``tol`` is widened by
-        16 eps max|beta| / step over the samples.
+        eps |beta| / step, so at each sample the absolute tolerance ``tol``
+        is widened by 16 eps max|beta| / step over that sample's four
+        shifted points.
         """
         points = np.asarray(points, dtype=float)
         # beta at x + step e1, x - step e1, x + step e2, x - step e2
@@ -169,7 +170,7 @@ class ProblemData:
         b = data_values(self.beta, shifted, "beta", vector=True)
         div = ((b[:, 0, 0] - b[:, 1, 0]) / (shifted[:, 0, 0] - shifted[:, 1, 0])
                + (b[:, 2, 1] - b[:, 3, 1]) / (shifted[:, 2, 1] - shifted[:, 3, 1]))
-        bound = tol + 16 * np.finfo(float).eps * np.abs(b).max(initial=0.0) / step
+        bound = tol + 16 * np.finfo(float).eps * np.abs(b).max(axis=(1, 2)) / step
         bad = np.abs(div) > bound
         if bad.any():
             raise ValueError(f"velocity field is not divergence free at {points[bad][0]}")
@@ -341,8 +342,8 @@ class BlockOperator:
 
     ``_state_lu`` and ``_condensation`` cache the factorization of S and
     the flux-elimination operators (``linsolve._condensation_operators``);
-    ``_element_order`` caches the nested-dissection order of the elements
-    (``linsolve._element_order``) and ``_qp_load`` the variational
+    ``_node_order`` caches the nested-dissection order of the P1 nodes
+    (``linsolve._node_order``) and ``_qp_load`` the variational
     control-to-state load of ``linsolve._control_load``.
     """
 
@@ -364,7 +365,7 @@ class BlockOperator:
     data_degree: int
     _state_lu: Optional[Factorization] = field(default=None, init=False, repr=False)
     _condensation: Optional[tuple] = field(default=None, init=False, repr=False)
-    _element_order: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _node_order: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _qp_load: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False)
 
     @property
@@ -374,12 +375,11 @@ class BlockOperator:
     def state_factorization(self) -> Factorization:
         """Factorization of the flux-eliminated state operator S = C + B' A^-1 B.
 
-        S is factored in the nested-dissection order of the elements, the
-        3 unknowns of each element together.
+        S is factored in the nested-dissection order of its unknowns, the
+        P1 nodes.
         """
         if self._state_lu is None:
-            self._state_lu = Factorization(_condensation_operators(self)[2],
-                                           _system_order(self, (3,)))
+            self._state_lu = Factorization(_condensation_operators(self)[2], _node_order(self))
         return self._state_lu
 
 

@@ -32,13 +32,13 @@ Every factorization is a ``Factorization``: a sparse LU in a given
 elimination order, with diagonal pivots, and iterative refinement that
 raises ``SingularSystemError`` when the factorization fails, produces
 non-finite entries or the refinement stalls.  The order comes from one
-nested dissection of the elements in the coupling graph of S
-(``geometry.dissection_order``, cached per operator set): S is factored
-with the 3 unknowns of each element together, and the two reference
-systems with all unknowns of an element together (q, y, p, z block by
-block, then the controls of its boundary edges).  At 8192 elements this
-factors S with 2.2 M nonzeros in L and U, against 5.1 M for SuperLU's
-default COLAMD column order with partial pivoting.
+nested dissection of the P1 nodes, the unknowns of S, in the coupling
+graph of S (``geometry.dissection_order``, cached per operator set).
+The two reference systems keep the unknowns of a P1 node together at its
+rank (q, y, p, z block by block, each control with the node at its
+boundary vertex).  At 8192 elements this factors S with 1.36 M nonzeros
+in L and U, against 5.1 M for SuperLU's default COLAMD column order with
+partial pivoting.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ def compose_kkt(ops, active, data, mode: str = "full") -> BlockSystem:
         ])
         offs = np.cumsum([0, nW, nV, nW, nV, nU])
         slices = {name: slice(offs[i], offs[i + 1]) for i, name in enumerate("qypzu")}
-        order = _system_order(ops, (6, 3, 6, 3), controls=np.arange(nU))
+        order = _system_order(ops, (2, 1, 2, 1), controls=np.arange(nU))
         return BlockSystem(K, rhs, slices, "full", order)
 
     G1, H1, G2, H2 = _pointwise_coupling(ops, inactive, data.omega)
@@ -285,7 +285,7 @@ def compose_kkt(ops, active, data, mode: str = "full") -> BlockSystem:
     ])
     offs = np.cumsum([0, nW, nV, nW, nV])
     slices = {name: slice(offs[i], offs[i + 1]) for i, name in enumerate("qypz")}
-    return BlockSystem(K, rhs, slices, "variational", _system_order(ops, (6, 3, 6, 3)))
+    return BlockSystem(K, rhs, slices, "variational", _system_order(ops, (2, 1, 2, 1)))
 
 
 def _flux_block_inverse(ops):
@@ -330,37 +330,48 @@ def _condensation_operators(ops):
     return ops._condensation
 
 
-def _element_order(ops):
-    """Nested-dissection order of the elements in the coupling graph of S.
+def _node_points(mesh):
+    """Positions of the P1 nodes, the unknowns of S (element major).
+
+    Each element corner is moved a fifth of the way to the element's
+    centroid, so that the nodes of the elements around one vertex are told
+    apart: a cut through the vertex puts some of them on either side.
+    """
+    corners = mesh.vertices[mesh.triangles]
+    return (0.8 * corners + 0.2 * corners.mean(axis=1, keepdims=True)).reshape(-1, 2)
+
+
+def _node_order(ops):
+    """Nested-dissection order of the P1 nodes in the coupling graph of S.
 
     Cached per assembled operator set; every factorization of ``ops``
     derives its elimination order from it (see ``_system_order``).
     """
-    if ops._element_order is None:
-        S = _condensation_operators(ops)[2].tocoo()  # 3 unknowns per element
-        nt = ops.num_elements
-        coupling = sp.coo_matrix((S.data, (S.row // 3, S.col // 3)), shape=(nt, nt))
-        ops._element_order = dissection_order(ops.mesh, coupling)
-    return ops._element_order
+    if ops._node_order is None:
+        S = _condensation_operators(ops)[2]
+        ops._node_order = dissection_order(_node_points(ops.mesh), S)
+    return ops._node_order
 
 
-def _system_order(ops, per_element, controls=None):
-    """Element-blocked nested-dissection order of a system's unknowns.
+def _system_order(ops, per_node, controls=None):
+    """Nested-dissection order of a system's unknowns, blocked by P1 node.
 
-    The unknowns are element blocks, block b holding ``per_element[b]``
-    unknowns per element (element major), followed by the control unknowns
-    ``controls`` (positions in the boundary-edge dof map), if given.  The
-    order puts all unknowns of an element together at the element's rank
-    in ``_element_order``, block by block, and each control unknown with
-    the element of its boundary edge.
+    The unknowns are node blocks, block b holding ``per_node[b]`` unknowns
+    per P1 node (node major, as in the dof maps), followed by the control
+    unknowns ``controls`` (positions in the boundary-edge dof map), if
+    given.  The order puts all unknowns of a node together at the node's
+    rank in ``_node_order``, block by block, and each control unknown with
+    the node of its boundary element at the same boundary vertex.
     """
     mesh = ops.mesh
-    nt = mesh.num_elements
-    owner = [np.repeat(np.arange(nt), k) for k in per_element]
+    nodes = 3 * mesh.num_elements
+    owner = [np.repeat(np.arange(nodes), k) for k in per_node]
     if controls is not None:
-        owner.append(np.repeat(mesh.edge_elems[mesh.boundary_edges, 0], 2)[controls])
-    rank = np.empty(nt, dtype=np.int64)
-    rank[_element_order(ops)] = np.arange(nt)
+        edges = mesh.boundary_edges
+        at_vertex = 3 * mesh.edge_elems[edges, 0, None] + mesh.edge_local[edges, 0]
+        owner.append(at_vertex.ravel()[controls])
+    rank = np.empty(nodes, dtype=np.int64)
+    rank[_node_order(ops)] = np.arange(nodes)
     return np.argsort(rank[np.concatenate(owner)], kind="stable")
 
 
@@ -448,7 +459,7 @@ def condense_kkt(ops, active, data=None, mode="full"):
         offs = np.cumsum([0, nV, nV, free.size])
         slices = {name: slice(offs[i], offs[i + 1]) for i, name in enumerate("yzu")}
         aux = {"inactive": free, "bound_vals": bound_vals}
-        order = _system_order(ops, (3, 3), controls=free)
+        order = _system_order(ops, (1, 1), controls=free)
         return CondensedSystem(R, rhs, slices, "full", ops, aux, order)
 
     G1, H1, G2, H2 = _pointwise_coupling(ops, inactive, data.omega)
@@ -467,7 +478,7 @@ def condense_kkt(ops, active, data=None, mode="full"):
     rhs = np.concatenate([r2 + ops.B.T @ (Ainv @ r1), -ops.Yd])
     slices = {"y": slice(0, nV), "z": slice(nV, 2 * nV)}
     aux = {"G1": G1, "H1": H1, "r1": r1}
-    return CondensedSystem(R, rhs, slices, "variational", ops, aux, _system_order(ops, (3, 3)))
+    return CondensedSystem(R, rhs, slices, "variational", ops, aux, _system_order(ops, (1, 1)))
 
 
 def _control_load(ops, mode):

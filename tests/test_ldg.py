@@ -297,6 +297,14 @@ def test_divergence_checked_on_every_element():
         [np.maximum(x[..., 0] - 0.9, 0.0) ** 2, 0.0 * x[..., 0]], axis=-1))
     with pytest.raises(ValueError, match="not divergence free"):
         assemble_forms(mesh, build_spaces(mesh), data)
+    # adding (0, 1e8 (0.5 - x1)_+) leaves the divergence unchanged; |beta|
+    # is large only far from the divergent elements, whose check must not
+    # be widened by it
+    data = ProblemData(epsilon=1.0, omega=1.0, beta=lambda x: np.stack(
+        [np.maximum(x[..., 0] - 0.9, 0.0) ** 2,
+         1e8 * np.maximum(0.5 - x[..., 0], 0.0)], axis=-1))
+    with pytest.raises(ValueError, match="not divergence free"):
+        assemble_forms(mesh, build_spaces(mesh), data)
 
 
 @pytest.mark.parametrize("scale", [100.0, 1000.0])

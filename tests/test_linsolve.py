@@ -17,8 +17,8 @@ from ldgcontrol.control import pdas_solve
 from ldgcontrol.geometry import (
     Mesh,
     build_unit_square_mesh,
+    _dissection_paths,
     dissection_order,
-    dissection_paths,
     refine_uniform,
 )
 from ldgcontrol.ldg import assemble_forms, solve_adjoint, solve_state
@@ -152,30 +152,24 @@ def ex2_ops_2048():
     return assemble_forms(mesh, build_spaces(mesh), example2_data())
 
 
-def element_coupling(ops):
-    S = ops.state_factorization().matrix.tocoo()
-    nt = ops.num_elements
-    return sp.coo_matrix((S.data, (S.row // 3, S.col // 3)), shape=(nt, nt)).tocsr()
-
-
 # ------------------------------------------------ nested-dissection order
 
 
 def test_dissection_order_is_a_permutation(ex2_ops_2048):
-    order = dissection_order(ex2_ops_2048.mesh, element_coupling(ex2_ops_2048))
-    assert np.array_equal(np.sort(order), np.arange(ex2_ops_2048.num_elements))
-    assert np.array_equal(ex2_ops_2048.state_factorization().order,
-                          (3 * order[:, None] + np.arange(3)).ravel())
+    factor = ex2_ops_2048.state_factorization()
+    order = dissection_order(linsolve._node_points(ex2_ops_2048.mesh), factor.matrix)
+    assert np.array_equal(np.sort(order), np.arange(3 * ex2_ops_2048.num_elements))
+    assert np.array_equal(factor.order, order)
 
 
 def test_top_level_halves_are_uncoupled_in_S(ex2_ops_2048):
-    coupling = element_coupling(ex2_ops_2048)
-    paths, _ = dissection_paths(ex2_ops_2048.mesh, coupling)
+    S = ex2_ops_2048.state_factorization().matrix
+    paths, _ = _dissection_paths(linsolve._node_points(ex2_ops_2048.mesh), S)
     top = paths[:, 0]
-    assert (top == 0).sum() > 900 and (top == 1).sum() > 900
+    assert (top == 0).sum() > 2500 and (top == 1).sum() > 2500
     assert 0 < (top == 2).sum() <= 64
-    assert coupling[top == 0][:, top == 1].nnz == 0
-    assert coupling[top == 1][:, top == 0].nnz == 0
+    assert S[top == 0][:, top == 1].nnz == 0
+    assert S[top == 1][:, top == 0].nnz == 0
 
 
 def test_state_fill_does_not_depend_on_element_numbering(ex2_ops_2048):
@@ -187,13 +181,13 @@ def test_state_fill_does_not_depend_on_element_numbering(ex2_ops_2048):
     assert abs(ops.state_factorization().fill - fill) <= 0.1 * fill
 
 
-@pytest.mark.parametrize("case, bound", [
-    pytest.param("ex1", 0.55, id="ex1-eps1e-6"),
-    pytest.param("ex2", 0.6, id="ex2"),
-    pytest.param("ex3", 0.8, id="ex3-diag2"),
+@pytest.mark.parametrize("case", [
+    pytest.param("ex1", id="ex1-eps1e-6"),
+    pytest.param("ex2", id="ex2"),
+    pytest.param("ex3", id="ex3-diag2"),
 ])
-def test_dissection_fill_against_a_plain_factor(case, bound):
-    # measured at 2048 elements: 0.49 (ex1), 0.56 (ex2) and 0.75 (ex3) of
+def test_dissection_fill_against_a_plain_factor(case):
+    # measured at 2048 elements: 0.31 (ex1), 0.35 (ex2) and 0.47 (ex3) of
     # the fill of scipy's default splu (COLAMD with partial pivoting)
     if case == "ex3":
         mesh, data = example3_mesh(5, "diag2"), example3_data()
@@ -203,7 +197,7 @@ def test_dissection_fill_against_a_plain_factor(case, bound):
                 else example2_data())
     assert mesh.num_elements == 2048
     factor = assemble_forms(mesh, build_spaces(mesh), data).state_factorization()
-    assert factor.fill <= bound * spla.splu(factor.matrix).nnz
+    assert factor.fill <= 0.5 * spla.splu(factor.matrix).nnz
 
 
 def test_state_factor_solves_without_refinement(ex2_ops_2048):
