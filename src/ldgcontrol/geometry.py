@@ -80,10 +80,13 @@ class Mesh:
         areas : (nt,) element areas (all positive).
         diameters : (nt,) element diameters (longest edge).
         h : float, max of diameters.
-        edges : (ne, 2) int array of endpoint indices; the direction a -> b
-            is the counterclockwise traversal of the first adjacent element.
-        edge_elems : (ne, 2) int, adjacent element ids; second entry is -1
-            on boundary edges.
+        edges : (ne, 2) int array of endpoint indices.  Edges are numbered
+            in the order a walk over the elements, and over the local edges
+            k = 0, 1, 2 of each (edge k runs from local vertex k+1 to k+2),
+            first meets them; the direction a -> b is the counterclockwise
+            traversal of that first adjacent element.
+        edge_elems : (ne, 2) int, adjacent element ids, the first one met
+            in that walk first; second entry is -1 on boundary edges.
         edge_local : (ne, 2, 2) int, local indices (within the adjacent
             element's vertex triple) of the edge endpoints a and b, for each
             of the two sides; -1 where there is no second element.
@@ -140,41 +143,36 @@ class Mesh:
         return self.edges.shape[0]
 
     def _build_edges(self):
-        nt = self.num_elements
-        # Local edge k of an element runs from vertex k+1 to vertex k+2
-        # (mod 3), i.e. it is opposite local vertex k and is traversed in the
-        # element's counterclockwise order.
-        seen: dict[tuple[int, int], int] = {}
-        edges = []
-        edge_elems = []
-        edge_local = []
-        for t in range(nt):
-            tri = self.triangles[t]
-            for k in range(3):
-                a = int(tri[(k + 1) % 3])
-                b = int(tri[(k + 2) % 3])
-                key = (a, b) if a < b else (b, a)
-                if key not in seen:
-                    seen[key] = len(edges)
-                    edges.append((a, b))
-                    edge_elems.append([t, -1])
-                    edge_local.append([[(k + 1) % 3, (k + 2) % 3], [-1, -1]])
-                else:
-                    e = seen[key]
-                    if edge_elems[e][1] != -1:
-                        raise ValueError(f"edge {key} adjacent to more than two elements")
-                    if edges[e] != (b, a):
-                        raise ValueError(
-                            f"edge {key} traversed twice in the same direction; "
-                            "triangulation is not conforming"
-                        )
-                    edge_elems[e][1] = t
-                    # Stored direction is a -> b from the first element; in
-                    # this element the endpoints appear reversed.
-                    edge_local[e][1] = [(k + 2) % 3, (k + 1) % 3]
-        self.edges = np.array(edges, dtype=np.int64)
-        self.edge_elems = np.array(edge_elems, dtype=np.int64)
-        self.edge_local = np.array(edge_local, dtype=np.int64)
+        # Half-edge h = 3 t + k, local edge k of element t, runs from local
+        # vertex k+1 to k+2 (mod 3), counterclockwise.  One stable sort by
+        # (min vertex, max vertex) groups each edge's half-edges in element order.
+        local = np.array([[1, 2], [2, 0], [0, 1]])
+        ends = self.triangles[:, local].reshape(-1, 2)
+        key = ends.min(axis=1) * self.num_vertices + ends.max(axis=1)
+        by_key = np.argsort(key, kind="stable")
+        head = np.ones(key.size, dtype=bool)  # first half-edge of its edge
+        head[1:] = key[by_key[1:]] != key[by_key[:-1]]
+        later = np.flatnonzero(~head)
+        prev = by_key[later - 1]
+        crowded = ~head[later - 1]  # a third or later half-edge
+        bad = crowded | (ends[by_key[later], 0] == ends[prev, 0])
+        if bad.any():  # report what a walk over the half-edges meets first
+            i = np.argmin(np.where(bad, by_key[later], key.size))
+            what = ("adjacent to more than two elements" if crowded[i] else
+                    "traversed twice in the same direction; triangulation is not conforming")
+            raise ValueError(f"edge {tuple(sorted(ends[prev[i]].tolist()))} {what}")
+        # An edge is numbered by its first half-edge, and runs its way.
+        first = by_key[head]
+        second = np.full(first.size, -1)
+        second[(np.cumsum(head) - 1)[later]] = by_key[later]
+        number = np.argsort(first)
+        first, second = first[number], second[number]
+        self.edges = ends[first]
+        self.edge_elems = np.stack([first, second], axis=1) // 3  # -1 // 3 is -1
+        self.edge_local = np.full((first.size, 2, 2), -1, dtype=np.int64)
+        self.edge_local[:, 0] = local[first % 3]
+        paired = second >= 0  # the second element traverses the edge b -> a
+        self.edge_local[paired, 1] = local[second[paired] % 3, ::-1]
 
         tang = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
         self.edge_lengths = np.sqrt(np.sum(tang**2, axis=1))
@@ -226,19 +224,10 @@ def build_unit_square_mesh(n: int) -> Mesh:
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return i + j * (n + 1)
-
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    t = 0
-    for j in range(n):
-        for i in range(n):
-            ll, lr = vid(i, j), vid(i + 1, j)
-            ul, ur = vid(i, j + 1), vid(i + 1, j + 1)
-            triangles[t] = (ll, lr, ur)
-            triangles[t + 1] = (ll, ur, ul)
-            t += 2
+    # lower-left vertex of each square, row by row; its triangles are
+    # (ll, lr, ur) and (ll, ur, ul)
+    ll = (np.arange(n) + (n + 1) * np.arange(n)[:, None]).ravel()
+    triangles = (ll[:, None, None] + np.array([[0, 1, n + 2], [0, n + 2, n + 1]])).reshape(-1, 3)
     return Mesh(vertices, triangles)
 
 
@@ -503,11 +492,14 @@ def data_values(fun, points, name: str, vector: bool = False) -> np.ndarray:
     return vals
 
 
+def _text_lines(fmt, rows) -> str:
+    """One ``fmt`` line per row of ``rows``, formatted in one operation."""
+    return (fmt * len(rows)) % tuple(np.ravel(rows).tolist())
+
+
 def write_mesh_text(mesh: Mesh, path) -> None:
     """Dump a mesh as plain text: one "v x y" line per vertex followed by
     one "t i j k" line per triangle, floats with 17 significant digits."""
     with open(path, "w") as fh:
-        for x, y in mesh.vertices:
-            fh.write(f"v {x:.17g} {y:.17g}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"t {i} {j} {k}\n")
+        fh.write(_text_lines("v %.17g %.17g\n", mesh.vertices))
+        fh.write(_text_lines("t %d %d %d\n", mesh.triangles))

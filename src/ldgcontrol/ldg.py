@@ -239,7 +239,10 @@ def _edge_quadrature(mesh, degree, edges):
 
 def _gram(wt, L):
     """Edge blocks G[e, r, s, i, j] = sum_g wt[e, g] L[e, r, g, i] L[e, s, g, j]."""
-    return np.einsum("ergi,esgj->ersij", wt[:, None, :, None] * L, L)
+    ne, _, k, _ = L.shape
+    wL = (wt[:, None, :, None] * L).swapaxes(2, 3).reshape(ne, 6, k)  # rows (r, i)
+    G = wL @ L.swapaxes(1, 2).reshape(ne, k, 6)  # columns (s, j)
+    return G.reshape(ne, 2, 3, 2, 3).swapaxes(2, 3)
 
 
 def _side_pairs(mesh):

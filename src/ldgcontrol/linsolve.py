@@ -98,13 +98,15 @@ class Factorization:
     order gives.  Pivoting is traded away for that, so every solve refines
     its result and reports a stalled refinement as a singular system.
 
-    Attributes: ``matrix`` (CSC), ``order``, ``lu`` (the SuperLU object),
-    ``fill`` (nonzeros of L and U) and ``sweeps`` (refinement sweeps of
-    all solves so far).
+    Attributes: ``matrix`` (kept as given when CSR or CSC, else a CSC
+    copy), ``order``, ``lu`` (the SuperLU object), ``fill`` (nonzeros of L
+    and U) and ``sweeps`` (refinement sweeps of all solves so far).
     """
 
     def __init__(self, matrix, order=None):
-        self.matrix = sp.csc_matrix(matrix)
+        if not (sp.issparse(matrix) and matrix.format in ("csr", "csc")):
+            matrix = sp.csc_matrix(matrix)
+        self.matrix = matrix
         n = self.matrix.shape[0]
         if self.matrix.shape != (n, n):
             raise ValueError("a factorization needs a square matrix")

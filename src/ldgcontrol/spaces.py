@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Mesh, data_values
+from .geometry import Mesh, _text_lines, data_values
 
 __all__ = [
     "DofMap",
@@ -98,6 +98,9 @@ def _triangle_rules():
 
 
 _TRIANGLE_RULES = _triangle_rules()
+# Gauss-Legendre rules on [-1, 1] by point count
+_EDGE_RULES = {npts: np.polynomial.legendre.leggauss(npts)
+               for npts in range(1, (_MAX_DEGREE + 2) // 2 + 1)}
 
 
 class QuadratureRule:
@@ -128,7 +131,7 @@ def quadrature_rule(entity: str, degree: int) -> QuadratureRule:
         return QuadratureRule(entity, pts.copy(), w.copy(), actual)
     if entity == "edge":
         npts = (degree + 2) // 2
-        x, w = np.polynomial.legendre.leggauss(npts)
+        x, w = _EDGE_RULES[npts]
         # map from [-1, 1] to [0, 1]
         return QuadratureRule(entity, 0.5 * (x + 1.0), 0.5 * w, 2 * npts - 1)
     raise ValueError(f"unknown quadrature entity {entity!r}")
@@ -166,7 +169,7 @@ def element_gradients(mesh: Mesh) -> np.ndarray:
 def physical_points(mesh: Mesh, ref_points) -> np.ndarray:
     """Map reference triangle points (k, 2) into every element, (nt, k, 2)."""
     lam = tri_basis_values(ref_points)  # (k, 3)
-    return np.einsum("kj,tjd->tkd", lam, mesh.vertices[mesh.triangles])
+    return lam @ mesh.vertices[mesh.triangles]
 
 
 def barycentric(mesh: Mesh, elements, points) -> np.ndarray:
@@ -375,27 +378,23 @@ def write_vtk(path, mesh: Mesh, fields: dict) -> None:
     """
     nt = mesh.num_elements
 
-    def lines(fmt, rows):
-        # one ``fmt`` line per row, formatted in one operation
-        return (fmt * len(rows)) % tuple(np.ravel(rows).tolist())
-
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("piecewise linear element data\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {3 * nt} double\n")
-        fh.write(lines("%.16e %.16e 0.0\n", mesh.vertices[mesh.triangles].reshape(-1, 2)))
+        fh.write(_text_lines("%.16e %.16e 0.0\n", mesh.vertices[mesh.triangles].reshape(-1, 2)))
         fh.write(f"CELLS {nt} {4 * nt}\n")
-        fh.write(lines("3 %d %d %d\n", np.arange(3 * nt).reshape(nt, 3)))
+        fh.write(_text_lines("3 %d %d %d\n", np.arange(3 * nt).reshape(nt, 3)))
         fh.write(f"CELL_TYPES {nt}\n")
         fh.write("5\n" * nt)
         fh.write(f"POINT_DATA {3 * nt}\n")
         for name, field in fields.items():
             if field.dofmap.kind == SCALAR:
                 fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                fh.write(lines("%.16e\n", field.coefficients))
+                fh.write(_text_lines("%.16e\n", field.coefficients))
             elif field.dofmap.kind == VECTOR:
                 fh.write(f"VECTORS {name} double\n")
-                fh.write(lines("%.16e %.16e 0.0\n", field.coefficients.reshape(-1, 2)))
+                fh.write(_text_lines("%.16e %.16e 0.0\n", field.coefficients.reshape(-1, 2)))
             else:
                 raise ValueError("boundary-edge fields are not cell data")

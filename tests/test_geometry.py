@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ldgcontrol.analysis import example3_mesh
 from ldgcontrol.geometry import (
     DomainSpec,
     Mesh,
@@ -144,16 +145,25 @@ def test_polygon_fan_counts():
 
 
 def test_mesh_text_dump(tmp_path):
-    m = build_unit_square_mesh(2)
+    vertices = build_unit_square_mesh(2).vertices.copy()
+    vertices[0] = (0.0, -0.0)
+    vertices[1] = (1.0 / 3.0, 1e-300)
+    vertices[3, 0] = -0.0
+    m = Mesh(vertices, build_unit_square_mesh(2).triangles)
     path = tmp_path / "mesh.txt"
     write_mesh_text(m, path)
-    lines = path.read_text().strip().split("\n")
+    text = path.read_text()
+    lines = text.strip().split("\n")
     vlines = [l for l in lines if l.startswith("v ")]
     tlines = [l for l in lines if l.startswith("t ")]
     assert len(vlines) == m.num_vertices
     assert len(tlines) == m.num_elements
     verts = np.array([[float(tok) for tok in l.split()[1:]] for l in vlines])
     assert np.allclose(verts, m.vertices, atol=0, rtol=1e-16)
+    expected = "".join(f"v {x:.17g} {y:.17g}\n" for x, y in m.vertices)
+    expected += "".join(f"t {i} {j} {k}\n" for i, j, k in m.triangles)
+    assert text == expected
+    assert "v 0 -0\n" in text and "v 0.33333333333333331 1e-300\n" in text
 
 
 def test_single_triangle_mesh():
@@ -161,3 +171,69 @@ def test_single_triangle_mesh():
     assert m.num_edges == 3
     assert len(m.boundary_edges) == 3
     assert abs(m.total_area() - 0.5) < 1e-15
+
+
+# ------------------------------------------------ edge topology
+
+
+def reference_edge_topology(triangles):
+    """Edge arrays from a walk over the half-edges in element order, each
+    edge numbered when first met (conforming meshes only)."""
+    seen = {}
+    edges, elems, local = [], [], []
+    for t, tri in enumerate(np.asarray(triangles).tolist()):
+        for k in range(3):
+            a, b = tri[(k + 1) % 3], tri[(k + 2) % 3]
+            key = (min(a, b), max(a, b))
+            if key not in seen:
+                seen[key] = len(edges)
+                edges.append((a, b))
+                elems.append([t, -1])
+                local.append([[(k + 1) % 3, (k + 2) % 3], [-1, -1]])
+            else:
+                e = seen[key]
+                elems[e][1] = t
+                local[e][1] = [(k + 2) % 3, (k + 1) % 3]
+    edges, elems, local = (np.array(x, dtype=np.int64) for x in (edges, elems, local))
+    boundary = elems[:, 1] == -1
+    return {"edges": edges, "edge_elems": elems, "edge_local": local,
+            "boundary_edges": np.nonzero(boundary)[0], "interior_edges": np.nonzero(~boundary)[0]}
+
+
+TOPOLOGY_MESHES = (
+    [pytest.param(lambda n=n: build_unit_square_mesh(n), id=f"square{n}") for n in range(1, 9)]
+    + [pytest.param(lambda: refine_uniform(refine_uniform(build_unit_square_mesh(3))),
+                    id="square3-refined-twice")]
+    + [pytest.param(lambda level=level, coarse=coarse: example3_mesh(level, coarse),
+                    id=f"ex3-{coarse}-{level}")
+       for coarse in ("fan3", "diag2") for level in range(4)]
+    + [pytest.param(lambda: Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)]), id="triangle")]
+)
+
+
+@pytest.mark.parametrize("make", TOPOLOGY_MESHES)
+def test_edge_topology_matches_the_element_walk(make):
+    m = make()
+    for name, expected in reference_edge_topology(m.triangles).items():
+        got = getattr(m, name)
+        assert got.dtype == expected.dtype, name
+        assert np.array_equal(got, expected), name
+
+
+def test_three_elements_on_one_edge_are_rejected():
+    vertices = [(0, 0), (1, 0), (0, 1), (0.5, -1), (0.5, 2)]
+    with pytest.raises(ValueError, match="more than two elements"):
+        Mesh(vertices, [(0, 1, 2), (0, 3, 1), (0, 1, 4)])
+
+
+def test_two_elements_on_the_same_side_of_an_edge_are_rejected():
+    with pytest.raises(ValueError, match="not conforming"):
+        Mesh([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2), (0, 1, 3)])
+
+
+def test_square_mesh_triangle_rows():
+    # per square, row by row: (ll, lr, ur) then (ll, ur, ul)
+    assert build_unit_square_mesh(2).triangles.tolist() == [
+        [0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+        [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7],
+    ]

@@ -197,7 +197,14 @@ def test_dissection_fill_against_a_plain_factor(case):
                 else example2_data())
     assert mesh.num_elements == 2048
     factor = assemble_forms(mesh, build_spaces(mesh), data).state_factorization()
-    assert factor.fill <= 0.5 * spla.splu(factor.matrix).nnz
+    assert factor.fill <= 0.5 * spla.splu(factor.matrix.tocsc()).nnz
+
+
+def test_state_factor_keeps_S_without_a_copy(ex2_ops_2048):
+    S = linsolve._condensation_operators(ex2_ops_2048)[2]
+    assert np.shares_memory(ex2_ops_2048.state_factorization().matrix.data, S.data)
+    assert Factorization(S.tocoo()).matrix.format == "csc"
+    assert Factorization(np.eye(3)).matrix.format == "csc"
 
 
 def test_state_factor_solves_without_refinement(ex2_ops_2048):

@@ -56,6 +56,17 @@ def test_quadrature_edge_exactness():
             assert abs(approx - 1.0 / (a + 1)) < 1e-13
 
 
+def test_edge_rules_are_gauss_legendre_copies():
+    for deg in range(1, 7):
+        rule = quadrature_rule("edge", deg)
+        x, w = np.polynomial.legendre.leggauss((deg + 2) // 2)
+        assert np.array_equal(rule.points, 0.5 * (x + 1.0))
+        assert np.array_equal(rule.weights, 0.5 * w)
+        rule.points[:] = 0.0
+        rule.weights[:] = 0.0
+        assert np.array_equal(quadrature_rule("edge", deg).weights, 0.5 * w)
+
+
 def test_quadrature_rejects_unsupported_degree():
     for deg in (0, 7, -1):
         with pytest.raises(ValueError):
