@@ -36,7 +36,7 @@ from .analysis import (
     reference_compare,
 )
 from .control import PdasNonconvergence, fd_gradient_check, pdas_solve, reduced_gradient
-from .geometry import build_unit_square_mesh, refine_uniform, write_mesh_text
+from .geometry import _text_lines, build_unit_square_mesh, refine_uniform, write_mesh_text
 from .ldg import assemble_forms, export_matrix_market
 from .linsolve import solve_optimality_system
 from .spaces import build_spaces, write_vtk
@@ -260,10 +260,12 @@ def _mesh_chain(config: RunConfig, counts):
     return chain
 
 
-def _solve_level(mesh, data, config: RunConfig, elements: int):
+def _solve_level(mesh, data, config: RunConfig, elements: int, start=None):
+    """Assemble one level and solve it, from ``start`` (a solution on an
+    ancestor mesh, see ``pdas_solve``) or from a cold start."""
     ops = assemble_forms(mesh, build_spaces(mesh), data)
     try:
-        sol = pdas_solve(ops, data, mode=config.mode,
+        sol = pdas_solve(ops, data, mode=config.mode, u0=start,
                          max_iter=config.pdas_max_iter)
     except PdasNonconvergence as exc:
         raise PdasNonconvergence(
@@ -276,7 +278,9 @@ def run_example(config: RunConfig, keep_solutions: list = None) -> ErrorReport:
 
     Appends (elements, mesh, ops, solution) per study level to
     ``keep_solutions`` when a list is passed, for callers that also emit
-    fields or matrices.
+    fields or matrices.  Examples 2 and 3 solve their refinement chain
+    from coarse to fine, the reference last, each level started from the
+    converged solution of the level below (nested iteration).
     """
     data, case = _example_data(config)
     report = ErrorReport()
@@ -298,12 +302,14 @@ def run_example(config: RunConfig, keep_solutions: list = None) -> ErrorReport:
                 keep_solutions.append((m, mesh, ops, sol))
         return report
 
-    chain = _mesh_chain(config, config.levels + (config.reference,))
-    _, ref_sol = _solve_level(chain[config.reference], data, config,
-                              config.reference)
-    for m in config.levels:
-        mesh = chain[m]
-        ops, sol = _solve_level(mesh, data, config, m)
+    counts = config.levels + (config.reference,)
+    chain = _mesh_chain(config, counts)
+    solved, sol = [], None
+    for m in counts:
+        ops, sol = _solve_level(chain[m], data, config, m, start=sol)
+        solved.append((m, chain[m], ops, sol))
+    *levels, (_, _, _, ref_sol) = solved
+    for m, mesh, ops, sol in levels:
         report.add_row(reference_compare(sol, ref_sol))
         if keep_solutions is not None:
             keep_solutions.append((m, mesh, ops, sol))
@@ -353,14 +359,16 @@ def emit_table(report: ErrorReport, format: str, path) -> str:
 
 def _boundary_loop(mesh):
     """Boundary edges ordered head-to-tail around the domain."""
-    by_start = {int(mesh.edges[e, 0]): int(e) for e in mesh.boundary_edges}
-    start_vertex = int(mesh.edges[mesh.boundary_edges[0], 0])
-    loop, v = [], start_vertex
-    for _ in range(len(mesh.boundary_edges)):
-        e = by_start[v]
-        loop.append(e)
-        v = int(mesh.edges[e, 1])
-    return loop
+    be = mesh.boundary_edges
+    by_start = np.empty(mesh.num_vertices, dtype=be.dtype)
+    by_start[mesh.edges[be, 0]] = be
+    successor = np.empty(mesh.num_edges, dtype=be.dtype)
+    successor[be] = by_start[mesh.edges[be, 1]]
+    successor = successor.tolist()
+    loop = [int(be[0])]
+    for _ in range(len(be) - 1):
+        loop.append(successor[loop[-1]])
+    return np.array(loop)
 
 
 def emit_fields(sol, mesh, path) -> list:
@@ -378,18 +386,18 @@ def emit_fields(sol, mesh, path) -> list:
         files.append(target)
 
     target = os.path.join(path, "u_h.txt")
+    loop = _boundary_loop(mesh)
+    a, b = (mesh.vertices[mesh.edges[loop, end]] for end in range(2))
+    d = b - a
+    length = np.hypot(d[:, 0], d[:, 1])
+    arc = np.cumsum(length)  # adds edge by edge: the exact running sum
+    rows = np.empty((len(loop), 2, 4))  # (edge, end, column)
+    rows[:, 0, 0], rows[:, 1, 0] = np.concatenate(([0.0], arc[:-1])), arc
+    rows[:, 0, 1:3], rows[:, 1, 1:3] = a, a + d
+    rows[:, :, 3] = sol.control_on_edge(loop[:, None], [0.0, 1.0])
     with open(target, "w") as fh:
         fh.write("# arclength x1 x2 u\n")
-        s_acc = 0.0
-        loop = _boundary_loop(mesh)
-        for e, vals in zip(loop, sol.control_on_edge(np.array(loop)[:, None], [0.0, 1.0])):
-            a, b = mesh.vertices[mesh.edges[e]]
-            length = float(np.hypot(*(b - a)))
-            for s_loc, val in zip((0.0, 1.0), vals):
-                x = a + s_loc * (b - a)
-                fh.write(f"{s_acc + s_loc * length:.16e} "
-                         f"{x[0]:.16e} {x[1]:.16e} {val:.16e}\n")
-            s_acc += length
+        fh.write(_text_lines("%.16e %.16e %.16e %.16e\n", rows.reshape(-1, 4)))
     files.append(target)
     return files
 
@@ -464,6 +472,24 @@ def _battery(seed: int = 0):
     yield ("reduced and monolithic solves agree on the constrained active sets",
            max(gaps) < 1e-9, "max difference full / variational "
            + " / ".join(f"{g:.2e}" for g in gaps))
+
+    coarse_mesh = build_unit_square_mesh(4)
+    fine_mesh = refine_uniform(coarse_mesh)
+    ops_c, ops_f = (assemble_forms(m, build_spaces(m), data2) for m in (coarse_mesh, fine_mesh))
+    gaps, steps = [], []
+    for mode in ("full", "variational"):
+        cold = pdas_solve(ops_f, data2, mode=mode)
+        warm = pdas_solve(ops_f, data2, mode=mode, u0=pdas_solve(ops_c, data2, mode=mode))
+        gaps.append(max(np.abs(a - b).max() / np.abs(a).max() for a, b in (
+            (cold.control_at_quadrature(), warm.control_at_quadrature()),
+            (cold.y.coefficients, warm.y.coefficients),
+            (cold.z.coefficients, warm.z.coefficients))))
+        steps.append((warm.iterations, cold.iterations))
+    yield ("nested start: a solve started from the level below matches a cold start",
+           max(gaps) <= 1e-10 and all(w <= c for w, c in steps),
+           f"{coarse_mesh.num_elements} -> {fine_mesh.num_elements} elements, max relative "
+           f"difference {max(gaps):.1e}, steps warm/cold full "
+           + ", variational ".join(f"{w}/{c}" for w, c in steps))
 
     mesh_nd = build_unit_square_mesh(32)
     factor = assemble_forms(mesh_nd, build_spaces(mesh_nd), example2_data()).state_factorization()

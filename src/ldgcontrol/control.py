@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from .analysis import NestedLocator
 from .geometry import data_values
 from .ldg import BlockOperator, ProblemData, boundary_kappa, solve_adjoint, solve_state
 from .linsolve import solve_optimality_system
@@ -355,6 +356,43 @@ def _initial_control(data: ProblemData, n: int) -> np.ndarray:
     return np.zeros(n)
 
 
+def _prolonged_start(ops: BlockOperator, data: ProblemData, mode: str,
+                     start: DiscreteSolution):
+    """Control and multiplier of a solution on an ancestor mesh, carried to
+    the control unknowns of ``ops``.
+
+    Each fine boundary edge lies on one coarse edge between the parameters
+    s0 < s1 (``NestedLocator``'s boundary registration).  In full mode the
+    unknowns are the values at the ends of the fine edges, and the
+    multiplier is the coarse lumped-mass gradient prolonged the same way.
+    In variational mode the unknowns are the values at the fine boundary
+    quadrature points (edge-major, parameter-minor); the control there is
+    the projection of the coarse argument w, and the multiplier is
+    omega (u - w).
+    """
+    if start.mode != mode:
+        raise ValueError(f"a {start.mode}-mode solution cannot start a {mode}-mode solve")
+    try:
+        locator = NestedLocator(start.mesh, ops.mesh)
+    except ValueError as exc:
+        raise ValueError("a solution start must come from an ancestor of the "
+                         "mesh on its refinement chain") from exc
+    # the registered fine edges, put back in boundary-edge order
+    pos = ops.spaces.control.boundary_index[locator.boundary_fine]
+    edges = np.empty_like(locator.boundary_coarse)
+    span = np.empty_like(locator.boundary_span)
+    edges[pos], span[pos] = locator.boundary_coarse, locator.boundary_span
+    edges = edges[:, None]
+    if mode == "full":
+        lam = DiscreteField(start.u.dofmap, reduced_gradient(start.ops, start).nodal)
+        return (start.control_on_edge(edges, span).ravel(),
+                trace_on_edge(lam, edges, 0, span).ravel())
+    t = quadrature_rule("edge", ops.quad_degree).points
+    w = start._projection_argument(edges, span[:, :1] + t * (span[:, 1:] - span[:, :1])).ravel()
+    u = np.clip(w, data.u_lower, data.u_upper)
+    return u, data.omega * (u - w)
+
+
 def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode=None,
                u0=None, max_iter: int = 50,
                strategy: str = "reduced") -> DiscreteSolution:
@@ -362,13 +400,21 @@ def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode=None,
 
     Each step solves the coupled optimality system for the current bound
     sets, forms the multiplier, and re-marks every control unknown whose
-    shifted multiplier test mu + c (u - bound) indicates a violated bound.
-    Iteration stops when the sets repeat; the unconstrained problem stops
-    after a single solve.  A step that returns to an earlier set other than
-    the last one is a cycle and raises ``PdasNonconvergence``.  ``strategy``
-    is forwarded to the linear solver ("monolithic" and "condensed" select
-    the direct reference solves); the reduced solve of each step starts
-    from the control of the step before.
+    shifted multiplier test -lambda + c (u - bound) indicates a violated
+    bound.  Iteration stops when the sets repeat; the unconstrained problem
+    stops after a single solve.  A step that returns to an earlier set
+    other than the last one is a cycle and raises ``PdasNonconvergence``.
+    ``strategy`` is forwarded to the linear solver ("monolithic" and
+    "condensed" select the direct reference solves); the reduced solve of
+    each step starts from the control of the step before.
+
+    ``u0`` is the start: None (a constant admissible control), a control
+    vector or boundary field of this mode's length, or the
+    ``DiscreteSolution`` of the same mode on an ancestor mesh of the same
+    refinement chain (nested iteration).  A solution start is prolonged
+    onto this mesh, and the first active sets come from the test above
+    with its prolonged multiplier; any other start has multiplier 0.
+    A start of the wrong length, mode or mesh raises ``ValueError``.
     """
     if data is None:
         data = ops.data
@@ -383,17 +429,19 @@ def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode=None,
         n = ops.M_Gamma.shape[0]
     else:
         n = ops.bq.num_points
+    lam = 0.0
     if u0 is None:
         u_vec = _initial_control(data, n)
-    elif isinstance(u0, DiscreteField):
-        u_vec = u0.coefficients.copy()
+    elif isinstance(u0, DiscreteSolution):
+        u_vec, lam = _prolonged_start(ops, data, mode.tag, u0)
     else:
-        u_vec = np.asarray(u0, dtype=float).copy()
+        u_vec = np.array(u0.coefficients if isinstance(u0, DiscreteField) else u0,
+                         dtype=float)
         if u_vec.shape != (n,):
             raise ValueError("initial control has the wrong length")
 
-    lower = np.isfinite(ua) & (c * (u_vec - ua) < 0.0)
-    upper = np.isfinite(ub) & (c * (u_vec - ub) > 0.0)
+    lower = np.isfinite(ua) & (-lam + c * (u_vec - ua) < 0.0)
+    upper = np.isfinite(ub) & (-lam + c * (u_vec - ub) > 0.0)
     active = ActiveSetState(lower, upper, iteration=0, mode=mode.tag)
     lumped = _lumped_boundary_mass(ops) if mode.tag == "full" else None
 

@@ -263,10 +263,18 @@ def _flux_edge_blocks(mesh, pairs, G, coef):
 
 
 def _scatter(shape, *blocks):
-    """Sparse sum of local blocks, each given as (vals (n, I, J), rows (n, I), cols (n, J))."""
-    vals = np.concatenate([v.ravel() for v, _, _ in blocks])
-    rows = np.concatenate([np.broadcast_to(r[:, :, None], v.shape).ravel() for v, r, _ in blocks])
-    cols = np.concatenate([np.broadcast_to(c[:, None, :], v.shape).ravel() for v, _, c in blocks])
+    """Sparse sum of local blocks, each given as (vals (n, I, J), rows (n, I), cols (n, J)).
+
+    The triplets go into one preallocated array each, a block at a time
+    through a reshaped view, so no block is copied twice."""
+    total = sum(v.size for v, _, _ in blocks)
+    vals, rows, cols = np.empty(total), np.empty(total, np.int32), np.empty(total, np.int32)
+    end = 0
+    for v, r, c in blocks:
+        start, end = end, end + v.size
+        vals[start:end].reshape(v.shape)[...] = v
+        rows[start:end].reshape(v.shape)[...] = r[:, :, None]
+        cols[start:end].reshape(v.shape)[...] = c[:, None, :]
     mat = sp.csr_matrix((vals, (rows, cols)), shape=shape)
     mat.eliminate_zeros()  # e.g. the trace of the vertex opposite an edge
     return mat

@@ -5,12 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from ldgcontrol.analysis import ErrorReport, ErrorReportRow, convergence_rate
+from ldgcontrol.analysis import ErrorReport, ErrorReportRow, convergence_rate, reference_compare
 from ldgcontrol.cli import (
     CSV_HEADER,
     ConfigError,
     RunConfig,
     _example_data,
+    _mesh_chain,
+    _solve_level,
     emit_fields,
     emit_table,
     main,
@@ -298,6 +300,31 @@ def test_run_example_matches_expected_errors(tmp_path):
     for name, ref in expected.items():
         assert getattr(first, name) == pytest.approx(ref, rel=1e-3)
     assert report.rates("err_u")[1] == pytest.approx(1.0, abs=0.1)
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(example=2, levels=(32, 128), reference=512),
+    RunConfig(example=3, levels=(12, 48), reference=768, mode="variational"),
+])
+def test_run_example_nested_rows_match_cold_solves(config):
+    # the coarse-to-fine chain with nested starts gives the rows of cold
+    # solves: the reference first, then each level on its own
+    kept = []
+    report = run_example(config, keep_solutions=kept)
+    data, _ = _example_data(config)
+    chain = _mesh_chain(config, config.levels + (config.reference,))
+    _, ref = _solve_level(chain[config.reference], data, config, config.reference)
+    assert [m for m, *_ in kept] == list(config.levels)
+    steps = []
+    for row, (m, _mesh, _ops, warm) in zip(report.rows, kept):
+        cold = _solve_level(chain[m], data, config, m)[1]
+        steps.append((warm.iterations, cold.iterations))
+        cold_row = reference_compare(cold, ref)
+        assert row.elements == cold_row.elements and row.h == cold_row.h
+        for name in ("err_y", "err_u", "err_z", "err_pn"):
+            assert getattr(row, name) == pytest.approx(getattr(cold_row, name), rel=1e-9)
+    # the second level starts from the first and needs fewer steps
+    assert steps[1][0] < steps[1][1]
 
 
 def test_main_run_and_determinism(tmp_path):

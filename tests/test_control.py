@@ -21,10 +21,10 @@ from ldgcontrol.control import (
     quasi_interpolate,
     reduced_gradient,
 )
-from ldgcontrol.geometry import build_unit_square_mesh
+from ldgcontrol.geometry import build_unit_square_mesh, refine_uniform
 from ldgcontrol.ldg import ProblemData, assemble_forms, solve_adjoint, solve_state
 from ldgcontrol.linsolve import solve_optimality_system
-from ldgcontrol.spaces import DiscreteField, DofMap, build_spaces
+from ldgcontrol.spaces import DiscreteField, DofMap, build_spaces, quadrature_rule
 
 
 def build_ops(data, n):
@@ -322,3 +322,74 @@ def test_variational_control_evaluation_stays_admissible(ex2):
         for s in (0.1, 0.5, 0.9):
             val = sol.control_on_edge(int(e), s)
             assert data.u_lower - 1e-12 <= val <= data.u_upper + 1e-12
+
+
+# ------------------------------------------------------- nested start
+
+
+@pytest.fixture(scope="module")
+def ex2_chain():
+    # 32 -> 128 -> 512 elements on one refinement chain
+    data = example2_data()
+    meshes = [build_unit_square_mesh(4)]
+    for _ in range(2):
+        meshes.append(refine_uniform(meshes[-1]))
+    return data, [assemble_forms(m, build_spaces(m), data) for m in meshes]
+
+
+def _coarse_edge_of(coarse, a, b):
+    """Coarse boundary edge holding the segment a-b, and the parameters of
+    a and b along it, found edge by edge."""
+    for c in coarse.boundary_edges:
+        p, q = coarse.vertices[coarse.edges[c]]
+        t = q - p
+        s = [float(np.dot(x - p, t) / np.dot(t, t)) for x in (a, b)]
+        off = [abs(t[0] * (x - p)[1] - t[1] * (x - p)[0]) for x in (a, b)]
+        if max(off) < 1e-12 and -1e-12 <= min(s) and max(s) <= 1 + 1e-12:
+            return int(c), s
+    raise AssertionError("fine boundary edge off the coarse boundary")
+
+
+@pytest.mark.parametrize("mode", ["full", "variational"])
+def test_prolonged_start_is_the_coarse_control(mode, ex2_chain):
+    # every fine control unknown is the coarse control at its coarse edge
+    # and parameter: edge ends (full) or edge quadrature points (variational)
+    data, (ops_c, _, ops_f) = ex2_chain
+    coarse = pdas_solve(ops_c, data, mode=mode)
+    u, _ = control._prolonged_start(ops_f, data, mode, coarse)
+    fine = ops_f.mesh
+    t = [0.0, 1.0] if mode == "full" else quadrature_rule("edge", ops_f.quad_degree).points
+    values = u.reshape(len(fine.boundary_edges), len(t))
+    for e, row in zip(fine.boundary_edges, values):
+        a, b = fine.vertices[fine.edges[e]]
+        c, (s0, s1) = _coarse_edge_of(ops_c.mesh, a, b)
+        expected = coarse.control_on_edge(c, s0 + np.asarray(t) * (s1 - s0))
+        assert np.abs(row - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("mode", ["full", "variational"])
+def test_nested_start_matches_cold_start(mode, ex2_chain):
+    data, chain = ex2_chain
+    warm = pdas_solve(chain[0], data, mode=mode)
+    for ops in chain[1:]:
+        cold = pdas_solve(ops, data, mode=mode)
+        warm = pdas_solve(ops, data, mode=mode, u0=warm)
+        assert warm.converged and warm.iterations <= cold.iterations
+        for a, b in ((cold.control_at_quadrature(), warm.control_at_quadrature()),
+                     (cold.y.coefficients, warm.y.coefficients),
+                     (cold.z.coefficients, warm.z.coefficients)):
+            assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
+    assert warm.iterations < cold.iterations  # 2 against 3 at 512 elements
+
+
+def test_start_validation(ex2_chain):
+    data, (ops_c, ops_m, ops_f) = ex2_chain
+    short = DiscreteField(DofMap(ops_c.mesh, "boundary-edge"), np.zeros(ops_c.M_Gamma.shape[0]))
+    with pytest.raises(ValueError, match="wrong length"):
+        pdas_solve(ops_f, data, u0=short)
+    with pytest.raises(ValueError, match="full-mode solution cannot start a variational"):
+        pdas_solve(ops_f, data, mode="variational", u0=pdas_solve(ops_c, data))
+    # a finer solution, and one on a mesh off the chain, are no ancestors
+    for start in (pdas_solve(ops_f, data), pdas_solve(build_ops(data, 8), data)):
+        with pytest.raises(ValueError, match="ancestor"):
+            pdas_solve(ops_m, data, u0=start)

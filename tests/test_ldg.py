@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from ldgcontrol import ldg
+from ldgcontrol.analysis import example2_data, example3_data, example3_mesh
 from ldgcontrol.geometry import Mesh, build_unit_square_mesh, data_values
 from ldgcontrol.ldg import (
     ProblemData,
@@ -317,3 +320,30 @@ def test_large_divergence_free_field_passes_the_check(scale):
         [np.sin(3 * x[..., 0]) * np.cos(2 * x[..., 1]),
          -1.5 * np.cos(3 * x[..., 0]) * np.sin(2 * x[..., 1])], axis=-1))
     data.check_divergence_free(mesh.vertices[mesh.triangles].mean(axis=1))
+
+
+def _scatter_by_concatenation(shape, *blocks):
+    # the former formula: concatenated triplets, rows and columns broadcast
+    vals = np.concatenate([v.ravel() for v, _, _ in blocks])
+    rows = np.concatenate([np.broadcast_to(r[:, :, None], v.shape).ravel() for v, r, _ in blocks])
+    cols = np.concatenate([np.broadcast_to(c[:, None, :], v.shape).ravel() for v, _, c in blocks])
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+    mat.eliminate_zeros()
+    return mat
+
+
+@pytest.mark.parametrize("mesh, data", [
+    (build_unit_square_mesh(8), example2_data()),
+    (example3_mesh(2), example3_data()),
+    (example3_mesh(2, coarse="diag2"), example3_data(1e-3)),
+], ids=["square", "ex3-fan3", "ex3-diag2"])
+def test_scatter_into_views_is_bit_identical(mesh, data, monkeypatch):
+    spaces = build_spaces(mesh)
+    new = assemble_forms(mesh, spaces, data)
+    monkeypatch.setattr(ldg, "_scatter", _scatter_by_concatenation)
+    old = assemble_forms(mesh, spaces, data)
+    for name in ("A", "B", "C", "M1", "M2", "M_Omega", "M_Gamma"):
+        a, b = getattr(new, name), getattr(old, name)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, part), getattr(b, part)), (name, part)
+            assert getattr(a, part).dtype == getattr(b, part).dtype
