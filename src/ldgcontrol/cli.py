@@ -9,7 +9,9 @@ deterministic for a fixed config.
 
 Subcommands: ``run`` (study from a config file), ``check`` (built-in
 consistency battery), ``dump-mesh`` (text dump of a study mesh).  Exit
-codes: 0 success, 1 configuration errors, 2 active-set nonconvergence.
+codes: 0 success, 1 configuration errors, 2 active-set nonconvergence,
+3 a failed linear solve (a singular factorization or a reduced solve that
+misses its tolerance).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .analysis import (
 from .control import PdasNonconvergence, fd_gradient_check, pdas_solve, reduced_gradient
 from .geometry import _text_lines, build_unit_square_mesh, refine_uniform, write_mesh_text
 from .ldg import assemble_forms, export_matrix_market
-from .linsolve import solve_optimality_system
+from .linsolve import SingularSystemError, solve_optimality_system
 from .spaces import build_spaces, write_vtk
 
 __all__ = ["RunConfig", "ConfigError", "run_example", "emit_table", "emit_fields", "main"]
@@ -112,10 +114,14 @@ class RunConfig:
             raise ConfigError(f"unknown example id {self.example!r}")
         if self.mode not in ("full", "variational"):
             raise ConfigError(f"unknown control mode {self.mode!r}")
-        if self.epsilon <= 0.0:
-            raise ConfigError("diffusion coefficient must be positive")
-        if self.omega is not None and self.omega <= 0.0:
-            raise ConfigError("regularization weight must be positive")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ConfigError("diffusion coefficient must be positive and finite")
+        if self.omega is not None and not (np.isfinite(self.omega) and self.omega > 0.0):
+            raise ConfigError("regularization weight must be positive and finite")
+        if any(b is not None and np.isnan(b) for b in (self.u_lower, self.u_upper)):
+            raise ConfigError("control bounds must not be NaN")
+        if self.c12_direction is not None and not np.all(np.isfinite(self.c12_direction)):
+            raise ConfigError("c12_direction must be finite")
         if self.pdas_max_iter < 1:
             raise ConfigError("active-set iteration cap must be at least 1")
         levels = tuple(int(m) for m in self.levels)
@@ -588,6 +594,9 @@ def main(argv=None) -> int:
     except PdasNonconvergence as exc:
         print(f"active-set iteration failed: {exc}", file=sys.stderr)
         return 2
+    except SingularSystemError as exc:
+        print(f"linear solve failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,11 +11,13 @@ solver interface:
   bound interval; active-set tests run pointwise at those quadrature
   points.
 
-The active-set iteration solves one linearization per step (by default
-in control space, on the state-operator factorization the operator set
-keeps; see ``linsolve``) and stops when the bound sets repeat, or raises
-when they return to an earlier pair.  For unconstrained bounds both modes
-converge in a single step.
+The mode is the plain string "full" or "variational".  One active-set
+iteration serves both: each step solves one linearization (by default in
+control space, on the state-operator factorization the operator set keeps;
+see ``linsolve``), forms the step's multiplier and re-marks the bounds by
+the test -lambda + c (u - bound) with c = omega.  It stops when the bound
+sets repeat, or raises when they return to an earlier pair.  For
+unconstrained bounds both modes converge in a single step.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .spaces import (
 )
 
 __all__ = [
-    "ControlMode",
     "ActiveSetState",
     "DiscreteSolution",
     "BoundaryGradient",
@@ -62,32 +63,11 @@ class PdasNonconvergence(RuntimeError):
 
 
 @dataclass
-class ControlMode:
-    """Control discretization tag plus the active-set test constant c > 0.
-
-    ``c = None`` means "use the regularization weight", which makes the
-    pointwise test reduce to a bound check on the unconstrained projection
-    argument.
-    """
-
-    tag: str = "full"
-    c: Optional[float] = None
-
-    def __post_init__(self):
-        if self.tag not in ("full", "variational"):
-            raise ValueError(f"unknown control mode {self.tag!r}")
-        if self.c is not None and self.c <= 0.0:
-            raise ValueError("active-set constant must be positive")
-
-
-@dataclass
 class ActiveSetState:
     """Lower/upper active masks over the control unknowns of one mode."""
 
     lower: np.ndarray
     upper: np.ndarray
-    iteration: int = 0
-    mode: str = "full"
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=bool)
@@ -248,33 +228,56 @@ class BoundaryGradient:
     dof_gradient: Optional[np.ndarray]
 
 
-def _quadrature_multiplier(ops: BlockOperator, u_qp, p_coeff, z_coeff) -> np.ndarray:
-    bq = ops.bq
-    return ops.data.omega * u_qp - (bq.T_pn @ p_coeff - bq.T_kz @ z_coeff)
+def _dof_gradient(ops: BlockOperator, omega: float, u, p, z) -> np.ndarray:
+    """Reduced-cost gradient omega M_Gamma u + M1' p + M2' z on the control
+    DOFs, for coefficient vectors u, p and z."""
+    return omega * (ops.M_Gamma @ u) + ops.M1.T @ p + ops.M2.T @ z
 
 
-def _lumped_boundary_mass(ops: BlockOperator) -> np.ndarray:
-    return np.asarray(ops.M_Gamma.sum(axis=1)).ravel()
+def _multiplier(ops: BlockOperator, data: ProblemData, mode: str,
+                active: ActiveSetState, parts: dict):
+    """Control and multiplier of one active-set step from its solved parts.
+
+    Full mode: the solved control and the DOF gradient divided by the row
+    sums of M_Gamma (its lumped-mass nodal values).  Variational mode: the
+    bounds on the active quadrature points and w = (T_pn p - T_kz z)/omega
+    elsewhere, with multiplier omega (u - w).
+    """
+    p, z = parts["p"], parts["z"]
+    if mode == "full":
+        u = parts["u"]
+        lumped = np.asarray(ops.M_Gamma.sum(axis=1)).ravel()
+        return u, _dof_gradient(ops, data.omega, u, p, z) / lumped
+    w = (ops.bq.T_pn @ p - ops.bq.T_kz @ z) / data.omega
+    u = np.where(active.lower, data.u_lower, np.where(active.upper, data.u_upper, w))
+    return u, data.omega * (u - w)
+
+
+def _active_sets(u, lam, data: ProblemData) -> ActiveSetState:
+    """Bound sets of the PDAS test -lam + c (u - bound) with c = omega."""
+    c = data.omega
+    with np.errstate(invalid="ignore"):
+        lower = np.isfinite(data.u_lower) & (-lam + c * (u - data.u_lower) < 0.0)
+        upper = np.isfinite(data.u_upper) & (-lam + c * (u - data.u_upper) > 0.0)
+    return ActiveSetState(lower, upper)
 
 
 def reduced_gradient(ops: BlockOperator, sol: DiscreteSolution) -> BoundaryGradient:
     """Multiplier/gradient of the reduced cost at a solution.
 
-    The quadrature-point multiplier is exact for both modes; the DOF
-    gradient omega M_Gamma u + M1' p + M2' z and its lumped nodal values
-    exist only for the full discretization.
+    In variational mode the multiplier at the quadrature points is the
+    step multiplier of ``pdas_solve``.  In full mode the nodal values are
+    that step multiplier, next to the DOF gradient it lumps and the
+    multiplier omega u - (sqrt(eps) p.n - kappa z) at the quadrature points.
     """
-    u_qp = sol.control_at_quadrature()
-    lam_qp = _quadrature_multiplier(ops, u_qp, sol.p.coefficients, sol.z.coefficients)
+    p, z = sol.p.coefficients, sol.z.coefficients
+    u = sol.u.coefficients if sol.mode == "full" else sol.u
+    u, lam = _multiplier(ops, sol.data, sol.mode, sol.active, {"u": u, "p": p, "z": z})
     if sol.mode != "full":
-        return BoundaryGradient(lam_qp, None, None)
-    g = (
-        ops.data.omega * (ops.M_Gamma @ sol.u.coefficients)
-        + ops.M1.T @ sol.p.coefficients
-        + ops.M2.T @ sol.z.coefficients
-    )
-    nodal = g / _lumped_boundary_mass(ops)
-    return BoundaryGradient(lam_qp, nodal, g)
+        return BoundaryGradient(lam, None, None)
+    bq, omega = ops.bq, sol.data.omega
+    return BoundaryGradient(omega * (bq.E_U @ u) - (bq.T_pn @ p - bq.T_kz @ z), lam,
+                            _dof_gradient(ops, omega, u, p, z))
 
 
 def evaluate_cost(y_h: DiscreteField, u_h, data: ProblemData, ops: BlockOperator = None) -> float:
@@ -322,7 +325,7 @@ def fd_gradient_check(ops: BlockOperator, data: ProblemData, u, delta_u,
     The reduced cost is quadratic, so the central difference matches the
     adjoint value up to roundoff for any sensible step.
     """
-    dofmap = DofMap(ops.mesh, "boundary-edge")
+    dofmap = ops.spaces.control
     uc = u.coefficients if isinstance(u, DiscreteField) else np.asarray(u, dtype=float)
     dc = delta_u.coefficients if isinstance(delta_u, DiscreteField) else np.asarray(delta_u, dtype=float)
     if step is None:
@@ -335,11 +338,7 @@ def fd_gradient_check(ops: BlockOperator, data: ProblemData, u, delta_u,
 
     y0, _ = solve_state(ops, DiscreteField(dofmap, uc))
     z0, p0 = solve_adjoint(ops, load_vector=ops.M_Omega @ y0.coefficients - ops.Yd)
-    grad = (
-        data.omega * (ops.M_Gamma @ uc)
-        + ops.M1.T @ p0.coefficients
-        + ops.M2.T @ z0.coefficients
-    )
+    grad = _dof_gradient(ops, data.omega, uc, p0.coefficients, z0.coefficients)
     adjoint_value = float(np.dot(grad, dc))
     fd_value = (cost_of(uc + step * dc) - cost_of(uc - step * dc)) / (2.0 * step)
     scale = max(1.0, abs(adjoint_value), abs(fd_value))
@@ -393,15 +392,16 @@ def _prolonged_start(ops: BlockOperator, data: ProblemData, mode: str,
     return u, data.omega * (u - w)
 
 
-def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode=None,
+def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode: str = "full",
                u0=None, max_iter: int = 50,
                strategy: str = "reduced") -> DiscreteSolution:
     """Primal-dual active set iteration for the bound-constrained problem.
 
-    Each step solves the coupled optimality system for the current bound
-    sets, forms the multiplier, and re-marks every control unknown whose
-    shifted multiplier test -lambda + c (u - bound) indicates a violated
-    bound.  Iteration stops when the sets repeat; the unconstrained problem
+    ``mode`` is "full" or "variational"; any other value raises
+    ``ValueError`` before a solve.  Each step solves the coupled optimality
+    system for the current bound sets, forms the multiplier, and re-marks
+    every control unknown whose shifted multiplier test
+    -lambda + omega (u - bound) indicates a violated bound.  Iteration stops when the sets repeat; the unconstrained problem
     stops after a single solve.  A step that returns to an earlier set
     other than the last one is a cycle and raises ``PdasNonconvergence``.
     ``strategy`` is forwarded to the linear solver ("monolithic" and
@@ -416,87 +416,50 @@ def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode=None,
     with its prolonged multiplier; any other start has multiplier 0.
     A start of the wrong length, mode or mesh raises ``ValueError``.
     """
+    if mode not in ("full", "variational"):
+        raise ValueError(f"unknown control mode {mode!r}")
     if data is None:
         data = ops.data
-    if mode is None:
-        mode = ControlMode("full")
-    elif isinstance(mode, str):
-        mode = ControlMode(mode)
-    c = mode.c if mode.c is not None else data.omega
-    ua, ub = data.u_lower, data.u_upper
 
-    if mode.tag == "full":
-        n = ops.M_Gamma.shape[0]
-    else:
-        n = ops.bq.num_points
+    n = ops.M_Gamma.shape[0] if mode == "full" else ops.bq.num_points
     lam = 0.0
     if u0 is None:
         u_vec = _initial_control(data, n)
     elif isinstance(u0, DiscreteSolution):
-        u_vec, lam = _prolonged_start(ops, data, mode.tag, u0)
+        u_vec, lam = _prolonged_start(ops, data, mode, u0)
     else:
         u_vec = np.array(u0.coefficients if isinstance(u0, DiscreteField) else u0,
                          dtype=float)
         if u_vec.shape != (n,):
             raise ValueError("initial control has the wrong length")
 
-    lower = np.isfinite(ua) & (-lam + c * (u_vec - ua) < 0.0)
-    upper = np.isfinite(ub) & (-lam + c * (u_vec - ub) > 0.0)
-    active = ActiveSetState(lower, upper, iteration=0, mode=mode.tag)
-    lumped = _lumped_boundary_mass(ops) if mode.tag == "full" else None
-
+    active = _active_sets(u_vec, lam, data)
     history = [active]
     log = []
     for it in range(1, max_iter + 1):
-        parts = solve_optimality_system(ops, active, data, mode=mode.tag,
+        parts = solve_optimality_system(ops, active, data, mode=mode,
                                         strategy=strategy, u_start=u_vec)
         cg = parts.get("cg")
         log.append(PdasStep(int(active.lower.sum()), int(active.upper.sum()),
                             int(active.inactive.sum()),
                             cg.iterations if cg else 0, cg.residual if cg else None))
-        p_coeff = parts["p"]
-        z_coeff = parts["z"]
-
-        if mode.tag == "full":
-            u_vec = parts["u"]
-            g = (
-                data.omega * (ops.M_Gamma @ u_vec)
-                + ops.M1.T @ p_coeff
-                + ops.M2.T @ z_coeff
-            )
-            lam = g / lumped
-        else:
-            bq = ops.bq
-            w = (bq.T_pn @ p_coeff - bq.T_kz @ z_coeff) / data.omega
-            u_vec = np.where(active.lower, ua, np.where(active.upper, ub, w))
-            lam = data.omega * (u_vec - w)
-
-        with np.errstate(invalid="ignore"):
-            new_lower = np.isfinite(ua) & (-lam + c * (u_vec - ua) < 0.0)
-            new_upper = np.isfinite(ub) & (-lam + c * (u_vec - ub) > 0.0)
-        new_active = ActiveSetState(new_lower, new_upper, iteration=it, mode=mode.tag)
+        u_vec, lam = _multiplier(ops, data, mode, active, parts)
+        new_active = _active_sets(u_vec, lam, data)
 
         if new_active.same_as(active):
+            u_out = DiscreteField(ops.spaces.control, u_vec) if mode == "full" else u_vec
             y = DiscreteField(ops.spaces.potential, parts["y"])
-            q = DiscreteField(ops.spaces.flux, parts["q"])
-            z = DiscreteField(ops.spaces.potential, z_coeff)
-            p = DiscreteField(ops.spaces.flux, p_coeff)
-            if mode.tag == "full":
-                u_out = DiscreteField(DofMap(ops.mesh, "boundary-edge"), u_vec)
-                cost = evaluate_cost(y, u_out, data, ops)
-            else:
-                u_out = u_vec
-                cost = evaluate_cost(y, u_vec, data, ops)
             return DiscreteSolution(
-                y=y, q=q, z=z, p=p, u=u_out,
-                active=new_active, cost=cost, iterations=it,
-                converged=True, mode=mode.tag, ops=ops, data=data, log=log,
+                y=y, q=DiscreteField(ops.spaces.flux, parts["q"]),
+                z=DiscreteField(ops.spaces.potential, parts["z"]),
+                p=DiscreteField(ops.spaces.flux, parts["p"]), u=u_out,
+                active=new_active, cost=evaluate_cost(y, u_out, data, ops), iterations=it,
+                converged=True, mode=mode, ops=ops, data=data, log=log,
             )
-        for earlier in history[:-1]:
+        for step, earlier in enumerate(history[:-1]):
             if new_active.same_as(earlier):
                 raise PdasNonconvergence(
-                    f"active sets cycling: step {it} returned to the sets of "
-                    f"step {earlier.iteration}")
+                    f"active sets cycling: step {it} returned to the sets of step {step}")
         history.append(new_active)
         active = new_active
 

@@ -106,14 +106,15 @@ class ProblemData:
     (..., 2) for beta (see ``geometry.data_values``).
 
     Attributes:
-        epsilon : diffusion parameter (> 0).
-        omega : control regularization weight (> 0).
+        epsilon : diffusion parameter (> 0, finite).
+        omega : control regularization weight (> 0, finite).
         beta : velocity field, callable or a constant 2-vector; must be
             divergence free.
         alpha : reaction coefficient, callable or constant (>= 0).
         f : source term, callable or constant.
         y_desired : target state, callable or constant.
-        u_lower / u_upper : control bounds (-inf/+inf for unconstrained).
+        u_lower / u_upper : control bounds (-inf/+inf for unconstrained;
+            never NaN).
         c12_direction : auxiliary direction fixing the C12 edge switches; the
             default has an irrational slope so it is never orthogonal to an
             axis-aligned or diagonal edge normal.
@@ -138,17 +139,22 @@ class ProblemData:
     penalty_sign: int = -1
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("diffusion parameter must be positive")
-        if self.omega <= 0.0:
-            raise ValueError("regularization parameter must be positive")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError("diffusion parameter must be positive and finite")
+        if not (np.isfinite(self.omega) and self.omega > 0.0):
+            raise ValueError("regularization parameter must be positive and finite")
+        if np.isnan(self.u_lower) or np.isnan(self.u_upper):
+            raise ValueError("control bounds must not be NaN")
         if self.u_lower > self.u_upper:
             raise ValueError("lower control bound exceeds the upper bound")
         if self.penalty_sign not in (+1, -1):
             raise ValueError("penalty_sign must be +1 or -1")
-        if not np.any(np.asarray(self.c12_direction, dtype=float)):
+        direction = np.asarray(self.c12_direction, dtype=float)
+        if not np.all(np.isfinite(direction)):
+            raise ValueError("c12_direction must be finite")
+        if not np.any(direction):
             raise ValueError("c12_direction must be a nonzero vector")
-        if abs(self.c12_tie) > 0.5:
+        if not abs(self.c12_tie) <= 0.5:
             raise ValueError("c12_tie must lie in [-1/2, 1/2]")
 
     @property

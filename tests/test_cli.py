@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from ldgcontrol import cli
 from ldgcontrol.analysis import ErrorReport, ErrorReportRow, convergence_rate, reference_compare
 from ldgcontrol.cli import (
     CSV_HEADER,
@@ -19,6 +20,7 @@ from ldgcontrol.cli import (
     run_example,
 )
 from ldgcontrol.geometry import build_unit_square_mesh
+from ldgcontrol.linsolve import ReducedSolveError, SingularSystemError
 from ldgcontrol.spaces import DiscreteField, build_spaces
 
 
@@ -359,6 +361,37 @@ directory = {tmp_path / 'out2'}
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
     assert "elements" in err
+
+
+@pytest.mark.parametrize("line", ["epsilon = nan", "epsilon = inf", "omega = nan",
+                                  "omega = inf", "u_lower = nan", "u_upper = nan",
+                                  "c12_direction = 1.0, nan"])
+def test_main_non_finite_data_exit_code(tmp_path, capsys, line):
+    cfg = write_config(tmp_path, f"""
+[problem]
+example = 2
+{line}
+
+[study]
+levels = 32
+reference = 128
+
+[output]
+directory = {tmp_path / 'out'}
+""")
+    assert main(["run", cfg]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("error", [SingularSystemError, ReducedSolveError])
+def test_main_linear_solve_failure_exit_code(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("factor of S is singular")
+
+    monkeypatch.setattr(cli, "pdas_solve", fail)
+    cfg = write_config(tmp_path, EX1_TWO_LEVELS.format(out=tmp_path / "out"))
+    assert main(["run", cfg]) == 3
+    assert capsys.readouterr().err == "linear solve failed: factor of S is singular\n"
 
 
 def test_main_dump_mesh(tmp_path):

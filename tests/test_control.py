@@ -278,8 +278,38 @@ def test_pdas_cycle_raises(ex2, monkeypatch):
     answers = iter([first, last] * 10)
     monkeypatch.setattr(control, "solve_optimality_system",
                         lambda *args, **kwargs: next(answers))
-    with pytest.raises(PdasNonconvergence, match="cycling"):
+    with pytest.raises(PdasNonconvergence,
+                       match=r"^active sets cycling: step 3 returned to the sets of step 1$"):
         pdas_solve(ops, data, mode="full", max_iter=10)
+
+
+def test_pdas_unknown_mode_raises_before_solving(ex2, monkeypatch):
+    data, ops = ex2
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran for an unknown mode")
+
+    monkeypatch.setattr(control, "solve_optimality_system", no_solve)
+    with pytest.raises(ValueError, match="unknown control mode 'bogus'"):
+        pdas_solve(ops, data, mode="bogus")
+
+
+@pytest.mark.parametrize("mode", ["full", "variational"])
+def test_pdas_active_sets_are_a_fixed_point(mode, ex2):
+    # the PDAS test -lambda + omega (u - bound), applied to the returned
+    # control and the multiplier of reduced_gradient, marks the returned sets
+    data, ops = ex2
+    sol = pdas_solve(ops, data, mode=mode)
+    grad = reduced_gradient(ops, sol)
+    if mode == "full":
+        u, lam = sol.u.coefficients, grad.nodal
+    else:
+        u, lam = np.asarray(sol.u), grad.at_quadrature
+    lower = np.isfinite(data.u_lower) & (-lam + data.omega * (u - data.u_lower) < 0.0)
+    upper = np.isfinite(data.u_upper) & (-lam + data.omega * (u - data.u_upper) > 0.0)
+    assert upper.any()
+    assert np.array_equal(lower, sol.active.lower)
+    assert np.array_equal(upper, sol.active.upper)
 
 
 @pytest.mark.parametrize("mode", ["full", "variational"])

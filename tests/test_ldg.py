@@ -247,6 +247,15 @@ def test_problem_data_validation():
         ProblemData(epsilon=1.0, omega=1.0, u_lower=1.0, u_upper=0.0)
     with pytest.raises(ValueError):
         ProblemData(epsilon=1.0, omega=1.0, penalty_sign=2)
+    # non-finite data fails here, not as a singular factorization later;
+    # infinite bounds stay legal (an absent bound)
+    for bad in (dict(epsilon=np.nan), dict(epsilon=np.inf), dict(omega=np.nan),
+                dict(omega=np.inf), dict(u_lower=np.nan), dict(u_upper=np.nan),
+                dict(c12_direction=(1.0, np.nan)), dict(c12_direction=(np.inf, 0.0)),
+                dict(c12_tie=np.nan)):
+        with pytest.raises(ValueError):
+            ProblemData(**{"epsilon": 1.0, "omega": 1.0, **bad})
+    ProblemData(epsilon=1.0, omega=1.0, u_lower=-np.inf, u_upper=np.inf)
     with pytest.raises(ValueError):
         data = ProblemData(epsilon=1.0, omega=1.0,
                            beta=lambda x: np.stack([x[..., 0], 0.0 * x[..., 0]], axis=-1))
