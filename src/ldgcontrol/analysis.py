@@ -65,6 +65,7 @@ __all__ = [
     "least_squares_rate",
     "NestedLocator",
     "reference_compare",
+    "closed_form_row",
     "galerkin_diagnostics",
     "GalerkinDiagnostics",
     "ErrorReport",
@@ -439,11 +440,11 @@ def error_flux_normal_boundary(p_h: DiscreteField, grad_z_exact, epsilon: float,
     return float(np.sqrt(np.sum(wt * (pn_ex - pn_h) ** 2)))
 
 
-def convergence_rate(e_coarse: float, e_fine: float) -> float:
-    """Observed order between two errors on meshes differing by one halving."""
+def convergence_rate(e_coarse: float, e_fine: float, halvings: float = 1.0) -> float:
+    """Observed order between two errors on meshes ``halvings`` halvings of h apart."""
     if e_coarse <= 0.0 or e_fine <= 0.0:
         raise ValueError("convergence rates need positive errors")
-    return float(np.log(e_coarse / e_fine) / np.log(2.0))
+    return float(np.log(e_coarse / e_fine) / (halvings * np.log(2.0)))
 
 
 def least_squares_rate(errors) -> float:
@@ -589,6 +590,19 @@ def reference_compare(coarse_sol, reference_sol, degree: int = 6):
     )
 
 
+def closed_form_row(sol, case: ManufacturedCase, degree: int = 6) -> ErrorReportRow:
+    """Error row of a solution against the closed-form optimal triple.  The
+    control is evaluated through ``sol.control_on_edge``, as in
+    ``reference_compare``, so both control modes are measured pointwise."""
+    mesh = sol.mesh
+    ids, s, xg, wt, _n = _boundary_rule(mesh, degree)
+    du = data_values(case.u, xg, "exact") - sol.control_on_edge(ids[:, None], s)
+    return ErrorReportRow(
+        mesh.num_elements, mesh.h, error_l2_domain(sol.y, case.y, degree),
+        float(np.sqrt(np.sum(wt * du**2))), error_l2_boundary(sol.z, case.z, degree=degree),
+        error_flux_normal_boundary(sol.p, case.grad_z, case.epsilon, mesh, degree))
+
+
 # ---------------------------------------------------------------------------
 # Galerkin-gap diagnostics
 
@@ -685,11 +699,14 @@ class ErrorReport:
         return np.array([getattr(r, name) for r in self.rows])
 
     def rates(self, name: str):
-        """Per-row observed orders (None on the first row)."""
+        """Per-row observed orders (None on the first row) against the row
+        before: rows m_coarse < m_fine elements lie 1/2 log2(m_fine / m_coarse)
+        halvings of h apart, as uniform refinement quadruples the count."""
         vals = self.column(name)
         out = [None]
         for i in range(1, len(vals)):
-            out.append(convergence_rate(vals[i - 1], vals[i]))
+            halvings = 0.5 * np.log2(self.rows[i].elements / self.rows[i - 1].elements)
+            out.append(convergence_rate(vals[i - 1], vals[i], halvings))
         return out
 
     def __len__(self):

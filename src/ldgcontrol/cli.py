@@ -2,9 +2,11 @@
 
 Reads a flat key = value config file (INI sections), runs one of the three
 study problems over a mesh sequence, and emits convergence tables and
-field dumps.  Example 1 measures errors against the closed-form optimal
-triple; Examples 2 and 3 measure against a solution on a deeper mesh of
-the same refinement chain.  All outputs are plain text and bytewise
+field dumps.  Every study walks one uniform-refinement chain from coarse
+to fine, each level started from the solution of the level below (nested
+iteration).  Example 1 measures errors against the closed-form optimal
+triple; examples 2 and 3 measure against a solution on a deeper mesh of
+the same chain, solved last.  All outputs are plain text and bytewise
 deterministic for a fixed config.
 
 Subcommands: ``run`` (study from a config file), ``check`` (built-in
@@ -28,9 +30,9 @@ from .analysis import (
     ErrorReport,
     ErrorReportRow,
     check_strong_form,
-    error_flux_normal_boundary,
-    error_l2_boundary,
-    error_l2_domain,
+    closed_form_row,
+    # not called here: perfbench/tracer.py wraps the error norms by these names
+    error_flux_normal_boundary, error_l2_boundary, error_l2_domain,  # noqa: F401
     example2_data,
     example3_data,
     example3_mesh,
@@ -101,7 +103,7 @@ class RunConfig:
     u_upper: float = None
     c12_direction: tuple = None  # None: keep the example's convention
     coarse: str = "fan3"         # initial-mesh family of the skewed domain
-    reference: int = None
+    reference: int = None        # examples 2 and 3: element count of the reference
     pdas_max_iter: int = 50
     directory: str = "out"
     csv: bool = True
@@ -132,31 +134,29 @@ class RunConfig:
         self.levels = levels
         if self.coarse not in ("fan3", "diag2"):
             raise ConfigError(f"unknown coarse-mesh family {self.coarse!r}")
-        self._validate_mesh_counts()
+        if self.example == 1 and self.reference is not None:
+            raise ConfigError("example 1 takes no reference: it has a closed form")
+        if self.example in (2, 3) and self.reference is None:
+            raise ConfigError("examples 2 and 3 need a reference element count")
+        if self.reference is not None and self.reference <= levels[-1]:
+            raise ConfigError("reference mesh must be deeper than the deepest study level")
+        self._validate_chain()
 
-    def _validate_mesh_counts(self):
-        for m in self.levels + ((self.reference,) if self.reference else ()):
-            _mesh_level(self.example, m, self.coarse)
-        if self.example in (2, 3):
-            if self.reference is None:
-                raise ConfigError(
-                    "examples 2 and 3 need a reference element count")
-            if self.reference <= self.levels[-1]:
-                raise ConfigError(
-                    "reference mesh must be deeper than the deepest study level")
-            self._validate_chain()
+    @property
+    def counts(self) -> tuple:
+        """Element counts the study solves: the levels, then the reference
+        when there is one."""
+        return self.levels + (() if self.reference is None else (self.reference,))
 
     def _validate_chain(self):
-        counts = self.levels + (self.reference,)
-        base = counts[0]
-        for m in counts[1:]:
+        base = self.counts[0]
+        for m in self.counts:
+            _mesh_level(self.example, m, self.coarse)
             ratio = m // base
             # uniform refinement multiplies the count by 4 per level
-            power_of_four = ratio > 0 and not (ratio & (ratio - 1)) \
-                and (ratio.bit_length() - 1) % 2 == 0
+            power_of_four = not (ratio & (ratio - 1)) and ratio.bit_length() % 2 == 1
             if base * ratio != m or not power_of_four:
-                raise ConfigError(
-                    f"{m} does not lie on the refinement chain of {base}")
+                raise ConfigError(f"{m} does not lie on the refinement chain of {base}")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -246,23 +246,18 @@ def _example_data(config: RunConfig):
         raise ConfigError(str(exc)) from exc
 
 
-def _mesh_chain(config: RunConfig, counts):
-    """Meshes for the requested element counts, nested along one chain."""
-    target = sorted(set(counts))
+def _mesh_chain(config: RunConfig) -> list:
+    """The meshes of ``config.counts``, in order, nested along one
+    uniform-refinement chain (the config has checked that they lie on it)."""
     if config.example in (1, 2):
-        mesh = build_unit_square_mesh(_mesh_level(config.example, target[0]))
+        mesh = build_unit_square_mesh(_mesh_level(config.example, config.counts[0]))
     else:
         mesh = example3_mesh(0, coarse=config.coarse)
-    chain = {}
-    while True:
-        if mesh.num_elements in target:
-            chain[mesh.num_elements] = mesh
-        if mesh.num_elements >= target[-1]:
-            break
-        mesh = refine_uniform(mesh)
-    missing = [m for m in target if m not in chain]
-    if missing:
-        raise ConfigError(f"element counts {missing} unreachable by refinement")
+    chain = []
+    for m in config.counts:
+        while mesh.num_elements < m:
+            mesh = refine_uniform(mesh)
+        chain.append(mesh)
     return chain
 
 
@@ -280,45 +275,27 @@ def _solve_level(mesh, data, config: RunConfig, elements: int, start=None):
 
 
 def run_example(config: RunConfig, keep_solutions: list = None) -> ErrorReport:
-    """Run a study over the configured mesh sequence.
+    """Run a study: solve ``config.counts`` from coarse to fine on one
+    refinement chain, each level started from the solution of the level
+    below (nested iteration), and measure each study level against the
+    closed form (example 1) or the reference, solved last (examples 2, 3).
 
     Appends (elements, mesh, ops, solution) per study level to
     ``keep_solutions`` when a list is passed, for callers that also emit
-    fields or matrices.  Examples 2 and 3 solve their refinement chain
-    from coarse to fine, the reference last, each level started from the
-    converged solution of the level below (nested iteration).
+    fields or matrices.
     """
     data, case = _example_data(config)
-    report = ErrorReport()
-
-    if config.example == 1:
-        for m in config.levels:
-            mesh = build_unit_square_mesh(_mesh_level(1, m))
-            ops, sol = _solve_level(mesh, data, config, m)
-            report.add_row(ErrorReportRow(
-                elements=m,
-                h=mesh.h,
-                err_y=error_l2_domain(sol.y, case.y),
-                err_u=error_l2_boundary(sol.u, case.u, mesh),
-                err_z=error_l2_boundary(sol.z, case.z, mesh),
-                err_pn=error_flux_normal_boundary(sol.p, case.grad_z,
-                                                  data.epsilon, mesh),
-            ))
-            if keep_solutions is not None:
-                keep_solutions.append((m, mesh, ops, sol))
-        return report
-
-    counts = config.levels + (config.reference,)
-    chain = _mesh_chain(config, counts)
     solved, sol = [], None
-    for m in counts:
-        ops, sol = _solve_level(chain[m], data, config, m, start=sol)
-        solved.append((m, chain[m], ops, sol))
-    *levels, (_, _, _, ref_sol) = solved
-    for m, mesh, ops, sol in levels:
-        report.add_row(reference_compare(sol, ref_sol))
-        if keep_solutions is not None:
-            keep_solutions.append((m, mesh, ops, sol))
+    for m, mesh in zip(config.counts, _mesh_chain(config)):
+        ops, sol = _solve_level(mesh, data, config, m, start=sol)
+        solved.append((m, mesh, ops, sol))
+    reference = solved.pop()[3] if config.reference is not None else None
+    report = ErrorReport()
+    for m, mesh, ops, sol in solved:
+        report.add_row(closed_form_row(sol, case) if reference is None
+                       else reference_compare(sol, reference))
+    if keep_solutions is not None:
+        keep_solutions.extend(solved)
     return report
 
 

@@ -196,7 +196,7 @@ class DiscreteSolution:
         data = self.data
         flux = self.ops.flux
         n = mesh.edge_normals[edges, 0]
-        pn = np.sum(trace_on_edge(self.p, edges, 0, s) * n, axis=-1)
+        pn = data.sqrt_eps * np.sum(trace_on_edge(self.p, edges, 0, s) * n, axis=-1)
         zv = trace_on_edge(self.z, edges, 0, s)
         beta = data_values(data.beta, edge_points(mesh, edges, s), "beta", vector=True)
         beta_n = np.sum(beta * n, axis=-1)
@@ -401,8 +401,9 @@ def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode: str = "full",
     ``ValueError`` before a solve.  Each step solves the coupled optimality
     system for the current bound sets, forms the multiplier, and re-marks
     every control unknown whose shifted multiplier test
-    -lambda + omega (u - bound) indicates a violated bound.  Iteration stops when the sets repeat; the unconstrained problem
-    stops after a single solve.  A step that returns to an earlier set
+    -lambda + omega (u - bound) indicates a violated bound.  Iteration
+    stops when the sets repeat; the unconstrained problem stops after a
+    single solve.  A step that returns to an earlier set
     other than the last one is a cycle and raises ``PdasNonconvergence``.
     ``strategy`` is forwarded to the linear solver ("monolithic" and
     "condensed" select the direct reference solves); the reduced solve of

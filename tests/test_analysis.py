@@ -382,6 +382,14 @@ def test_error_report_rates_and_order():
         report.add_row(ErrorReportRow(128, 0.17, 1e-2, 5e-2, 5e-3, 1.5e-1))
 
 
+def test_error_report_rates_count_the_halvings_between_rows():
+    # 32 -> 512 elements is two halvings of h: a quartered error is order 1
+    report = ErrorReport()
+    report.add_row(ErrorReportRow(32, 0.35, 4e-2, 4e-2, 4e-2, 4e-2))
+    report.add_row(ErrorReportRow(512, 0.09, 1e-2, 1e-2, 1e-2, 1e-2))
+    assert report.rates("err_u")[1] == pytest.approx(1.0, abs=1e-14)
+
+
 def test_unit_square_sequence_is_nested():
     meshes = unit_square_sequence(3, base_n=2)
     assert [m.num_elements for m in meshes] == [8, 32, 128]

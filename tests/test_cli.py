@@ -1,18 +1,26 @@
 """Tests of the config-driven study driver and its file emitters."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ldgcontrol import cli
-from ldgcontrol.analysis import ErrorReport, ErrorReportRow, convergence_rate, reference_compare
+from ldgcontrol.analysis import (
+    ErrorReport,
+    ErrorReportRow,
+    closed_form_row,
+    convergence_rate,
+    reference_compare,
+)
 from ldgcontrol.cli import (
     CSV_HEADER,
     ConfigError,
     RunConfig,
     _example_data,
     _mesh_chain,
+    _mesh_level,
     _solve_level,
     emit_fields,
     emit_table,
@@ -140,6 +148,18 @@ example = 2
 levels = 32
 reference = 72
 """))
+
+
+@pytest.mark.parametrize("study, message", [
+    ("levels = 32, 128\nreference = 512", "no reference"),
+    # 72 = 2 * 6^2 is a square count off the chain of 32
+    ("levels = 32, 72", "chain"),
+], ids=["reference", "off-chain"])
+def test_main_rejects_example1_reference_and_off_chain_levels(tmp_path, capsys, study, message):
+    cfg = write_config(tmp_path, f"[problem]\nexample = 1\n[study]\n{study}\n")
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -307,26 +327,48 @@ def test_run_example_matches_expected_errors(tmp_path):
 @pytest.mark.parametrize("config", [
     RunConfig(example=2, levels=(32, 128), reference=512),
     RunConfig(example=3, levels=(12, 48), reference=768, mode="variational"),
+    RunConfig(example=1, levels=(32, 128, 512), epsilon=1e-6),
+    RunConfig(example=1, levels=(32, 128, 512), epsilon=1e-6, mode="variational"),
 ])
 def test_run_example_nested_rows_match_cold_solves(config):
     # the coarse-to-fine chain with nested starts gives the rows of cold
-    # solves: the reference first, then each level on its own
+    # solves: each level on its own, measured against a cold reference or,
+    # for example 1, against the closed form on a separately built mesh
     kept = []
     report = run_example(config, keep_solutions=kept)
-    data, _ = _example_data(config)
-    chain = _mesh_chain(config, config.levels + (config.reference,))
-    _, ref = _solve_level(chain[config.reference], data, config, config.reference)
+    data, case = _example_data(config)
     assert [m for m, *_ in kept] == list(config.levels)
+    if case is None:
+        chain = dict(zip(config.counts, _mesh_chain(config)))
+        _, ref = _solve_level(chain[config.reference], data, config, config.reference)
     steps = []
     for row, (m, _mesh, _ops, warm) in zip(report.rows, kept):
-        cold = _solve_level(chain[m], data, config, m)[1]
+        if case is None:
+            cold = _solve_level(chain[m], data, config, m)[1]
+            cold_row = reference_compare(cold, ref)
+        else:
+            cold = _solve_level(build_unit_square_mesh(_mesh_level(1, m)), data, config, m)[1]
+            cold_row = closed_form_row(cold, case)
         steps.append((warm.iterations, cold.iterations))
-        cold_row = reference_compare(cold, ref)
         assert row.elements == cold_row.elements and row.h == cold_row.h
         for name in ("err_y", "err_u", "err_z", "err_pn"):
             assert getattr(row, name) == pytest.approx(getattr(cold_row, name), rel=1e-9)
-    # the second level starts from the first and needs fewer steps
-    assert steps[1][0] < steps[1][1]
+    assert all(w <= c for w, c in steps)
+    if case is None:
+        # the constrained second level starts from the first and needs fewer steps
+        assert steps[1][0] < steps[1][1]
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 1e-6])
+def test_example1_variational_rows_equal_full_rows(epsilon):
+    # unconstrained, the variational control is the trace combination the
+    # full control represents exactly, so both modes give the same rows
+    full, var = (run_example(RunConfig(example=1, levels=(32, 128), epsilon=epsilon,
+                                       mode=mode)).rows
+                 for mode in ("full", "variational"))
+    for a, b in zip(full, var):
+        for name in ("err_y", "err_u", "err_z", "err_pn"):
+            assert getattr(b, name) == pytest.approx(getattr(a, name), rel=1e-10)
 
 
 def test_main_run_and_determinism(tmp_path):
@@ -337,6 +379,36 @@ def test_main_run_and_determinism(tmp_path):
         assert code == 0
     assert (out_a / "table.csv").read_bytes() == (out_b / "table.csv").read_bytes()
     assert (out_a / "table.md").read_bytes() == (out_b / "table.md").read_bytes()
+
+
+def test_main_runs_example1_in_variational_mode(tmp_path):
+    cfg = write_config(tmp_path, EX1_TWO_LEVELS.format(out=tmp_path / "out").replace(
+        "example = 1", "example = 1\nmode = variational"))
+    assert main(["run", cfg]) == 0
+    assert len((tmp_path / "out" / "table.csv").read_text().splitlines()) == 3
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+
+# the benchmark's seed-0 studies, whose tables are frozen byte for byte
+GOLDEN_STUDIES = {
+    "tiny": ("example = 2\nepsilon = 1.0\nmode = full",
+             "levels = 32, 128\nreference = 512"),
+    "ex1-eps1e-6-8192": ("example = 1\nepsilon = 1e-06\nmode = full",
+                         "levels = 32, 128, 512, 2048, 8192"),
+    "ex2-var-ref8192": ("example = 2\nepsilon = 1.0\nmode = variational",
+                        "levels = 32, 128, 512\nreference = 8192"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_STUDIES)
+def test_main_run_reproduces_golden_tables(tmp_path, name):
+    problem, study = GOLDEN_STUDIES[name]
+    out = tmp_path / name
+    cfg = write_config(tmp_path, f"[problem]\n{problem}\n\n[study]\n{study}\n\n"
+                                 f"[output]\ndirectory = {out}\n")
+    assert main(["run", cfg]) == 0
+    assert (out / "table.csv").read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 def test_main_config_error_exit_code(tmp_path):

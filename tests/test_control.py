@@ -354,6 +354,18 @@ def test_variational_control_evaluation_stays_admissible(ex2):
             assert data.u_lower - 1e-12 <= val <= data.u_upper + 1e-12
 
 
+@pytest.mark.parametrize("epsilon", [1.0, 1e-2])
+def test_variational_control_on_edge_is_the_stored_control(epsilon):
+    # the pointwise projection formula, evaluated at the boundary quadrature
+    # points, gives back the control the solver stored there
+    data = example2_data(epsilon)
+    ops = build_ops(data, 4)
+    sol = pdas_solve(ops, data, mode="variational")
+    s = quadrature_rule("edge", ops.quad_degree).points
+    vals = sol.control_on_edge(ops.mesh.boundary_edges[:, None], s).ravel()
+    assert np.abs(vals - sol.u).max() <= 1e-12 * np.abs(sol.u).max()
+
+
 # ------------------------------------------------------- nested start
 
 
