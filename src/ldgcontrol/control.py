@@ -209,8 +209,7 @@ class DiscreteSolution:
         ``s`` broadcast, and the result is at least one-dimensional."""
         if self.mode == "full":
             return np.atleast_1d(trace_on_edge(self.u, edges, 0, s))
-        w = self._projection_argument(edges, s)
-        return np.atleast_1d(np.clip(w, self.data.u_lower, self.data.u_upper))
+        return np.atleast_1d(_projection(self._projection_argument(edges, s), self.data)[0])
 
 
 @dataclass
@@ -248,8 +247,20 @@ def _multiplier(ops: BlockOperator, data: ProblemData, mode: str,
         u = parts["u"]
         lumped = np.asarray(ops.M_Gamma.sum(axis=1)).ravel()
         return u, _dof_gradient(ops, data.omega, u, p, z) / lumped
-    w = (ops.bq.T_pn @ p - ops.bq.T_kz @ z) / data.omega
-    u = np.where(active.lower, data.u_lower, np.where(active.upper, data.u_upper, w))
+    return _projection((ops.bq.T_pn @ p - ops.bq.T_kz @ z) / data.omega, data, active)
+
+
+def _projection(w, data: ProblemData, active: ActiveSetState = None):
+    """Variational control and multiplier from the projection argument w.
+
+    The control is w projected onto the bounds or, given ``active`` sets,
+    the bound on each active point and w elsewhere; the multiplier is
+    omega (u - w).
+    """
+    if active is None:
+        u = np.clip(w, data.u_lower, data.u_upper)
+    else:
+        u = np.where(active.lower, data.u_lower, np.where(active.upper, data.u_upper, w))
     return u, data.omega * (u - w)
 
 
@@ -387,9 +398,8 @@ def _prolonged_start(ops: BlockOperator, data: ProblemData, mode: str,
         return (start.control_on_edge(edges, span).ravel(),
                 trace_on_edge(lam, edges, 0, span).ravel())
     t = quadrature_rule("edge", ops.quad_degree).points
-    w = start._projection_argument(edges, span[:, :1] + t * (span[:, 1:] - span[:, :1])).ravel()
-    u = np.clip(w, data.u_lower, data.u_upper)
-    return u, data.omega * (u - w)
+    return _projection(start._projection_argument(
+        edges, span[:, :1] + t * (span[:, 1:] - span[:, :1])).ravel(), data)
 
 
 def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode: str = "full",

@@ -6,7 +6,10 @@ mesh carries a complete edge data structure: endpoint indices, the one or
 two adjacent elements, outward unit normals per adjacent element, edge
 lengths and an interior/boundary flag.  This is the information a
 discontinuous Galerkin assembly needs to evaluate jumps, averages and
-numerical fluxes on every edge.
+numerical fluxes on every edge.  ``Mesh.adjacency`` is the block pattern
+of the DG matrices (each element coupled to itself and its edge
+neighbours), and ``BlockLayout`` places a matrix of fixed-size blocks on
+such a pattern in CSR form.
 
 Uniform (red) refinement splits each triangle into four congruent children
 and keeps a parent-child map, so fields computed on a refined mesh can be
@@ -15,12 +18,17 @@ evaluated inside any element of a coarser mesh of the same hierarchy.
 
 from __future__ import annotations
 
+from functools import cached_property
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
     "DomainSpec",
     "Mesh",
+    "ElementAdjacency",
+    "BlockLayout",
     "EdgeClassification",
     "build_unit_square_mesh",
     "build_polygon_mesh",
@@ -69,6 +77,23 @@ class DomainSpec:
         x = self.vertices[:, 0]
         y = self.vertices[:, 1]
         return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+class ElementAdjacency(NamedTuple):
+    """Block pattern of the DG matrices: each element and its edge neighbours.
+
+    ``indptr`` (nt + 1,) and ``indices`` list, in CSR form with the indices
+    of each row increasing, the elements coupled to each element: itself
+    and the elements across its interior edges.  A slot is a position in
+    ``indices``.  ``diagonal`` (nt,) holds the slot of each element's own
+    entry and ``edge_slots`` (ne, 2, 2) the slot of entry (edge_elems[e, r],
+    edge_elems[e, s]), -1 where side r or s of edge e is missing.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    diagonal: np.ndarray
+    edge_slots: np.ndarray
 
 
 class Mesh:
@@ -182,12 +207,72 @@ class Mesh:
         self.boundary_edges = np.nonzero(self.boundary_mask)[0]
         self.interior_edges = np.nonzero(~self.boundary_mask)[0]
 
+    @cached_property
+    def adjacency(self) -> ElementAdjacency:
+        """The ``ElementAdjacency`` of the elements, built on first use."""
+        nt, inner = self.num_elements, self.interior_edges
+        t0, t1 = self.edge_elems[inner].T
+        own = np.arange(nt)
+        rows, cols = np.concatenate([own, t0, t1]), np.concatenate([own, t1, t0])
+        order = np.argsort(rows * nt + cols)
+        slot = np.empty(order.size, dtype=np.int32)  # slot of each (row, col) listed
+        slot[order] = np.arange(order.size)
+        edge_slots = np.full((self.num_edges, 2, 2), -1, dtype=np.int32)
+        edge_slots[:, 0, 0] = slot[self.edge_elems[:, 0]]
+        edge_slots[inner, 1, 1] = slot[t1]
+        edge_slots[inner, 0, 1] = slot[nt:nt + inner.size]
+        edge_slots[inner, 1, 0] = slot[nt + inner.size:]
+        indptr = np.zeros(nt + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=nt), out=indptr[1:])
+        return ElementAdjacency(indptr, cols[order].astype(np.int32), slot[:nt], edge_slots)
+
     def edge_midpoints(self, edge_ids=None):
         ids = np.arange(self.num_edges) if edge_ids is None else edge_ids
         return 0.5 * (self.vertices[self.edges[ids, 0]] + self.vertices[self.edges[ids, 1]])
 
     def total_area(self) -> float:
         return float(np.sum(self.areas))
+
+
+class BlockLayout:
+    """CSR layout of a sparse matrix of I x J blocks on a block pattern.
+
+    Block (t, u) of the pattern (``indptr``, ``indices``; increasing within
+    each block row) holds rows I t + i and columns J u + j of the matrix.
+    Each of the I rows of block row t lists the J columns of every block
+    of that row, in slot order, so entry (i, j) of the block in slot s is
+    entry J ((I - 1) indptr[t] + i deg(t) + s) + j of the matrix's data,
+    with deg(t) the number of blocks of row t.  Positions are int32 where
+    the matrix fits.
+    """
+
+    def __init__(self, indptr, indices, block_shape):
+        self.block_shape = block_shape
+        self.size = block_shape[0] * block_shape[1] * len(indices)
+        self.dtype = np.int32 if self.size < 2**31 else np.int64
+        self.first = np.asarray(indptr[:-1], dtype=self.dtype)
+        self.degree = np.diff(indptr).astype(self.dtype)
+        self.indices = np.asarray(indices, dtype=self.dtype)
+
+    def positions(self, rows, slots):
+        """(n, I, J) positions in the data of the blocks in ``slots`` of the
+        block rows ``rows``."""
+        I, J = self.block_shape
+        start = (I - 1) * self.first[rows] + np.asarray(slots, dtype=self.dtype)
+        row = start[:, None] + np.arange(I, dtype=self.dtype) * self.degree[rows, None]
+        return J * row[:, :, None] + np.arange(J, dtype=self.dtype)
+
+    def matrix(self, data, shape) -> sp.csr_matrix:
+        """The CSR matrix of ``data`` (``size`` entries in this layout)."""
+        I, J = self.block_shape
+        # row I t + i lists slots first[t] ... first[t] + degree[t] - 1
+        length = np.repeat(self.degree, I)
+        start = np.zeros(length.size + 1, dtype=self.dtype)
+        np.cumsum(length, out=start[1:])
+        slot = np.arange(start[-1], dtype=self.dtype) - np.repeat(
+            start[:-1] - np.repeat(self.first, I), length)
+        columns = (J * self.indices[slot, None] + np.arange(J, dtype=self.dtype)).ravel()
+        return sp.csr_matrix((data, columns, J * start), shape=shape)
 
 
 class EdgeClassification:

@@ -49,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import dissection_order
+from .geometry import BlockLayout, dissection_order
 
 __all__ = [
     "SingularSystemError",
@@ -296,7 +296,8 @@ def _flux_block_inverse(ops):
     The flux bilinear form is the plain (weighted) vector L2 inner product,
     so on every element the block is 2*area times the reference-triangle
     linear mass matrix tensored with the 2x2 identity.  Inverting the 3x3
-    reference matrix once and scaling gives the sparse global inverse.
+    reference matrix once and scaling gives the sparse global inverse,
+    whose 6x6 blocks are stored whole, zeros included.
     """
     from .spaces import quadrature_rule, tri_basis_values
 
@@ -308,12 +309,9 @@ def _flux_block_inverse(ops):
     minv = np.linalg.inv(mass_ref)
     blk6 = np.kron(minv, np.eye(2))
 
-    idx = 6 * np.arange(nt)[:, None] + np.arange(6)[None, :]
-    rows = np.repeat(idx, 6, axis=1).ravel()
-    cols = np.tile(idx, (1, 6)).ravel()
     vals = (blk6.ravel()[None, :] / (2.0 * mesh.areas)[:, None]).ravel()
     n = 6 * nt
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return BlockLayout(np.arange(nt + 1), np.arange(nt), (6, 6)).matrix(vals, (n, n))
 
 
 def _condensation_operators(ops):

@@ -1,6 +1,8 @@
 """Tests of the config-driven study driver and its file emitters."""
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from ldgcontrol.cli import (
     run_example,
 )
 from ldgcontrol.geometry import build_unit_square_mesh
+from ldgcontrol.ldg import assemble_forms
 from ldgcontrol.linsolve import ReducedSolveError, SingularSystemError
 from ldgcontrol.spaces import DiscreteField, build_spaces
 
@@ -386,6 +389,31 @@ def test_main_runs_example1_in_variational_mode(tmp_path):
         "example = 1", "example = 1\nmode = variational"))
     assert main(["run", cfg]) == 0
     assert len((tmp_path / "out" / "table.csv").read_text().splitlines()) == 3
+
+
+def test_cli_import_leaves_matrix_market_module_out():
+    # scipy.io is imported by the matrix export alone, not at start-up
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = "import sys, ldgcontrol.cli; print('scipy.io' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
+def test_main_run_writes_matrix_market_blocks(tmp_path):
+    import scipy.io
+
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, EX1_TWO_LEVELS.format(out=out) + "matrices = true\n")
+    assert main(["run", cfg]) == 0
+    config = RunConfig.from_file(cfg)
+    mesh = _mesh_chain(config)[0]
+    ops = assemble_forms(mesh, build_spaces(mesh), _example_data(config)[0])
+    for name in ("A", "B", "C", "M1", "M2", "M_Omega", "M_Gamma"):
+        written = scipy.io.mmread(out / f"matrices_{mesh.num_elements}" / f"{name}.mtx")
+        assert abs(written - getattr(ops, name)).max() == 0.0, name
 
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"

@@ -1,12 +1,14 @@
 """Tests of the LDG form assembly and the state/adjoint solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from ldgcontrol import ldg
 from ldgcontrol.analysis import example2_data, example3_data, example3_mesh
-from ldgcontrol.geometry import Mesh, build_unit_square_mesh, data_values
+from ldgcontrol.geometry import Mesh, build_unit_square_mesh, data_values, refine_uniform
 from ldgcontrol.ldg import (
     ProblemData,
     assemble_divergence_form_b,
@@ -15,6 +17,7 @@ from ldgcontrol.ldg import (
     solve_adjoint,
     solve_state,
 )
+from ldgcontrol.linsolve import _flux_block_inverse
 from ldgcontrol.spaces import DiscreteField, build_spaces, l2_project
 
 
@@ -331,28 +334,166 @@ def test_large_divergence_free_field_passes_the_check(scale):
     data.check_divergence_free(mesh.vertices[mesh.triangles].mean(axis=1))
 
 
-def _scatter_by_concatenation(shape, *blocks):
-    # the former formula: concatenated triplets, rows and columns broadcast
+def _coo_sum(shape, *blocks):
+    # the former assembly idiom: every local block (vals (n, I, J), rows
+    # (n, I), cols (n, J)) as concatenated COO triplets, summed by tocsr
     vals = np.concatenate([v.ravel() for v, _, _ in blocks])
     rows = np.concatenate([np.broadcast_to(r[:, :, None], v.shape).ravel() for v, r, _ in blocks])
     cols = np.concatenate([np.broadcast_to(c[:, None, :], v.shape).ravel() for v, _, c in blocks])
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+    mat = sp.csr_matrix((vals, (rows.astype(np.int32), cols.astype(np.int32))), shape=shape)
     mat.eliminate_zeros()
     return mat
 
 
-@pytest.mark.parametrize("mesh, data", [
+def _coo_reference(mesh, spaces, data, degree=4):
+    """The blocks of ``assemble_forms`` through COO triplets, from the same
+    local blocks: the oracle of the in-place fills on the element adjacency."""
+    flux = compute_flux_parameters(mesh, data)
+    nt, nW, nV = mesh.num_elements, spaces.flux.num_dofs, spaces.potential.num_dofs
+    dofs3 = 3 * np.arange(nt)[:, None] + np.arange(3)
+    dofs6 = 6 * np.arange(nt)[:, None] + np.arange(6)
+    mass, B_vol, C_vol = ldg._volume_blocks(mesh, data, degree)
+    mass6 = (mass[:, :, None, :, None] * np.eye(2)[:, None, :]).reshape(nt, 6, 6)
+
+    xg, wt, L = ldg._edge_quadrature(mesh, degree, np.arange(mesh.num_edges))
+    beta_n = np.einsum("egd,ed->eg", data_values(data.beta, xg, "beta", vector=True),
+                       mesh.edge_normals[:, 0])
+    present = mesh.edge_elems >= 0
+    e, r, s = np.nonzero(present[:, :, None] & present[:, None, :])
+    G = ldg._gram(wt, L)[e, r, s]
+    sign = np.array([1.0, -1.0])
+    rcoef = np.stack([np.where(mesh.boundary_mask, 1.0, 0.5 - flux.c12n), 0.5 + flux.c12n], axis=1)
+    coef_B = -data.sqrt_eps * sign[None, None, :] * rcoef[:, :, None]
+    ycoef = np.stack([0.5 + flux.d11n, 0.5 - flux.d11n], axis=1)
+    pen = data.penalty_sign * data.sqrt_eps * flux.c11
+    conv = ldg._gram(wt * beta_n, L)[e, r, s] * (sign[r] * ycoef[e, s])[:, None, None]
+    C_edge = conv + G * (pen[e] * sign[r] * sign[s])[:, None, None]
+    B_edge = ldg._flux_edge_blocks(mesh.edge_normals[e, 0], G, coef_B[e, r, s])
+    t_r, t_s = mesh.edge_elems[e, r, None], mesh.edge_elems[e, s, None]
+    blocks = {
+        "A": _coo_sum((nW, nW), (mass6, dofs6, dofs6)),
+        "M_Omega": _coo_sum((nV, nV), (mass, dofs3, dofs3)),
+        "B": _coo_sum((nW, nV), (B_vol, dofs6, dofs3),
+                      (B_edge, 6 * t_r + np.arange(6), 3 * t_s + np.arange(3))),
+        "C": _coo_sum((nV, nV), (C_vol, dofs3, dofs3),
+                      (C_edge, 3 * t_r + np.arange(3), 3 * t_s + np.arange(3))),
+    }
+
+    ids = mesh.boundary_edges
+    xg, wt, L = ldg._edge_quadrature(mesh, degree, ids)
+    n0 = mesh.edge_normals[ids, 0]
+    beta_n = np.einsum("egd,ed->eg", data_values(data.beta, xg, "beta", vector=True), n0)
+    kappa = ldg.boundary_kappa(data, flux.c11[ids, None], beta_n,
+                               flux.classification.inflow_mask[:, None])
+    L0, t0 = L[:, 0], mesh.edge_elems[ids, 0, None]
+    phi = ldg.edge_basis_values(ldg.quadrature_rule("edge", degree).points)
+    rows = np.arange(wt.size).reshape(wt.shape)
+    nq = wt.size
+    blocks["E_U"] = _coo_sum((nq, spaces.control.num_dofs), (
+        np.broadcast_to(phi, wt.shape + (2,)), rows,
+        2 * spaces.control.boundary_index[ids, None] + np.arange(2)))
+    blocks["T_pn"] = _coo_sum((nq, nW), (
+        (data.sqrt_eps * L0[:, :, :, None] * n0[:, None, None, :]).reshape(wt.shape + (6,)),
+        rows, 6 * t0 + np.arange(6)))
+    blocks["T_kz"] = _coo_sum((nq, nV), (kappa[:, :, None] * L0, rows, 3 * t0 + np.arange(3)))
+    W = sp.diags(wt.ravel())
+    M1_qp = (-(blocks["T_pn"].T) @ W).tocsr()
+    M2_qp = (blocks["T_kz"].T @ W).tocsr()
+    blocks.update(M1_qp=M1_qp, M2_qp=M2_qp,
+                  M1=(M1_qp @ blocks["E_U"]).sorted_indices(),
+                  M2=(M2_qp @ blocks["E_U"]).sorted_indices(),
+                  M_Gamma=(blocks["E_U"].T @ W @ blocks["E_U"]).tocsr())
+    return blocks
+
+
+ORACLE_MESHES = pytest.mark.parametrize("mesh, data", [
     (build_unit_square_mesh(8), example2_data()),
     (example3_mesh(2), example3_data()),
     (example3_mesh(2, coarse="diag2"), example3_data(1e-3)),
 ], ids=["square", "ex3-fan3", "ex3-diag2"])
-def test_scatter_into_views_is_bit_identical(mesh, data, monkeypatch):
-    spaces = build_spaces(mesh)
-    new = assemble_forms(mesh, spaces, data)
-    monkeypatch.setattr(ldg, "_scatter", _scatter_by_concatenation)
-    old = assemble_forms(mesh, spaces, data)
-    for name in ("A", "B", "C", "M1", "M2", "M_Omega", "M_Gamma"):
-        a, b = getattr(new, name), getattr(old, name)
+
+
+@ORACLE_MESHES
+def test_adjacency_fills_match_the_coo_oracle(mesh, data):
+    # same pattern and index dtypes as the triplet sum; blocks with nothing
+    # summed are bit-identical, and the summed B and C agree to rounding
+    ops = assemble_forms(mesh, build_spaces(mesh), data)
+    for name, ref in _coo_reference(mesh, ops.spaces, data).items():
+        new = getattr(ops.bq if hasattr(ops.bq, name) else ops, name)
+        for part in ("indices", "indptr"):
+            assert np.array_equal(getattr(new, part), getattr(ref, part)), (name, part)
         for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(a, part), getattr(b, part)), (name, part)
-            assert getattr(a, part).dtype == getattr(b, part).dtype
+            assert getattr(new, part).dtype == getattr(ref, part).dtype, (name, part)
+        if name in ("B", "C"):
+            scale = np.abs(ref.data).max()
+            assert np.abs(new.data - ref.data).max() <= 4e-16 * scale, name
+        else:
+            assert np.array_equal(new.data, ref.data), name
+
+
+@ORACLE_MESHES
+def test_divergence_form_fill_matches_the_coo_oracle(mesh, data):
+    spaces = build_spaces(mesh)
+    flux = compute_flux_parameters(mesh, data)
+    new = assemble_divergence_form_b(mesh, spaces, data, flux)
+    nt, sqrt_eps = mesh.num_elements, data.sqrt_eps
+    _, _, grads, int_lam = ldg._volume_tables(mesh, 4)
+    B_vol = ((-sqrt_eps * grads)[:, :, :, None] * int_lam[:, None, None, :]).reshape(nt, 6, 3)
+    _, wt, L = ldg._edge_quadrature(mesh, 4, np.arange(mesh.num_edges))
+    present = mesh.edge_elems >= 0
+    e, r, s = np.nonzero(present[:, :, None] & present[:, None, :])
+    ycoef = np.where(mesh.boundary_mask[:, None], 0.0,
+                     np.stack([0.5 + flux.c12n, 0.5 - flux.c12n], axis=1))
+    coef = sqrt_eps * np.array([1.0, -1.0])[None, :, None] * ycoef[:, None, :]
+    ref = _coo_sum(new.shape, (B_vol, 6 * np.arange(nt)[:, None] + np.arange(6),
+                               3 * np.arange(nt)[:, None] + np.arange(3)),
+                   (ldg._flux_edge_blocks(mesh.edge_normals[e, 0], ldg._gram(wt, L)[e, r, s],
+                                          coef[e, r, s]),
+                    6 * mesh.edge_elems[e, r, None] + np.arange(6),
+                    3 * mesh.edge_elems[e, s, None] + np.arange(3)))
+    assert np.array_equal(new.indptr, ref.indptr) and np.array_equal(new.indices, ref.indices)
+    assert np.abs(new.data - ref.data).max() <= 4e-16 * np.abs(ref.data).max()
+
+
+def test_flux_block_inverse_matches_the_coo_oracle():
+    # the element inverses keep their stored zeros, as the triplet sum did
+    mesh, spaces, data, flux, ops = make_ops(4)
+    Ainv = _flux_block_inverse(ops)
+    nt = mesh.num_elements
+    vals = Ainv.data.reshape(nt, 6, 6)
+    dofs6 = 6 * np.arange(nt)[:, None] + np.arange(6)
+    ref = sp.csr_matrix((vals.ravel(), (np.repeat(dofs6, 6, axis=1).ravel(),
+                                        np.tile(dofs6, (1, 6)).ravel())), shape=Ainv.shape)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(Ainv, part), getattr(ref, part)), part
+        assert getattr(Ainv, part).dtype == getattr(ref, part).dtype, part
+    assert np.allclose((Ainv @ ops.A).toarray(), np.eye(Ainv.shape[0]), atol=1e-12)
+
+
+def _chain_mesh(elements):
+    mesh = build_unit_square_mesh(4)  # the 32-element root of the example-2 chain
+    while mesh.num_elements < elements:
+        mesh = refine_uniform(mesh)
+    return mesh
+
+
+def test_assembly_transient_is_bounded():
+    # the traced peak of assemble_forms stays within twice what it returns,
+    # and every returned block is canonical CSR with no stored zeros
+    mesh = _chain_mesh(2048)
+    spaces, data = build_spaces(mesh), example2_data()
+    assemble_forms(mesh, spaces, data)  # caches the adjacency and the rules
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ops = assemble_forms(mesh, spaces, data)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 2 * (kept - before)
+    blocks = [getattr(ops, name) for name in ("A", "B", "C", "M1", "M2", "M_Omega", "M_Gamma")]
+    blocks += [getattr(ops.bq, name) for name in ("E_U", "T_pn", "T_kz", "M1_qp", "M2_qp")]
+    for mat in blocks:
+        assert mat.format == "csr" and mat.has_canonical_format
+        assert np.all(mat.data != 0.0)
