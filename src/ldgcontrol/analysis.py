@@ -14,10 +14,10 @@ Three study problems are provided.
   corner, discontinuous target data and a one-sided bound u >= 0; errors
   are again reference-based.
 
-All error norms use degree-6 quadrature: the discrete fields are
-piecewise linear, but the exact solutions are not polynomial, and the
-data loads were assembled at degree 6 as well, so cost values and
-gradients stay mutually consistent.  Every norm and the nested-reference
+All error norms use the data rule ``spaces.DATA_DEGREE``: the discrete
+fields are piecewise linear, but the exact solutions are not polynomial,
+and the data loads were assembled with that rule as well, so cost values
+and gradients stay mutually consistent.  Every norm and the nested-reference
 comparison evaluate all quadrature points of all elements or boundary
 edges in one batched call (``spaces.eval_field``, ``spaces.trace_on_edge``,
 ``NestedLocator.locate``/``locate_boundary``).
@@ -40,6 +40,7 @@ from .geometry import (
 )
 from .ldg import BlockOperator, ProblemData, solve_adjoint, solve_state
 from .spaces import (
+    DATA_DEGREE,
     DiscreteField,
     barycentric,
     edge_points,
@@ -374,17 +375,17 @@ def example3_data(epsilon: float = 1.0) -> ProblemData:
 # error norms
 
 
-def _domain_quad(mesh, degree):
-    rule = quadrature_rule("triangle", degree)
+def _domain_quad(mesh):
+    rule = quadrature_rule("triangle", DATA_DEGREE)
     lam = tri_basis_values(rule.points)
     pts = physical_points(mesh, rule.points)
     return rule, lam, pts
 
 
-def error_l2_domain(field: DiscreteField, exact, degree: int = 6) -> float:
+def error_l2_domain(field: DiscreteField, exact) -> float:
     """L2(domain) distance between an element field and an exact function."""
     mesh = field.dofmap.mesh
-    rule, lam, pts = _domain_quad(mesh, degree)
+    rule, lam, pts = _domain_quad(mesh)
     if field.dofmap.kind == "scalar-element":
         vals_h = np.einsum("ti,ki->tk", field.coefficients.reshape(-1, 3), lam)
         diff2 = (data_values(exact, pts, "exact") - vals_h) ** 2
@@ -396,16 +397,16 @@ def error_l2_domain(field: DiscreteField, exact, degree: int = 6) -> float:
     return float(np.sqrt((2.0 * mesh.areas) @ (diff2 @ rule.weights)))
 
 
-def _boundary_rule(mesh, degree):
-    """An edge rule on every boundary edge: edge ids (b,), parameters s (k,),
+def _boundary_rule(mesh):
+    """The data rule on every boundary edge: edge ids (b,), parameters s (k,),
     points (b, k, 2), weights (b, k) and outward normals (b, 2)."""
-    rule = quadrature_rule("edge", degree)
+    rule = quadrature_rule("edge", DATA_DEGREE)
     ids = mesh.boundary_edges
     return (ids, rule.points, edge_points(mesh, ids[:, None], rule.points),
             rule.weights * mesh.edge_lengths[ids, None], mesh.edge_normals[ids, 0])
 
 
-def error_l2_boundary(source, exact, mesh: Mesh = None, degree: int = 6) -> float:
+def error_l2_boundary(source, exact, mesh: Mesh = None) -> float:
     """L2(boundary) distance between a trace source and an exact function.
 
     ``source`` may be a boundary-edge field (controls), a scalar element
@@ -416,7 +417,7 @@ def error_l2_boundary(source, exact, mesh: Mesh = None, degree: int = 6) -> floa
         mesh = source.dofmap.mesh
     if mesh is None:
         raise ValueError("a mesh is required for callable sources")
-    ids, s, xg, wt, _n = _boundary_rule(mesh, degree)
+    ids, s, xg, wt, _n = _boundary_rule(mesh)
     if isinstance(source, DiscreteField):
         vals = trace_on_edge(source, ids[:, None], 0, s)
     else:
@@ -425,7 +426,7 @@ def error_l2_boundary(source, exact, mesh: Mesh = None, degree: int = 6) -> floa
 
 
 def error_flux_normal_boundary(p_h: DiscreteField, grad_z_exact, epsilon: float,
-                               mesh: Mesh = None, degree: int = 6) -> float:
+                               mesh: Mesh = None) -> float:
     """L2(boundary) distance of normal traces of the scaled adjoint flux.
 
     The exact flux is sqrt(eps) grad(z); the discrete field's normal trace
@@ -433,7 +434,7 @@ def error_flux_normal_boundary(p_h: DiscreteField, grad_z_exact, epsilon: float,
     """
     if mesh is None:
         mesh = p_h.dofmap.mesh
-    ids, s, xg, wt, n = _boundary_rule(mesh, degree)
+    ids, s, xg, wt, n = _boundary_rule(mesh)
     pn_h = np.einsum("egd,ed->eg", trace_on_edge(p_h, ids[:, None], 0, s), n)
     grad_z = data_values(grad_z_exact, xg, "grad_z_exact", vector=True)
     pn_ex = float(np.sqrt(epsilon)) * np.einsum("egd,ed->eg", grad_z, n)
@@ -552,7 +553,7 @@ class NestedLocator:
         return self.boundary_fine[i][()], np.clip((s - s0) / (s1 - s0), 0.0, 1.0)[()]
 
 
-def reference_compare(coarse_sol, reference_sol, degree: int = 6):
+def reference_compare(coarse_sol, reference_sol):
     """Error row of a coarse solution against a nested reference solution.
 
     All four columns are integrated on the coarse elements and edges with
@@ -563,14 +564,14 @@ def reference_compare(coarse_sol, reference_sol, degree: int = 6):
     coarse_mesh = coarse_sol.mesh
     locator = NestedLocator(coarse_mesh, reference_sol.mesh)
 
-    rule, lam, pts = _domain_quad(coarse_mesh, degree)
+    rule, lam, pts = _domain_quad(coarse_mesh)
     nt = coarse_mesh.num_elements
     vals_h = np.einsum("ti,ki->tk", coarse_sol.y.coefficients.reshape(nt, 3), lam)
     tf = locator.locate(np.arange(nt)[:, None], pts)
     diff2 = (vals_h - eval_field(reference_sol.y, tf, pts, tol=1e-8)) ** 2
     err_y2 = (2.0 * coarse_mesh.areas) @ (diff2 @ rule.weights)
 
-    ids, s, _xg, wt, n = _boundary_rule(coarse_mesh, degree)
+    ids, s, _xg, wt, n = _boundary_rule(coarse_mesh)
     e = ids[:, None]
     f, sf = locator.locate_boundary(e, s)
     err_u2 = np.sum(wt * (coarse_sol.control_on_edge(e, s)
@@ -590,17 +591,17 @@ def reference_compare(coarse_sol, reference_sol, degree: int = 6):
     )
 
 
-def closed_form_row(sol, case: ManufacturedCase, degree: int = 6) -> ErrorReportRow:
+def closed_form_row(sol, case: ManufacturedCase) -> ErrorReportRow:
     """Error row of a solution against the closed-form optimal triple.  The
     control is evaluated through ``sol.control_on_edge``, as in
     ``reference_compare``, so both control modes are measured pointwise."""
     mesh = sol.mesh
-    ids, s, xg, wt, _n = _boundary_rule(mesh, degree)
+    ids, s, xg, wt, _n = _boundary_rule(mesh)
     du = data_values(case.u, xg, "exact") - sol.control_on_edge(ids[:, None], s)
     return ErrorReportRow(
-        mesh.num_elements, mesh.h, error_l2_domain(sol.y, case.y, degree),
-        float(np.sqrt(np.sum(wt * du**2))), error_l2_boundary(sol.z, case.z, degree=degree),
-        error_flux_normal_boundary(sol.p, case.grad_z, case.epsilon, mesh, degree))
+        mesh.num_elements, mesh.h, error_l2_domain(sol.y, case.y),
+        float(np.sqrt(np.sum(wt * du**2))), error_l2_boundary(sol.z, case.z),
+        error_flux_normal_boundary(sol.p, case.grad_z, case.epsilon, mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +615,8 @@ class GalerkinDiagnostics:
     err_y_state is the state solve driven by the exact control;
     err_pn_adjoint and err_z_adjoint come from the adjoint solve driven by
     the exact right-hand side y - y_desired.  weighted_z2 is the squared
-    z-trace error with each boundary edge weighted by its kappa^2;
+    z-trace error weighted by kappa^2 (``FluxParameters.kappa``) at each
+    boundary quadrature point;
     bound_rhs composes the right side of the gap inequality (with unit
     leading constant).
     """
@@ -649,9 +651,9 @@ def galerkin_diagnostics(case: ManufacturedCase, mesh: Mesh, ops: BlockOperator)
     err_pn = error_flux_normal_boundary(p_hu, case.grad_z, case.epsilon, mesh)
     err_z = error_l2_boundary(z_hu, case.z, mesh)
 
-    ids, s, xg, wt, _n = _boundary_rule(mesh, 6)
+    ids, s, xg, wt, _n = _boundary_rule(mesh)
     diff2 = (data_values(case.z, xg, "z") - trace_on_edge(z_hu, ids[:, None], 0, s)) ** 2
-    weighted_z2 = float(np.sum(ops.flux.kappa_z[ids, None] ** 2 * wt * diff2))
+    weighted_z2 = float(np.sum(ops.flux.kappa(ids[:, None], s) ** 2 * wt * diff2))
 
     from .control import quasi_interpolate
 

@@ -29,9 +29,11 @@ import numpy as np
 
 from .analysis import NestedLocator
 from .geometry import data_values
-from .ldg import BlockOperator, ProblemData, boundary_kappa, solve_adjoint, solve_state
+from .ldg import BlockOperator, ProblemData, solve_adjoint, solve_state
 from .linsolve import solve_optimality_system
 from .spaces import (
+    DATA_DEGREE,
+    FORM_DEGREE,
     DiscreteField,
     DofMap,
     edge_basis_values,
@@ -98,7 +100,7 @@ def project_admissible(values, u_lower: float, u_upper: float):
     return clipped
 
 
-def quasi_interpolate(u, mesh, degree: int = 6) -> DiscreteField:
+def quasi_interpolate(u, mesh) -> DiscreteField:
     """Weighted nodal averaging of a boundary function into the control space.
 
     The value at a boundary node is (u, hat)_Gamma / (1, hat)_Gamma with
@@ -106,8 +108,9 @@ def quasi_interpolate(u, mesh, degree: int = 6) -> DiscreteField:
     boundary edges.  Constants are reproduced and bounds are preserved
     (each nodal value is a convex average of u along the boundary).  ``u``
     is a boundary DiscreteField, a constant or a callable on point arrays.
+    The edge integrals use the data rule.
     """
-    rule = quadrature_rule("edge", degree)
+    rule = quadrature_rule("edge", DATA_DEGREE)
     ids = mesh.boundary_edges
     if isinstance(u, DiscreteField):
         if u.dofmap.kind != "boundary-edge":
@@ -192,17 +195,11 @@ class DiscreteSolution:
     def _projection_argument(self, edges, s):
         """(sqrt(eps) p.n - kappa z)/omega at parameters s of boundary edges
         (``edges`` and ``s`` broadcast)."""
-        mesh = self.mesh
         data = self.data
-        flux = self.ops.flux
-        n = mesh.edge_normals[edges, 0]
+        n = self.mesh.edge_normals[edges, 0]
         pn = data.sqrt_eps * np.sum(trace_on_edge(self.p, edges, 0, s) * n, axis=-1)
         zv = trace_on_edge(self.z, edges, 0, s)
-        beta = data_values(data.beta, edge_points(mesh, edges, s), "beta", vector=True)
-        beta_n = np.sum(beta * n, axis=-1)
-        kap = boundary_kappa(data, flux.c11[edges], beta_n,
-                             flux.classification.is_inflow(edges))
-        return (pn - kap * zv) / data.omega
+        return (pn - self.ops.flux.kappa(edges, s) * zv) / data.omega
 
     def control_on_edge(self, edges, s) -> np.ndarray:
         """Control values at parameters s of boundary edges; ``edges`` and
@@ -294,20 +291,20 @@ def reduced_gradient(ops: BlockOperator, sol: DiscreteSolution) -> BoundaryGradi
 def evaluate_cost(y_h: DiscreteField, u_h, data: ProblemData, ops: BlockOperator = None) -> float:
     """Tracking cost 1/2 |y_h - y_d|^2_domain + omega/2 |u_h|^2_boundary.
 
-    The domain term uses degree-6 quadrature of the analytic target (the
-    same rule that assembled the target load); the boundary term is exact
-    for edgewise-linear controls and uses the stored quadrature weights
-    for pointwise (variational) controls, which requires ``ops``.
+    The domain term uses the data rule of the analytic target (the same
+    rule that assembled the target load); the boundary term uses the form
+    rule, exact for edgewise-linear controls, and the stored quadrature
+    weights for pointwise (variational) controls, which requires ``ops``.
     """
     mesh = y_h.dofmap.mesh
-    rule = quadrature_rule("triangle", 6)
+    rule = quadrature_rule("triangle", DATA_DEGREE)
     vals = np.einsum("ti,ki->tk", y_h.coefficients.reshape(-1, 3), tri_basis_values(rule.points))
     diff = vals - data_values(data.y_desired, physical_points(mesh, rule.points), "y_desired")
     track = float((2.0 * mesh.areas) @ (diff**2 @ rule.weights))
 
     if isinstance(u_h, DiscreteField):
         # boundary-edge dofs are (start, end) pairs in boundary-edge order
-        erule = quadrature_rule("edge", 4)
+        erule = quadrature_rule("edge", FORM_DEGREE)
         uv = u_h.coefficients.reshape(-1, 2) @ edge_basis_values(erule.points).T
         bdry = float(mesh.edge_lengths[mesh.boundary_edges] @ (uv**2 @ erule.weights))
     else:
@@ -397,7 +394,7 @@ def _prolonged_start(ops: BlockOperator, data: ProblemData, mode: str,
         lam = DiscreteField(start.u.dofmap, reduced_gradient(start.ops, start).nodal)
         return (start.control_on_edge(edges, span).ravel(),
                 trace_on_edge(lam, edges, 0, span).ravel())
-    t = quadrature_rule("edge", ops.quad_degree).points
+    t = quadrature_rule("edge", FORM_DEGREE).points
     return _projection(start._projection_argument(
         edges, span[:, :1] + t * (span[:, 1:] - span[:, :1])).ravel(), data)
 
@@ -407,14 +404,14 @@ def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode: str = "full",
                strategy: str = "reduced") -> DiscreteSolution:
     """Primal-dual active set iteration for the bound-constrained problem.
 
-    ``mode`` is "full" or "variational"; any other value raises
-    ``ValueError`` before a solve.  Each step solves the coupled optimality
-    system for the current bound sets, forms the multiplier, and re-marks
-    every control unknown whose shifted multiplier test
-    -lambda + omega (u - bound) indicates a violated bound.  Iteration
-    stops when the sets repeat; the unconstrained problem stops after a
-    single solve.  A step that returns to an earlier set
-    other than the last one is a cycle and raises ``PdasNonconvergence``.
+    ``mode`` is "full" or "variational"; any other value, or a
+    ``max_iter`` below 1, raises ``ValueError`` before a solve.  Each step
+    solves the coupled optimality system for the current bound sets,
+    forms the multiplier, and re-marks every control unknown whose shifted
+    multiplier test -lambda + omega (u - bound) indicates a violated bound.
+    Iteration stops when the sets repeat; the unconstrained problem stops
+    after a single solve.  A step that returns to an earlier set other than
+    the last one is a cycle and raises ``PdasNonconvergence``.
     ``strategy`` is forwarded to the linear solver ("monolithic" and
     "condensed" select the direct reference solves); the reduced solve of
     each step starts from the control of the step before.
@@ -429,6 +426,8 @@ def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode: str = "full",
     """
     if mode not in ("full", "variational"):
         raise ValueError(f"unknown control mode {mode!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if data is None:
         data = ops.data
 

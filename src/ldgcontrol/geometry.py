@@ -9,7 +9,7 @@ discontinuous Galerkin assembly needs to evaluate jumps, averages and
 numerical fluxes on every edge.  ``Mesh.adjacency`` is the block pattern
 of the DG matrices (each element coupled to itself and its edge
 neighbours), and ``BlockLayout`` places a matrix of fixed-size blocks on
-such a pattern in CSR form.
+such a pattern in CSR form, less its stored zeros.
 
 Uniform (red) refinement splits each triangle into four congruent children
 and keeps a parent-child map, so fields computed on a refined mesh can be
@@ -29,11 +29,9 @@ __all__ = [
     "Mesh",
     "ElementAdjacency",
     "BlockLayout",
-    "EdgeClassification",
     "build_unit_square_mesh",
     "build_polygon_mesh",
     "refine_uniform",
-    "classify_boundary_edges",
     "dissection_order",
     "data_values",
     "write_mesh_text",
@@ -263,7 +261,11 @@ class BlockLayout:
         return J * row[:, :, None] + np.arange(J, dtype=self.dtype)
 
     def matrix(self, data, shape) -> sp.csr_matrix:
-        """The CSR matrix of ``data`` (``size`` entries in this layout)."""
+        """The CSR matrix of ``data`` (``size`` entries in this layout).
+
+        Its stored zeros (e.g. the trace of the vertex opposite an edge) are
+        dropped, and the buffer space they held is released.
+        """
         I, J = self.block_shape
         # row I t + i lists slots first[t] ... first[t] + degree[t] - 1
         length = np.repeat(self.degree, I)
@@ -272,30 +274,12 @@ class BlockLayout:
         slot = np.arange(start[-1], dtype=self.dtype) - np.repeat(
             start[:-1] - np.repeat(self.first, I), length)
         columns = (J * self.indices[slot, None] + np.arange(J, dtype=self.dtype)).ravel()
-        return sp.csr_matrix((data, columns, J * start), shape=shape)
-
-
-class EdgeClassification:
-    """Inflow/outflow split of the boundary edges for a velocity field.
-
-    An edge is inflow when beta(midpoint) . n < 0 with the outward normal n,
-    otherwise outflow (ties beta . n = 0 count as outflow).
-
-    Attributes:
-        boundary_edges : int array, the classified edge ids.
-        inflow_mask : bool array aligned with boundary_edges.
-        inflow_edges / outflow_edges : int arrays of edge ids.
-    """
-
-    def __init__(self, boundary_edges, inflow_mask):
-        self.boundary_edges = np.asarray(boundary_edges, dtype=np.int64)
-        self.inflow_mask = np.asarray(inflow_mask, dtype=bool)
-        self.inflow_edges = self.boundary_edges[self.inflow_mask]
-        self.outflow_edges = self.boundary_edges[~self.inflow_mask]
-
-    def is_inflow(self, edges):
-        """Inflow flags of edge ids (bool array of their shape)."""
-        return np.isin(edges, self.inflow_edges)
+        mat = sp.csr_matrix((data, columns, J * start), shape=shape)
+        stored = mat.nnz
+        mat.eliminate_zeros()
+        if mat.nnz < stored and mat.data.base is not None:
+            mat.data, mat.indices = mat.data.copy(), mat.indices.copy()
+        return mat
 
 
 def build_unit_square_mesh(n: int) -> Mesh:
@@ -534,19 +518,6 @@ def dissection_order(points, coupling) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     paths, along = _dissection_paths(points, coupling)
     return np.lexsort((points[:, 1], points[:, 0], along) + tuple(paths.T[::-1]))
-
-
-def classify_boundary_edges(mesh: Mesh, beta) -> EdgeClassification:
-    """Mark each boundary edge inflow (beta . n < 0) or outflow (>= 0).
-
-    For non-constant velocity fields the sign is taken at the edge midpoint.
-    ``beta`` is a constant 2-vector or a callable on point arrays (see
-    ``data_values``).
-    """
-    ids = mesh.boundary_edges
-    beta_mid = data_values(beta, mesh.edge_midpoints(ids), "beta", vector=True)
-    beta_n = np.sum(beta_mid * mesh.edge_normals[ids, 0], axis=1)
-    return EdgeClassification(ids, beta_n < 0.0)
 
 
 def data_values(fun, points, name: str, vector: bool = False) -> np.ndarray:

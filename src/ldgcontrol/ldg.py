@@ -39,6 +39,13 @@ nonsingular forward operators on the meshes used here; the -1 convention
 is what the convergence references in the analysis module were computed
 with.
 
+``FluxParameters`` owns the edge coefficients C11, C12 . n and D11 . n;
+the inflow mask of the boundary edges, read from the same array of
+beta(midpoint) . n as D11; and the one formula of kappa
+(``FluxParameters.kappa``), which each boundary term evaluates at its own
+points.  The forms use ``spaces.FORM_DEGREE`` rules and
+the data loads ``spaces.DATA_DEGREE`` rules.
+
 Assembly is batched over all elements and, in chunks of ``_EDGE_CHUNK``
 edges, over all edges.  Each edge side gets a trace table L[e, side, g, i]
 (the nodal basis function i of that side's element at edge quadrature
@@ -47,8 +54,7 @@ side, trial side) block of weighted products of these tables.  Boundary
 edges need no branch of their own: their terms are the side-0 block of
 the interior formulas, with the b weight 1/2 - C12 . n replaced by 1, and
 with the upwind factor 1/2 + D11 . n of c equal to 1 on outflow and 0 on
-inflow edges (D11 and the inflow/outflow split test the same sign of
-beta(midpoint) . n).
+inflow edges.
 
 Every matrix is written in CSR form directly, with one idiom: a
 ``geometry.BlockLayout`` of fixed-size element blocks.  B (6 x 3 blocks)
@@ -57,9 +63,9 @@ element and its edge neighbours, built once per mesh): their data start
 as the volume blocks on the diagonal, and each chunk's edge blocks are
 summed in place at their slots.  A, M_Omega and the boundary tables E_U,
 T_pn and T_kz hold one block per block row, so their data are the local
-blocks themselves.  Stored zeros (e.g. the trace of the vertex opposite
-an edge) are then dropped, so no matrix goes through COO triplets and a
-sort.
+blocks themselves.  ``BlockLayout.matrix`` drops the stored zeros (e.g.
+the trace of the vertex opposite an edge), so no matrix goes through COO
+triplets and a sort.
 
 Data (beta, alpha, f, y_desired, a callable control or adjoint
 right-hand side) is a constant or a callable on whole point arrays
@@ -79,19 +85,16 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import (
-    BlockLayout,
-    EdgeClassification,
-    Mesh,
-    classify_boundary_edges,
-    data_values,
-)
+from .geometry import BlockLayout, Mesh, data_values
 from .linsolve import Factorization, _condensation_operators, _node_order
 from .spaces import (
+    DATA_DEGREE,
+    FORM_DEGREE,
     DiscreteField,
     SpaceSet,
     build_spaces,
     edge_basis_values,
+    edge_points,
     edge_trace_table,
     element_gradients,
     physical_points,
@@ -104,7 +107,6 @@ __all__ = [
     "FluxParameters",
     "BlockOperator",
     "BoundaryQuadrature",
-    "compute_flux_parameters",
     "assemble_forms",
     "assemble_divergence_form_b",
     "solve_state",
@@ -198,15 +200,6 @@ class ProblemData:
             raise ValueError(f"velocity field is not divergence free at {points[bad][0]}")
 
 
-def boundary_kappa(data, c11, beta_n, inflow):
-    """Boundary multiplier weight s_pen sqrt(eps) C11 + [inflow] |beta . n|.
-
-    Broadcasts over the edge penalties ``c11``, the normal velocities
-    ``beta_n`` and the inflow flags ``inflow``.
-    """
-    return data.penalty_sign * data.sqrt_eps * c11 + np.where(inflow, np.abs(beta_n), 0.0)
-
-
 class FluxParameters:
     """Per-edge numerical flux coefficients.
 
@@ -215,13 +208,17 @@ class FluxParameters:
         c12n : (ne,) value of C12 . n for the first adjacent side's normal;
             the second side sees the opposite sign.
         d11n : (ne,) value of D11 . n for the first side (upwind switch).
-        kappa_z : (ne,) boundary multiplier weight
-            s_pen*sqrt(eps)*C11 + [inflow]*|beta.n| at the edge midpoint;
-            NaN on interior edges.
-        classification : EdgeClassification of the boundary edges.
+        inflow : (ne,) bool, the boundary edges with beta(midpoint) . n < 0
+            for the outward normal n (ties count as outflow); the same sign
+            sets d11n.
+        mesh, data : the mesh and ProblemData the coefficients belong to.
+
+    ``kappa`` evaluates the boundary weight of the control at any boundary
+    points.
     """
 
-    def __init__(self, mesh, data, classification):
+    def __init__(self, mesh, data):
+        self.mesh, self.data = mesh, data
         v12 = np.asarray(data.c12_direction, dtype=float)
         n0 = mesh.edge_normals[:, 0]
         sv = n0 @ v12
@@ -231,28 +228,28 @@ class FluxParameters:
         self.c12n = np.where(np.abs(sv) <= 1e-12 * float(np.linalg.norm(v12)), data.c12_tie,
                              np.where(sv > 0.0, 0.5, -0.5))
         self.d11n = np.where(beta_n >= 0.0, 0.5, -0.5)
-        self.kappa_z = np.full(mesh.num_edges, np.nan)
-        ids = classification.boundary_edges
-        self.kappa_z[ids] = boundary_kappa(data, self.c11[ids], beta_n[ids],
-                                           classification.inflow_mask)
-        self.classification = classification
+        self.inflow = mesh.boundary_mask & (beta_n < 0.0)
+
+    def kappa(self, edges, s):
+        """Boundary weight s_pen sqrt(eps) C11 + [inflow] |beta . n| at
+        parameters ``s`` of boundary ``edges`` (they broadcast), with beta
+        taken at those points and the inflow flag per edge."""
+        data = self.data
+        n = self.mesh.edge_normals[edges, 0]
+        beta = data_values(data.beta, edge_points(self.mesh, edges, s), "beta", vector=True)
+        beta_n = np.sum(beta * n, axis=-1)
+        return (data.penalty_sign * data.sqrt_eps * self.c11[edges]
+                + np.where(self.inflow[edges], np.abs(beta_n), 0.0))
 
 
-def compute_flux_parameters(mesh: Mesh, data: ProblemData,
-                            classification: Optional[EdgeClassification] = None) -> FluxParameters:
-    if classification is None:
-        classification = classify_boundary_edges(mesh, data.beta)
-    return FluxParameters(mesh, data, classification)
-
-
-def _edge_quadrature(mesh, degree, edges):
-    """Points, weights and scalar trace table of an edge rule on ``edges``.
+def _edge_quadrature(mesh, edges):
+    """Points, weights and scalar trace table of the form rule on ``edges``.
 
     Returns xg (n, k, 2), wt (n, k) and L (n, 2, k, 3), where L[e, side, g, i]
     is the nodal basis function i of the element on ``side`` of edge
     ``edges[e]`` at its quadrature point g (zero where the side is missing).
     """
-    rule = quadrature_rule("edge", degree)
+    rule = quadrature_rule("edge", FORM_DEGREE)
     a, b = (mesh.vertices[mesh.edges[edges, end]] for end in range(2))
     xg = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
     wt = rule.weights[None, :] * mesh.edge_lengths[edges, None]
@@ -271,7 +268,7 @@ def _gram(wt, L):
 _EDGE_CHUNK = 512
 
 
-def _edge_chunks(mesh, degree):
+def _edge_chunks(mesh):
     """The edge terms' tables, ``_EDGE_CHUNK`` edges at a time.
 
     Yields (edges, xg, wt, L, pairs, rows, slots) per chunk: the edge ids,
@@ -286,7 +283,7 @@ def _edge_chunks(mesh, degree):
         elems = mesh.edge_elems[edges]
         present = elems >= 0
         e, r, s = np.nonzero(present[:, :, None] & present[:, None, :])
-        yield ((edges,) + _edge_quadrature(mesh, degree, edges)
+        yield ((edges,) + _edge_quadrature(mesh, edges)
                + ((e, r, s), elems[e, r], adjacency.edge_slots[edges[e], r, s]))
 
 
@@ -298,28 +295,18 @@ def _flux_edge_blocks(normals, G, coef):
     return (blk * normals[:, None, :, None]).reshape(-1, 6, 3)
 
 
-def _compact(mat):
-    """Drop the stored zeros of ``mat`` (e.g. the trace of the vertex
-    opposite an edge), and the buffer space they held."""
-    stored = mat.nnz
-    mat.eliminate_zeros()
-    if mat.nnz < stored and mat.data.base is not None:
-        mat.data, mat.indices = mat.data.copy(), mat.indices.copy()
-    return mat
-
-
 def _block_rows(blocks, columns, num_cols):
     """CSR matrix of one block per block row: blocks[t] (I, J) at block row
     t and block column columns[t], stored zeros dropped."""
     n, I, J = blocks.shape
     layout = BlockLayout(np.arange(n + 1), columns, (I, J))
-    return _compact(layout.matrix(blocks.reshape(-1), (n * I, num_cols)))
+    return layout.matrix(blocks.reshape(-1), (n * I, num_cols))
 
 
-def _load_vector(mesh, fun, degree, name):
-    """(fun, v) for every scalar basis function v, by a degree-``degree`` rule
+def _load_vector(mesh, fun, name):
+    """(fun, v) for every scalar basis function v, by the data rule
     (``data_values`` checks the values of the data ``name``)."""
-    rule = quadrature_rule("triangle", degree)
+    rule = quadrature_rule("triangle", DATA_DEGREE)
     vals = data_values(fun, physical_points(mesh, rule.points), name)  # (nt, k)
     lam = tri_basis_values(rule.points)
     load = np.einsum("tg,gi,g->ti", vals, lam, rule.weights)
@@ -341,17 +328,16 @@ class BoundaryQuadrature:
     and the boundary mass matrix is E_U' W E_U, with W = diag(weights).
     """
 
-    def __init__(self, mesh, spaces, data, flux, degree):
+    def __init__(self, mesh, spaces, data, flux):
         ids = mesh.boundary_edges
-        xg, wt, L = _edge_quadrature(mesh, degree, ids)
+        xg, wt, L = _edge_quadrature(mesh, ids)
         nq = wt.size
         n0 = mesh.edge_normals[ids, 0]
-        beta_n = np.einsum("egd,ed->eg", data_values(data.beta, xg, "beta", vector=True), n0)
-        kappa = boundary_kappa(data, flux.c11[ids, None], beta_n,
-                               flux.classification.inflow_mask[:, None])
+        s = quadrature_rule("edge", FORM_DEGREE).points
+        kappa = flux.kappa(ids[:, None], s)
         L0 = L[:, 0]  # (b, k, 3)
         t0 = mesh.edge_elems[ids, 0]
-        phi = edge_basis_values(quadrature_rule("edge", degree).points)
+        phi = edge_basis_values(s)
 
         # one (k, J) block per edge: its points' rows, the columns of its
         # control dofs or of its element
@@ -384,7 +370,6 @@ class BlockOperator:
         F : (3m,) source load.
         Yd : (3m,) target-state load (y_desired, v).
         bq : BoundaryQuadrature tables used for pointwise controls.
-        quad_degree / data_degree : rule degrees of the forms and the loads.
 
     Every matrix is canonical CSR (sorted indices, no duplicates) with no
     stored zeros; A, B, C and M_Omega have the element-block pattern of
@@ -411,8 +396,6 @@ class BlockOperator:
     F: np.ndarray
     Yd: np.ndarray
     bq: BoundaryQuadrature
-    quad_degree: int
-    data_degree: int
     _state_lu: Optional[Factorization] = field(default=None, init=False, repr=False)
     _condensation: Optional[tuple] = field(default=None, init=False, repr=False)
     _node_order: Optional[np.ndarray] = field(default=None, init=False, repr=False)
@@ -433,19 +416,19 @@ class BlockOperator:
         return self._state_lu
 
 
-def _volume_tables(mesh, degree):
+def _volume_tables(mesh):
     """Element rule data: (rule, lam (k, 3), grads (nt, 3, 2), int_lam (nt, 3))."""
-    rule = quadrature_rule("triangle", degree)
+    rule = quadrature_rule("triangle", FORM_DEGREE)
     lam = tri_basis_values(rule.points)
     int_lam = (2.0 * mesh.areas)[:, None] * (rule.weights @ lam)[None, :]
     return rule, lam, element_gradients(mesh), int_lam
 
 
-def _volume_blocks(mesh, data, degree):
+def _volume_blocks(mesh, data):
     """Element blocks of the volume terms: mass (nt, 3, 3), b (nt, 6, 3)
     and c (nt, 3, 3)."""
     nt = mesh.num_elements
-    rule, lam, grads, int_lam = _volume_tables(mesh, degree)
+    rule, lam, grads, int_lam = _volume_tables(mesh)
     pts = physical_points(mesh, rule.points)  # (nt, k, 2)
     two_area = 2.0 * mesh.areas
     mass = two_area[:, None, None] * ((lam.T * rule.weights) @ lam)
@@ -472,27 +455,22 @@ def _coupling(mesh, block_shape, diagonal):
     return layout, data
 
 
-def assemble_forms(mesh: Mesh, spaces: SpaceSet = None, data: ProblemData = None,
-                   flux: FluxParameters = None, quad_degree: int = 4,
-                   data_degree: int = 6) -> BlockOperator:
+def assemble_forms(mesh: Mesh, spaces: SpaceSet = None, data: ProblemData = None) -> BlockOperator:
     """Assemble every bilinear form and load vector of the scheme.
 
-    Bilinear terms use degree-``quad_degree`` rules (exact for the piecewise
-    polynomial integrands); the data loads f and y_desired use
-    ``data_degree`` so the discrete cost and its adjoint gradient share one
-    quadrature.
+    Bilinear terms use ``FORM_DEGREE`` rules; the data loads f and
+    y_desired use ``DATA_DEGREE`` rules, like the cost (see ``spaces``).
     """
     if spaces is None:
         spaces = build_spaces(mesh)
     if data is None:
         raise ValueError("problem data is required")
-    if flux is None:
-        flux = compute_flux_parameters(mesh, data)
+    flux = FluxParameters(mesh, data)
     data.check_divergence_free(mesh.vertices[mesh.triangles].mean(axis=1))
 
     nW, nV = spaces.flux.num_dofs, spaces.potential.num_dofs
     sqrt_eps = data.sqrt_eps
-    mass, B_vol, C_vol = _volume_blocks(mesh, data, quad_degree)
+    mass, B_vol, C_vol = _volume_blocks(mesh, data)
     own = np.arange(mesh.num_elements)
     A = _block_rows((mass[:, :, None, :, None] * np.eye(2)[:, None, :]).reshape(-1, 6, 6), own, nW)
     M_Omega = _block_rows(mass, own, nV)
@@ -510,7 +488,7 @@ def assemble_forms(mesh: Mesh, spaces: SpaceSet = None, data: ProblemData = None
     # c: ({y} + D11 . [y]) beta . [v] and s_pen sqrt(eps) C11 [y] . [v]
     ycoef = np.stack([0.5 + flux.d11n, 0.5 - flux.d11n], axis=1)
     pen = data.penalty_sign * sqrt_eps * flux.c11
-    for edges, xg, wt, L, (e, r, s), rows, slots in _edge_chunks(mesh, quad_degree):
+    for edges, xg, wt, L, (e, r, s), rows, slots in _edge_chunks(mesh):
         ed = edges[e]
         beta_n = np.einsum("egd,ed->eg", data_values(data.beta, xg, "beta", vector=True),
                            mesh.edge_normals[edges, 0])
@@ -521,12 +499,12 @@ def assemble_forms(mesh: Mesh, spaces: SpaceSet = None, data: ProblemData = None
         np.add.at(C_data, C_layout.positions(rows, slots),
                   conv + G * (pen[ed] * sign[r] * sign[s])[:, None, None])
     # each full-block buffer is released once compacted into its matrix
-    B = _compact(B_layout.matrix(B_data, (nW, nV)))
+    B = B_layout.matrix(B_data, (nW, nV))
     del B_data
-    C = _compact(C_layout.matrix(C_data, (nV, nV)))
+    C = C_layout.matrix(C_data, (nV, nV))
     del C_data
 
-    bq = BoundaryQuadrature(mesh, spaces, data, flux, quad_degree)
+    bq = BoundaryQuadrature(mesh, spaces, data, flux)
     return BlockOperator(
         mesh, spaces, data, flux,
         A=A, B=B, C=C,
@@ -534,14 +512,14 @@ def assemble_forms(mesh: Mesh, spaces: SpaceSet = None, data: ProblemData = None
         M2=(bq.M2_qp @ bq.E_U).sorted_indices(),
         M_Omega=M_Omega,
         M_Gamma=(bq.E_U.T @ sp.diags(bq.weights) @ bq.E_U).tocsr(),
-        F=_load_vector(mesh, data.f, data_degree, "f"),
-        Yd=_load_vector(mesh, data.y_desired, data_degree, "y_desired"),
-        bq=bq, quad_degree=quad_degree, data_degree=data_degree,
+        F=_load_vector(mesh, data.f, "f"),
+        Yd=_load_vector(mesh, data.y_desired, "y_desired"),
+        bq=bq,
     )
 
 
 def assemble_divergence_form_b(mesh: Mesh, spaces: SpaceSet, data: ProblemData,
-                               flux: FluxParameters, quad_degree: int = 4) -> sp.csr_matrix:
+                               flux: FluxParameters) -> sp.csr_matrix:
     """The flux coupling b assembled from its divergence shape.
 
     b(y, r) = - sum_K integral sqrt(eps) y div(r)
@@ -552,7 +530,7 @@ def assemble_divergence_form_b(mesh: Mesh, spaces: SpaceSet, data: ProblemData,
     """
     nt = mesh.num_elements
     sqrt_eps = data.sqrt_eps
-    _, _, grads, int_lam = _volume_tables(mesh, quad_degree)
+    _, _, grads, int_lam = _volume_tables(mesh)
     # volume: -sqrt(eps) y div(r); div of basis (i, comp) is grads[:, i, comp]
     layout, vals = _coupling(mesh, (6, 3), (
         (-sqrt_eps * grads)[:, :, :, None] * int_lam[:, None, None, :]).reshape(nt, 6, 3))
@@ -562,11 +540,11 @@ def assemble_divergence_form_b(mesh: Mesh, spaces: SpaceSet, data: ProblemData,
     ycoef = np.where(mesh.boundary_mask[:, None], 0.0,
                      np.stack([0.5 + flux.c12n, 0.5 - flux.c12n], axis=1))
     coef = sqrt_eps * sign[None, :, None] * ycoef[:, None, :]
-    for edges, _, wt, L, (e, r, s), rows, slots in _edge_chunks(mesh, quad_degree):
+    for edges, _, wt, L, (e, r, s), rows, slots in _edge_chunks(mesh):
         ed = edges[e]
         np.add.at(vals, layout.positions(rows, slots), _flux_edge_blocks(
             mesh.edge_normals[ed, 0], _gram(wt, L)[e, r, s], coef[ed, r, s]))
-    return _compact(layout.matrix(vals, (spaces.flux.num_dofs, spaces.potential.num_dofs)))
+    return layout.matrix(vals, (spaces.flux.num_dofs, spaces.potential.num_dofs))
 
 
 def _control_rhs(ops: BlockOperator, u):
@@ -615,7 +593,7 @@ def solve_adjoint(ops: BlockOperator, rhs_field=None, load_vector=None):
         if isinstance(rhs_field, DiscreteField):
             load_vector = ops.M_Omega @ rhs_field.coefficients
         elif callable(rhs_field):
-            load_vector = _load_vector(ops.mesh, rhs_field, ops.data_degree, "rhs_field")
+            load_vector = _load_vector(ops.mesh, rhs_field, "rhs_field")
         else:
             raise ValueError("rhs_field must be a DiscreteField or callable")
     z = ops.state_factorization().solve(load_vector, trans="T")

@@ -50,6 +50,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import BlockLayout, dissection_order
+from .spaces import FORM_DEGREE, quadrature_rule, tri_basis_values
 
 __all__ = [
     "SingularSystemError",
@@ -296,14 +297,13 @@ def _flux_block_inverse(ops):
     The flux bilinear form is the plain (weighted) vector L2 inner product,
     so on every element the block is 2*area times the reference-triangle
     linear mass matrix tensored with the 2x2 identity.  Inverting the 3x3
-    reference matrix once and scaling gives the sparse global inverse,
-    whose 6x6 blocks are stored whole, zeros included.
+    reference matrix once (by the form rule) and scaling gives the sparse
+    global inverse; the zeros of the identity factor are not stored, so
+    each element keeps 18 of its 36 entries.
     """
-    from .spaces import quadrature_rule, tri_basis_values
-
     mesh = ops.mesh
     nt = mesh.num_elements
-    rule = quadrature_rule("triangle", ops.quad_degree)
+    rule = quadrature_rule("triangle", FORM_DEGREE)
     lam = tri_basis_values(rule.points)
     mass_ref = (lam.T * rule.weights) @ lam
     minv = np.linalg.inv(mass_ref)

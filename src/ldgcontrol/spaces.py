@@ -12,7 +12,10 @@ edges:
 All local bases are nodal (vertex values), which keeps traces, jumps and
 active-set logic on controls straightforward.  Quadrature rules of
 exactness degree up to 6 are tabulated for the reference triangle and
-generated with Gauss-Legendre nodes on the reference edge [0, 1].
+generated with Gauss-Legendre nodes on the reference edge [0, 1].  The
+scheme uses two of them: ``FORM_DEGREE`` for the bilinear forms and the
+pointwise (variational) controls, ``DATA_DEGREE`` for the data loads, the
+cost and the error norms.
 
 Evaluation is batched: in ``eval_field(field, elements, points)`` and
 ``trace_on_edge(field, edges, side, s)`` the ids broadcast against the
@@ -31,6 +34,8 @@ __all__ = [
     "DofMap",
     "DiscreteField",
     "QuadratureRule",
+    "FORM_DEGREE",
+    "DATA_DEGREE",
     "build_dof_map",
     "SpaceSet",
     "build_spaces",
@@ -50,6 +55,19 @@ VECTOR = "vector-element"
 BOUNDARY = "boundary-edge"
 
 _MAX_DEGREE = 6
+
+# Rule degree of the bilinear forms.  Their integrands are products of two
+# P1 functions, times the velocity or reaction coefficient in the
+# convection-reaction terms, so degree 4 is exact for coefficients of
+# degree up to 2; the inverse of the flux mass block and the L2 projection
+# use the same rule.  The points of its edge rule (3 per edge) on the
+# boundary are where a variational control lives.
+FORM_DEGREE = 4
+# Rule degree of the data loads (f, y_desired), the tracking cost and the
+# error norms.  Data and exact solutions are not polynomial, so they take
+# the highest tabulated rule, and the cost and its adjoint gradient share
+# one quadrature of the target.
+DATA_DEGREE = 6
 
 # Symmetric positive-weight rules on the reference triangle (0,0)-(1,0)-(0,1),
 # listed as (points, weights) with weights summing to the reference area 1/2.
@@ -280,25 +298,25 @@ class DiscreteField:
         return DiscreteField(self.dofmap, self.coefficients.copy())
 
 
-def l2_project(f, dofmap: DofMap, mesh: Mesh = None, degree: int = 4) -> DiscreteField:
+def l2_project(f, dofmap: DofMap) -> DiscreteField:
     """Element-by-element (or edge-by-edge) L2 projection onto the space.
 
     ``f`` is a constant or a callable on physical point arrays (..., 2)
     (see ``geometry.data_values``); for the vector space its values are
     2-vectors, shape (..., 2).  Globally polynomial P1 data is
     reproduced exactly.  The inverse reference mass matrix is applied to
-    the load vectors of all entities at once.
+    the load vectors of all entities at once, by ``FORM_DEGREE`` rules.
     """
-    mesh = mesh if mesh is not None else dofmap.mesh
+    mesh = dofmap.mesh
     if dofmap.kind == BOUNDARY:
-        rule = quadrature_rule("edge", degree)
+        rule = quadrature_rule("edge", FORM_DEGREE)
         phi = edge_basis_values(rule.points)  # (k, 2)
         ids = mesh.boundary_edges
         fvals = data_values(f, edge_points(mesh, ids[:, None], rule.points), "f")  # (b, k)
         coef = np.linalg.solve((phi.T * rule.weights) @ phi, phi.T @ (rule.weights * fvals).T)
         return DiscreteField(dofmap, coef.T.ravel())  # (start, end) pairs in boundary order
 
-    rule = quadrature_rule("triangle", degree)
+    rule = quadrature_rule("triangle", FORM_DEGREE)
     lam = tri_basis_values(rule.points)  # (k, 3)
     nt = mesh.num_elements
     # (nt, k, c) values, c = 1 for scalars and 2 for vectors (interleaved per node)

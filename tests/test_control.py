@@ -1,5 +1,7 @@
 """Tests of the control-space utilities and the active-set solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from ldgcontrol.control import (
 from ldgcontrol.geometry import build_unit_square_mesh, refine_uniform
 from ldgcontrol.ldg import ProblemData, assemble_forms, solve_adjoint, solve_state
 from ldgcontrol.linsolve import solve_optimality_system
-from ldgcontrol.spaces import DiscreteField, DofMap, build_spaces, quadrature_rule
+from ldgcontrol.spaces import FORM_DEGREE, DiscreteField, DofMap, build_spaces, quadrature_rule
 
 
 def build_ops(data, n):
@@ -294,6 +296,18 @@ def test_pdas_unknown_mode_raises_before_solving(ex2, monkeypatch):
         pdas_solve(ops, data, mode="bogus")
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_pdas_iteration_cap_below_one_raises_before_solving(max_iter, ex2, monkeypatch):
+    data, ops = ex2
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran without an iteration to run it in")
+
+    monkeypatch.setattr(control, "solve_optimality_system", no_solve)
+    with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+        pdas_solve(ops, data, max_iter=max_iter)
+
+
 @pytest.mark.parametrize("mode", ["full", "variational"])
 def test_pdas_active_sets_are_a_fixed_point(mode, ex2):
     # the PDAS test -lambda + omega (u - bound), applied to the returned
@@ -354,14 +368,26 @@ def test_variational_control_evaluation_stays_admissible(ex2):
             assert data.u_lower - 1e-12 <= val <= data.u_upper + 1e-12
 
 
-@pytest.mark.parametrize("epsilon", [1.0, 1e-2])
-def test_variational_control_on_edge_is_the_stored_control(epsilon):
+def rotating_beta(x):
+    return np.stack([0.5 - x[..., 1], x[..., 0] - 0.5], axis=-1)
+
+
+@pytest.mark.parametrize("epsilon, beta", [
+    pytest.param(1.0, None, id="1.0"),
+    pytest.param(1e-2, None, id="0.01"),
+    # beta.n, and so kappa, varies along the edges and changes sign around
+    # the boundary
+    pytest.param(1.0, rotating_beta, id="1.0-rotating"),
+])
+def test_variational_control_on_edge_is_the_stored_control(epsilon, beta):
     # the pointwise projection formula, evaluated at the boundary quadrature
     # points, gives back the control the solver stored there
     data = example2_data(epsilon)
+    if beta is not None:
+        data = dataclasses.replace(data, beta=beta)
     ops = build_ops(data, 4)
     sol = pdas_solve(ops, data, mode="variational")
-    s = quadrature_rule("edge", ops.quad_degree).points
+    s = quadrature_rule("edge", FORM_DEGREE).points
     vals = sol.control_on_edge(ops.mesh.boundary_edges[:, None], s).ravel()
     assert np.abs(vals - sol.u).max() <= 1e-12 * np.abs(sol.u).max()
 
@@ -400,7 +426,7 @@ def test_prolonged_start_is_the_coarse_control(mode, ex2_chain):
     coarse = pdas_solve(ops_c, data, mode=mode)
     u, _ = control._prolonged_start(ops_f, data, mode, coarse)
     fine = ops_f.mesh
-    t = [0.0, 1.0] if mode == "full" else quadrature_rule("edge", ops_f.quad_degree).points
+    t = [0.0, 1.0] if mode == "full" else quadrature_rule("edge", FORM_DEGREE).points
     values = u.reshape(len(fine.boundary_edges), len(t))
     for e, row in zip(fine.boundary_edges, values):
         a, b = fine.vertices[fine.edges[e]]

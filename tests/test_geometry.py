@@ -7,10 +7,10 @@ from ldgcontrol.geometry import (
     Mesh,
     build_polygon_mesh,
     build_unit_square_mesh,
-    classify_boundary_edges,
     refine_uniform,
     write_mesh_text,
 )
+from ldgcontrol.ldg import FluxParameters, ProblemData
 
 
 def test_square_mesh_counts():
@@ -100,23 +100,27 @@ def test_refine_twice_matches_direct_construction():
     assert np.allclose(np.sort(m.areas), np.sort(d.areas))
 
 
+def _inflow(m, beta):
+    return FluxParameters(m, ProblemData(epsilon=1.0, omega=1.0, beta=beta)).inflow
+
+
 def test_classification_square():
     m = build_unit_square_mesh(2)
-    cls = classify_boundary_edges(m, np.array([1.0, 1.0]))
-    mids = m.edge_midpoints(cls.boundary_edges)
-    for mid, e, is_in in zip(mids, cls.boundary_edges, cls.inflow_mask):
+    inflow = _inflow(m, (1.0, 1.0))
+    mids = m.edge_midpoints(m.boundary_edges)
+    for mid, is_in in zip(mids, inflow[m.boundary_edges]):
         if np.isclose(mid[1], 0.0) or np.isclose(mid[0], 0.0):
             assert is_in  # bottom and left edges see beta.n = -1
         else:
             assert not is_in
-    assert len(cls.inflow_edges) + len(cls.outflow_edges) == len(m.boundary_edges)
+    assert not inflow[m.interior_edges].any()  # only boundary edges are inflow
 
 
 def test_classification_tie_is_outflow():
     m = build_unit_square_mesh(2)
-    cls = classify_boundary_edges(m, np.array([1.0, 0.0]))
-    mids = m.edge_midpoints(cls.boundary_edges)
-    for mid, is_in in zip(mids, cls.inflow_mask):
+    inflow = _inflow(m, (1.0, 0.0))
+    mids = m.edge_midpoints(m.boundary_edges)
+    for mid, is_in in zip(mids, inflow[m.boundary_edges]):
         if np.isclose(mid[1], 0.0) or np.isclose(mid[1], 1.0):
             assert not is_in  # beta.n = 0 counts as outflow
         elif np.isclose(mid[0], 0.0):

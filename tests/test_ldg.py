@@ -10,15 +10,22 @@ from ldgcontrol import ldg
 from ldgcontrol.analysis import example2_data, example3_data, example3_mesh
 from ldgcontrol.geometry import Mesh, build_unit_square_mesh, data_values, refine_uniform
 from ldgcontrol.ldg import (
+    FluxParameters,
     ProblemData,
     assemble_divergence_form_b,
     assemble_forms,
-    compute_flux_parameters,
     solve_adjoint,
     solve_state,
 )
 from ldgcontrol.linsolve import _flux_block_inverse
-from ldgcontrol.spaces import DiscreteField, build_spaces, l2_project
+from ldgcontrol.spaces import (
+    FORM_DEGREE,
+    DiscreteField,
+    build_spaces,
+    l2_project,
+    quadrature_rule,
+    tri_basis_values,
+)
 
 
 def make_ops(n=3, epsilon=1.0, penalty_sign=+1, beta=(1.0, 1.0), alpha=1.0, **kw):
@@ -26,8 +33,8 @@ def make_ops(n=3, epsilon=1.0, penalty_sign=+1, beta=(1.0, 1.0), alpha=1.0, **kw
     spaces = build_spaces(mesh)
     data = ProblemData(epsilon=epsilon, omega=1.0, beta=beta, alpha=alpha,
                        penalty_sign=penalty_sign, **kw)
-    flux = compute_flux_parameters(mesh, data)
-    return mesh, spaces, data, flux, assemble_forms(mesh, spaces, data, flux)
+    ops = assemble_forms(mesh, spaces, data)
+    return mesh, spaces, data, ops.flux, ops
 
 
 @pytest.mark.parametrize("penalty_sign", [+1, -1])
@@ -93,13 +100,13 @@ def test_boundary_multiplier_weight_values(penalty_sign):
     mesh = build_unit_square_mesh(4)
     data = ProblemData(epsilon=1.0, omega=1.0, beta=(1.0, 1.0),
                        penalty_sign=penalty_sign)
-    flux = compute_flux_parameters(mesh, data)
+    flux = FluxParameters(mesh, data)
     for e in mesh.boundary_edges:
         mid = mesh.edge_midpoints([e])[0]
         expected = penalty_sign * 4.0
         if np.isclose(mid[1], 0.0) or np.isclose(mid[0], 0.0):
             expected += 1.0
-        assert flux.kappa_z[e] == pytest.approx(expected, abs=1e-14)
+        assert flux.kappa(e, 0.5) == pytest.approx(expected, abs=1e-14)
 
 
 def test_trace_switch_tie_convention():
@@ -107,8 +114,8 @@ def test_trace_switch_tie_convention():
     # must resolve the tie to +1/2 by default, or to the configured value
     mesh = build_unit_square_mesh(2)
     data = ProblemData(epsilon=1.0, omega=1.0, c12_direction=(0.0, 1.0))
-    flux = compute_flux_parameters(mesh, data)
-    central = compute_flux_parameters(
+    flux = FluxParameters(mesh, data)
+    central = FluxParameters(
         mesh, ProblemData(epsilon=1.0, omega=1.0, c12_direction=(0.0, 1.0), c12_tie=0.0))
     saw_tie = False
     for e in range(mesh.num_edges):
@@ -157,7 +164,7 @@ def test_state_solver_reproduces_global_linear(penalty_sign, n, beta):
     data = ProblemData(epsilon=eps, omega=1.0, beta=beta, alpha=alpha, f=f,
                        penalty_sign=penalty_sign)
     ops = assemble_forms(mesh, spaces, data)
-    u = l2_project(y_exact, spaces.control, mesh)
+    u = l2_project(y_exact, spaces.control)
     y_h, q_h = solve_state(ops, u, data)
 
     y_nodal = y_exact(mesh.vertices[mesh.triangles]).ravel()
@@ -175,9 +182,7 @@ def test_penalty_scaling_with_diffusion():
     kw = dict(omega=1.0, beta=(1.0, 1.0), alpha=1.0)
     ops1 = assemble_forms(mesh, spaces, ProblemData(epsilon=1.0, **kw))
     ops4 = assemble_forms(mesh, spaces, ProblemData(epsilon=4.0, **kw))
-    flux1 = compute_flux_parameters(mesh, ProblemData(epsilon=1.0, **kw))
-    flux4 = compute_flux_parameters(mesh, ProblemData(epsilon=4.0, **kw))
-    np.testing.assert_array_equal(flux4.c11, 4.0 * flux1.c11)
+    np.testing.assert_array_equal(ops4.flux.c11, 4.0 * ops1.flux.c11)
     np.testing.assert_array_equal(ops4.M1.toarray(), 2.0 * ops1.M1.toarray())
 
 
@@ -345,17 +350,17 @@ def _coo_sum(shape, *blocks):
     return mat
 
 
-def _coo_reference(mesh, spaces, data, degree=4):
+def _coo_reference(mesh, spaces, data):
     """The blocks of ``assemble_forms`` through COO triplets, from the same
     local blocks: the oracle of the in-place fills on the element adjacency."""
-    flux = compute_flux_parameters(mesh, data)
+    flux = FluxParameters(mesh, data)
     nt, nW, nV = mesh.num_elements, spaces.flux.num_dofs, spaces.potential.num_dofs
     dofs3 = 3 * np.arange(nt)[:, None] + np.arange(3)
     dofs6 = 6 * np.arange(nt)[:, None] + np.arange(6)
-    mass, B_vol, C_vol = ldg._volume_blocks(mesh, data, degree)
+    mass, B_vol, C_vol = ldg._volume_blocks(mesh, data)
     mass6 = (mass[:, :, None, :, None] * np.eye(2)[:, None, :]).reshape(nt, 6, 6)
 
-    xg, wt, L = ldg._edge_quadrature(mesh, degree, np.arange(mesh.num_edges))
+    xg, wt, L = ldg._edge_quadrature(mesh, np.arange(mesh.num_edges))
     beta_n = np.einsum("egd,ed->eg", data_values(data.beta, xg, "beta", vector=True),
                        mesh.edge_normals[:, 0])
     present = mesh.edge_elems >= 0
@@ -380,13 +385,13 @@ def _coo_reference(mesh, spaces, data, degree=4):
     }
 
     ids = mesh.boundary_edges
-    xg, wt, L = ldg._edge_quadrature(mesh, degree, ids)
+    xg, wt, L = ldg._edge_quadrature(mesh, ids)
     n0 = mesh.edge_normals[ids, 0]
     beta_n = np.einsum("egd,ed->eg", data_values(data.beta, xg, "beta", vector=True), n0)
-    kappa = ldg.boundary_kappa(data, flux.c11[ids, None], beta_n,
-                               flux.classification.inflow_mask[:, None])
+    kappa = (data.penalty_sign * data.sqrt_eps * flux.c11[ids, None]
+             + np.where(flux.inflow[ids, None], np.abs(beta_n), 0.0))
     L0, t0 = L[:, 0], mesh.edge_elems[ids, 0, None]
-    phi = ldg.edge_basis_values(ldg.quadrature_rule("edge", degree).points)
+    phi = ldg.edge_basis_values(quadrature_rule("edge", FORM_DEGREE).points)
     rows = np.arange(wt.size).reshape(wt.shape)
     nq = wt.size
     blocks["E_U"] = _coo_sum((nq, spaces.control.num_dofs), (
@@ -434,12 +439,12 @@ def test_adjacency_fills_match_the_coo_oracle(mesh, data):
 @ORACLE_MESHES
 def test_divergence_form_fill_matches_the_coo_oracle(mesh, data):
     spaces = build_spaces(mesh)
-    flux = compute_flux_parameters(mesh, data)
+    flux = FluxParameters(mesh, data)
     new = assemble_divergence_form_b(mesh, spaces, data, flux)
     nt, sqrt_eps = mesh.num_elements, data.sqrt_eps
-    _, _, grads, int_lam = ldg._volume_tables(mesh, 4)
+    _, _, grads, int_lam = ldg._volume_tables(mesh)
     B_vol = ((-sqrt_eps * grads)[:, :, :, None] * int_lam[:, None, None, :]).reshape(nt, 6, 3)
-    _, wt, L = ldg._edge_quadrature(mesh, 4, np.arange(mesh.num_edges))
+    _, wt, L = ldg._edge_quadrature(mesh, np.arange(mesh.num_edges))
     present = mesh.edge_elems >= 0
     e, r, s = np.nonzero(present[:, :, None] & present[:, None, :])
     ycoef = np.where(mesh.boundary_mask[:, None], 0.0,
@@ -456,14 +461,20 @@ def test_divergence_form_fill_matches_the_coo_oracle(mesh, data):
 
 
 def test_flux_block_inverse_matches_the_coo_oracle():
-    # the element inverses keep their stored zeros, as the triplet sum did
+    # the element inverses as triplets of whole 6x6 blocks, less the zeros
+    # of their 2x2 identity factor: 18 stored entries per element
     mesh, spaces, data, flux, ops = make_ops(4)
     Ainv = _flux_block_inverse(ops)
     nt = mesh.num_elements
-    vals = Ainv.data.reshape(nt, 6, 6)
+    rule = quadrature_rule("triangle", FORM_DEGREE)
+    lam = tri_basis_values(rule.points)
+    blk6 = np.kron(np.linalg.inv((lam.T * rule.weights) @ lam), np.eye(2))
+    vals = blk6[None, :, :] / (2.0 * mesh.areas)[:, None, None]
     dofs6 = 6 * np.arange(nt)[:, None] + np.arange(6)
     ref = sp.csr_matrix((vals.ravel(), (np.repeat(dofs6, 6, axis=1).ravel(),
                                         np.tile(dofs6, (1, 6)).ravel())), shape=Ainv.shape)
+    ref.eliminate_zeros()
+    assert Ainv.nnz == 18 * nt
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(Ainv, part), getattr(ref, part)), part
         assert getattr(Ainv, part).dtype == getattr(ref, part).dtype, part

@@ -101,11 +101,11 @@ def test_partition_of_unity():
 def test_project_zero_and_linear():
     m = build_unit_square_mesh(3)
     vmap = build_dof_map(m, SCALAR)
-    zero = l2_project(lambda x: np.zeros(x.shape[:-1]), vmap, m)
+    zero = l2_project(lambda x: np.zeros(x.shape[:-1]), vmap)
     assert np.all(zero.coefficients == 0.0)
 
     f = lambda x: 2.0 * x[..., 0] - x[..., 1]
-    fh = l2_project(f, vmap, m)
+    fh = l2_project(f, vmap)
     for t in (0, 5, 10):
         for pt in m.vertices[m.triangles[t]]:
             center = pt + (np.mean(m.vertices[m.triangles[t]], axis=0) - pt) * 1e-6
@@ -116,7 +116,7 @@ def test_project_vector_linear():
     m = build_unit_square_mesh(2)
     wmap = build_dof_map(m, VECTOR)
     f = lambda x: np.stack([x[..., 0] + 1.0, 3.0 * x[..., 1]], axis=-1)
-    fh = l2_project(f, wmap, m)
+    fh = l2_project(f, wmap)
     p = np.array([0.3, 0.2])
     assert np.allclose(eval_field(fh, 0, p), f(p), atol=1e-12)
 
@@ -125,7 +125,7 @@ def test_project_mean_preservation():
     m = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     vmap = build_dof_map(m, SCALAR)
     f = lambda x: x[..., 0] ** 2
-    fh = l2_project(f, vmap, m)
+    fh = l2_project(f, vmap)
     rule = quadrature_rule("triangle", 4)
     pts = physical_points(m, rule.points)[0]
     lam = tri_basis_values(rule.points)
@@ -137,7 +137,7 @@ def test_project_mean_preservation():
 def test_project_idempotent():
     m = build_unit_square_mesh(2)
     vmap = build_dof_map(m, SCALAR)
-    fh = l2_project(lambda x: x[..., 0] * x[..., 1] + 0.5, vmap, m)
+    fh = l2_project(lambda x: x[..., 0] * x[..., 1] + 0.5, vmap)
 
     def as_fun(x):
         # evaluate the projected field; identify each point's element by
@@ -146,7 +146,7 @@ def test_project_idempotent():
         assert np.any(inside, axis=0).all()
         return eval_field(fh, np.argmax(inside, axis=0), x, tol=1e-13)
 
-    gh = l2_project(as_fun, vmap, m)
+    gh = l2_project(as_fun, vmap)
     assert np.allclose(gh.coefficients, fh.coefficients, atol=1e-13)
 
 
@@ -166,7 +166,7 @@ def test_eval_field_basics():
 def test_trace_continuity_of_projected_linear():
     m = build_unit_square_mesh(2)
     vmap = build_dof_map(m, SCALAR)
-    fh = l2_project(lambda x: 1.0 + x[..., 0] - 2.0 * x[..., 1], vmap, m)
+    fh = l2_project(lambda x: 1.0 + x[..., 0] - 2.0 * x[..., 1], vmap)
     s = np.array([0.0, 0.3, 1.0])
     for e in m.interior_edges:
         t0 = trace_on_edge(fh, e, 0, s)
@@ -200,7 +200,7 @@ def test_trace_second_side_of_boundary_edge_rejected():
 def test_degree2_vs_degree4_element_integrals_agree():
     m = build_unit_square_mesh(2)
     vmap = build_dof_map(m, SCALAR)
-    fh = l2_project(lambda x: x[..., 0] - 0.3 * x[..., 1], vmap, m)
+    fh = l2_project(lambda x: x[..., 0] - 0.3 * x[..., 1], vmap)
     totals = []
     for deg in (2, 4):
         rule = quadrature_rule("triangle", deg)
@@ -216,9 +216,9 @@ def test_degree2_vs_degree4_element_integrals_agree():
 def test_vtk_write(tmp_path):
     m = build_unit_square_mesh(2)
     vmap = build_dof_map(m, SCALAR)
-    fh = l2_project(lambda x: x[..., 0], vmap, m)
+    fh = l2_project(lambda x: x[..., 0], vmap)
     qh = l2_project(lambda x: np.stack([x[..., 1], -2.0 * x[..., 0]], axis=-1),
-                    build_dof_map(m, VECTOR), m)
+                    build_dof_map(m, VECTOR))
     path = tmp_path / "field.vtk"
     write_vtk(path, m, {"y": fh, "q": qh})
     text = path.read_text()
