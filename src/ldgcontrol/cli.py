@@ -10,7 +10,10 @@ the same chain, solved last.  All outputs are plain text and bytewise
 deterministic for a fixed config.
 
 Subcommands: ``run`` (study from a config file), ``check`` (built-in
-consistency battery), ``dump-mesh`` (text dump of a study mesh).  Exit
+consistency battery), ``dump-mesh`` (text dump of the mesh of a count:
+for examples 1 and 2 ``build_unit_square_mesh(n)``, a study's mesh only at
+its first level, as later levels are ``refine_uniform`` refinements with
+other numbering; for example 3 the chain mesh every study uses).  Exit
 codes: 0 success, 1 configuration errors, 2 active-set nonconvergence,
 3 a failed linear solve (a singular factorization or a reduced solve that
 misses its tolerance).
@@ -52,13 +55,33 @@ OUTPUT_ROOT_VAR = "LDGCONTROL_OUTPUT_ROOT"
 CSV_HEADER = ("elements,h,err_y_L2,rate_y,err_u_Gamma,rate_u,"
               "err_z_Gamma,rate_z,err_pn_Gamma,rate_pn")
 
-_PROBLEM_KEYS = {"example", "epsilon", "omega", "mode", "u_lower", "u_upper",
-                 "c12_direction", "coarse"}
-_STUDY_KEYS = {"levels", "reference", "pdas_max_iter"}
-_OUTPUT_KEYS = {"directory", "csv", "markdown", "vtk", "matrices"}
-
 _BOOL = {"true": True, "yes": True, "1": True, "on": True,
          "false": False, "no": False, "0": False, "off": False}
+
+
+def _as_bool(raw):
+    return _BOOL[raw.lower()]
+
+
+def _as_pair(raw):
+    parts = [float(p) for p in raw.split(",")]
+    if len(parts) != 2:
+        raise ValueError(raw)
+    return tuple(parts)
+
+
+# The section and parser of every config key; the defaults live on RunConfig.
+_KEYS = {
+    "example": ("problem", int), "epsilon": ("problem", float),
+    "omega": ("problem", float), "mode": ("problem", str),
+    "u_lower": ("problem", float), "u_upper": ("problem", float),
+    "c12_direction": ("problem", _as_pair), "coarse": ("problem", str),
+    "levels": ("study", lambda raw: tuple(int(p) for p in raw.split(","))),
+    "reference": ("study", int), "pdas_max_iter": ("study", int),
+    "directory": ("output", str), "csv": ("output", _as_bool),
+    "markdown": ("output", _as_bool), "vtk": ("output", _as_bool),
+    "matrices": ("output", _as_bool),
+}
 
 
 class ConfigError(ValueError):
@@ -164,61 +187,26 @@ class RunConfig:
         read = parser.read(path)
         if not read:
             raise ConfigError(f"cannot read config file {path}")
-        known = {"problem": _PROBLEM_KEYS, "study": _STUDY_KEYS, "output": _OUTPUT_KEYS}
+        sections = {section for section, _ in _KEYS.values()}
         for section in parser.sections():
-            if section not in known:
+            if section not in sections:
                 raise ConfigError(f"unknown config section [{section}]")
-            extra = set(parser[section]) - known[section]
+            extra = {key for key in parser[section] if _KEYS.get(key, ("",))[0] != section}
             if extra:
                 raise ConfigError(
                     f"unknown keys in [{section}]: {', '.join(sorted(extra))}")
-        prob = parser["problem"] if parser.has_section("problem") else {}
-        study = parser["study"] if parser.has_section("study") else {}
-        out = parser["output"] if parser.has_section("output") else {}
-
-        def fetch(section, key, cast, default):
-            if key not in section:
-                return default
-            raw = section[key].strip()
-            try:
-                return cast(raw)
-            except (ValueError, KeyError) as exc:
-                raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-
-        def as_bool(raw):
-            return _BOOL[raw.lower()]
-
-        def as_pair(raw):
-            parts = [float(p) for p in raw.split(",")]
-            if len(parts) != 2:
-                raise ValueError(raw)
-            return tuple(parts)
-
-        def as_levels(raw):
-            return tuple(int(p) for p in raw.split(","))
-
-        if "example" not in prob:
-            raise ConfigError("config must set example under [problem]")
-        if "levels" not in study:
-            raise ConfigError("config must set levels under [study]")
-        return cls(
-            example=fetch(prob, "example", int, None),
-            epsilon=fetch(prob, "epsilon", float, 1.0),
-            omega=fetch(prob, "omega", float, None),
-            mode=fetch(prob, "mode", str, "full"),
-            u_lower=fetch(prob, "u_lower", float, None),
-            u_upper=fetch(prob, "u_upper", float, None),
-            c12_direction=fetch(prob, "c12_direction", as_pair, None),
-            coarse=fetch(prob, "coarse", str, "fan3"),
-            levels=fetch(study, "levels", as_levels, None),
-            reference=fetch(study, "reference", int, None),
-            pdas_max_iter=fetch(study, "pdas_max_iter", int, 50),
-            directory=fetch(out, "directory", str, "out"),
-            csv=fetch(out, "csv", as_bool, True),
-            markdown=fetch(out, "markdown", as_bool, False),
-            vtk=fetch(out, "vtk", as_bool, False),
-            matrices=fetch(out, "matrices", as_bool, False),
-        )
+        for key in ("example", "levels"):
+            if not parser.has_option(_KEYS[key][0], key):
+                raise ConfigError(f"config must set {key} under [{_KEYS[key][0]}]")
+        present = {}
+        for key, (section, parse) in _KEYS.items():
+            if parser.has_option(section, key):
+                raw = parser[section][key].strip()
+                try:
+                    present[key] = parse(raw)
+                except (ValueError, KeyError) as exc:
+                    raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+        return cls(**present)
 
     def resolve_output_dir(self) -> str:
         root = os.environ.get(OUTPUT_ROOT_VAR)
@@ -551,7 +539,8 @@ def _build_parser():
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=_cmd_check)
 
-    p_dump = sub.add_parser("dump-mesh", help="write a study mesh as text")
+    p_dump = sub.add_parser("dump-mesh", help="write the mesh of a count as text "
+                            "(examples 1, 2: a study's mesh at its first level only)")
     p_dump.add_argument("--example", type=int, default=1, choices=(1, 2, 3))
     p_dump.add_argument("--elements", type=int, required=True)
     p_dump.add_argument("--coarse", default="fan3", choices=("fan3", "diag2"))

@@ -29,8 +29,8 @@ import numpy as np
 
 from .analysis import NestedLocator
 from .geometry import data_values
-from .ldg import BlockOperator, ProblemData, solve_adjoint, solve_state
-from .linsolve import solve_optimality_system
+from .ldg import BlockOperator, ProblemData, solve_state
+from .linsolve import _control_load, _gradient, _state_adjoint, solve_optimality_system
 from .spaces import (
     DATA_DEGREE,
     FORM_DEGREE,
@@ -224,26 +224,21 @@ class BoundaryGradient:
     dof_gradient: Optional[np.ndarray]
 
 
-def _dof_gradient(ops: BlockOperator, omega: float, u, p, z) -> np.ndarray:
-    """Reduced-cost gradient omega M_Gamma u + M1' p + M2' z on the control
-    DOFs, for coefficient vectors u, p and z."""
-    return omega * (ops.M_Gamma @ u) + ops.M1.T @ p + ops.M2.T @ z
-
-
 def _multiplier(ops: BlockOperator, data: ProblemData, mode: str,
                 active: ActiveSetState, parts: dict):
     """Control and multiplier of one active-set step from its solved parts.
 
-    Full mode: the solved control and the DOF gradient divided by the row
-    sums of M_Gamma (its lumped-mass nodal values).  Variational mode: the
-    bounds on the active quadrature points and w = (T_pn p - T_kz z)/omega
-    elsewhere, with multiplier omega (u - w).
+    Full mode: the solved control and the DOF gradient omega M_Gamma u + L' z
+    (``linsolve._gradient``) divided by the row sums of M_Gamma (its
+    lumped-mass nodal values).  Variational mode: the bounds on the active
+    quadrature points and w = (T_pn p - T_kz z)/omega elsewhere, with
+    multiplier omega (u - w).
     """
     p, z = parts["p"], parts["z"]
     if mode == "full":
         u = parts["u"]
         lumped = np.asarray(ops.M_Gamma.sum(axis=1)).ravel()
-        return u, _dof_gradient(ops, data.omega, u, p, z) / lumped
+        return u, _gradient(ops, mode, data.omega, u, z) / lumped
     return _projection((ops.bq.T_pn @ p - ops.bq.T_kz @ z) / data.omega, data, active)
 
 
@@ -255,7 +250,7 @@ def _projection(w, data: ProblemData, active: ActiveSetState = None):
     omega (u - w).
     """
     if active is None:
-        u = np.clip(w, data.u_lower, data.u_upper)
+        u = project_admissible(w, data.u_lower, data.u_upper)
     else:
         u = np.where(active.lower, data.u_lower, np.where(active.upper, data.u_upper, w))
     return u, data.omega * (u - w)
@@ -285,7 +280,7 @@ def reduced_gradient(ops: BlockOperator, sol: DiscreteSolution) -> BoundaryGradi
         return BoundaryGradient(lam, None, None)
     bq, omega = ops.bq, sol.data.omega
     return BoundaryGradient(omega * (bq.E_U @ u) - (bq.T_pn @ p - bq.T_kz @ z), lam,
-                            _dof_gradient(ops, omega, u, p, z))
+                            _gradient(ops, "full", omega, u, z))
 
 
 def evaluate_cost(y_h: DiscreteField, u_h, data: ProblemData, ops: BlockOperator = None) -> float:
@@ -344,10 +339,8 @@ def fd_gradient_check(ops: BlockOperator, data: ProblemData, u, delta_u,
         y, _ = solve_state(ops, fld)
         return evaluate_cost(y, fld, data, ops)
 
-    y0, _ = solve_state(ops, DiscreteField(dofmap, uc))
-    z0, p0 = solve_adjoint(ops, load_vector=ops.M_Omega @ y0.coefficients - ops.Yd)
-    grad = _dof_gradient(ops, data.omega, uc, p0.coefficients, z0.coefficients)
-    adjoint_value = float(np.dot(grad, dc))
+    _, z = _state_adjoint(ops, ops.F + _control_load(ops, "full")[0] @ uc, ops.Yd)
+    adjoint_value = float(np.dot(_gradient(ops, "full", data.omega, uc, z), dc))
     fd_value = (cost_of(uc + step * dc) - cost_of(uc - step * dc)) / (2.0 * step)
     scale = max(1.0, abs(adjoint_value), abs(fd_value))
     return FdGradientCheck(adjoint_value, fd_value, abs(adjoint_value - fd_value) / scale, step)

@@ -86,7 +86,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import BlockLayout, Mesh, data_values
-from .linsolve import Factorization, _condensation_operators, _node_order
+from .linsolve import Factorization, _condensation_operators, _control_load, _node_order
 from .spaces import (
     DATA_DEGREE,
     FORM_DEGREE,
@@ -113,6 +113,11 @@ __all__ = [
     "solve_adjoint",
     "export_matrix_market",
 ]
+
+
+# Difference step and absolute tolerance of the divergence check of beta
+_DIV_STEP = 1e-6
+_DIV_TOL = 1e-8
 
 
 @dataclass
@@ -179,22 +184,23 @@ class ProblemData:
     def sqrt_eps(self) -> float:
         return float(np.sqrt(self.epsilon))
 
-    def check_divergence_free(self, points, step: float = 1e-6, tol: float = 1e-8) -> None:
+    def check_divergence_free(self, points) -> None:
         """Assert div(beta) = 0 by central differences at sample points (n, 2).
 
         Rounding the beta values perturbs each difference quotient by about
-        eps |beta| / step, so at each sample the absolute tolerance ``tol``
-        is widened by 16 eps max|beta| / step over that sample's four
-        shifted points.
+        eps |beta| / step for the step ``_DIV_STEP``, so at each sample the
+        absolute tolerance ``_DIV_TOL`` is widened by 16 eps max|beta| / step
+        over that sample's four shifted points.
         """
         points = np.asarray(points, dtype=float)
+        step = _DIV_STEP
         # beta at x + step e1, x - step e1, x + step e2, x - step e2
         shifted = points[:, None, :] + step * np.array(
             [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         b = data_values(self.beta, shifted, "beta", vector=True)
         div = ((b[:, 0, 0] - b[:, 1, 0]) / (shifted[:, 0, 0] - shifted[:, 1, 0])
                + (b[:, 2, 1] - b[:, 3, 1]) / (shifted[:, 2, 1] - shifted[:, 3, 1]))
-        bound = tol + 16 * np.finfo(float).eps * np.abs(b).max(axis=(1, 2)) / step
+        bound = _DIV_TOL + 16 * np.finfo(float).eps * np.abs(b).max(axis=(1, 2)) / step
         bad = np.abs(div) > bound
         if bad.any():
             raise ValueError(f"velocity field is not divergence free at {points[bad][0]}")
@@ -379,7 +385,8 @@ class BlockOperator:
     the flux-elimination operators (``linsolve._condensation_operators``);
     ``_node_order`` caches the nested-dissection order of the P1 nodes
     (``linsolve._node_order``) and ``_qp_load`` the variational
-    control-to-state load of ``linsolve._control_load``.
+    control-to-state load L of ``linsolve._control_load``, which the
+    reduced solves and ``solve_state`` of a pointwise control share.
     """
 
     mesh: Mesh
@@ -547,35 +554,26 @@ def assemble_divergence_form_b(mesh: Mesh, spaces: SpaceSet, data: ProblemData,
     return layout.matrix(vals, (spaces.flux.num_dofs, spaces.potential.num_dofs))
 
 
-def _control_rhs(ops: BlockOperator, u):
-    """Right-hand-side contributions (m1 part, m2 part) of a control.
-
-    ``u`` may be a boundary DiscreteField, a callable on arrays of boundary
-    points, or an array of values at the boundary quadrature points.
-    """
-    bq = ops.bq
-    if isinstance(u, DiscreteField):
-        coeff = u.coefficients
-        return ops.M1 @ coeff, ops.M2 @ coeff
-    if callable(u):
-        uq = data_values(u, bq.points, "u")
-    else:
-        uq = np.asarray(u, dtype=float)
-        if uq.shape != (bq.num_points,):
-            raise ValueError("pointwise control values must match the boundary quadrature")
-    return bq.M1_qp @ uq, bq.M2_qp @ uq
-
-
-def solve_state(ops: BlockOperator, u, data: ProblemData = None):
+def solve_state(ops: BlockOperator, u):
     """Solve the state system for a given control; returns (y_h, q_h).
 
-    The flux is eliminated exactly: S y = F + r2 + B' A^-1 r1, then
-    q = A^-1 (r1 - B y), with (r1, r2) the control loads.
+    ``u`` is a boundary DiscreteField (a full-mode control), a callable on
+    arrays of boundary points or an array of values at the boundary
+    quadrature points (a pointwise control).  The flux is eliminated
+    exactly: y = S^-1 (F + L u), then q = A^-1 (M1 u - B y), with L and M1
+    the control loads of the mode (``linsolve._control_load``).
     """
-    r1, r2 = _control_rhs(ops, u)
-    Ainv = _condensation_operators(ops)[0]
-    y = ops.state_factorization().solve(ops.F + r2 + ops.B.T @ (Ainv @ r1))
-    q = Ainv @ (r1 - ops.B @ y)
+    if isinstance(u, DiscreteField):
+        L, _, M1 = _control_load(ops, "full")
+        u = u.coefficients
+    else:
+        bq = ops.bq
+        L, _, M1 = _control_load(ops, "variational")
+        u = data_values(u, bq.points, "u") if callable(u) else np.asarray(u, dtype=float)
+        if u.shape != (bq.num_points,):
+            raise ValueError("pointwise control values must match the boundary quadrature")
+    y = ops.state_factorization().solve(ops.F + L @ u)
+    q = _condensation_operators(ops)[0] @ (M1 @ u - ops.B @ y)
     return DiscreteField(ops.spaces.potential, y), DiscreteField(ops.spaces.flux, q)
 
 

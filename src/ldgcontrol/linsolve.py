@@ -21,6 +21,11 @@ conjugate gradients preconditioned with (omega W_II)^-1.  Every CG step
 costs one solve with S and one with S'.  ``ReducedSolveError`` reports a
 CG run that misses its tolerance within ``CG_MAX_ITER`` steps.
 
+The pieces of the reduced problem live here once: ``_control_load`` (L,
+W and the flux load M1 of a mode), ``_state_adjoint`` (the state/adjoint
+pair) and ``_gradient`` (omega W u + L' z); ``ldg.solve_state`` and the
+multiplier and gradient checks of ``control`` use them too.
+
 Two direct solves are kept as references.  ``condense_kkt`` builds the
 optimality system after the flux elimination, with the active controls
 substituted by their bounds (``strategy="condensed"``); ``compose_kkt``
@@ -73,6 +78,12 @@ class SingularSystemError(RuntimeError):
 class ReducedSolveError(SingularSystemError):
     """Raised when CG on the reduced control system misses its tolerance."""
 
+
+# Every direct solve refines its relative residual below _SOLVE_TOL in at
+# most _MAX_REFINE sweeps; the reduced CG stops two digits lower, so that
+# the parts it recovers agree with the direct solves' to about _SOLVE_TOL.
+_SOLVE_TOL = 1e-10
+_MAX_REFINE = 3
 
 # Cap on the CG iterations of one reduced solve.  The preconditioned
 # reduced Hessian needs 5-12 iterations on the studies (omega = 1) and about
@@ -131,11 +142,11 @@ class Factorization:
         x[self.order] = self.lu.solve(b[self.order], trans=trans)
         return x
 
-    def solve(self, b, trans: str = "N", tol: float = 1e-10, max_refine: int = 3):
+    def solve(self, b, trans: str = "N"):
         """Solve A x = b (``trans="T"``: A' x = b) with iterative refinement.
 
-        The relative residual is driven below ``tol`` by at most
-        ``max_refine`` refinement sweeps (counted in ``sweeps``); b = 0
+        The relative residual is driven below ``_SOLVE_TOL`` by at most
+        ``_MAX_REFINE`` refinement sweeps (counted in ``sweeps``); b = 0
         gives x = 0 without a solve.  Non-finite entries or a stalled
         refinement are reported as a singular system.
         """
@@ -149,20 +160,20 @@ class Factorization:
         x = self._lu_solve(b, trans)
         if not np.all(np.isfinite(x)):
             raise SingularSystemError("sparse LU produced non-finite entries (singular system)")
-        for sweep in range(max_refine + 1):
+        for sweep in range(_MAX_REFINE + 1):
             residual = b - op @ x
             error = np.linalg.norm(residual) / norm_b
-            if error <= tol:
+            if error <= _SOLVE_TOL:
                 return x
-            if sweep < max_refine:
+            if sweep < _MAX_REFINE:
                 self.sweeps += 1
                 x = x + self._lu_solve(residual, trans)
         raise SingularSystemError(f"iterative refinement stalled at relative residual {error:.3e}")
 
 
-def direct_solve(A, b, order=None, tol: float = 1e-10, max_refine: int = 3):
+def direct_solve(A, b, order=None):
     """Factor A in ``order`` and solve A x = b once (see ``Factorization``)."""
-    return Factorization(A, order).solve(b, tol=tol, max_refine=max_refine)
+    return Factorization(A, order).solve(b)
 
 
 @dataclass
@@ -482,22 +493,38 @@ def condense_kkt(ops, active, data=None, mode="full"):
 
 
 def _control_load(ops, mode):
-    """(L, W) of the reduced problem in the control unknowns of ``mode``.
+    """(L, W, M1) of the reduced problem in the control unknowns of ``mode``.
 
-    After flux elimination the state equation is S y = F + L u, and the
-    gradient of the reduced cost is omega W u + L' z with the adjoint
-    S' z = M_Omega y - Yd.  Full mode: L = Mt and W = M_Gamma.  Variational
-    mode: L = M2_qp + B' A^-1 M1_qp (cached next to Mt) and W = diag of
-    the boundary quadrature weights; M1_qp = -T_pn' W and M2_qp = T_kz' W
+    After flux elimination the state equation is S y = F + L u with the
+    flux q = A^-1 (M1 u - B y), and the gradient of the reduced cost is
+    omega W u + L' z (``_gradient``) with the adjoint S' z = M_Omega y - Yd.
+    Full mode: L = Mt, W = M_Gamma and M1 = ops.M1.  Variational mode:
+    L = M2_qp + B' A^-1 M1_qp (cached next to Mt), W = diag of the boundary
+    quadrature weights and M1 = M1_qp; M1_qp = -T_pn' W and M2_qp = T_kz' W
     make L' z = W (T_kz z - T_pn p), the pointwise stationarity term.
     """
     Ainv, _, _, Mt = _condensation_operators(ops)
     if mode == "full":
-        return Mt, ops.M_Gamma
+        return Mt, ops.M_Gamma, ops.M1
+    bq = ops.bq
     if ops._qp_load is None:
-        bq = ops.bq
         ops._qp_load = (bq.M2_qp + ops.B.T @ (Ainv @ bq.M1_qp)).tocsr()
-    return ops._qp_load, sp.diags(ops.bq.weights, format="csr")
+    return ops._qp_load, sp.diags(bq.weights, format="csr"), bq.M1_qp
+
+
+def _state_adjoint(ops, load, target):
+    """State y = S^-1 load and adjoint z = S^-T (M_Omega y - target), both
+    on the cached factorization of S."""
+    lu = ops.state_factorization()
+    y = lu.solve(load)
+    return y, lu.solve(ops.M_Omega @ y - target, trans="T")
+
+
+def _gradient(ops, mode, omega, u, z):
+    """Reduced-cost gradient omega W u + L' z at the control u with the
+    adjoint z, in the control unknowns of ``mode`` (see ``_control_load``)."""
+    L, W, _ = _control_load(ops, mode)
+    return omega * (W @ u) + L.T @ z
 
 
 def _pcg(apply, b, precond, x0, rtol, maxiter):
@@ -530,7 +557,7 @@ def _pcg(apply, b, precond, x0, rtol, maxiter):
     return x, it, res
 
 
-def _reduced_solve(ops, active, data, mode, tol, u_start):
+def _reduced_solve(ops, active, data, mode, u_start):
     """Solve one active set in control space on the cached factor of S.
 
     The inactive controls solve H_II u_I = b_I with the SPD reduced Hessian
@@ -541,36 +568,27 @@ def _reduced_solve(ops, active, data, mode, tol, u_start):
     """
     inactive, u = _control_blocks(ops, active, data, mode)
     free = np.flatnonzero(inactive)
-    L, W = _control_load(ops, mode)
-    lu = ops.state_factorization()
+    L, W, M1 = _control_load(ops, mode)
     W_I = (data.omega * W[free][:, free]).tocsc()
-
-    def state_adjoint(load, target):
-        # y = S^-1 load and z = S^-T (M_Omega y - target)
-        y = lu.solve(load)
-        return y, lu.solve(ops.M_Omega @ y - target, trans="T")
 
     def hessian(x):
         v = np.zeros(u.size)
         v[free] = x
-        return W_I @ x + (L.T @ state_adjoint(L @ v, 0.0)[1])[free]
+        return W_I @ x + (L.T @ _state_adjoint(ops, L @ v, 0.0)[1])[free]
 
-    _, z = state_adjoint(ops.F + L @ u, ops.Yd)
-    b = -(data.omega * (W @ u) + L.T @ z)[free]
+    _, z = _state_adjoint(ops, ops.F + L @ u, ops.Yd)
+    b = -_gradient(ops, mode, data.omega, u, z)[free]
     x0 = np.zeros(free.size) if u_start is None else np.asarray(u_start, dtype=float)[free]
     precond = Factorization(W_I).solve if free.size else None
-    # two digits below the direct solves' residual contract, so that the
-    # recovered parts agree with them to about tol
-    rtol = 1e-2 * tol
+    rtol = 1e-2 * _SOLVE_TOL
     x, iterations, residual = _pcg(hessian, b, precond, x0, rtol, CG_MAX_ITER)
     if not residual <= rtol:
         raise ReducedSolveError(
             f"CG on {free.size} inactive controls stopped after {iterations} "
             f"iterations at reduced residual {residual:.3e} (tolerance {rtol:.0e})")
     u[free] = x
-    y, z = state_adjoint(ops.F + L @ u, ops.Yd)
+    y, z = _state_adjoint(ops, ops.F + L @ u, ops.Yd)
     Ainv, AinvB, _, _ = _condensation_operators(ops)
-    M1 = ops.M1 if mode == "full" else ops.bq.M1_qp
     parts = {"q": Ainv @ (M1 @ u - ops.B @ y), "y": y, "p": AinvB @ z, "z": z,
              "cg": CgReport(iterations, residual)}
     if mode == "full":
@@ -579,16 +597,16 @@ def _reduced_solve(ops, active, data, mode, tol, u_start):
 
 
 def solve_optimality_system(ops, active, data=None, mode="full",
-                            strategy="reduced", tol=1e-10, u_start=None):
+                            strategy="reduced", u_start=None):
     """Solve one active-set linearization of the optimality system.
 
     strategy
         "reduced" (the default) solves for the inactive controls by CG on
-        the cached factor of S, to a relative reduced residual of tol/100,
-        starting from ``u_start`` (a control vector, default 0);
-        "condensed" factors the flux-eliminated system and "monolithic"
-        the coupled block matrix, both direct (relative residual tol) and
-        kept as references.
+        the cached factor of S, to a relative reduced residual of
+        ``_SOLVE_TOL``/100, starting from ``u_start`` (a control vector,
+        default 0); "condensed" factors the flux-eliminated system and
+        "monolithic" the coupled block matrix, both direct (relative
+        residual ``_SOLVE_TOL``) and kept as references.
 
     Returns the parts dict with keys q, y, p, z and, in full mode, u; the
     reduced path adds "cg", a ``CgReport`` of its iteration.
@@ -596,11 +614,11 @@ def solve_optimality_system(ops, active, data=None, mode="full",
     if data is None:
         data = ops.data
     if strategy == "reduced":
-        return _reduced_solve(ops, active, data, mode, tol, u_start)
+        return _reduced_solve(ops, active, data, mode, u_start)
     if strategy == "condensed":
         system = condense_kkt(ops, active, data=data, mode=mode)
-        return system.recover(direct_solve(system.matrix, system.rhs, system.order, tol=tol))
+        return system.recover(direct_solve(system.matrix, system.rhs, system.order))
     if strategy == "monolithic":
         system = compose_kkt(ops, active, data, mode=mode)
-        return system.split(direct_solve(system.matrix, system.rhs, system.order, tol=tol))
+        return system.split(direct_solve(system.matrix, system.rhs, system.order))
     raise ValueError(f"unknown solve strategy: {strategy!r}")

@@ -165,13 +165,15 @@ def test_state_solver_reproduces_global_linear(penalty_sign, n, beta):
                        penalty_sign=penalty_sign)
     ops = assemble_forms(mesh, spaces, data)
     u = l2_project(y_exact, spaces.control)
-    y_h, q_h = solve_state(ops, u, data)
-
     y_nodal = y_exact(mesh.vertices[mesh.triangles]).ravel()
-    assert np.abs(y_h.coefficients - y_nodal).max() < 1e-10
     q_const = -np.sqrt(eps) * grad_y
     q_nodal = np.tile(q_const, 3 * mesh.num_elements)
-    assert np.abs(q_h.coefficients - q_nodal).max() < 1e-10
+    # the control as a boundary field, as a callable and as its values at
+    # the boundary quadrature points (the pointwise loads)
+    for control in (u, y_exact, ops.bq.E_U @ u.coefficients):
+        y_h, q_h = solve_state(ops, control)
+        assert np.abs(y_h.coefficients - y_nodal).max() < 1e-10
+        assert np.abs(q_h.coefficients - q_nodal).max() < 1e-10
 
 
 def test_penalty_scaling_with_diffusion():
@@ -195,7 +197,7 @@ def test_adjoint_transpose_duality():
     for _ in range(5):
         u = DiscreteField(spaces.control, rng.standard_normal(spaces.control.num_dofs))
         g = rng.standard_normal(spaces.potential.num_dofs)
-        y_h, _ = solve_state(ops, u, data)
+        y_h, _ = solve_state(ops, u)
         z_h, p_h = solve_adjoint(ops, load_vector=ops.M_Omega @ g)
         lhs = u.coefficients @ (ops.M1.T @ p_h.coefficients + ops.M2.T @ z_h.coefficients)
         rhs = g @ (ops.M_Omega @ y_h.coefficients)
@@ -217,7 +219,7 @@ def test_eliminated_solves_match_forward_block_matrix(penalty_sign):
     u = DiscreteField(spaces.control, rng.standard_normal(spaces.control.num_dofs))
     g = rng.standard_normal(spaces.potential.num_dofs)
 
-    y_h, q_h = solve_state(ops, u, data)
+    y_h, q_h = solve_state(ops, u)
     x = spla.spsolve(K, np.concatenate([ops.M1 @ u.coefficients,
                                         ops.F + ops.M2 @ u.coefficients]))
     z_h, p_h = solve_adjoint(ops, load_vector=g)
