@@ -270,12 +270,16 @@ def run_example(config: RunConfig, keep_solutions: list = None) -> ErrorReport:
 
     Appends (elements, mesh, ops, solution) per study level to
     ``keep_solutions`` when a list is passed, for callers that also emit
-    fields or matrices.
+    fields or matrices.  Each level's factor of S and elimination cache are
+    released once the level above it is solved (``BlockOperator.release``);
+    only the finest level keeps them.
     """
     data, case = _example_data(config)
     solved, sol = [], None
     for m, mesh in zip(config.counts, _mesh_chain(config)):
         ops, sol = _solve_level(mesh, data, config, m, start=sol)
+        if solved:  # the level below has started this one: its factor is done with
+            solved[-1][2].release()
         solved.append((m, mesh, ops, sol))
     reference = solved.pop()[3] if config.reference is not None else None
     report = ErrorReport()
@@ -480,7 +484,7 @@ def _battery(seed: int = 0):
 
 def _cmd_run(args) -> int:
     config = RunConfig.from_file(args.config)
-    # a kept level holds its operators and their elimination cache to the end
+    # a kept level holds its operators to the end, less its released factor
     keep = [] if config.vtk or config.matrices else None
     report = run_example(config, keep_solutions=keep)
     outdir = config.resolve_output_dir()

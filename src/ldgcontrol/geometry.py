@@ -32,6 +32,7 @@ __all__ = [
     "build_unit_square_mesh",
     "build_polygon_mesh",
     "refine_uniform",
+    "DissectionTree",
     "dissection_order",
     "data_values",
     "write_mesh_text",
@@ -123,6 +124,9 @@ class Mesh:
         parent : (nt,) int array mapping each element to its parent element
             in ``parent_mesh``, or None for a root mesh.
         parent_mesh : the coarser mesh this one refines, or None.
+        dissection : the ``DissectionTree`` of the last nested-dissection
+            order of the P1 nodes of this mesh (``linsolve._node_order``),
+            which the meshes refining it inherit; None before one.
     """
 
     def __init__(self, vertices, triangles, parent=None, parent_mesh=None):
@@ -134,6 +138,7 @@ class Mesh:
             raise ValueError("triangles must be an (nt, 3) array")
         self.parent = None if parent is None else np.asarray(parent, dtype=np.int64)
         self.parent_mesh = parent_mesh
+        self.dissection = None
 
         tri_pts = self.vertices[self.triangles]  # (nt, 3, 2)
         d1 = tri_pts[:, 1] - tri_pts[:, 0]
@@ -370,154 +375,355 @@ _LEAF_SIZE = 12
 _CUT_DIRECTIONS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 
-def _dissection_paths(points, coupling):
+class DissectionTree(NamedTuple):
+    """The cuts of a nested-dissection tree, one entry per tree level.
+
+    The nodes of a level are numbered in dissection order.  ``axis[l]``
+    (int8) holds the row of ``_CUT_DIRECTIONS`` each node of level l is
+    cut across, -1 at a leaf; ``gap[l]`` (nodes, 2) the coordinates along
+    it of the last point before and the first point after the cut; and
+    ``child[l]`` (nodes, 2) the node of level l + 1 on either side, -1
+    where that side is empty.
+    """
+
+    axis: tuple
+    gap: tuple
+    child: tuple
+
+
+def _ranges(first, length):
+    """The concatenated ranges [first[i], first[i] + length[i])."""
+    offset = np.cumsum(length) - length
+    return np.repeat(first - offset, length) + np.arange(int(length.sum()))
+
+
+# what an entry adds to the packed counts of _regroup: side 0 to the low
+# 32 bits, side 1 to the high ones, and a dropped entry (2) to neither
+_SIDE_COUNT = np.array([1, 1 << 32, 0], dtype=np.int64)
+
+
+def _regroup(seq, block, start, side):
+    """Stable partition of each node of ``seq`` into its two halves.
+
+    ``seq`` lists the points of consecutive nodes, ``block`` the node of
+    each entry and ``start`` where each node begins.  Each node's entries
+    of ``side`` 0, then those of side 1, keep their order; side 2 drops an
+    entry (it lands in a spare tail).  One cumulative count of both sides,
+    packed into one int64, places every entry, with no sort.
+    """
+    side = side.astype(np.intp)
+    count = _SIDE_COUNT[side]
+    before = np.cumsum(count)
+    before -= count  # of each side, the entries before this one
+    last = np.append(start[1:], seq.size) - 1
+    ends = before[last] + count[last]  # of each side, the entries up to each node's end
+    # a side-0 entry goes after the earlier nodes' side-1 entries, a side-1
+    # entry after every side-0 entry up to its node's end
+    base = np.empty((start.size, 3), dtype=np.intp)
+    base[:, 0] = np.append(0, ends[:-1]) >> 32
+    base[:, 1] = ends & 0xFFFFFFFF
+    base[:, 2] = seq.size
+    before >>= 32 * (side & 1)
+    before &= 0xFFFFFFFF
+    before += base.ravel()[3 * block + side]
+    out = np.empty(2 * seq.size, dtype=seq.dtype)
+    out[before] = seq
+    return out[:int((ends[-1] & 0xFFFFFFFF) + (ends[-1] >> 32))]
+
+
+def _symmetric_pattern(coupling, n):
+    """The pattern of an (n, n) sparse ``coupling`` matrix, symmetrized and
+    with its diagonal, as a CSR matrix; ``coupling``'s own where it has
+    that pattern already."""
+    pattern = sp.csr_matrix(coupling)
+    if pattern.shape != (n, n):
+        raise ValueError("the coupling matrix needs one row and column per point")
+    pattern = sp.csr_matrix((np.ones(pattern.nnz, dtype=np.int8), pattern.indices,
+                             pattern.indptr), shape=(n, n))
+    mirror = pattern.T.tocsr()
+    if (pattern.has_canonical_format and np.array_equal(pattern.indptr, mirror.indptr)
+            and np.array_equal(pattern.indices, mirror.indices) and pattern.diagonal().all()):
+        return pattern
+    return (pattern + mirror + sp.identity(n, dtype=np.int8, format="csr")).tocsr()
+
+
+def _dissection_paths(points, coupling, ancestor=None):
     """Nested-dissection tree of a point set, one level at a time.
 
     ``points`` (n, 2) are the positions of the unknowns of a sparse matrix
     and ``coupling`` is an (n, n) sparse matrix whose pattern, symmetrized,
     tells which unknowns a factorization couples directly.  A tree node of
     more than ``_LEAF_SIZE`` points is cut across one of two perpendicular
-    directions, between two points that are consecutive along it.  All
-    such cuts with at least a quarter of the node's points on either side
-    are scored at once: a cut's separator is the smaller of the two sets of
-    points of one side coupled to the other side, and its score is
-    separator / (left * right), so thin and balanced cuts win.  The node
+    directions, between two points that are consecutive along it.  Each
+    node's candidate cuts, a window of consecutive positions along a
+    direction, are scored at once: a cut's separator is the smaller of the
+    two sets of points of one side coupled to the other side, and its score
+    is separator / (left * right), so thin and balanced cuts win.  The node
     takes its best cut; without the separator the two halves are
-    uncoupled.  All nodes of a level are cut at once.  The pair of
-    directions, the axes or the diagonals, is the one whose best cut of
-    the whole set scores better.
+    uncoupled.  All nodes of a level are cut at once.
 
-    Returns (paths, along).  Row i of the (n, depth) int8 array ``paths``
-    holds one digit per level: 0 or 1 for the half of the node point i
-    falls in, 2 when it is in that node's separator, and 0 on the levels
-    below the leaf or separator it ends in.  ``along`` is each point's
-    coordinate along the last cut it met.
+    A node's window is its balanced cuts, with at least a quarter of its
+    points on either side, along both directions.  The pair of directions,
+    the axes or the diagonals, is the one whose best cut of the whole set
+    scores better.  ``ancestor``, the ``DissectionTree`` of a coarser mesh
+    that the points refine, narrows that search where it has cut: a node
+    that descends from a cut node of the ancestor (the root from the root,
+    each half from the half it lies in) keeps that node's direction, and
+    its window is the cuts next to its points inside the gap of that node's
+    cut, widened by half the coupling reach on either side.  Only the points
+    within coupling reach of the window are counted.  The ancestor's root
+    fixes the pair, and below its leaves the nodes are scored as without
+    it.
+
+    Returns (paths, along, tree).  Row i of the (n, depth) int8 array
+    ``paths`` holds one digit per level: 0 or 1 for the half of the node
+    point i falls in, 2 when it is in that node's separator, and 0 on the
+    levels below the leaf or separator it ends in.  ``along`` is each
+    point's coordinate along the last cut it met, and ``tree`` the
+    ``DissectionTree`` of the cuts.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
-    pattern = sp.csr_matrix(coupling)
-    if pattern.shape != (n, n):
-        raise ValueError("the coupling matrix needs one row and column per point")
-    pattern = sp.csr_matrix((np.ones(pattern.nnz), pattern.indices, pattern.indptr), shape=(n, n))
-    pattern = (pattern + pattern.T + sp.identity(n, format="csr")).tocsr()
+    pattern = _symmetric_pattern(coupling, n)
     coord = points[:, :1] * _CUT_DIRECTIONS[:, 0] + points[:, 1:] * _CUT_DIRECTIONS[:, 1]
     coord = np.ascontiguousarray(coord.T)  # (4, n)
-    dirs = range(len(_CUT_DIRECTIONS))
-    by_coord = np.argsort(coord, axis=1, kind="stable")
-    rank = np.empty_like(by_coord)
+    inherit = ancestor is not None and ancestor.axis[0][0] >= 0
+    if inherit:
+        pair = 2 * (int(ancestor.axis[0][0]) // 2)
+        dirs = range(pair, pair + 2)
+    else:
+        dirs = range(len(_CUT_DIRECTIONS))
+    # per direction: the points in order along it, each point's rank in
+    # that order, its position in its node's order (``pos``), and the
+    # coupled points of its node lying farthest along (high) and against
+    # (low) it, refreshed when they leave the node
+    base = dirs.start
+    by_coord, rank, high, low, positions = (np.empty((len(dirs), n), dtype=np.intp)
+                                            for _ in range(5))
+    by_coord, rank, high, low, pos = (dict(zip(dirs, a))
+                                      for a in (by_coord, rank, high, low, positions))
     for k in dirs:
+        by_coord[k][:] = np.argsort(coord[k], kind="stable")
         rank[k][by_coord[k]] = np.arange(n)
-    node = np.zeros(n, dtype=np.int64)  # tree node of each unplaced point, else -1
-    # the coupled points of the same node lying farthest along (high) and
-    # against (low) each direction, refreshed when they leave the node
-    high = np.empty_like(by_coord)
-    low = np.empty_like(by_coord)
+    node = np.zeros(n, dtype=np.intp)  # tree node of each unplaced point, else -1
+    indptr, indices = pattern.indptr.astype(np.intp), pattern.indices.astype(np.intp)
+    del pattern
 
-    def neighbours(pts):
-        lengths = pattern.indptr[pts + 1] - pattern.indptr[pts]
-        first = np.cumsum(lengths) - lengths
-        nbr = pattern.indices[np.repeat(pattern.indptr[pts] - first, lengths)
-                              + np.arange(lengths.sum())]
-        return nbr, lengths, first
+    def neighbours(pts):  # the coupled points of pts, concatenated, and their numbers
+        lengths = indptr[pts + 1] - indptr[pts]
+        return indices[_ranges(indptr[pts], lengths)], lengths
 
-    def refresh(pts, nbr, seg):
-        for k in dirs:
-            r = rank[k][nbr]
-            high[k][pts] = by_coord[k][np.maximum.reduceat(r, seg)]
-            low[k][pts] = by_coord[k][np.minimum.reduceat(r, seg)]
+    # the farthest coupled point of the same node along (high) and against
+    # (low) direction k: the largest and smallest rank, with the points of
+    # other nodes pushed out of reach
+    extremes = ((high, np.maximum, -(n + 1)), (low, np.minimum, n))
 
-    refresh(np.arange(n), pattern.indices, pattern.indptr[:-1])
-    seqs = list(by_coord)  # live points, by node and then along each direction
-    # points that lost a coupled point of their node: the neighbours of the
-    # last level's separators (a coupling across a cut always has one end
-    # in the separator)
-    touched = np.zeros(n, dtype=bool)
-    pos = np.empty_like(by_coord)
+    def refresh(pts, k, far, pick, away):
+        nbr, lengths = neighbours(pts)
+        other = node[nbr] != np.repeat(node[pts], lengths)
+        far[k][pts] = by_coord[k][pick.reduceat(rank[k][nbr] + away * other,
+                                                 np.cumsum(lengths) - lengths)]
+
+    for k in dirs:
+        r = rank[k][indices]
+        for far, pick, _ in extremes:
+            far[k][:] = by_coord[k][pick.reduceat(r, indptr[:-1])]
+    if inherit:  # the sorted coordinates, and how far a coupling reaches along each
+        ordered = {k: coord[k][by_coord[k]] for k in dirs}
+        reach = {k: np.max(coord[k][high[k]] - coord[k]) for k in dirs}
+    # the extremes that may have left their node, one bit per direction and
+    # side: those of the neighbours of a separator (a coupling across a cut
+    # always has one end in the separator), until they are next needed
+    doubt = np.zeros(n, dtype=np.uint8)
+    seqs = {k: by_coord[k] for k in dirs}  # live points, by node and then along each direction
+    origin = np.array([0 if inherit else -1])  # the ancestor's cut node of each node, or -1
+    across = np.array([-1])  # each node's direction along its parent's cut, -1 at the root
     along = np.zeros(n)
-    columns = []
-    while seqs[dirs[0]].size:
+    counts = np.array([n])  # the points of each node
+    columns, tree = [], ([], [], [])
+    while counts.size:
+        level = len(columns)
         live = seqs[dirs[0]]
-        m = live.size
-        counts = np.bincount(node[live])
+        m, nodes = live.size, counts.size
+        block = np.repeat(np.arange(nodes), counts)  # the node of each position
         start = np.cumsum(counts) - counts
-        block = np.repeat(np.arange(counts.size), counts)
         cut = counts > _LEAF_SIZE
-        inside = cut[block]
-        split = live[inside]
-        home = node[split]
-        left = np.arange(1, m + 1) - start[block]
-        right = counts[block] - left
-        ok = inside & (4 * left >= counts[block]) & (4 * right >= counts[block])
-        weight = np.where(ok, 1.0 / np.maximum(left * right, 1), 0.0)
-        penalty = np.where(ok, 0.0, np.inf)
-        inside = inside.astype(np.int64)
-        near = split[touched[split]]
-        gone = np.zeros(near.size, dtype=bool)
-        for k in dirs:
-            gone |= (node[high[k][near]] != node[near]) | (node[low[k][near]] != node[near])
-        stale = near[gone]
-        if stale.size:
-            nbr, lengths, first = neighbours(stale)
-            same = node[nbr] == np.repeat(node[stale], lengths)  # each point is its own neighbour
-            count = np.add.reduceat(same.astype(np.int64), first)
-            refresh(stale, nbr[same], np.cumsum(count) - count)
-        best = np.full(counts.size, np.inf)
-        best_dir = np.zeros(counts.size, dtype=np.int64)
-        best_at = np.zeros(counts.size, dtype=np.int64)
-        best_left = np.zeros(counts.size, dtype=bool)
+        digit = np.zeros(n, dtype=np.int8)
+        columns.append(digit)
+        # the points of the leaves are placed, along their parent's cut
+        leaves = np.flatnonzero(~cut & (across >= 0))
+        if leaves.size:
+            placed = live[_ranges(start[leaves], counts[leaves])]
+            node[placed] = -1
+            along[placed] = coord.ravel()[np.repeat(across[leaves], counts[leaves]) * n + placed]
+
+        # nodes that inherit a cut: their window along the ancestor's
+        # direction, and the points within coupling reach of its gap
+        axis = np.full(nodes, -1, dtype=np.int64)
+        heirs = np.flatnonzero(cut & (origin >= 0))
+        windows = {}
+        if heirs.size:
+            axis[heirs] = ancestor.axis[level][origin[heirs]]
+            gaps = ancestor.gap[level][origin[heirs]]
+        for k in dirs if heirs.size else ():
+            pick = axis[heirs] == k
+            if not pick.any():
+                continue
+            b, (lo, hi) = heirs[pick], gaps[pick].T
+            key = block * n + rank[k][seqs[k]]  # increasing along seqs[k]
+
+            def before(values, side):  # position of the first point of b not below values
+                return np.searchsorted(key, b * n + np.searchsorted(ordered[k], values, side))
+            # the cuts next to a point of the gap widened by half a coupling
+            # reach: a coarse cut may sit a node column off the fine one
+            margin = reach[k] / 2
+            first = np.maximum(before(lo - margin, "left") - 1, start[b])
+            last = np.minimum(before(hi + margin, "right") - 1, start[b] + counts[b] - 2)
+            ok = first <= last
+            axis[b[~ok]] = -1  # no two points on either side of the gap: scored afresh
+            near = before(lo - margin - reach[k], "left")[ok]
+            reached = before(hi + margin + reach[k], "right")[ok] - near
+            windows[k] = (b[ok], first[ok], last[ok] - first[ok] + 1,
+                          seqs[k][_ranges(near, reached)], reached)
+        fresh = np.flatnonzero(cut & (axis < 0))
+        quarter = (counts[fresh] + 3) // 4
+        fresh_window = (fresh, start[fresh] + quarter - 1, counts[fresh] - 2 * quarter + 1,
+                        live if fresh.size == nodes else live[_ranges(start[fresh], counts[fresh])],
+                        counts[fresh])
+
+        best = np.full(nodes, np.inf)
+        best_dir = np.zeros(nodes, dtype=np.int64)
+        best_at = np.zeros(nodes, dtype=np.int64)
+        best_left = np.zeros(nodes, dtype=bool)
+        borders = []
         for k in dirs:
             p = pos[k]
             p[seqs[k]] = np.arange(m)
+            parts = [w for w in (fresh_window, windows.get(k)) if w is not None and w[0].size]
+            if not parts:
+                continue
+            wnode, wfirst, wlength, pts, per_window = (
+                parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
+            offset = np.cumsum(wlength) - wlength
+            size = int(offset[-1] + wlength[-1])
+            home = np.repeat(wnode, per_window)
+            own = p[pts]
+            opens = np.repeat(wfirst, per_window)  # each point's window, as positions
+            closes = opens + np.repeat(wlength, per_window)
+            # refresh the extremes that left the node, of the points whose
+            # extreme on that side can reach into their window
+            doubted = doubt[pts]
+            for side, (far, pick, away) in enumerate(extremes):
+                bit = np.uint8(1 << (2 * (k - base) + side))
+                check = pts[((doubted & bit) > 0) & (own < closes if side == 0 else own > opens)]
+                doubt[check] &= ~bit
+                stale = check[node[far[k][check]] != node[check]]
+                if stale.size:
+                    refresh(stale, k, far, pick, away)
+            hi, lo = p[high[k][pts]], p[low[k][pts]]
+            w0 = np.repeat(offset, per_window)
+            w1 = w0 + closes - opens
+            shift = w0 - opens
+
+            def border(a, b):  # for each window position q, the points with a <= q < b
+                a = np.minimum(np.maximum(a + shift, w0), w1)
+                b = np.maximum(np.minimum(b + shift, w1), a)
+                return np.cumsum(np.bincount(a, minlength=size + 1)
+                                 - np.bincount(b, minlength=size + 1))[:size]
             # a point is in the left (right) border of the cut after
             # position q along k for q in [own, high) ([low, own))
-            b0 = np.cumsum(inside - np.bincount(p[high[k][split]], minlength=m))
-            b1 = np.cumsum(np.bincount(p[low[k][split]], minlength=m) - inside)
-            score = np.minimum(b0, b1) * weight + penalty
-            node_score = np.minimum.reduceat(score, start)
-            at = np.minimum.reduceat(np.where(score == node_score[block], np.arange(m), m - 1),
-                                     start)
-            better = node_score < best
-            best[better] = node_score[better]
-            best_dir[better] = k
-            best_at[better] = at[better]
-            best_left[better] = b0[at[better]] <= b1[at[better]]
+            b0 = border(own, hi)
+            b1 = border(lo, own)
+            left = _ranges(wfirst - start[wnode] + 1, wlength)
+            right = np.repeat(counts[wnode], wlength) - left
+            score = np.minimum(b0, b1) * (1.0 / np.maximum(left * right, 1))
+            in_window = np.repeat(np.arange(wnode.size), wlength)
+            window_score = np.minimum.reduceat(score, offset)
+            hits = np.flatnonzero(score == window_score[in_window])
+            at = hits[np.searchsorted(hits, offset)]
+            better = window_score < best[wnode]
+            chosen, at = wnode[better], at[better]
+            best[chosen] = window_score[better]
+            best_dir[chosen] = k
+            best_at[chosen] = at - offset[better] + wfirst[better]
+            best_left[chosen] = b0[at] <= b1[at]
+            borders.append((k, pts, home, own, hi, lo))
         if len(dirs) > 2:  # the root's cut picks the pair of directions
             pair = 2 * (best_dir[0] // 2)
             dirs = range(pair, pair + 2)
-        chosen, q = best_dir[home], best_at[home]
-        upper = pos[chosen, split] > q
-        separator = np.where(best_left[home], ~upper & (pos[chosen, high[chosen, split]] > q),
-                             upper & (pos[chosen, low[chosen, split]] <= q))
-        along[split] = coord[chosen ^ 1, split]
-        digit = np.zeros(n, dtype=np.int8)
-        digit[split] = np.where(separator, 2, upper)
-        columns.append(digit)
-        children = split[~separator]
-        key = 2 * home[~separator] + upper[~separator]
-        present = np.zeros(2 * counts.size, dtype=bool)
-        present[key] = True
-        node[live] = -1
-        node[children] = (np.cumsum(present) - 1)[key]
-        touched[:] = False
-        touched[neighbours(split[separator])[0]] = True
+
+        # the separator: the border of one side, among the counted points
+        parts = []
+        for k, pts, home, own, hi, lo in borders:
+            q, left = best_at[home], best_left[home]
+            parts.append(pts[(best_dir[home] == k)
+                             & np.where(left, (own <= q) & (hi > q), (own > q) & (lo <= q))])
+        separator = np.concatenate(parts) if parts else live[:0]
+        cut_nodes = np.flatnonzero(cut)
+        if cut_nodes.size == nodes:
+            split, home = live, block
+        else:
+            split = live[_ranges(start[cut_nodes], counts[cut_nodes])]
+            home = np.repeat(cut_nodes, counts[cut_nodes])
+        upper = positions.ravel()[(best_dir[home] - base) * n + split] > best_at[home]
+        digit[split] = upper
+        digit[separator] = 2
+        along[separator] = coord.ravel()[(best_dir[node[separator]] ^ 1) * n + separator]
+
+        moving = digit[split] < 2
+        key = 2 * home + upper
+        counts = np.bincount(key + 2 * nodes * ~moving, minlength=4 * nodes)[:2 * nodes]
+        present = counts > 0
+        counts = counts[present]
+        number = np.cumsum(present) - 1
+        gap = np.full((nodes, 2), np.nan)
         for k in dirs:
-            s = seqs[k][node[seqs[k]] >= 0]
-            seqs[k] = s[np.argsort(node[s], kind="stable")]
-    return np.stack(columns, axis=1), along
+            b = cut_nodes[best_dir[cut_nodes] == k]
+            gap[b] = coord[k][seqs[k][best_at[b, None] + [0, 1]]]
+        tree[0].append(np.where(cut, best_dir, -1).astype(np.int8))
+        tree[1].append(gap)
+        tree[2].append(np.where(present, number, -1).reshape(nodes, 2))
+        # a half of an heir descends from the ancestor's node on that side,
+        # if that node is cut
+        halves = np.flatnonzero(present)
+        across = best_dir[halves // 2] ^ 1
+        heir = np.flatnonzero(axis[halves // 2] >= 0)
+        parent_origin, origin = origin, np.full(halves.size, -1, dtype=np.int64)
+        if heir.size:
+            below = ancestor.child[level][parent_origin[halves[heir] // 2], halves[heir] % 2]
+            cuts = below >= 0
+            below[cuts] = np.where(ancestor.axis[level + 1][below[cuts]] >= 0, below[cuts], -1)
+            origin[heir] = below
+
+        if counts.size:
+            dropped = np.where(cut, 0, 2).astype(np.int8)[block]
+            for k in dirs:
+                seqs[k] = _regroup(seqs[k], block, start, np.maximum(digit[seqs[k]], dropped))
+        node[split] = (number[key] + 1) * moving - 1
+        doubt[neighbours(separator)[0]] = 0xFF
+    return np.stack(columns, axis=1), along, DissectionTree(*map(tuple, tree))
 
 
-def dissection_order(points, coupling) -> np.ndarray:
-    """Nested-dissection elimination order of a point set.
+def dissection_order(points, coupling, ancestor=None):
+    """Nested-dissection elimination order of a point set, and its tree.
 
     The points sorted by their ``_dissection_paths``, so that each node's
     two halves come before its separator.  Inside a separator or a leaf
     they follow the last cut they met, then their coordinates: the order
     depends on the geometry and the coupling pattern, not on the numbering
-    of the points.
+    of the points.  Returns (order, tree), ``tree`` the ``DissectionTree``
+    to pass as the ``ancestor`` of a refinement of the points.
     """
     points = np.asarray(points, dtype=float)
-    paths, along = _dissection_paths(points, coupling)
-    return np.lexsort((points[:, 1], points[:, 0], along) + tuple(paths.T[::-1]))
+    paths, along, tree = _dissection_paths(points, coupling, ancestor)
+    keys = []  # each path's digits in base 3, 39 levels to an int64 key (3**39 < 2**63)
+    for digits in np.split(paths.T, range(39, paths.shape[1], 39)):
+        key = np.zeros(len(points), dtype=np.int64)
+        for digit in digits:
+            key *= 3
+            key += digit
+        keys.append(key)
+    return np.lexsort((points[:, 1], points[:, 0], along) + tuple(keys[::-1])), tree
 
 
 def data_values(fun, points, name: str, vector: bool = False) -> np.ndarray:

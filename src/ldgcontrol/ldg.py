@@ -422,6 +422,12 @@ class BlockOperator:
             self._state_lu = Factorization(_condensation_operators(self)[2], _node_order(self))
         return self._state_lu
 
+    def release(self):
+        """Drop the factorization of S and the flux-elimination operators, with
+        the variational load built from them; the next use rebuilds them.  The
+        node order, and with it the mesh's dissection tree, stay."""
+        self._state_lu = self._condensation = self._qp_load = None
+
 
 def _volume_tables(mesh):
     """Element rule data: (rule, lam (k, 3), grads (nt, 3, 2), int_lam (nt, 3))."""

@@ -38,7 +38,9 @@ elimination order, with diagonal pivots, and iterative refinement that
 raises ``SingularSystemError`` when the factorization fails, produces
 non-finite entries or the refinement stalls.  The order comes from one
 nested dissection of the P1 nodes, the unknowns of S, in the coupling
-graph of S (``geometry.dissection_order``, cached per operator set).
+graph of S (``geometry.dissection_order``, cached per operator set),
+derived from the dissection tree of the nearest ordered coarser mesh of
+the refinement chain when there is one.
 The two reference systems keep the unknowns of a P1 node together at its
 rank (q, y, p, z block by block, each control with the node at its
 boundary vertex).  At 8192 elements this factors S with 1.36 M nonzeros
@@ -125,9 +127,23 @@ class Factorization:
         self.order = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
         if self.order.shape != (n,) or not np.array_equal(np.sort(self.order), np.arange(n)):
             raise ValueError("the elimination order must be a permutation of the unknowns")
+        # matrix[order][:, order] in CSC form from one gather along the
+        # compressed axis, the other indices relabelled through the inverse
+        # order; the CSC conversion of a CSR gather sorts them again
+        if self.matrix.format == "csr":
+            permuted = self.matrix[self.order]
+        else:
+            permuted = self.matrix[:, self.order]
+        inverse = np.empty(n, dtype=permuted.indices.dtype)
+        inverse[self.order] = np.arange(n, dtype=inverse.dtype)
+        permuted.indices = inverse[permuted.indices]
+        permuted.has_sorted_indices = False
+        if permuted.format == "csr":
+            permuted = permuted.tocsc()
+        else:
+            permuted.sort_indices()
         try:
-            self.lu = spla.splu(self.matrix[self.order][:, self.order].tocsc(),
-                                permc_spec="NATURAL", diag_pivot_thresh=0.0,
+            self.lu = spla.splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                                 options={"SymmetricMode": True})
         except RuntimeError as exc:  # scipy reports 'Factor is exactly singular'
             raise SingularSystemError(f"sparse LU failed: {exc}") from exc
@@ -356,11 +372,18 @@ def _node_order(ops):
     """Nested-dissection order of the P1 nodes in the coupling graph of S.
 
     Cached per assembled operator set; every factorization of ``ops``
-    derives its elimination order from it (see ``_system_order``).
+    derives its elimination order from it (see ``_system_order``).  The
+    dissection tree of the nearest mesh up ``Mesh.parent_mesh`` that has
+    been ordered is the ancestor of this one, and this one is kept as
+    ``ops.mesh.dissection`` for the meshes that refine it.
     """
     if ops._node_order is None:
         S = _condensation_operators(ops)[2]
-        ops._node_order = dissection_order(_node_points(ops.mesh), S)
+        ancestor = ops.mesh.parent_mesh
+        while ancestor is not None and ancestor.dissection is None:
+            ancestor = ancestor.parent_mesh
+        ops._node_order, ops.mesh.dissection = dissection_order(
+            _node_points(ops.mesh), S, None if ancestor is None else ancestor.dissection)
     return ops._node_order
 
 

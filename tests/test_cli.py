@@ -362,6 +362,17 @@ def test_run_example_nested_rows_match_cold_solves(config):
         assert steps[1][0] < steps[1][1]
 
 
+def test_run_example_keeps_only_the_finest_factor():
+    # a solved level's factor of S and elimination cache go once the level
+    # above it is solved; its node order and dissection tree stay
+    kept = []
+    run_example(RunConfig(example=1, levels=(32, 128, 512), epsilon=1e-6), keep_solutions=kept)
+    assert [ops._state_lu is not None for *_, ops, _ in kept] == [False, False, True]
+    assert [ops._condensation is not None for *_, ops, _ in kept] == [False, False, True]
+    assert all(ops._node_order is not None and mesh.dissection is not None
+               for _, mesh, ops, _ in kept)
+
+
 @pytest.mark.parametrize("epsilon", [1.0, 1e-6])
 def test_example1_variational_rows_equal_full_rows(epsilon):
     # unconstrained, the variational control is the trace combination the

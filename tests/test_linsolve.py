@@ -1,5 +1,7 @@
 """Tests of the direct solver and the optimality-system solve paths."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -157,19 +159,108 @@ def ex2_ops_2048():
 
 def test_dissection_order_is_a_permutation(ex2_ops_2048):
     factor = ex2_ops_2048.state_factorization()
-    order = dissection_order(linsolve._node_points(ex2_ops_2048.mesh), factor.matrix)
+    order, _ = dissection_order(linsolve._node_points(ex2_ops_2048.mesh), factor.matrix)
     assert np.array_equal(np.sort(order), np.arange(3 * ex2_ops_2048.num_elements))
     assert np.array_equal(factor.order, order)
 
 
-def test_top_level_halves_are_uncoupled_in_S(ex2_ops_2048):
-    S = ex2_ops_2048.state_factorization().matrix
-    paths, _ = _dissection_paths(linsolve._node_points(ex2_ops_2048.mesh), S)
-    top = paths[:, 0]
-    assert (top == 0).sum() > 2500 and (top == 1).sum() > 2500
-    assert 0 < (top == 2).sum() <= 64
-    assert S[top == 0][:, top == 1].nnz == 0
-    assert S[top == 1][:, top == 0].nnz == 0
+def assert_halves_uncoupled(paths, S):
+    """At every tree level, no entry of S couples the two halves of a node."""
+    rows, cols = S.nonzero()
+    prefix = np.zeros(len(paths), dtype=np.int64)  # a node's path, in base 3
+    for digits in paths.T:
+        same = prefix[rows] == prefix[cols]  # a point placed above has a 2 in it
+        assert not np.any(same & (digits[rows] + digits[cols] == 1))
+        prefix = 3 * prefix + digits
+
+
+def ex2_level(mesh):
+    ops = assemble_forms(mesh, build_spaces(mesh), example2_data())
+    return linsolve._node_points(mesh), linsolve._condensation_operators(ops)[2]
+
+
+@pytest.fixture(scope="module")
+def ex2_tree_512():
+    mesh = chain_mesh_2048().parent_mesh
+    return mesh, dissection_order(*ex2_level(mesh))[1]
+
+
+def test_top_level_halves_are_uncoupled_in_S(ex2_tree_512, ex2_ops_2048):
+    # every tree level: fresh at 2048 elements, and inherited from 512
+    # elements one level up and two levels up (the skip of the example-2
+    # reference over 2048)
+    coarse, tree = ex2_tree_512
+    fine = refine_uniform(coarse)
+    # the smallest half and the largest separator of the root: 2500 and 64
+    # points at 2048 elements, four times and twice that at 8192
+    for mesh, ancestor, half, separator in ((ex2_ops_2048.mesh, None, 2500, 64),
+                                            (fine, tree, 2500, 64),
+                                            (refine_uniform(fine), tree, 10000, 128)):
+        points, S = ex2_level(mesh)
+        paths, _, derived = _dissection_paths(points, S, ancestor)
+        top = paths[:, 0]
+        assert (top == 0).sum() > half and (top == 1).sum() > half
+        assert 0 < (top == 2).sum() <= separator
+        assert_halves_uncoupled(paths, S)
+        assert len(derived.axis) == paths.shape[1]
+        if ancestor is not None:  # the nodes that descend from cut ones keep their directions
+            pairs = np.array([[0, 0]])  # (ancestor node, derived node) at each level
+            for level in range(len(ancestor.axis) - 1):
+                cut = ancestor.axis[level][pairs[:, 0]] >= 0
+                assert np.array_equal(derived.axis[level][pairs[cut, 1]],
+                                      ancestor.axis[level][pairs[cut, 0]])
+                pairs = np.stack([ancestor.child[level][pairs[cut, 0]].ravel(),
+                                  derived.child[level][pairs[cut, 1]].ravel()], axis=1)
+                pairs = pairs[(pairs >= 0).all(axis=1)]
+            assert pairs.size
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param("ex1", id="ex1-eps1e-6"),
+    pytest.param("ex2", id="ex2"),
+    pytest.param("ex3", id="ex3-diag2"),
+])
+def test_inherited_fill_matches_the_fresh_order(case):
+    # 512 -> 2048 elements on the refinement chain: the level below orders
+    # first, the finer level derives its tree from that one
+    if case == "ex3":
+        coarse, data = example3_mesh(4, "diag2"), example3_data()
+    else:
+        coarse = chain_mesh_2048().parent_mesh
+        data = (manufactured_example1(epsilon=1e-6).problem_data() if case == "ex1"
+                else example2_data())
+    assemble_forms(coarse, build_spaces(coarse), data).state_factorization()
+    assert coarse.dissection is not None
+    mesh = refine_uniform(coarse)
+    assert mesh.num_elements == 2048
+    ops = assemble_forms(mesh, build_spaces(mesh), data)
+    inherited = ops.state_factorization()
+    fresh, _ = dissection_order(linsolve._node_points(mesh), inherited.matrix)
+    assert not np.array_equal(inherited.order, fresh)
+    assert inherited.fill <= 1.05 * Factorization(inherited.matrix, fresh).fill
+    assert mesh.dissection is not None
+
+
+def order_digest(order):
+    return hashlib.sha1(np.asarray(order, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("which", ["square", "relabelled", "unordered-chain"])
+def test_mesh_without_an_ordered_ancestor_is_ordered_afresh(which, ex2_ops_2048):
+    if which == "square":
+        mesh = build_unit_square_mesh(8)
+    elif which == "relabelled":
+        base = ex2_ops_2048.mesh
+        mesh = Mesh(base.vertices, base.triangles[np.random.default_rng(5).permutation(2048)])
+    else:  # refined from meshes that were never ordered
+        mesh = refine_uniform(refine_uniform(build_unit_square_mesh(4)))
+    ops = assemble_forms(mesh, build_spaces(mesh), example2_data())
+    points, S = linsolve._node_points(mesh), linsolve._condensation_operators(ops)[2]
+    assert np.array_equal(linsolve._node_order(ops), dissection_order(points, S)[0])
+    # the order of the nested dissection before trees were inherited
+    expected = {"square": "c29ff968f9fa317a", "unordered-chain": "b3b1bd09188170a2"}
+    if which in expected:
+        assert order_digest(linsolve._node_order(ops)) == expected[which]
 
 
 def test_state_fill_does_not_depend_on_element_numbering(ex2_ops_2048):
@@ -205,6 +296,19 @@ def test_state_factor_keeps_S_without_a_copy(ex2_ops_2048):
     assert np.shares_memory(ex2_ops_2048.state_factorization().matrix.data, S.data)
     assert Factorization(S.tocoo()).matrix.format == "csc"
     assert Factorization(np.eye(3)).matrix.format == "csc"
+
+
+def test_permuted_factor_is_bit_identical_to_the_gathered_one(ex2_ops_2048):
+    # one row gather and relabelled indices give the factor of the double
+    # gather matrix[order][:, order], to the last bit, for CSR and CSC input
+    S, order = ex2_ops_2048.state_factorization().matrix, ex2_ops_2048.state_factorization().order
+    reference = spla.splu(S[order][:, order].tocsc(), permc_spec="NATURAL",
+                          diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    for matrix in (S, S.tocsc()):
+        lu = Factorization(matrix, order).lu
+        for ours, theirs in ((lu.L, reference.L), (lu.U, reference.U)):
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(ours, part), getattr(theirs, part))
 
 
 def test_state_factor_solves_without_refinement(ex2_ops_2048):
