@@ -46,7 +46,7 @@ from .control import PdasNonconvergence, fd_gradient_check, pdas_solve, reduced_
 from .geometry import _text_lines, build_unit_square_mesh, refine_uniform, write_mesh_text
 from .ldg import assemble_forms, export_matrix_market
 from .linsolve import SingularSystemError, solve_optimality_system
-from .spaces import build_spaces, write_vtk
+from .spaces import write_vtk
 
 __all__ = ["RunConfig", "ConfigError", "run_example", "emit_table", "emit_fields", "main"]
 
@@ -252,7 +252,7 @@ def _mesh_chain(config: RunConfig) -> list:
 def _solve_level(mesh, data, config: RunConfig, elements: int, start=None):
     """Assemble one level and solve it, from ``start`` (a solution on an
     ancestor mesh, see ``pdas_solve``) or from a cold start."""
-    ops = assemble_forms(mesh, build_spaces(mesh), data)
+    ops = assemble_forms(mesh, data)
     try:
         sol = pdas_solve(ops, data, mode=config.mode, u0=start,
                          max_iter=config.pdas_max_iter)
@@ -401,7 +401,7 @@ def _battery(seed: int = 0):
 
     data = case.problem_data()
     mesh = build_unit_square_mesh(4)
-    ops = assemble_forms(mesh, build_spaces(mesh), data)
+    ops = assemble_forms(mesh, data)
 
     factor = ops.state_factorization()
     dual_gap = 0.0
@@ -418,14 +418,14 @@ def _battery(seed: int = 0):
     n_u = ops.M_Gamma.shape[0]
     worst = 0.0
     for _ in range(3):
-        rep = fd_gradient_check(ops, data, np.zeros(n_u), rng.standard_normal(n_u))
+        rep = fd_gradient_check(ops, np.zeros(n_u), rng.standard_normal(n_u))
         worst = max(worst, rep.mismatch)
     yield ("adjoint gradient matches finite differences",
            worst <= 1e-7, f"max mismatch {worst:.2e}")
 
     data2 = example2_data()
     mesh2 = build_unit_square_mesh(8)
-    ops2 = assemble_forms(mesh2, build_spaces(mesh2), data2)
+    ops2 = assemble_forms(mesh2, data2)
     sol2 = pdas_solve(ops2, data2, mode="full")
     vals = sol2.u.coefficients
     in_bounds = (vals.min() >= data2.u_lower - 1e-10
@@ -450,7 +450,7 @@ def _battery(seed: int = 0):
 
     coarse_mesh = build_unit_square_mesh(4)
     fine_mesh = refine_uniform(coarse_mesh)
-    ops_c, ops_f = (assemble_forms(m, build_spaces(m), data2) for m in (coarse_mesh, fine_mesh))
+    ops_c, ops_f = (assemble_forms(m, data2) for m in (coarse_mesh, fine_mesh))
     gaps, steps = [], []
     for mode in ("full", "variational"):
         cold = pdas_solve(ops_f, data2, mode=mode)
@@ -467,7 +467,7 @@ def _battery(seed: int = 0):
            + ", variational ".join(f"{w}/{c}" for w, c in steps))
 
     mesh_nd = build_unit_square_mesh(32)
-    factor = assemble_forms(mesh_nd, build_spaces(mesh_nd), example2_data()).state_factorization()
+    factor = assemble_forms(mesh_nd, example2_data()).state_factorization()
     errors = []
     for trans, op in (("N", factor.matrix), ("T", factor.matrix.T)):
         b = rng.standard_normal(op.shape[0])

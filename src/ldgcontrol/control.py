@@ -320,19 +320,19 @@ class FdGradientCheck:
     step: float
 
 
-def fd_gradient_check(ops: BlockOperator, data: ProblemData, u, delta_u,
-                      step: float = None) -> FdGradientCheck:
-    """Central-difference check of the adjoint-based reduced gradient.
+def fd_gradient_check(ops: BlockOperator, u, delta_u) -> FdGradientCheck:
+    """Central-difference check of the adjoint-based reduced gradient for
+    the problem data ``ops`` was assembled with.
 
     ``u`` and ``delta_u`` are control DOF vectors (or boundary fields).
     The reduced cost is quadratic, so the central difference matches the
-    adjoint value up to roundoff for any sensible step.
+    adjoint value up to roundoff for any sensible step; the step is 1e-5
+    relative to the largest control value.
     """
-    dofmap = ops.spaces.control
+    dofmap, data = ops.spaces.control, ops.data
     uc = u.coefficients if isinstance(u, DiscreteField) else np.asarray(u, dtype=float)
     dc = delta_u.coefficients if isinstance(delta_u, DiscreteField) else np.asarray(delta_u, dtype=float)
-    if step is None:
-        step = 1e-5 * max(1.0, float(np.max(np.abs(uc))))
+    step = 1e-5 * max(1.0, float(np.max(np.abs(uc))))
 
     def cost_of(coeffs):
         fld = DiscreteField(dofmap, coeffs)

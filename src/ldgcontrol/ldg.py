@@ -16,28 +16,22 @@ where the forms are
                - sum_{boundary E} integral sqrt(eps) y r.n,
     c(y, v)  = sum_K integral (alpha y v - y beta . grad(v))
                + sum_{interior E} integral ({y} + D11 . [y]) beta . [v]
-               + sum_{interior E} s_pen sqrt(eps) C11 integral [y] . [v]
+               - sum_{interior E} sqrt(eps) C11 integral [y] . [v]
                + sum_{outflow E} integral (beta . n) y v
-               + sum_{boundary E} s_pen sqrt(eps) C11 integral y v,
+               - sum_{boundary E} sqrt(eps) C11 integral y v,
     m1(u, r) = - sum_{boundary E} integral sqrt(eps) u r.n,
     m2(u, v) = sum_{boundary E} integral kappa u v,
-        with kappa = s_pen sqrt(eps) C11 + [edge inflow] |beta . n|,
+        with kappa = -sqrt(eps) C11 + [edge inflow] |beta . n|,
     F(v)     = integral f v.
 
 b is assembled in its integrated-by-parts shape above; the equivalent
 divergence shape (volume term -y div(r), interior-edge upwinded trace, no
 boundary term) is provided separately for cross-checking.  The edge
 coefficients are C11 = eps/h_E, C12 . n = sign(n . v12)/2 for a fixed
-auxiliary direction v12, and D11 . n = sign(n . beta)/2 (upwinding).
-
-``s_pen`` is the sign applied to every C11 occurrence (including kappa).
-The default -1 realizes the flux convention q_hat = q - C11 (y - u) n in
-which the penalty enters the operator negatively and is balanced by the
-control data; +1 gives the classically coercive jump-penalized variant.
-Both reproduce globally linear solutions exactly and both yield
-nonsingular forward operators on the meshes used here; the -1 convention
-is what the convergence references in the analysis module were computed
-with.
+auxiliary direction v12 (0, a central flux, on edges with n orthogonal
+to v12), and D11 . n = sign(n . beta)/2 (upwinding).  The penalty enters
+with the numerical flux q_hat = q - C11 (y - u) n, negatively, balanced
+by the control data.
 
 ``FluxParameters`` owns the edge coefficients C11, C12 . n and D11 . n;
 the inflow mask of the boundary edges, read from the same array of
@@ -70,7 +64,8 @@ triplets and a sort.
 Data (beta, alpha, f, y_desired, a callable control or adjoint
 right-hand side) is a constant or a callable on whole point arrays
 (..., 2); ``geometry.data_values`` evaluates it, once per stacked array,
-and checks the shape and finiteness of the values.
+and checks the shape and finiteness of the values.  The volume terms
+reject a negative alpha.
 
 The state and adjoint solves eliminate the flux element by element and
 share one factorization of S = C + B' A^-1 B (the adjoint uses its
@@ -92,7 +87,6 @@ from .spaces import (
     FORM_DEGREE,
     DiscreteField,
     SpaceSet,
-    build_spaces,
     edge_basis_values,
     edge_points,
     edge_trace_table,
@@ -133,20 +127,16 @@ class ProblemData:
         omega : control regularization weight (> 0, finite).
         beta : velocity field, callable or a constant 2-vector; must be
             divergence free.
-        alpha : reaction coefficient, callable or constant (>= 0).
+        alpha : reaction coefficient, callable or constant (>= 0, checked
+            where the volume terms evaluate it).
         f : source term, callable or constant.
         y_desired : target state, callable or constant.
         u_lower / u_upper : control bounds (-inf/+inf for unconstrained;
             never NaN).
         c12_direction : auxiliary direction fixing the C12 edge switches; the
             default has an irrational slope so it is never orthogonal to an
-            axis-aligned or diagonal edge normal.
-        c12_tie : value assigned to C12.n on edges with n exactly orthogonal
-            to c12_direction.  Default +1/2 (deterministic tie-break); 0
-            selects a central flux on tie edges, which together with
-            c12_direction = beta matches the reference convergence tables.
-        penalty_sign : sign multiplying every C11 term (-1 = numerical-flux
-            convention, the default; +1 = coercive jump penalization).
+            axis-aligned or diagonal edge normal; edges with a normal
+            orthogonal to it take the central flux C12.n = 0.
     """
 
     epsilon: float
@@ -158,8 +148,6 @@ class ProblemData:
     u_lower: float = -np.inf
     u_upper: float = np.inf
     c12_direction: tuple = (1.0, np.pi / 1000.0)
-    c12_tie: float = 0.5
-    penalty_sign: int = -1
 
     def __post_init__(self):
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
@@ -170,15 +158,11 @@ class ProblemData:
             raise ValueError("control bounds must not be NaN")
         if self.u_lower > self.u_upper:
             raise ValueError("lower control bound exceeds the upper bound")
-        if self.penalty_sign not in (+1, -1):
-            raise ValueError("penalty_sign must be +1 or -1")
         direction = np.asarray(self.c12_direction, dtype=float)
         if not np.all(np.isfinite(direction)):
             raise ValueError("c12_direction must be finite")
         if not np.any(direction):
             raise ValueError("c12_direction must be a nonzero vector")
-        if not abs(self.c12_tie) <= 0.5:
-            raise ValueError("c12_tie must lie in [-1/2, 1/2]")
 
     @property
     def sqrt_eps(self) -> float:
@@ -231,20 +215,20 @@ class FluxParameters:
         beta_mid = data_values(data.beta, mesh.edge_midpoints(), "beta", vector=True)
         beta_n = np.sum(beta_mid * n0, axis=1)
         self.c11 = data.epsilon / mesh.edge_lengths
-        self.c12n = np.where(np.abs(sv) <= 1e-12 * float(np.linalg.norm(v12)), data.c12_tie,
+        self.c12n = np.where(np.abs(sv) <= 1e-12 * float(np.linalg.norm(v12)), 0.0,
                              np.where(sv > 0.0, 0.5, -0.5))
         self.d11n = np.where(beta_n >= 0.0, 0.5, -0.5)
         self.inflow = mesh.boundary_mask & (beta_n < 0.0)
 
     def kappa(self, edges, s):
-        """Boundary weight s_pen sqrt(eps) C11 + [inflow] |beta . n| at
+        """Boundary weight -sqrt(eps) C11 + [inflow] |beta . n| at
         parameters ``s`` of boundary ``edges`` (they broadcast), with beta
         taken at those points and the inflow flag per edge."""
         data = self.data
         n = self.mesh.edge_normals[edges, 0]
         beta = data_values(data.beta, edge_points(self.mesh, edges, s), "beta", vector=True)
         beta_n = np.sum(beta * n, axis=-1)
-        return (data.penalty_sign * data.sqrt_eps * self.c11[edges]
+        return (-data.sqrt_eps * self.c11[edges]
                 + np.where(self.inflow[edges], np.abs(beta_n), 0.0))
 
 
@@ -334,7 +318,8 @@ class BoundaryQuadrature:
     and the boundary mass matrix is E_U' W E_U, with W = diag(weights).
     """
 
-    def __init__(self, mesh, spaces, data, flux):
+    def __init__(self, spaces, flux):
+        mesh, data = flux.mesh, flux.data
         ids = mesh.boundary_edges
         xg, wt, L = _edge_quadrature(mesh, ids)
         nq = wt.size
@@ -451,7 +436,12 @@ def _volume_blocks(mesh, data):
     # c: alpha y v - y beta . grad(v), test v = lam_i, trial y = lam_j
     beta_grad = np.einsum("tgd,tid->tgi", data_values(data.beta, pts, "beta", vector=True),
                           grads)  # (nt, k, 3)
-    integrand = (data_values(data.alpha, pts, "alpha")[:, :, None, None] * lam[None, :, None, :]
+    alpha = data_values(data.alpha, pts, "alpha")
+    bad = alpha < 0.0
+    if bad.any():
+        raise ValueError(f"alpha is negative at {int(bad.sum())} of {bad.size} points "
+                         f"(first at x = {pts[bad][0].tolist()})")
+    integrand = (alpha[:, :, None, None] * lam[None, :, None, :]
                  * lam[None, :, :, None] - lam[None, :, None, :] * beta_grad[:, :, :, None])
     C_vol = two_area[:, None, None] * np.einsum("tgij,g->tij", integrand, rule.weights)
     return mass, B_vol, C_vol
@@ -468,16 +458,14 @@ def _coupling(mesh, block_shape, diagonal):
     return layout, data
 
 
-def assemble_forms(mesh: Mesh, spaces: SpaceSet = None, data: ProblemData = None) -> BlockOperator:
-    """Assemble every bilinear form and load vector of the scheme.
+def assemble_forms(mesh: Mesh, data: ProblemData) -> BlockOperator:
+    """Assemble every bilinear form and load vector of the scheme on the
+    spaces of ``mesh``.
 
     Bilinear terms use ``FORM_DEGREE`` rules; the data loads f and
     y_desired use ``DATA_DEGREE`` rules, like the cost (see ``spaces``).
     """
-    if spaces is None:
-        spaces = build_spaces(mesh)
-    if data is None:
-        raise ValueError("problem data is required")
+    spaces = SpaceSet(mesh)
     flux = FluxParameters(mesh, data)
     data.check_divergence_free(mesh.vertices[mesh.triangles].mean(axis=1))
 
@@ -498,9 +486,9 @@ def assemble_forms(mesh: Mesh, spaces: SpaceSet = None, data: ProblemData = None
     # b: -sqrt(eps) (y1 - y2) [(1/2 - c12) r1.n + (1/2 + c12) r2.n]
     rcoef = np.stack([np.where(mesh.boundary_mask, 1.0, 0.5 - flux.c12n), 0.5 + flux.c12n], axis=1)
     coef_B = -sqrt_eps * sign[None, None, :] * rcoef[:, :, None]
-    # c: ({y} + D11 . [y]) beta . [v] and s_pen sqrt(eps) C11 [y] . [v]
+    # c: ({y} + D11 . [y]) beta . [v] and -sqrt(eps) C11 [y] . [v]
     ycoef = np.stack([0.5 + flux.d11n, 0.5 - flux.d11n], axis=1)
-    pen = data.penalty_sign * sqrt_eps * flux.c11
+    pen = -sqrt_eps * flux.c11
     for edges, xg, wt, L, (e, r, s), rows, slots in _edge_chunks(mesh):
         ed = edges[e]
         beta_n = np.einsum("egd,ed->eg", data_values(data.beta, xg, "beta", vector=True),
@@ -517,7 +505,7 @@ def assemble_forms(mesh: Mesh, spaces: SpaceSet = None, data: ProblemData = None
     C = C_layout.matrix(C_data, (nV, nV))
     del C_data
 
-    bq = BoundaryQuadrature(mesh, spaces, data, flux)
+    bq = BoundaryQuadrature(spaces, flux)
     return BlockOperator(
         mesh, spaces, data, flux,
         A=A, B=B, C=C,
@@ -531,9 +519,9 @@ def assemble_forms(mesh: Mesh, spaces: SpaceSet = None, data: ProblemData = None
     )
 
 
-def assemble_divergence_form_b(mesh: Mesh, spaces: SpaceSet, data: ProblemData,
-                               flux: FluxParameters) -> sp.csr_matrix:
-    """The flux coupling b assembled from its divergence shape.
+def assemble_divergence_form_b(flux: FluxParameters) -> sp.csr_matrix:
+    """The flux coupling b assembled from its divergence shape, on the
+    mesh and data of ``flux``.
 
     b(y, r) = - sum_K integral sqrt(eps) y div(r)
               + sum_{interior E} integral sqrt(eps) ({y} + C12 . [y]) [r]
@@ -541,8 +529,8 @@ def assemble_divergence_form_b(mesh: Mesh, spaces: SpaceSet, data: ProblemData,
     with the scalar jump [r] = r1.n1 + r2.n2.  Must agree entrywise with the
     integrated-by-parts shape produced by assemble_forms.
     """
-    nt = mesh.num_elements
-    sqrt_eps = data.sqrt_eps
+    mesh = flux.mesh
+    nt, sqrt_eps = mesh.num_elements, flux.data.sqrt_eps
     _, _, grads, int_lam = _volume_tables(mesh)
     # volume: -sqrt(eps) y div(r); div of basis (i, comp) is grads[:, i, comp]
     layout, vals = _coupling(mesh, (6, 3), (
@@ -557,7 +545,7 @@ def assemble_divergence_form_b(mesh: Mesh, spaces: SpaceSet, data: ProblemData,
         ed = edges[e]
         np.add.at(vals, layout.positions(rows, slots), _flux_edge_blocks(
             mesh.edge_normals[ed, 0], _gram(wt, L)[e, r, s], coef[ed, r, s]))
-    return layout.matrix(vals, (spaces.flux.num_dofs, spaces.potential.num_dofs))
+    return layout.matrix(vals, (6 * nt, 3 * nt))
 
 
 def solve_state(ops: BlockOperator, u):

@@ -10,12 +10,11 @@ edges:
   per edge (2b), used for boundary controls.
 
 All local bases are nodal (vertex values), which keeps traces, jumps and
-active-set logic on controls straightforward.  Quadrature rules of
-exactness degree up to 6 are tabulated for the reference triangle and
-generated with Gauss-Legendre nodes on the reference edge [0, 1].  The
-scheme uses two of them: ``FORM_DEGREE`` for the bilinear forms and the
-pointwise (variational) controls, ``DATA_DEGREE`` for the data loads, the
-cost and the error norms.
+active-set logic on controls straightforward.  The scheme uses two
+quadrature accuracies, tabulated for the reference triangle and generated
+with Gauss-Legendre nodes on the reference edge [0, 1]: ``FORM_DEGREE``
+for the bilinear forms and the pointwise (variational) controls,
+``DATA_DEGREE`` for the data loads, the cost and the error norms.
 
 Evaluation is batched: in ``eval_field(field, elements, points)`` and
 ``trace_on_edge(field, edges, side, s)`` the ids broadcast against the
@@ -36,9 +35,7 @@ __all__ = [
     "QuadratureRule",
     "FORM_DEGREE",
     "DATA_DEGREE",
-    "build_dof_map",
     "SpaceSet",
-    "build_spaces",
     "quadrature_rule",
     "l2_project",
     "eval_field",
@@ -54,8 +51,6 @@ SCALAR = "scalar-element"
 VECTOR = "vector-element"
 BOUNDARY = "boundary-edge"
 
-_MAX_DEGREE = 6
-
 # Rule degree of the bilinear forms.  Their integrands are products of two
 # P1 functions, times the velocity or reaction coefficient in the
 # convection-reaction terms, so degree 4 is exact for coefficients of
@@ -65,15 +60,12 @@ _MAX_DEGREE = 6
 FORM_DEGREE = 4
 # Rule degree of the data loads (f, y_desired), the tracking cost and the
 # error norms.  Data and exact solutions are not polynomial, so they take
-# the highest tabulated rule, and the cost and its adjoint gradient share
+# the more accurate rule, and the cost and its adjoint gradient share
 # one quadrature of the target.
 DATA_DEGREE = 6
 
 # Symmetric positive-weight rules on the reference triangle (0,0)-(1,0)-(0,1),
 # listed as (points, weights) with weights summing to the reference area 1/2.
-# The degree-3 slot reuses the 6-point degree-4 rule: the classical 4-point
-# degree-3 rule has a negative centroid weight, which we exclude so that all
-# rules can serve as positive inner-product weights.
 
 
 def _perm3(a):
@@ -87,28 +79,16 @@ def _perm_pair(a, b):
 
 def _triangle_rules():
     rules = {}
-    rules[1] = (np.array([[1.0 / 3.0, 1.0 / 3.0]]), np.array([0.5]))
-    rules[2] = (
-        np.array(_perm3(1.0 / 6.0)),
-        np.full(3, 1.0 / 6.0),
-    )
     a1, w1 = 0.445948490915965, 0.223381589678011
     a2, w2 = 0.091576213509771, 0.109951743655322
-    rules[4] = (
+    rules[FORM_DEGREE] = (
         np.array(_perm3(a1) + _perm3(a2)),
         0.5 * np.array([w1] * 3 + [w2] * 3),
-    )
-    rules[3] = rules[4]
-    a1, w1 = 0.470142064105115, 0.132394152788506
-    a2, w2 = 0.101286507323456, 0.125939180544827
-    rules[5] = (
-        np.array([(1.0 / 3.0, 1.0 / 3.0)] + _perm3(a1) + _perm3(a2)),
-        0.5 * np.array([0.225] + [w1] * 3 + [w2] * 3),
     )
     a1, w1 = 0.249286745170910, 0.116786275726379
     a2, w2 = 0.063089014491502, 0.050844906370207
     a3, b3, w3 = 0.310352451033785, 0.053145049844816, 0.082851075618374
-    rules[6] = (
+    rules[DATA_DEGREE] = (
         np.array(_perm3(a1) + _perm3(a2) + _perm_pair(a3, b3)),
         0.5 * np.array([w1] * 3 + [w2] * 3 + [w3] * 6),
     )
@@ -116,9 +96,9 @@ def _triangle_rules():
 
 
 _TRIANGLE_RULES = _triangle_rules()
-# Gauss-Legendre rules on [-1, 1] by point count
-_EDGE_RULES = {npts: np.polynomial.legendre.leggauss(npts)
-               for npts in range(1, (_MAX_DEGREE + 2) // 2 + 1)}
+# Gauss-Legendre rules on [-1, 1] by degree: n points are exact to 2n - 1
+_EDGE_RULES = {degree: np.polynomial.legendre.leggauss((degree + 2) // 2)
+               for degree in (FORM_DEGREE, DATA_DEGREE)}
 
 
 class QuadratureRule:
@@ -140,18 +120,18 @@ class QuadratureRule:
 
 
 def quadrature_rule(entity: str, degree: int) -> QuadratureRule:
-    """Return a rule exact at least to ``degree`` (supported: 1..6)."""
-    if not 1 <= degree <= _MAX_DEGREE:
-        raise ValueError(f"quadrature degree {degree} unsupported (need 1..{_MAX_DEGREE})")
+    """Return a rule exact at least to ``degree``, which is ``FORM_DEGREE``
+    or ``DATA_DEGREE``."""
+    if degree not in (FORM_DEGREE, DATA_DEGREE):
+        raise ValueError(f"quadrature degree {degree} unsupported "
+                         f"(need {FORM_DEGREE} or {DATA_DEGREE})")
     if entity == "triangle":
         pts, w = _TRIANGLE_RULES[degree]
-        actual = 4 if degree == 3 else degree
-        return QuadratureRule(entity, pts.copy(), w.copy(), actual)
+        return QuadratureRule(entity, pts.copy(), w.copy(), degree)
     if entity == "edge":
-        npts = (degree + 2) // 2
-        x, w = _EDGE_RULES[npts]
+        x, w = _EDGE_RULES[degree]
         # map from [-1, 1] to [0, 1]
-        return QuadratureRule(entity, 0.5 * (x + 1.0), 0.5 * w, 2 * npts - 1)
+        return QuadratureRule(entity, 0.5 * (x + 1.0), 0.5 * w, 2 * len(x) - 1)
     raise ValueError(f"unknown quadrature entity {entity!r}")
 
 
@@ -260,10 +240,6 @@ class DofMap:
             self.boundary_index[mesh.boundary_edges] = np.arange(len(mesh.boundary_edges))
 
 
-def build_dof_map(mesh: Mesh, kind: str) -> DofMap:
-    return DofMap(mesh, kind)
-
-
 class SpaceSet:
     """The three discrete spaces of the mixed scheme on one mesh:
     flux space (vector), potential space (scalar), control space (boundary)."""
@@ -273,10 +249,6 @@ class SpaceSet:
         self.flux = DofMap(mesh, VECTOR)
         self.potential = DofMap(mesh, SCALAR)
         self.control = DofMap(mesh, BOUNDARY)
-
-
-def build_spaces(mesh: Mesh) -> SpaceSet:
-    return SpaceSet(mesh)
 
 
 class DiscreteField:
@@ -293,9 +265,6 @@ class DiscreteField:
                 f"{dofmap.num_dofs} dofs"
             )
         self.coefficients = coefficients
-
-    def copy(self) -> "DiscreteField":
-        return DiscreteField(self.dofmap, self.coefficients.copy())
 
 
 def l2_project(f, dofmap: DofMap) -> DiscreteField:

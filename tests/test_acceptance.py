@@ -43,7 +43,7 @@ from ldgcontrol.ldg import (
     solve_adjoint,
     solve_state,
 )
-from ldgcontrol.spaces import DiscreteField, DofMap, build_spaces, l2_project
+from ldgcontrol.spaces import DiscreteField, DofMap, l2_project
 
 # frozen reference errors: elements -> (err_y, err_u, err_z, err_pn)
 TABLE_SMOOTH_EPS1 = {
@@ -78,7 +78,7 @@ def _error_row(case, sol, mesh, epsilon):
         "err_y": error_l2_domain(sol.y, case.y),
         "err_u": error_l2_boundary(sol.u, case.u, mesh),
         "err_z": error_l2_boundary(sol.z, case.z, mesh),
-        "err_pn": error_flux_normal_boundary(sol.p, case.grad_z, epsilon, mesh),
+        "err_pn": error_flux_normal_boundary(sol.p, case.grad_z, epsilon),
     }
 
 
@@ -94,11 +94,11 @@ def ex1_table():
     t0 = time.perf_counter()
     rows = []
     for mesh in unit_square_sequence(5, base_n=4):  # 32 ... 8192 elements
-        ops = assemble_forms(mesh, build_spaces(mesh), data)
+        ops = assemble_forms(mesh, data)
         sol = pdas_solve(ops, data)
         row = {"elements": mesh.num_elements, "iterations": sol.iterations}
         row.update(_error_row(case, sol, mesh, data.epsilon))
-        row["bound_rhs"] = galerkin_diagnostics(case, mesh, ops).bound_rhs
+        row["bound_rhs"] = galerkin_diagnostics(case, ops).bound_rhs
         rows.append(row)
         del ops, sol
     return {"rows": rows, "elapsed": time.perf_counter() - t0, "omega": data.omega}
@@ -112,7 +112,7 @@ def ex1_small_eps_table():
     t0 = time.perf_counter()
     rows = []
     for mesh in unit_square_sequence(6, base_n=4):  # 32 ... 32768 elements
-        ops = assemble_forms(mesh, build_spaces(mesh), data)
+        ops = assemble_forms(mesh, data)
         sol = pdas_solve(ops, data)
         row = {"elements": mesh.num_elements}
         row.update(_error_row(case, sol, mesh, data.epsilon))
@@ -129,14 +129,14 @@ def ex2_study():
     t0 = time.perf_counter()
     meshes = unit_square_sequence(6, base_n=4)  # 32 ... 32768 elements
     ref_mesh = meshes[-1]
-    ref_ops = assemble_forms(ref_mesh, build_spaces(ref_mesh), data)
+    ref_ops = assemble_forms(ref_mesh, data)
     ref_sol = pdas_solve(ref_ops, data)
     ref_iterations = ref_sol.iterations
     ref_ops._condensation = None  # drop the cached elimination operators
     rows = {"full": {}, "variational": {}}
     stats = {}
     for mesh in meshes[:4]:  # 32 ... 2048 elements
-        ops = assemble_forms(mesh, build_spaces(mesh), data)
+        ops = assemble_forms(mesh, data)
         for tag in ("full", "variational"):
             sol = pdas_solve(ops, data, mode=tag)
             rows[tag][mesh.num_elements] = reference_compare(sol, ref_sol)
@@ -179,10 +179,10 @@ def ex3_study():
     for _ in range(6):  # 3 -> 12 ... 12288 elements
         meshes.append(refine_uniform(meshes[-1]))
     ref_sol = pdas_solve(
-        assemble_forms(meshes[-1], build_spaces(meshes[-1]), data), data)
+        assemble_forms(meshes[-1], data), data)
     rows = []
     for mesh in meshes[1:-1]:  # 12 ... 3072 elements
-        ops = assemble_forms(mesh, build_spaces(mesh), data)
+        ops = assemble_forms(mesh, data)
         sol = pdas_solve(ops, data)
         rows.append(reference_compare(sol, ref_sol))
         del ops, sol
@@ -195,7 +195,7 @@ def unbounded_128():
     problem on 128 elements (shared by the mode-agreement criteria)."""
     data = replace(example2_data(), u_lower=-np.inf, u_upper=np.inf)
     mesh = build_unit_square_mesh(8)
-    ops = assemble_forms(mesh, build_spaces(mesh), data)
+    ops = assemble_forms(mesh, data)
     sol_full = pdas_solve(ops, data, mode="full")
     sol_var = pdas_solve(ops, data, mode="variational")
     return ops, sol_full, sol_var
@@ -259,7 +259,7 @@ def test_criterion_03_state_adjoint_duality():
     worst = 0.0
     for n in (8, 16):  # 128- and 512-element meshes
         mesh = build_unit_square_mesh(n)
-        ops = assemble_forms(mesh, build_spaces(mesh), data)
+        ops = assemble_forms(mesh, data)
         dof_u = DofMap(mesh, "boundary-edge")
         for _ in range(20):
             u = rng.standard_normal(ops.M_Gamma.shape[0])
@@ -280,7 +280,7 @@ def test_criterion_04_adjoint_gradient_vs_differences():
     case = manufactured_example1()
     data = case.problem_data()
     mesh = build_unit_square_mesh(8)  # 128 elements
-    ops = assemble_forms(mesh, build_spaces(mesh), data)
+    ops = assemble_forms(mesh, data)
     rng = np.random.default_rng(4711)
     ndof = ops.M_Gamma.shape[0]
     u = rng.standard_normal(ndof)
@@ -288,7 +288,7 @@ def test_criterion_04_adjoint_gradient_vs_differences():
     for _ in range(10):
         direction = rng.standard_normal(ndof)
         direction /= np.linalg.norm(direction)
-        check = fd_gradient_check(ops, data, u, direction)
+        check = fd_gradient_check(ops, u, direction)
         worst = max(worst, check.mismatch)
     passed = worst <= 1e-7
     detail = f"max gradient mismatch {worst:.2e} vs 1e-7 (10 directions)"
@@ -312,9 +312,8 @@ def test_criterion_05_linear_state_consistency():
     worst_y = worst_q = 0.0
     for n in (2, 4, 8):
         mesh = build_unit_square_mesh(n)
-        spaces = build_spaces(mesh)
-        ops = assemble_forms(mesh, spaces, data)
-        u = l2_project(linear, spaces.control)
+        ops = assemble_forms(mesh, data)
+        u = l2_project(linear, ops.spaces.control)
         y_h, q_h = solve_state(ops, u)
         y_exact = linear(mesh.vertices[mesh.triangles]).ravel()
         q_exact = np.tile(grad_flux, 3 * mesh.num_elements)

@@ -31,7 +31,7 @@ from ldgcontrol.geometry import build_unit_square_mesh, data_values, refine_unif
 from ldgcontrol.ldg import assemble_forms
 from ldgcontrol.spaces import (
     DiscreteField,
-    build_spaces,
+    SpaceSet,
     eval_field,
     l2_project,
 )
@@ -42,7 +42,7 @@ from ldgcontrol.spaces import (
 
 def test_domain_error_of_projection_is_tiny():
     mesh = build_unit_square_mesh(3)
-    spaces = build_spaces(mesh)
+    spaces = SpaceSet(mesh)
     lin = lambda x: 2.0 * x[..., 0] - 0.5 * x[..., 1] + 1.0
     field = l2_project(lin, spaces.potential)
     assert error_l2_domain(field, lin) < 1e-12
@@ -50,7 +50,7 @@ def test_domain_error_of_projection_is_tiny():
 
 def test_domain_error_zero_field_vs_constant():
     mesh = build_unit_square_mesh(2)
-    spaces = build_spaces(mesh)
+    spaces = SpaceSet(mesh)
     zero = DiscreteField(spaces.potential, np.zeros(spaces.potential.num_dofs))
     assert error_l2_domain(zero, lambda x: np.ones(x.shape[:-1])) == pytest.approx(1.0, rel=1e-12)
 
@@ -58,7 +58,7 @@ def test_domain_error_zero_field_vs_constant():
 def test_domain_error_zero_field_vs_coordinate():
     # || x_1 ||_{L2} over the unit square is 1/sqrt(3)
     mesh = build_unit_square_mesh(2)
-    spaces = build_spaces(mesh)
+    spaces = SpaceSet(mesh)
     zero = DiscreteField(spaces.potential, np.zeros(spaces.potential.num_dofs))
     err = error_l2_domain(zero, lambda x: x[..., 0])
     assert err == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
@@ -66,7 +66,7 @@ def test_domain_error_zero_field_vs_coordinate():
 
 def test_domain_error_vector_field():
     mesh = build_unit_square_mesh(2)
-    spaces = build_spaces(mesh)
+    spaces = SpaceSet(mesh)
     zero = DiscreteField(spaces.flux, np.zeros(spaces.flux.num_dofs))
     err = error_l2_domain(zero, lambda x: np.broadcast_to([1.0, 0.0], x.shape))
     assert err == pytest.approx(1.0, rel=1e-12)
@@ -75,7 +75,7 @@ def test_domain_error_vector_field():
 def test_boundary_error_constant_mismatch():
     # perimeter of the unit square is 4, so the gap to 1 has norm 2
     mesh = build_unit_square_mesh(3)
-    spaces = build_spaces(mesh)
+    spaces = SpaceSet(mesh)
     zero = DiscreteField(spaces.control, np.zeros(spaces.control.num_dofs))
     one = lambda x: np.ones(x.shape[:-1])
     assert error_l2_boundary(zero, one, mesh=mesh) == pytest.approx(2.0, rel=1e-12)
@@ -83,7 +83,7 @@ def test_boundary_error_constant_mismatch():
 
 def test_boundary_error_of_scalar_trace():
     mesh = build_unit_square_mesh(3)
-    spaces = build_spaces(mesh)
+    spaces = SpaceSet(mesh)
     lin = lambda x: x[..., 0] + 3.0 * x[..., 1]
     field = l2_project(lin, spaces.potential)
     assert error_l2_boundary(field, lin, mesh=mesh) < 1e-12
@@ -93,10 +93,9 @@ def test_flux_normal_error_constant_gradient():
     # zero discrete flux against grad z = (1, 0): the normal component is
     # +-1 on the vertical sides and 0 on the horizontal ones
     mesh = build_unit_square_mesh(2)
-    spaces = build_spaces(mesh)
+    spaces = SpaceSet(mesh)
     zero = DiscreteField(spaces.flux, np.zeros(spaces.flux.num_dofs))
-    err = error_flux_normal_boundary(zero, lambda x: np.broadcast_to([1.0, 0.0], x.shape), 1.0,
-                                     mesh=mesh)
+    err = error_flux_normal_boundary(zero, lambda x: np.broadcast_to([1.0, 0.0], x.shape), 1.0)
     assert err == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
@@ -165,7 +164,6 @@ def test_problem_data_carries_edge_conventions():
     data = case.problem_data()
     assert data.epsilon == 0.25 and data.omega == 2.0
     assert data.c12_direction == tuple(case.beta)
-    assert data.c12_tie == 0.0
 
 
 # ------------------------------------------------------------ example data
@@ -204,7 +202,7 @@ def test_locator_follows_refinement_chain():
     coarse = build_unit_square_mesh(3)
     fine = refine_uniform(refine_uniform(coarse))
     locator = NestedLocator(coarse, fine)
-    spaces_f = build_spaces(fine)
+    spaces_f = SpaceSet(fine)
     lin = lambda x: 1.0 + 2.0 * x[..., 0] - x[..., 1]
     field = l2_project(lin, spaces_f.potential)
     rng = np.random.default_rng(2)
@@ -294,7 +292,7 @@ class _ProlongedReference:
 
     def __init__(self, coarse_sol, fine_mesh, locator):
         self.mesh = fine_mesh
-        spaces_f = build_spaces(fine_mesh)
+        spaces_f = SpaceSet(fine_mesh)
         self.y = self._prolong(coarse_sol.y, spaces_f.potential)
         self.z = self._prolong(coarse_sol.z, spaces_f.potential)
         self.p = self._prolong(coarse_sol.p, spaces_f.flux)
@@ -321,7 +319,7 @@ class _ProlongedReference:
 def _prolonged_pair(mode):
     case = manufactured_example1()
     mesh = build_unit_square_mesh(3)
-    ops = assemble_forms(mesh, build_spaces(mesh), case.problem_data())
+    ops = assemble_forms(mesh, case.problem_data())
     sol = pdas_solve(ops, mode=mode)
     fine = refine_uniform(mesh)
     return sol, _ProlongedReference(sol, fine, NestedLocator(mesh, fine))
@@ -356,8 +354,8 @@ def test_reference_compare_detects_known_offset(mode):
 def test_galerkin_diagnostics_terms():
     case = manufactured_example1()
     mesh = build_unit_square_mesh(4)
-    ops = assemble_forms(mesh, build_spaces(mesh), case.problem_data())
-    diag = galerkin_diagnostics(case, mesh, ops)
+    ops = assemble_forms(mesh, case.problem_data())
+    diag = galerkin_diagnostics(case, ops)
     for term in (diag.err_y_state, diag.err_pn_adjoint, diag.err_z_adjoint,
                  diag.err_quasi_interp):
         assert np.isfinite(term) and term > 0.0

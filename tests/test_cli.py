@@ -32,7 +32,7 @@ from ldgcontrol.cli import (
 from ldgcontrol.geometry import build_unit_square_mesh
 from ldgcontrol.ldg import assemble_forms
 from ldgcontrol.linsolve import ReducedSolveError, SingularSystemError
-from ldgcontrol.spaces import DiscreteField, build_spaces
+from ldgcontrol.spaces import DiscreteField, SpaceSet
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -257,7 +257,7 @@ def test_emit_table_empty_report_raises(tmp_path):
 
 class _ZeroSolution:
     def __init__(self, mesh):
-        spaces = build_spaces(mesh)
+        spaces = SpaceSet(mesh)
         self.y = DiscreteField(spaces.potential, np.zeros(spaces.potential.num_dofs))
         self.z = DiscreteField(spaces.potential, np.zeros(spaces.potential.num_dofs))
 
@@ -291,7 +291,7 @@ def test_emit_fields_round_trip(tmp_path):
 
     case = manufactured_example1()
     mesh = build_unit_square_mesh(3)
-    ops = assemble_forms(mesh, build_spaces(mesh), case.problem_data())
+    ops = assemble_forms(mesh, case.problem_data())
     sol = pdas_solve(ops, mode="full")
     files = emit_fields(sol, mesh, str(tmp_path / "fields"))
     vals = _read_vtk_scalars(files[0], "y_h")
@@ -421,7 +421,7 @@ def test_main_run_writes_matrix_market_blocks(tmp_path):
     assert main(["run", cfg]) == 0
     config = RunConfig.from_file(cfg)
     mesh = _mesh_chain(config)[0]
-    ops = assemble_forms(mesh, build_spaces(mesh), _example_data(config)[0])
+    ops = assemble_forms(mesh, _example_data(config)[0])
     for name in ("A", "B", "C", "M1", "M2", "M_Omega", "M_Gamma"):
         written = scipy.io.mmread(out / f"matrices_{mesh.num_elements}" / f"{name}.mtx")
         assert abs(written - getattr(ops, name)).max() == 0.0, name

@@ -26,12 +26,12 @@ from ldgcontrol.control import (
 from ldgcontrol.geometry import build_unit_square_mesh, refine_uniform
 from ldgcontrol.ldg import ProblemData, assemble_forms, solve_adjoint, solve_state
 from ldgcontrol.linsolve import solve_optimality_system
-from ldgcontrol.spaces import FORM_DEGREE, DiscreteField, DofMap, build_spaces, quadrature_rule
+from ldgcontrol.spaces import FORM_DEGREE, DiscreteField, DofMap, SpaceSet, quadrature_rule
 
 
 def build_ops(data, n):
     mesh = build_unit_square_mesh(n)
-    return assemble_forms(mesh, build_spaces(mesh), data)
+    return assemble_forms(mesh, data)
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +119,7 @@ def test_cost_zero_when_target_met():
     data = ProblemData(epsilon=1.0, omega=1.0, beta=(1.0, 1.0), alpha=1.0,
                        y_desired=lambda x: np.ones(x.shape[:-1]))
     mesh = build_unit_square_mesh(3)
-    spaces = build_spaces(mesh)
+    spaces = SpaceSet(mesh)
     y_h = DiscreteField(spaces.potential, np.ones(spaces.potential.num_dofs))
     u_h = DiscreteField(spaces.control, np.zeros(spaces.control.num_dofs))
     assert evaluate_cost(y_h, u_h, data) == pytest.approx(0.0, abs=1e-14)
@@ -129,7 +129,7 @@ def test_cost_unit_mismatch_is_half():
     data = ProblemData(epsilon=1.0, omega=1.0, beta=(1.0, 1.0), alpha=1.0,
                        y_desired=lambda x: np.zeros(x.shape[:-1]))
     mesh = build_unit_square_mesh(3)
-    spaces = build_spaces(mesh)
+    spaces = SpaceSet(mesh)
     y_h = DiscreteField(spaces.potential, np.ones(spaces.potential.num_dofs))
     u_h = DiscreteField(spaces.control, np.zeros(spaces.control.num_dofs))
     assert evaluate_cost(y_h, u_h, data) == pytest.approx(0.5, rel=1e-12)
@@ -141,7 +141,7 @@ def test_cost_boundary_term_scales_with_weight():
     data = ProblemData(epsilon=1.0, omega=2.0, beta=(1.0, 1.0), alpha=1.0,
                        y_desired=lambda x: np.ones(x.shape[:-1]))
     mesh = build_unit_square_mesh(3)
-    spaces = build_spaces(mesh)
+    spaces = SpaceSet(mesh)
     y_h = DiscreteField(spaces.potential, np.ones(spaces.potential.num_dofs))
     u_h = DiscreteField(spaces.control, np.ones(spaces.control.num_dofs))
     assert evaluate_cost(y_h, u_h, data) == pytest.approx(4.0, rel=1e-12)
@@ -156,7 +156,7 @@ def test_fd_gradient_check_matches(ex1):
     n_u = ops.M_Gamma.shape[0]
     for _ in range(3):
         delta = rng.standard_normal(n_u)
-        report = fd_gradient_check(ops, ops.data, np.zeros(n_u), delta)
+        report = fd_gradient_check(ops, np.zeros(n_u), delta)
         assert report.mismatch <= 1e-7
 
 
@@ -167,9 +167,9 @@ def test_adjoint_directional_value_is_linear(ex1):
     u = rng.standard_normal(n_u)
     d1 = rng.standard_normal(n_u)
     d2 = rng.standard_normal(n_u)
-    r1 = fd_gradient_check(ops, ops.data, u, d1)
-    r2 = fd_gradient_check(ops, ops.data, u, d2)
-    r12 = fd_gradient_check(ops, ops.data, u, 2.0 * d1 - 3.0 * d2)
+    r1 = fd_gradient_check(ops, u, d1)
+    r2 = fd_gradient_check(ops, u, d2)
+    r12 = fd_gradient_check(ops, u, 2.0 * d1 - 3.0 * d2)
     combined = 2.0 * r1.adjoint_value - 3.0 * r2.adjoint_value
     scale = max(1.0, abs(combined))
     assert abs(r12.adjoint_value - combined) < 1e-12 * scale
@@ -402,7 +402,7 @@ def ex2_chain():
     meshes = [build_unit_square_mesh(4)]
     for _ in range(2):
         meshes.append(refine_uniform(meshes[-1]))
-    return data, [assemble_forms(m, build_spaces(m), data) for m in meshes]
+    return data, [assemble_forms(m, data) for m in meshes]
 
 
 def _coarse_edge_of(coarse, a, b):

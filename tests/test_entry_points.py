@@ -1,11 +1,14 @@
 """Every name the benchmark harness and the package export resolves.
 
 The harness in ``perfbench/`` patches ``ldgcontrol`` entry points by name
-(``perfbench/tracer.py``); it runs outside ``tests/``, so a deleted or
-renamed entry point would otherwise go unnoticed until a traced run.
+(``perfbench/tracer.py``) and calls others directly; it runs outside
+``tests/``, so a deleted or renamed entry point, or a changed signature,
+would otherwise go unnoticed until a benchmark run.
 """
 
+import ast
 import importlib
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -33,3 +36,60 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"ldgcontrol.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def _harness_uses(path):
+    """The ``ldgcontrol`` names a harness file imports, and the objects its
+    attribute chains and calls reach through them.
+
+    The file is parsed, not imported, so nothing is written next to it.
+    Its ``from ldgcontrol... import`` statements run here as written (an
+    unresolvable name fails them).  Yields (where, object, call) for every
+    attribute chain rooted at an imported name and every call of one;
+    ``call`` is the ast.Call, or None for a plain attribute chain.
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ldgcontrol":
+            exec(compile(ast.Module([node], []), str(path), "exec"), names)
+
+    def target(node):
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = target(node.value)
+            if base is not None:
+                assert hasattr(base, node.attr), f"{path.name}:{node.lineno} {ast.unparse(node)}"
+                return getattr(base, node.attr)
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Attribute, ast.Call)):
+            obj = target(node.func if isinstance(node, ast.Call) else node)
+            if obj is not None:
+                yield (f"{path.name}:{node.lineno} {ast.unparse(node)}", obj,
+                       node if isinstance(node, ast.Call) else None)
+
+
+def test_harness_imports_and_call_shapes_bind():
+    # every call the study driver and the harness tests make into
+    # ldgcontrol binds to the signature it reaches, e.g.
+    # assemble_forms(mesh, data=d), pdas_solve(ops, d, mode=m, strategy=s),
+    # compose_kkt(ops, a, d, mode=m) and reduced_gradient(ops, sol)
+    from ldgcontrol.control import pdas_solve, reduced_gradient
+    from ldgcontrol.ldg import assemble_forms
+    from ldgcontrol.linsolve import compose_kkt
+
+    bound = set()
+    for name in ("study.py", "test_harness.py"):
+        for where, obj, call in _harness_uses(PERFBENCH / name):
+            if call is None or any(isinstance(a, ast.Starred) for a in call.args) \
+                    or any(k.arg is None for k in call.keywords):
+                continue
+            try:
+                inspect.signature(obj).bind(*call.args, **{k.arg: k for k in call.keywords})
+            except TypeError as exc:
+                raise AssertionError(f"{where}: {exc}") from None
+            bound.add(obj)
+    assert {assemble_forms, pdas_solve, compose_kkt, reduced_gradient} <= bound

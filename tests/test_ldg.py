@@ -1,5 +1,6 @@
 """Tests of the LDG form assembly and the state/adjoint solvers."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,29 +22,29 @@ from ldgcontrol.linsolve import _flux_block_inverse
 from ldgcontrol.spaces import (
     FORM_DEGREE,
     DiscreteField,
-    build_spaces,
     l2_project,
     quadrature_rule,
     tri_basis_values,
 )
 
 
-def make_ops(n=3, epsilon=1.0, penalty_sign=+1, beta=(1.0, 1.0), alpha=1.0, **kw):
+def make_ops(n=3, epsilon=1.0, beta=(1.0, 1.0), alpha=1.0, **kw):
     mesh = build_unit_square_mesh(n)
-    spaces = build_spaces(mesh)
-    data = ProblemData(epsilon=epsilon, omega=1.0, beta=beta, alpha=alpha,
-                       penalty_sign=penalty_sign, **kw)
-    ops = assemble_forms(mesh, spaces, data)
-    return mesh, spaces, data, ops.flux, ops
+    data = ProblemData(epsilon=epsilon, omega=1.0, beta=beta, alpha=alpha, **kw)
+    ops = assemble_forms(mesh, data)
+    return mesh, ops.spaces, data, ops.flux, ops
 
 
-@pytest.mark.parametrize("penalty_sign", [+1, -1])
+@pytest.mark.parametrize("orientation", [+1, -1])
 @pytest.mark.parametrize("epsilon", [1.0, 1e-3])
-def test_flux_coupling_two_shapes_agree(penalty_sign, epsilon):
+def test_flux_coupling_two_shapes_agree(orientation, epsilon):
     # integrating the volume term by parts and restructuring the traces
-    # must not change the assembled matrix, boundary columns included
-    mesh, spaces, data, flux, ops = make_ops(3, epsilon, penalty_sign)
-    B_div = assemble_divergence_form_b(mesh, spaces, data, flux)
+    # must not change the assembled matrix, boundary columns included,
+    # whichever way the C12 switches point; along (1, 1) the diagonal
+    # edges are ties with the central flux
+    mesh, spaces, data, flux, ops = make_ops(
+        3, epsilon, c12_direction=(orientation, orientation))
+    B_div = assemble_divergence_form_b(flux)
     diff = (ops.B - B_div).toarray()
     assert np.abs(diff).max() < 1e-12 * max(1.0, np.abs(ops.B.toarray()).max())
 
@@ -73,58 +74,52 @@ def test_reaction_block_is_scalar_mass():
     # with the reaction coefficient switched on, the volume part of the
     # convection-reaction block grows by exactly the scalar mass matrix
     mesh = build_unit_square_mesh(2)
-    spaces = build_spaces(mesh)
     kw = dict(epsilon=1.0, omega=1.0, beta=(0.0, 0.0))
-    ops0 = assemble_forms(mesh, spaces, ProblemData(alpha=0.0, **kw))
-    ops1 = assemble_forms(mesh, spaces, ProblemData(alpha=1.0, **kw))
+    ops0 = assemble_forms(mesh, ProblemData(alpha=0.0, **kw))
+    ops1 = assemble_forms(mesh, ProblemData(alpha=1.0, **kw))
     diff = (ops1.C - ops0.C).toarray()
     assert np.abs(diff - ops0.M_Omega.toarray()).max() < 1e-13
 
 
-def test_penalty_block_symmetric_positive():
-    # no convection, no reaction: the block is pure jump/boundary penalty
+def test_penalty_block_symmetric_negative_semidefinite():
+    # no convection, no reaction: the block is pure jump/boundary penalty,
+    # which the numerical flux q - C11 (y - u) n enters with a minus sign
     mesh = build_unit_square_mesh(2)
-    spaces = build_spaces(mesh)
-    ops = assemble_forms(mesh, spaces, ProblemData(
-        epsilon=1.0, omega=1.0, beta=(0.0, 0.0), alpha=0.0, penalty_sign=+1))
+    ops = assemble_forms(mesh, ProblemData(
+        epsilon=1.0, omega=1.0, beta=(0.0, 0.0), alpha=0.0))
     C = ops.C.toarray()
     assert np.abs(C - C.T).max() < 1e-13
     eigs = np.linalg.eigvalsh(C)
-    assert eigs.min() > -1e-12  # penalty only sees jumps: semidefinite
+    assert eigs.max() < 1e-12  # penalty only sees jumps: semidefinite
+    assert eigs.min() < -1.0  # and it does penalize
 
 
-@pytest.mark.parametrize("penalty_sign", [+1, -1])
-def test_boundary_multiplier_weight_values(penalty_sign):
+@pytest.mark.parametrize("flow", [+1, -1])
+def test_boundary_multiplier_weight_values(flow):
     # unit square, n = 4: boundary edge length 1/4, so eps/h = 4; with
-    # beta = (1, 1) the bottom and left edges are inflow (|beta.n| = 1)
+    # beta = (1, 1) the bottom and left edges are inflow (|beta.n| = 1),
+    # with beta = (-1, -1) the top and right edges
     mesh = build_unit_square_mesh(4)
-    data = ProblemData(epsilon=1.0, omega=1.0, beta=(1.0, 1.0),
-                       penalty_sign=penalty_sign)
+    data = ProblemData(epsilon=1.0, omega=1.0, beta=(flow, flow))
     flux = FluxParameters(mesh, data)
     for e in mesh.boundary_edges:
         mid = mesh.edge_midpoints([e])[0]
-        expected = penalty_sign * 4.0
-        if np.isclose(mid[1], 0.0) or np.isclose(mid[0], 0.0):
+        expected = -4.0
+        if np.isclose(mid[1], 0.5 - 0.5 * flow) or np.isclose(mid[0], 0.5 - 0.5 * flow):
             expected += 1.0
         assert flux.kappa(e, 0.5) == pytest.approx(expected, abs=1e-14)
 
 
 def test_trace_switch_tie_convention():
-    # auxiliary direction orthogonal to a vertical-edge normal: the switch
-    # must resolve the tie to +1/2 by default, or to the configured value
+    # auxiliary direction orthogonal to a vertical-edge normal: the tie
+    # takes the central flux, every other edge the sign of n . v12
     mesh = build_unit_square_mesh(2)
-    data = ProblemData(epsilon=1.0, omega=1.0, c12_direction=(0.0, 1.0))
-    flux = FluxParameters(mesh, data)
-    central = FluxParameters(
-        mesh, ProblemData(epsilon=1.0, omega=1.0, c12_direction=(0.0, 1.0), c12_tie=0.0))
-    saw_tie = False
-    for e in range(mesh.num_edges):
-        n0 = mesh.edge_normals[e, 0]
-        if abs(n0[1]) < 1e-14:  # vertical edge, n = (+-1, 0)
-            saw_tie = True
-            assert flux.c12n[e] == 0.5
-            assert central.c12n[e] == 0.0
-    assert saw_tie
+    flux = FluxParameters(mesh, ProblemData(epsilon=1.0, omega=1.0, c12_direction=(0.0, 1.0)))
+    n0 = mesh.edge_normals[:, 0]
+    tie = np.abs(n0[:, 1]) < 1e-14  # vertical edges, n = (+-1, 0)
+    assert tie.any()
+    assert np.all(flux.c12n[tie] == 0.0)
+    assert np.array_equal(flux.c12n[~tie], np.where(n0[~tie, 1] > 0.0, 0.5, -0.5))
 
 
 def test_source_load_total():
@@ -136,7 +131,7 @@ def rotating_beta(x):
     return np.stack([0.5 - x[..., 1], x[..., 0] - 0.5], axis=-1)
 
 
-@pytest.mark.parametrize("penalty_sign", [+1, -1])
+@pytest.mark.parametrize("flow", [+1, -1])
 @pytest.mark.parametrize("n, beta", [
     pytest.param(2, (1.0, 1.0), id="2"),
     pytest.param(4, (1.0, 1.0), id="4"),
@@ -145,11 +140,14 @@ def rotating_beta(x):
     pytest.param(2, rotating_beta, id="2-rotating"),
     pytest.param(4, rotating_beta, id="4-rotating"),
 ])
-def test_state_solver_reproduces_global_linear(penalty_sign, n, beta):
+def test_state_solver_reproduces_global_linear(flow, n, beta):
     # a globally linear state with matching flux, control trace and source
-    # satisfies the scheme exactly, whatever the penalty sign
+    # satisfies the scheme exactly, with the flow either way round
     eps = 0.3
     alpha = 1.0
+
+    def flow_beta(x):
+        return flow * data_values(beta, x, "beta", vector=True)
 
     def y_exact(x):
         return 1.0 + 2.0 * x[..., 0] - 3.0 * x[..., 1]
@@ -157,14 +155,12 @@ def test_state_solver_reproduces_global_linear(penalty_sign, n, beta):
     grad_y = np.array([2.0, -3.0])
 
     def f(x):
-        return data_values(beta, x, "beta", vector=True) @ grad_y + alpha * y_exact(x)
+        return flow_beta(x) @ grad_y + alpha * y_exact(x)
 
     mesh = build_unit_square_mesh(n)
-    spaces = build_spaces(mesh)
-    data = ProblemData(epsilon=eps, omega=1.0, beta=beta, alpha=alpha, f=f,
-                       penalty_sign=penalty_sign)
-    ops = assemble_forms(mesh, spaces, data)
-    u = l2_project(y_exact, spaces.control)
+    ops = assemble_forms(mesh, ProblemData(epsilon=eps, omega=1.0, beta=flow_beta,
+                                           alpha=alpha, f=f))
+    u = l2_project(y_exact, ops.spaces.control)
     y_nodal = y_exact(mesh.vertices[mesh.triangles]).ravel()
     q_const = -np.sqrt(eps) * grad_y
     q_nodal = np.tile(q_const, 3 * mesh.num_elements)
@@ -180,10 +176,9 @@ def test_penalty_scaling_with_diffusion():
     # quadrupling the diffusion parameter scales eps/h by 4 and the
     # control-to-flux coupling by sqrt(4) = 2, exactly in floating point
     mesh = build_unit_square_mesh(3)
-    spaces = build_spaces(mesh)
     kw = dict(omega=1.0, beta=(1.0, 1.0), alpha=1.0)
-    ops1 = assemble_forms(mesh, spaces, ProblemData(epsilon=1.0, **kw))
-    ops4 = assemble_forms(mesh, spaces, ProblemData(epsilon=4.0, **kw))
+    ops1 = assemble_forms(mesh, ProblemData(epsilon=1.0, **kw))
+    ops4 = assemble_forms(mesh, ProblemData(epsilon=4.0, **kw))
     np.testing.assert_array_equal(ops4.flux.c11, 4.0 * ops1.flux.c11)
     np.testing.assert_array_equal(ops4.M1.toarray(), 2.0 * ops1.M1.toarray())
 
@@ -205,15 +200,16 @@ def test_adjoint_transpose_duality():
         assert abs(lhs - rhs) < 1e-11 * scale
 
 
-@pytest.mark.parametrize("penalty_sign", [+1, -1])
-def test_eliminated_solves_match_forward_block_matrix(penalty_sign):
+@pytest.mark.parametrize("flow", [+1, -1])
+def test_eliminated_solves_match_forward_block_matrix(flow):
     # the state and adjoint solves work on S = C + B' A^-1 B; solving the
-    # unreduced forward matrix [[A, B], [-B', C]] directly must agree
+    # unreduced forward matrix [[A, B], [-B', C]] directly must agree,
+    # with the flow either way round
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     rng = np.random.default_rng(11)
-    mesh, spaces, data, flux, ops = make_ops(4, epsilon=0.5, penalty_sign=penalty_sign)
+    mesh, spaces, data, flux, ops = make_ops(4, epsilon=0.5, beta=(flow, flow))
     K = sp.bmat([[ops.A, ops.B], [-ops.B.T, ops.C]], format="csc")
     nW = spaces.flux.num_dofs
     u = DiscreteField(spaces.control, rng.standard_normal(spaces.control.num_dofs))
@@ -255,14 +251,12 @@ def test_problem_data_validation():
         ProblemData(epsilon=1.0, omega=-1.0)
     with pytest.raises(ValueError):
         ProblemData(epsilon=1.0, omega=1.0, u_lower=1.0, u_upper=0.0)
-    with pytest.raises(ValueError):
-        ProblemData(epsilon=1.0, omega=1.0, penalty_sign=2)
     # non-finite data fails here, not as a singular factorization later;
     # infinite bounds stay legal (an absent bound)
     for bad in (dict(epsilon=np.nan), dict(epsilon=np.inf), dict(omega=np.nan),
                 dict(omega=np.inf), dict(u_lower=np.nan), dict(u_upper=np.nan),
                 dict(c12_direction=(1.0, np.nan)), dict(c12_direction=(np.inf, 0.0)),
-                dict(c12_tie=np.nan)):
+                dict(c12_direction=(0.0, 0.0))):
         with pytest.raises(ValueError):
             ProblemData(**{"epsilon": 1.0, "omega": 1.0, **bad})
     ProblemData(epsilon=1.0, omega=1.0, u_lower=-np.inf, u_upper=np.inf)
@@ -277,7 +271,7 @@ def test_non_finite_target_fails_at_assembly():
     data = ProblemData(epsilon=1.0, omega=1.0,
                        y_desired=lambda x: np.where(x[..., 0] > 0.5, np.nan, 1.0))
     with pytest.raises(ValueError, match="y_desired is not finite"):
-        assemble_forms(mesh, build_spaces(mesh), data)
+        assemble_forms(mesh, data)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -294,7 +288,23 @@ def test_non_finite_coefficient_fails_at_assembly(name, value):
     mesh = build_unit_square_mesh(2)
     data = ProblemData(epsilon=1.0, omega=1.0, **{name: value})
     with pytest.raises(ValueError, match=f"{name} is not finite"):
-        assemble_forms(mesh, build_spaces(mesh), data)
+        assemble_forms(mesh, data)
+
+
+@pytest.mark.parametrize("alpha", [
+    pytest.param(-50.0, id="constant"),
+    pytest.param(lambda x: np.where(x[..., 0] > 0.5, -50.0, 1.0), id="callable"),
+])
+def test_negative_reaction_fails_at_assembly(alpha):
+    # alpha >= 0 is named with the first point that breaks it, not
+    # assembled and factored silently
+    mesh = build_unit_square_mesh(2)
+    pts = ldg.physical_points(mesh, quadrature_rule("triangle", FORM_DEGREE).points)
+    first = pts[data_values(alpha, pts, "alpha") < 0.0][0]
+    data = ProblemData(epsilon=1.0, omega=1.0, alpha=alpha)
+    with pytest.raises(ValueError, match="alpha is negative at .* " + re.escape(
+            f"(first at x = {first.tolist()})")):
+        assemble_forms(mesh, data=data)
 
 
 @pytest.mark.parametrize("f", [
@@ -307,7 +317,7 @@ def test_pointwise_data_callable_is_rejected(f):
     mesh = build_unit_square_mesh(2)
     data = ProblemData(epsilon=1.0, omega=1.0, f=f)
     with pytest.raises(ValueError, match="f gave values of shape"):
-        assemble_forms(mesh, build_spaces(mesh), data)
+        assemble_forms(mesh, data)
 
 
 def test_divergence_checked_on_every_element():
@@ -318,7 +328,7 @@ def test_divergence_checked_on_every_element():
     data = ProblemData(epsilon=1.0, omega=1.0, beta=lambda x: np.stack(
         [np.maximum(x[..., 0] - 0.9, 0.0) ** 2, 0.0 * x[..., 0]], axis=-1))
     with pytest.raises(ValueError, match="not divergence free"):
-        assemble_forms(mesh, build_spaces(mesh), data)
+        assemble_forms(mesh, data)
     # adding (0, 1e8 (0.5 - x1)_+) leaves the divergence unchanged; |beta|
     # is large only far from the divergent elements, whose check must not
     # be widened by it
@@ -326,7 +336,7 @@ def test_divergence_checked_on_every_element():
         [np.maximum(x[..., 0] - 0.9, 0.0) ** 2,
          1e8 * np.maximum(0.5 - x[..., 0], 0.0)], axis=-1))
     with pytest.raises(ValueError, match="not divergence free"):
-        assemble_forms(mesh, build_spaces(mesh), data)
+        assemble_forms(mesh, data)
 
 
 @pytest.mark.parametrize("scale", [100.0, 1000.0])
@@ -372,7 +382,7 @@ def _coo_reference(mesh, spaces, data):
     rcoef = np.stack([np.where(mesh.boundary_mask, 1.0, 0.5 - flux.c12n), 0.5 + flux.c12n], axis=1)
     coef_B = -data.sqrt_eps * sign[None, None, :] * rcoef[:, :, None]
     ycoef = np.stack([0.5 + flux.d11n, 0.5 - flux.d11n], axis=1)
-    pen = data.penalty_sign * data.sqrt_eps * flux.c11
+    pen = -data.sqrt_eps * flux.c11
     conv = ldg._gram(wt * beta_n, L)[e, r, s] * (sign[r] * ycoef[e, s])[:, None, None]
     C_edge = conv + G * (pen[e] * sign[r] * sign[s])[:, None, None]
     B_edge = ldg._flux_edge_blocks(mesh.edge_normals[e, 0], G, coef_B[e, r, s])
@@ -390,7 +400,7 @@ def _coo_reference(mesh, spaces, data):
     xg, wt, L = ldg._edge_quadrature(mesh, ids)
     n0 = mesh.edge_normals[ids, 0]
     beta_n = np.einsum("egd,ed->eg", data_values(data.beta, xg, "beta", vector=True), n0)
-    kappa = (data.penalty_sign * data.sqrt_eps * flux.c11[ids, None]
+    kappa = (-data.sqrt_eps * flux.c11[ids, None]
              + np.where(flux.inflow[ids, None], np.abs(beta_n), 0.0))
     L0, t0 = L[:, 0], mesh.edge_elems[ids, 0, None]
     phi = ldg.edge_basis_values(quadrature_rule("edge", FORM_DEGREE).points)
@@ -424,7 +434,7 @@ ORACLE_MESHES = pytest.mark.parametrize("mesh, data", [
 def test_adjacency_fills_match_the_coo_oracle(mesh, data):
     # same pattern and index dtypes as the triplet sum; blocks with nothing
     # summed are bit-identical, and the summed B and C agree to rounding
-    ops = assemble_forms(mesh, build_spaces(mesh), data)
+    ops = assemble_forms(mesh, data)
     for name, ref in _coo_reference(mesh, ops.spaces, data).items():
         new = getattr(ops.bq if hasattr(ops.bq, name) else ops, name)
         for part in ("indices", "indptr"):
@@ -440,9 +450,8 @@ def test_adjacency_fills_match_the_coo_oracle(mesh, data):
 
 @ORACLE_MESHES
 def test_divergence_form_fill_matches_the_coo_oracle(mesh, data):
-    spaces = build_spaces(mesh)
     flux = FluxParameters(mesh, data)
-    new = assemble_divergence_form_b(mesh, spaces, data, flux)
+    new = assemble_divergence_form_b(flux)
     nt, sqrt_eps = mesh.num_elements, data.sqrt_eps
     _, _, grads, int_lam = ldg._volume_tables(mesh)
     B_vol = ((-sqrt_eps * grads)[:, :, :, None] * int_lam[:, None, None, :]).reshape(nt, 6, 3)
@@ -494,13 +503,13 @@ def test_assembly_transient_is_bounded():
     # the traced peak of assemble_forms stays within twice what it returns,
     # and every returned block is canonical CSR with no stored zeros
     mesh = _chain_mesh(2048)
-    spaces, data = build_spaces(mesh), example2_data()
-    assemble_forms(mesh, spaces, data)  # caches the adjacency and the rules
+    data = example2_data()
+    assemble_forms(mesh, data)  # caches the adjacency and the rules
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        ops = assemble_forms(mesh, spaces, data)
+        ops = assemble_forms(mesh, data)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

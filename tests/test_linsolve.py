@@ -33,12 +33,12 @@ from ldgcontrol.linsolve import (
     direct_solve,
     solve_optimality_system,
 )
-from ldgcontrol.spaces import DiscreteField, DofMap, build_spaces
+from ldgcontrol.spaces import DiscreteField, DofMap
 
 
 def build_ops(data, n):
     mesh = build_unit_square_mesh(n)
-    return assemble_forms(mesh, build_spaces(mesh), data)
+    return assemble_forms(mesh, data)
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +151,7 @@ def chain_mesh_2048():
 @pytest.fixture(scope="module")
 def ex2_ops_2048():
     mesh = chain_mesh_2048()
-    return assemble_forms(mesh, build_spaces(mesh), example2_data())
+    return assemble_forms(mesh, example2_data())
 
 
 # ------------------------------------------------ nested-dissection order
@@ -175,7 +175,7 @@ def assert_halves_uncoupled(paths, S):
 
 
 def ex2_level(mesh):
-    ops = assemble_forms(mesh, build_spaces(mesh), example2_data())
+    ops = assemble_forms(mesh, example2_data())
     return linsolve._node_points(mesh), linsolve._condensation_operators(ops)[2]
 
 
@@ -229,11 +229,11 @@ def test_inherited_fill_matches_the_fresh_order(case):
         coarse = chain_mesh_2048().parent_mesh
         data = (manufactured_example1(epsilon=1e-6).problem_data() if case == "ex1"
                 else example2_data())
-    assemble_forms(coarse, build_spaces(coarse), data).state_factorization()
+    assemble_forms(coarse, data).state_factorization()
     assert coarse.dissection is not None
     mesh = refine_uniform(coarse)
     assert mesh.num_elements == 2048
-    ops = assemble_forms(mesh, build_spaces(mesh), data)
+    ops = assemble_forms(mesh, data)
     inherited = ops.state_factorization()
     fresh, _ = dissection_order(linsolve._node_points(mesh), inherited.matrix)
     assert not np.array_equal(inherited.order, fresh)
@@ -254,7 +254,7 @@ def test_mesh_without_an_ordered_ancestor_is_ordered_afresh(which, ex2_ops_2048)
         mesh = Mesh(base.vertices, base.triangles[np.random.default_rng(5).permutation(2048)])
     else:  # refined from meshes that were never ordered
         mesh = refine_uniform(refine_uniform(build_unit_square_mesh(4)))
-    ops = assemble_forms(mesh, build_spaces(mesh), example2_data())
+    ops = assemble_forms(mesh, example2_data())
     points, S = linsolve._node_points(mesh), linsolve._condensation_operators(ops)[2]
     assert np.array_equal(linsolve._node_order(ops), dissection_order(points, S)[0])
     # the order of the nested dissection before trees were inherited
@@ -267,7 +267,7 @@ def test_state_fill_does_not_depend_on_element_numbering(ex2_ops_2048):
     mesh = ex2_ops_2048.mesh
     perm = np.random.default_rng(11).permutation(mesh.num_elements)
     relabelled = Mesh(mesh.vertices, mesh.triangles[perm])
-    ops = assemble_forms(relabelled, build_spaces(relabelled), example2_data())
+    ops = assemble_forms(relabelled, example2_data())
     fill = ex2_ops_2048.state_factorization().fill
     assert abs(ops.state_factorization().fill - fill) <= 0.1 * fill
 
@@ -287,7 +287,7 @@ def test_dissection_fill_against_a_plain_factor(case):
         data = (manufactured_example1(epsilon=1e-6).problem_data() if case == "ex1"
                 else example2_data())
     assert mesh.num_elements == 2048
-    factor = assemble_forms(mesh, build_spaces(mesh), data).state_factorization()
+    factor = assemble_forms(mesh, data).state_factorization()
     assert factor.fill <= 0.5 * spla.splu(factor.matrix.tocsc()).nnz
 
 
@@ -475,7 +475,7 @@ def test_reduced_matches_monolithic_on_polygon_mesh(mode):
     # skewed quadrilateral, lower bound only
     data = example3_data()
     mesh = example3_mesh(2)
-    ops = assemble_forms(mesh, build_spaces(mesh), data)
+    ops = assemble_forms(mesh, data)
     sol = pdas_solve(ops, data, mode=mode, strategy="monolithic")
     assert sol.active.lower.any() and sol.active.inactive.any()
     assert_reduced_matches_monolithic(ops, (sol.active.lower, sol.active.upper), data, mode)

@@ -6,11 +6,13 @@ import pytest
 from ldgcontrol.geometry import Mesh, build_unit_square_mesh
 from ldgcontrol.spaces import (
     BOUNDARY,
+    DATA_DEGREE,
+    FORM_DEGREE,
     SCALAR,
     VECTOR,
     DiscreteField,
+    DofMap,
     barycentric,
-    build_dof_map,
     edge_basis_values,
     eval_field,
     l2_project,
@@ -29,13 +31,13 @@ def exact_tri_monomial(a, b):
 
 def test_dof_counts():
     m = build_unit_square_mesh(1)
-    assert build_dof_map(m, SCALAR).num_dofs == 6
-    assert build_dof_map(m, VECTOR).num_dofs == 12
-    assert build_dof_map(m, BOUNDARY).num_dofs == 8
+    assert DofMap(m, SCALAR).num_dofs == 6
+    assert DofMap(m, VECTOR).num_dofs == 12
+    assert DofMap(m, BOUNDARY).num_dofs == 8
 
 
 def test_quadrature_triangle_exactness():
-    for deg in range(1, 7):
+    for deg in (FORM_DEGREE, DATA_DEGREE):
         rule = quadrature_rule("triangle", deg)
         assert np.all(rule.weights > 0)
         assert abs(rule.weights.sum() - 0.5) < 1e-14
@@ -47,7 +49,7 @@ def test_quadrature_triangle_exactness():
 
 
 def test_quadrature_edge_exactness():
-    for deg in range(1, 7):
+    for deg in (FORM_DEGREE, DATA_DEGREE):
         rule = quadrature_rule("edge", deg)
         assert np.all(rule.weights > 0)
         assert abs(rule.weights.sum() - 1.0) < 1e-14
@@ -57,7 +59,7 @@ def test_quadrature_edge_exactness():
 
 
 def test_edge_rules_are_gauss_legendre_copies():
-    for deg in range(1, 7):
+    for deg in (FORM_DEGREE, DATA_DEGREE):
         rule = quadrature_rule("edge", deg)
         x, w = np.polynomial.legendre.leggauss((deg + 2) // 2)
         assert np.array_equal(rule.points, 0.5 * (x + 1.0))
@@ -68,7 +70,7 @@ def test_edge_rules_are_gauss_legendre_copies():
 
 
 def test_quadrature_rejects_unsupported_degree():
-    for deg in (0, 7, -1):
+    for deg in (0, 1, 2, 3, 5, 7, -1):
         with pytest.raises(ValueError):
             quadrature_rule("triangle", deg)
         with pytest.raises(ValueError):
@@ -83,7 +85,7 @@ def test_quadrature_x2_reference():
 
 def test_quadrature_constant_gives_area():
     m = build_unit_square_mesh(3)
-    rule = quadrature_rule("triangle", 2)
+    rule = quadrature_rule("triangle", FORM_DEGREE)
     for t in (0, 7, 11):
         area = 2.0 * m.areas[t] * np.sum(rule.weights)
         assert abs(area - m.areas[t]) < 1e-14
@@ -100,7 +102,7 @@ def test_partition_of_unity():
 
 def test_project_zero_and_linear():
     m = build_unit_square_mesh(3)
-    vmap = build_dof_map(m, SCALAR)
+    vmap = DofMap(m, SCALAR)
     zero = l2_project(lambda x: np.zeros(x.shape[:-1]), vmap)
     assert np.all(zero.coefficients == 0.0)
 
@@ -114,7 +116,7 @@ def test_project_zero_and_linear():
 
 def test_project_vector_linear():
     m = build_unit_square_mesh(2)
-    wmap = build_dof_map(m, VECTOR)
+    wmap = DofMap(m, VECTOR)
     f = lambda x: np.stack([x[..., 0] + 1.0, 3.0 * x[..., 1]], axis=-1)
     fh = l2_project(f, wmap)
     p = np.array([0.3, 0.2])
@@ -123,7 +125,7 @@ def test_project_vector_linear():
 
 def test_project_mean_preservation():
     m = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    vmap = build_dof_map(m, SCALAR)
+    vmap = DofMap(m, SCALAR)
     f = lambda x: x[..., 0] ** 2
     fh = l2_project(f, vmap)
     rule = quadrature_rule("triangle", 4)
@@ -136,7 +138,7 @@ def test_project_mean_preservation():
 
 def test_project_idempotent():
     m = build_unit_square_mesh(2)
-    vmap = build_dof_map(m, SCALAR)
+    vmap = DofMap(m, SCALAR)
     fh = l2_project(lambda x: x[..., 0] * x[..., 1] + 0.5, vmap)
 
     def as_fun(x):
@@ -152,7 +154,7 @@ def test_project_idempotent():
 
 def test_eval_field_basics():
     m = build_unit_square_mesh(1)
-    vmap = build_dof_map(m, SCALAR)
+    vmap = DofMap(m, SCALAR)
     ones = DiscreteField(vmap, np.ones(vmap.num_dofs))
     assert abs(eval_field(ones, 0, [0.5, 0.25]) - 1.0) < 1e-14
     nodal = DiscreteField(vmap, np.zeros(vmap.num_dofs))
@@ -165,7 +167,7 @@ def test_eval_field_basics():
 
 def test_trace_continuity_of_projected_linear():
     m = build_unit_square_mesh(2)
-    vmap = build_dof_map(m, SCALAR)
+    vmap = DofMap(m, SCALAR)
     fh = l2_project(lambda x: 1.0 + x[..., 0] - 2.0 * x[..., 1], vmap)
     s = np.array([0.0, 0.3, 1.0])
     for e in m.interior_edges:
@@ -176,7 +178,7 @@ def test_trace_continuity_of_projected_linear():
 
 def test_jump_and_average_of_elementwise_constants():
     m = build_unit_square_mesh(1)
-    vmap = build_dof_map(m, SCALAR)
+    vmap = DofMap(m, SCALAR)
     c = DiscreteField(vmap, np.concatenate([np.full(3, 1.0), np.full(3, 2.0)]))
     e = m.interior_edges[0]
     s0, s1 = m.edge_elems[e]
@@ -191,18 +193,18 @@ def test_jump_and_average_of_elementwise_constants():
 
 def test_trace_second_side_of_boundary_edge_rejected():
     m = build_unit_square_mesh(1)
-    vmap = build_dof_map(m, SCALAR)
+    vmap = DofMap(m, SCALAR)
     f = DiscreteField(vmap)
     with pytest.raises(ValueError):
         trace_on_edge(f, m.boundary_edges[0], 1, 0.5)
 
 
-def test_degree2_vs_degree4_element_integrals_agree():
+def test_form_and_data_rule_element_integrals_agree():
     m = build_unit_square_mesh(2)
-    vmap = build_dof_map(m, SCALAR)
+    vmap = DofMap(m, SCALAR)
     fh = l2_project(lambda x: x[..., 0] - 0.3 * x[..., 1], vmap)
     totals = []
-    for deg in (2, 4):
+    for deg in (FORM_DEGREE, DATA_DEGREE):
         rule = quadrature_rule("triangle", deg)
         lam = tri_basis_values(rule.points)
         acc = 0.0
@@ -215,10 +217,10 @@ def test_degree2_vs_degree4_element_integrals_agree():
 
 def test_vtk_write(tmp_path):
     m = build_unit_square_mesh(2)
-    vmap = build_dof_map(m, SCALAR)
+    vmap = DofMap(m, SCALAR)
     fh = l2_project(lambda x: x[..., 0], vmap)
     qh = l2_project(lambda x: np.stack([x[..., 1], -2.0 * x[..., 0]], axis=-1),
-                    build_dof_map(m, VECTOR))
+                    DofMap(m, VECTOR))
     path = tmp_path / "field.vtk"
     write_vtk(path, m, {"y": fh, "q": qh})
     text = path.read_text()
