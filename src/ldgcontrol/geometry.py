@@ -81,18 +81,21 @@ class DomainSpec:
 class ElementAdjacency(NamedTuple):
     """Block pattern of the DG matrices: each element and its edge neighbours.
 
-    ``indptr`` (nt + 1,) and ``indices`` list, in CSR form with the indices
-    of each row increasing, the elements coupled to each element: itself
-    and the elements across its interior edges.  A slot is a position in
-    ``indices``.  ``diagonal`` (nt,) holds the slot of each element's own
-    entry and ``edge_slots`` (ne, 2, 2) the slot of entry (edge_elems[e, r],
-    edge_elems[e, s]), -1 where side r or s of edge e is missing.
+    ``neighbours`` (nt, 4) lists, increasing, the elements coupled to each
+    element: itself and the elements across its interior edges, padded
+    with -1 at the end.  A slot is a position in a row of ``neighbours``.
+    ``diagonal`` (nt,) holds the slot of each element's own entry and
+    ``edge_slots`` (ne, 2, 2) the slot of entry (edge_elems[e, r],
+    edge_elems[e, s]) in row edge_elems[e, r], -1 where side r or s of
+    edge e is missing.  ``edge_order`` (ne, 2) is the place (0, 1, 2) of
+    edge e among the three edges of element edge_elems[e, r] in increasing
+    edge order, -1 where side r is missing.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    neighbours: np.ndarray
     diagonal: np.ndarray
     edge_slots: np.ndarray
+    edge_order: np.ndarray
 
 
 class Mesh:
@@ -213,21 +216,28 @@ class Mesh:
     @cached_property
     def adjacency(self) -> ElementAdjacency:
         """The ``ElementAdjacency`` of the elements, built on first use."""
-        nt, inner = self.num_elements, self.interior_edges
-        t0, t1 = self.edge_elems[inner].T
-        own = np.arange(nt)
-        rows, cols = np.concatenate([own, t0, t1]), np.concatenate([own, t1, t0])
-        order = np.argsort(rows * nt + cols)
-        slot = np.empty(order.size, dtype=np.int32)  # slot of each (row, col) listed
-        slot[order] = np.arange(order.size)
-        edge_slots = np.full((self.num_edges, 2, 2), -1, dtype=np.int32)
-        edge_slots[:, 0, 0] = slot[self.edge_elems[:, 0]]
-        edge_slots[inner, 1, 1] = slot[t1]
-        edge_slots[inner, 0, 1] = slot[nt:nt + inner.size]
-        edge_slots[inner, 1, 0] = slot[nt + inner.size:]
-        indptr = np.zeros(nt + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=nt), out=indptr[1:])
-        return ElementAdjacency(indptr, cols[order].astype(np.int32), slot[:nt], edge_slots)
+        nt, ne = self.num_elements, self.num_edges
+        # the three edge sides 2 e + r of each element, in increasing edge order
+        owner = self.edge_elems.ravel()
+        sides = np.flatnonzero(owner >= 0)
+        sides = sides[np.argsort(owner[sides], kind="stable")].reshape(nt, 3)
+        edge_order = np.full(2 * ne, -1, dtype=np.int8)
+        edge_order[sides] = np.arange(3, dtype=np.int8)
+        across = self.edge_elems[sides // 2, 1 - sides % 2]  # -1 on the boundary
+        row = np.concatenate([np.arange(nt)[:, None], across], axis=1)
+        row[row < 0] = nt  # missing neighbours sort last
+        row.sort(axis=1)
+        diagonal = np.sum(row < np.arange(nt)[:, None], axis=1, dtype=np.int32)
+        edge_slots = np.full((ne, 2, 2), -1, dtype=np.int32)
+        edge_slots[:, 0, 0] = diagonal[self.edge_elems[:, 0]]
+        inner = self.interior_edges
+        for r in range(2):
+            t, u = self.edge_elems[inner, r], self.edge_elems[inner, 1 - r]
+            edge_slots[inner, r, r] = diagonal[t]
+            edge_slots[inner, r, 1 - r] = np.sum(row[t] < u[:, None], axis=1)
+        row[row == nt] = -1
+        return ElementAdjacency(row.astype(np.int32), diagonal, edge_slots,
+                                edge_order.reshape(ne, 2))
 
     def edge_midpoints(self, edge_ids=None):
         ids = np.arange(self.num_edges) if edge_ids is None else edge_ids
@@ -240,51 +250,52 @@ class Mesh:
 class BlockLayout:
     """CSR layout of a sparse matrix of I x J blocks on a block pattern.
 
-    Block (t, u) of the pattern (``indptr``, ``indices``; increasing within
-    each block row) holds rows I t + i and columns J u + j of the matrix.
-    Each of the I rows of block row t lists the J columns of every block
-    of that row, in slot order, so entry (i, j) of the block in slot s is
-    entry J ((I - 1) indptr[t] + i deg(t) + s) + j of the matrix's data,
-    with deg(t) the number of blocks of row t.  Positions are int32 where
-    the matrix fits.
+    ``columns`` (n, D) lists, increasing, the block columns of each block
+    row, padded with -1 at the end.  The blocks of the matrix are an array
+    (n, D, I, J) (``zeros``): block (t, k) sits at rows I t + i and columns
+    J columns[t, k] + j, so a block is written by plain indexed assignment
+    to its slot.  Row I t + i of the CSR matrix lists the J columns of each
+    slot of block row t in slot order.
     """
 
-    def __init__(self, indptr, indices, block_shape):
-        self.block_shape = block_shape
-        self.size = block_shape[0] * block_shape[1] * len(indices)
-        self.dtype = np.int32 if self.size < 2**31 else np.int64
-        self.first = np.asarray(indptr[:-1], dtype=self.dtype)
-        self.degree = np.diff(indptr).astype(self.dtype)
-        self.indices = np.asarray(indices, dtype=self.dtype)
+    def __init__(self, columns, block_shape):
+        self.columns = np.asarray(columns)
+        self.shape = self.columns.shape + tuple(block_shape)
+        self.dtype = np.int32 if np.prod(self.shape) < 2**31 else np.int64
 
-    def positions(self, rows, slots):
-        """(n, I, J) positions in the data of the blocks in ``slots`` of the
-        block rows ``rows``."""
-        I, J = self.block_shape
-        start = (I - 1) * self.first[rows] + np.asarray(slots, dtype=self.dtype)
-        row = start[:, None] + np.arange(I, dtype=self.dtype) * self.degree[rows, None]
-        return J * row[:, :, None] + np.arange(J, dtype=self.dtype)
+    def zeros(self) -> np.ndarray:
+        return np.zeros(self.shape)
 
-    def matrix(self, data, shape) -> sp.csr_matrix:
-        """The CSR matrix of ``data`` (``size`` entries in this layout).
+    def matrix(self, blocks, shape) -> sp.csr_matrix:
+        """The CSR matrix of ``blocks`` (an array shaped like ``zeros()``).
 
-        Its stored zeros (e.g. the trace of the vertex opposite an edge) are
-        dropped, and the buffer space they held is released.
+        Its stored zeros (the padding, the trace of the vertex opposite an
+        edge, ...) are dropped.  A C-contiguous ``blocks`` is consumed: it
+        is brought into CSR order in place, a few block rows at a time, so
+        no second full-size buffer is made.
         """
-        I, J = self.block_shape
-        # row I t + i lists slots first[t] ... first[t] + degree[t] - 1
-        length = np.repeat(self.degree, I)
-        start = np.zeros(length.size + 1, dtype=self.dtype)
-        np.cumsum(length, out=start[1:])
-        slot = np.arange(start[-1], dtype=self.dtype) - np.repeat(
-            start[:-1] - np.repeat(self.first, I), length)
-        columns = (J * self.indices[slot, None] + np.arange(J, dtype=self.dtype)).ravel()
-        mat = sp.csr_matrix((data, columns, J * start), shape=shape)
+        n, D, I, J = self.shape
+        if D > 1 and blocks.flags.c_contiguous:
+            data = blocks.reshape(n, -1)
+            for start in range(0, n, _REORDER_ROWS):
+                rows = slice(start, start + _REORDER_ROWS)
+                data[rows] = np.swapaxes(blocks[rows], 1, 2).reshape(data[rows].shape)
+            data = data.reshape(-1)
+        else:
+            data = np.ascontiguousarray(np.swapaxes(blocks, 1, 2)).reshape(-1)
+        block_col = np.maximum(self.columns, 0).astype(self.dtype)[:, None, :, None]
+        columns = np.broadcast_to(J * block_col + np.arange(J, dtype=self.dtype), (n, I, D, J))
+        indptr = np.arange(0, data.size + 1, D * J, dtype=self.dtype)
+        mat = sp.csr_matrix((data, columns.ravel(), indptr), shape=shape)
         stored = mat.nnz
         mat.eliminate_zeros()
         if mat.nnz < stored and mat.data.base is not None:
             mat.data, mat.indices = mat.data.copy(), mat.indices.copy()
         return mat
+
+
+# block rows brought into CSR order per step of BlockLayout.matrix
+_REORDER_ROWS = 4096
 
 
 def build_unit_square_mesh(n: int) -> Mesh:

@@ -251,7 +251,7 @@ def _gram(wt, L):
     ne, _, k, _ = L.shape
     wL = (wt[:, None, :, None] * L).swapaxes(2, 3).reshape(ne, 6, k)  # rows (r, i)
     G = wL @ L.swapaxes(1, 2).reshape(ne, k, 6)  # columns (s, j)
-    return G.reshape(ne, 2, 3, 2, 3).swapaxes(2, 3)
+    return np.ascontiguousarray(G.reshape(ne, 2, 3, 2, 3).swapaxes(2, 3))
 
 
 # edges per chunk of the edge terms: their tables live one chunk at a time
@@ -259,38 +259,74 @@ _EDGE_CHUNK = 512
 
 
 def _edge_chunks(mesh):
-    """The edge terms' tables, ``_EDGE_CHUNK`` edges at a time.
+    """The edge ids in increasing runs of ``_EDGE_CHUNK``, with their rule
+    (``_edge_quadrature``) and the places of their blocks in a matrix on
+    ``mesh.adjacency``: yields (edges, xg, wt, L, places).
 
-    Yields (edges, xg, wt, L, pairs, rows, slots) per chunk: the edge ids,
-    their rule (``_edge_quadrature``), the (edge, test side, trial side)
-    pairs present (all four on an interior edge, (0, 0) on a boundary
-    edge; the edge index is local to the chunk), and each pair's block
-    row and slot in ``mesh.adjacency``.
+    ``places`` lists five pairs (slots, blocks) of flat indices into the
+    ``BlockLayout`` blocks of the matrix (nt * 4, slot minor) and into the
+    chunk's edge blocks (n * 4, (test side, trial side) minor): first the
+    (0, 1) and (1, 0) blocks between the elements of each interior edge,
+    then the (r, r) blocks of the elements' first, second and third edges
+    (``ElementAdjacency.edge_order``), for ``_place_edge_blocks``.
     """
-    adjacency = mesh.adjacency
+    adjacency, elems = mesh.adjacency, mesh.edge_elems
+    width = adjacency.neighbours.shape[1]
+    inner = mesh.interior_edges
+    places = [(inner, width * elems[inner, r] + adjacency.edge_slots[inner, r, 1 - r],
+               4 * inner + 1 + r) for r in range(2)]
+    for place in range(3):
+        e, r = np.nonzero(adjacency.edge_order == place)
+        t = elems[e, r]
+        places.append((e, width * t + adjacency.diagonal[t], 4 * e + 3 * r))
     for start in range(0, mesh.num_edges, _EDGE_CHUNK):
         edges = np.arange(start, min(start + _EDGE_CHUNK, mesh.num_edges))
-        elems = mesh.edge_elems[edges]
-        present = elems >= 0
-        e, r, s = np.nonzero(present[:, :, None] & present[:, None, :])
-        yield ((edges,) + _edge_quadrature(mesh, edges)
-               + ((e, r, s), elems[e, r], adjacency.edge_slots[edges[e], r, s]))
+        chunk = []
+        for e, slots, blocks in places:
+            run = slice(*np.searchsorted(e, [start, start + edges.size]))
+            chunk.append((slots[run], blocks[run] - 4 * start))
+        yield (edges,) + _edge_quadrature(mesh, edges) + (chunk,)
 
 
 def _flux_edge_blocks(normals, G, coef):
     """Edge part of a flux coupling: (coef G)_{ij} n0 on (flux test, scalar
-    trial), for the blocks G (n, 3, 3) with coefficients coef (n,) and the
-    edge normals n0 (n, 2)."""
-    blk = (G * coef[:, None, None])[:, :, None, :]
-    return (blk * normals[:, None, :, None]).reshape(-1, 6, 3)
+    trial), for the blocks G (..., 3, 3) with coefficients coef (...) and
+    the edge normals n0 (..., 2); returns blocks (..., 6, 3)."""
+    out = np.empty(G.shape[:-1] + (2, 3))
+    x, y = out[..., 0, :], out[..., 1, :]
+    np.multiply(G, coef[..., None, None], out=x)
+    np.multiply(x, normals[..., 1, None, None], out=y)
+    x *= normals[..., 0, None, None]
+    return out.reshape(G.shape[:-2] + (6, 3))
+
+
+def _place_edge_blocks(data, places, blocks):
+    """Put the edge blocks (n, 2, 2, I, J) of a chunk into ``data``, the
+    ``BlockLayout`` blocks of a matrix on the element adjacency, at the
+    ``places`` of ``_edge_chunks``.
+
+    The block of an interior edge between its two elements is the only
+    term in its slot, so it is assigned.  The (r, r) blocks are added to
+    the diagonal of element edge_elems[e, r] one place at a time: each
+    element's first edge, then its second, then its third.  The chunks
+    arrive in increasing edge order, so every diagonal block sums its
+    element's edges in that order, and no element appears twice in one
+    addition.
+    """
+    I, J = blocks.shape[-2:]
+    data, blocks = data.reshape(-1, I, J), blocks.reshape(-1, I, J)
+    for k, (slots, edge_blocks) in enumerate(places):
+        if k < 2:
+            data[slots] = blocks[edge_blocks]
+        else:
+            data[slots] += blocks[edge_blocks]
 
 
 def _block_rows(blocks, columns, num_cols):
     """CSR matrix of one block per block row: blocks[t] (I, J) at block row
     t and block column columns[t], stored zeros dropped."""
     n, I, J = blocks.shape
-    layout = BlockLayout(np.arange(n + 1), columns, (I, J))
-    return layout.matrix(blocks.reshape(-1), (n * I, num_cols))
+    return BlockLayout(columns[:, None], (I, J)).matrix(blocks[:, None], (n * I, num_cols))
 
 
 def _load_vector(mesh, fun, name):
@@ -298,8 +334,7 @@ def _load_vector(mesh, fun, name):
     (``data_values`` checks the values of the data ``name``)."""
     rule = quadrature_rule("triangle", DATA_DEGREE)
     vals = data_values(fun, physical_points(mesh, rule.points), name)  # (nt, k)
-    lam = tri_basis_values(rule.points)
-    load = np.einsum("tg,gi,g->ti", vals, lam, rule.weights)
+    load = (vals * rule.weights) @ tri_basis_values(rule.points)
     return ((2.0 * mesh.areas)[:, None] * load).ravel()
 
 
@@ -433,28 +468,31 @@ def _volume_blocks(mesh, data):
     # b: sqrt(eps) grad(y_j)[comp] * integral(lam_i), row 2i + comp
     B_vol = ((data.sqrt_eps * grads.transpose(0, 2, 1))[:, None]
              * int_lam[:, :, None, None]).reshape(nt, 6, 3)
-    # c: alpha y v - y beta . grad(v), test v = lam_i, trial y = lam_j
-    beta_grad = np.einsum("tgd,tid->tgi", data_values(data.beta, pts, "beta", vector=True),
-                          grads)  # (nt, k, 3)
+    # c: alpha y v - y beta . grad(v), test v = lam_i, trial y = lam_j, as
+    # two products over the k rule points: sum_g alpha w lam_i lam_j and
+    # sum_g (beta . grad(lam_i)) w lam_j
+    k = rule.weights.size
+    beta = data_values(data.beta, pts, "beta", vector=True)
+    beta_grad = beta @ grads.transpose(0, 2, 1)  # (nt, k, 3)
     alpha = data_values(data.alpha, pts, "alpha")
     bad = alpha < 0.0
     if bad.any():
         raise ValueError(f"alpha is negative at {int(bad.sum())} of {bad.size} points "
                          f"(first at x = {pts[bad][0].tolist()})")
-    integrand = (alpha[:, :, None, None] * lam[None, :, None, :]
-                 * lam[None, :, :, None] - lam[None, :, None, :] * beta_grad[:, :, :, None])
-    C_vol = two_area[:, None, None] * np.einsum("tgij,g->tij", integrand, rule.weights)
+    reaction = (alpha * rule.weights) @ (lam[:, :, None] * lam[:, None, :]).reshape(k, 9)
+    convection = np.swapaxes(beta_grad, 1, 2).reshape(3 * nt, k) @ (rule.weights[:, None] * lam)
+    C_vol = two_area[:, None, None] * (reaction.reshape(nt, 3, 3) - convection.reshape(nt, 3, 3))
     return mass, B_vol, C_vol
 
 
 def _coupling(mesh, block_shape, diagonal):
     """Layout and data of a matrix of ``block_shape`` blocks on the element
     adjacency, with the element blocks ``diagonal`` (nt, I, J) in place and
-    zeros elsewhere, for the edge blocks to be summed into."""
+    zeros elsewhere, for the edge blocks to be placed into."""
     adjacency = mesh.adjacency
-    layout = BlockLayout(adjacency.indptr, adjacency.indices, block_shape)
-    data = np.zeros(layout.size)
-    data[layout.positions(np.arange(mesh.num_elements), adjacency.diagonal)] = diagonal
+    layout = BlockLayout(adjacency.neighbours, block_shape)
+    data = layout.zeros()
+    data[np.arange(mesh.num_elements), adjacency.diagonal] = diagonal
     return layout, data
 
 
@@ -475,6 +513,7 @@ def assemble_forms(mesh: Mesh, data: ProblemData) -> BlockOperator:
     own = np.arange(mesh.num_elements)
     A = _block_rows((mass[:, :, None, :, None] * np.eye(2)[:, None, :]).reshape(-1, 6, 6), own, nW)
     M_Omega = _block_rows(mass, own, nV)
+    del mass
     B_layout, B_data = _coupling(mesh, (6, 3), B_vol)
     C_layout, C_data = _coupling(mesh, (3, 3), C_vol)
     del B_vol, C_vol
@@ -489,16 +528,15 @@ def assemble_forms(mesh: Mesh, data: ProblemData) -> BlockOperator:
     # c: ({y} + D11 . [y]) beta . [v] and -sqrt(eps) C11 [y] . [v]
     ycoef = np.stack([0.5 + flux.d11n, 0.5 - flux.d11n], axis=1)
     pen = -sqrt_eps * flux.c11
-    for edges, xg, wt, L, (e, r, s), rows, slots in _edge_chunks(mesh):
-        ed = edges[e]
-        beta_n = np.einsum("egd,ed->eg", data_values(data.beta, xg, "beta", vector=True),
-                           mesh.edge_normals[edges, 0])
-        G = _gram(wt, L)[e, r, s]
-        np.add.at(B_data, B_layout.positions(rows, slots),
-                  _flux_edge_blocks(mesh.edge_normals[ed, 0], G, coef_B[ed, r, s]))
-        conv = _gram(wt * beta_n, L)[e, r, s] * (sign[r] * ycoef[ed, s])[:, None, None]
-        np.add.at(C_data, C_layout.positions(rows, slots),
-                  conv + G * (pen[ed] * sign[r] * sign[s])[:, None, None])
+    sign_rs = sign[:, None] * sign[None, :]
+    for edges, xg, wt, L, places in _edge_chunks(mesh):
+        n0 = mesh.edge_normals[edges, 0]
+        beta_n = np.einsum("egd,ed->eg", data_values(data.beta, xg, "beta", vector=True), n0)
+        G = _gram(wt, L)
+        _place_edge_blocks(B_data, places, _flux_edge_blocks(n0[:, None, None], G, coef_B[edges]))
+        G *= (pen[edges, None, None] * sign_rs)[..., None, None]
+        G += _gram(wt * beta_n, L) * (sign[:, None] * ycoef[edges, None, :])[..., None, None]
+        _place_edge_blocks(C_data, places, G)
     # each full-block buffer is released once compacted into its matrix
     B = B_layout.matrix(B_data, (nW, nV))
     del B_data
@@ -541,10 +579,9 @@ def assemble_divergence_form_b(flux: FluxParameters) -> sp.csr_matrix:
     ycoef = np.where(mesh.boundary_mask[:, None], 0.0,
                      np.stack([0.5 + flux.c12n, 0.5 - flux.c12n], axis=1))
     coef = sqrt_eps * sign[None, :, None] * ycoef[:, None, :]
-    for edges, _, wt, L, (e, r, s), rows, slots in _edge_chunks(mesh):
-        ed = edges[e]
-        np.add.at(vals, layout.positions(rows, slots), _flux_edge_blocks(
-            mesh.edge_normals[ed, 0], _gram(wt, L)[e, r, s], coef[ed, r, s]))
+    for edges, _, wt, L, places in _edge_chunks(mesh):
+        _place_edge_blocks(vals, places, _flux_edge_blocks(
+            mesh.edge_normals[edges, 0, None, None], _gram(wt, L), coef[edges]))
     return layout.matrix(vals, (6 * nt, 3 * nt))
 
 

@@ -56,7 +56,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import BlockLayout, dissection_order
+from .geometry import dissection_order
 from .spaces import FORM_DEGREE, quadrature_rule, tri_basis_values
 
 __all__ = [
@@ -161,30 +161,38 @@ class Factorization:
     def solve(self, b, trans: str = "N"):
         """Solve A x = b (``trans="T"``: A' x = b) with iterative refinement.
 
-        The relative residual is driven below ``_SOLVE_TOL`` by at most
-        ``_MAX_REFINE`` refinement sweeps (counted in ``sweeps``); b = 0
-        gives x = 0 without a solve.  Non-finite entries or a stalled
+        ``b`` is a vector or an (n, m) array of m right-hand sides, solved
+        together.  Each column's relative residual is driven below
+        ``_SOLVE_TOL`` by at most ``_MAX_REFINE`` refinement sweeps of its
+        own (each counted in ``sweeps``); a zero column gives a zero
+        column without a solve.  Non-finite entries or a stalled
         refinement are reported as a singular system.
         """
         b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.matrix.shape[0]:
+        n = self.matrix.shape[0]
+        if b.shape[0] != n:
             raise ValueError("right-hand side does not match the factored matrix")
-        norm_b = np.linalg.norm(b)
-        if norm_b == 0.0:
-            return np.zeros_like(b)
+        columns = b.reshape(n, -1)
+        norm_b = np.linalg.norm(columns, axis=0)
+        x = np.zeros_like(columns)
+        live = np.flatnonzero(norm_b)
+        if live.size:
+            x[:, live] = self._lu_solve(columns[:, live], trans)
+            if not np.all(np.isfinite(x)):
+                raise SingularSystemError("sparse LU produced non-finite entries (singular system)")
         op = self.matrix if trans == "N" else self.matrix.T
-        x = self._lu_solve(b, trans)
-        if not np.all(np.isfinite(x)):
-            raise SingularSystemError("sparse LU produced non-finite entries (singular system)")
         for sweep in range(_MAX_REFINE + 1):
-            residual = b - op @ x
-            error = np.linalg.norm(residual) / norm_b
-            if error <= _SOLVE_TOL:
-                return x
+            residual = columns[:, live] - op @ x[:, live]
+            error = np.linalg.norm(residual, axis=0) / norm_b[live]
+            open_ = error > _SOLVE_TOL
+            if not open_.any():
+                return x.reshape(b.shape)
+            live, residual = live[open_], residual[:, open_]
             if sweep < _MAX_REFINE:
-                self.sweeps += 1
-                x = x + self._lu_solve(residual, trans)
-        raise SingularSystemError(f"iterative refinement stalled at relative residual {error:.3e}")
+                self.sweeps += live.size
+                x[:, live] += self._lu_solve(residual, trans)
+        raise SingularSystemError(
+            f"iterative refinement stalled at relative residual {error.max():.3e}")
 
 
 def direct_solve(A, b, order=None):
@@ -332,13 +340,16 @@ def _flux_block_inverse(ops):
     nt = mesh.num_elements
     rule = quadrature_rule("triangle", FORM_DEGREE)
     lam = tri_basis_values(rule.points)
-    mass_ref = (lam.T * rule.weights) @ lam
-    minv = np.linalg.inv(mass_ref)
-    blk6 = np.kron(minv, np.eye(2))
-
-    vals = (blk6.ravel()[None, :] / (2.0 * mesh.areas)[:, None]).ravel()
+    minv = np.linalg.inv((lam.T * rule.weights) @ lam)
+    # row 6 t + 2 i + c holds minv[i, j] / (2 area) at column 6 t + 2 j + c
+    shape = (nt, 3, 2, 3)
+    vals = np.broadcast_to(minv[None, :, None, :] / (2.0 * mesh.areas)[:, None, None, None], shape)
     n = 6 * nt
-    return BlockLayout(np.arange(nt + 1), np.arange(nt), (6, 6)).matrix(vals, (n, n))
+    index = np.int32 if 3 * n < 2**31 else np.int64
+    cols = (6 * np.arange(nt, dtype=index)[:, None, None, None]
+            + 2 * np.arange(3, dtype=index) + np.arange(2, dtype=index)[:, None])
+    return sp.csr_matrix((vals.ravel(), np.broadcast_to(cols, shape).ravel(),
+                          np.arange(0, 3 * n + 1, 3, dtype=index)), shape=(n, n))
 
 
 def _condensation_operators(ops):
@@ -347,13 +358,22 @@ def _condensation_operators(ops):
     Returns (Ainv, AinvB, S, Mt) with S = C + B^T A^-1 B the convection-
     diffusion operator acting on the scalar unknown alone, and
     Mt = M2 + B^T A^-1 M1 the matching condensed control-to-state load.
+
+    B^T (A^-1 B) is formed as the transpose of (A^-1 B)^T B, which holds
+    the same sums and needs B, not A^-1 B, in column form.  A^-1 is not
+    kept while S is formed: it is built again at the end (a few ms), so
+    the peak of the elimination stays within a fifth of what it keeps.
     """
     if ops._condensation is None:
         Ainv = _flux_block_inverse(ops)
-        AinvB = (Ainv @ ops.B).tocsr()
-        S = (ops.C + ops.B.T @ AinvB).tocsr()
+        AinvB = Ainv @ ops.B
         Mt = (ops.M2 + ops.B.T @ (Ainv @ ops.M1)).tocsr()
-        ops._condensation = (Ainv, AinvB, S, Mt)
+        del Ainv
+        X = (AinvB.T @ ops.B).T
+        S = ops.C + X
+        del X
+        S.sort_indices()
+        ops._condensation = (_flux_block_inverse(ops), AinvB, S, Mt)
     return ops._condensation
 
 
@@ -550,27 +570,31 @@ def _gradient(ops, mode, omega, u, z):
     return omega * (W @ u) + L.T @ z
 
 
-def _pcg(apply, b, precond, x0, rtol, maxiter):
-    """Preconditioned conjugate gradients for an SPD operator.
+def _pcg(apply, b, r, precond, x, rtol, maxiter):
+    """Preconditioned conjugate gradients for an SPD operator H.
 
-    Iterates from ``x0`` until ||b - apply(x)|| <= rtol ||b|| (recursively
-    updated residual) or ``maxiter`` steps.  Returns (x, iterations,
+    ``x`` is a tuple of arrays: the start iterate, then arrays that move
+    with it, and ``r`` is the residual b - H x[0] at the start.
+    ``apply(d)`` returns (H d, ...): after H d, the change of each further
+    array of ``x`` per unit step along d.  Iterates until
+    ||r|| <= rtol ||b|| (recursively updated residual) or ``maxiter``
+    steps; updates the arrays of ``x`` in place.  Returns (x, iterations,
     relative residual).
     """
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
-        return np.zeros_like(b), 0, 0.0
-    x = x0.copy()
-    r = b - apply(x) if x.any() else b.copy()
+        return x, 0, 0.0
+    r = r.copy()
     res = float(np.linalg.norm(r) / norm_b)
     z = precond(r)
     d = z.copy()
     rz = r @ z
     it = 0
     while res > rtol and it < maxiter:
-        Hd = apply(d)
+        Hd, *moves = apply(d)
         alpha = rz / (d @ Hd)
-        x += alpha * d
+        for xi, move in zip(x, (d, *moves)):
+            xi += alpha * move
         r -= alpha * Hd
         it += 1
         res = float(np.linalg.norm(r) / norm_b)
@@ -587,30 +611,49 @@ def _reduced_solve(ops, active, data, mode, u_start):
     H = omega W + L' S^-T M_Omega S^-1 L, by CG preconditioned with
     (omega W_II)^-1 and started from ``u_start``; b_I is minus the reduced
     gradient at u_I = 0, u_A = bound.  The active controls are their
-    bounds, and y, z, p, q follow from one state and one adjoint solve.
+    bounds.
+
+    One two-column solve with S and one with S' give the state and adjoint
+    at u_I = 0, whose gradient gives b_I, and at the start, whose gradient
+    gives the start residual.  CG carries the state y and adjoint z of its
+    iterate: each step solves S w = L d and S' s = M_Omega w for its
+    direction d, and y, z move with u as w, s.  So k CG steps cost
+    2 + 2k solves, and p, q follow from y and z.
     """
     inactive, u = _control_blocks(ops, active, data, mode)
     free = np.flatnonzero(inactive)
     L, W, M1 = _control_load(ops, mode)
     W_I = (data.omega * W[free][:, free]).tocsc()
+    lu = ops.state_factorization()
 
-    def hessian(x):
+    starts = u[:, None]  # u_I = 0, then the start if it has inactive values
+    if u_start is not None and np.any(np.asarray(u_start, dtype=float)[free]):
+        start = u.copy()
+        start[free] = np.asarray(u_start, dtype=float)[free]
+        starts = np.stack([u, start], axis=1)
+    y = lu.solve(ops.F[:, None] + L @ starts)
+    z = lu.solve(ops.M_Omega @ y - ops.Yd[:, None], trans="T")
+    gradient = _gradient(ops, mode, data.omega, starts, z)[free]
+    b = -gradient[:, 0]
+    last = -1 if b.any() else 0  # a zero b is solved by u_I = 0
+
+    def step(d):
         v = np.zeros(u.size)
-        v[free] = x
-        return W_I @ x + (L.T @ _state_adjoint(ops, L @ v, 0.0)[1])[free]
+        v[free] = d
+        w = lu.solve(L @ v)
+        s = lu.solve(ops.M_Omega @ w, trans="T")
+        return W_I @ d + (L.T @ s)[free], w, s
 
-    _, z = _state_adjoint(ops, ops.F + L @ u, ops.Yd)
-    b = -_gradient(ops, mode, data.omega, u, z)[free]
-    x0 = np.zeros(free.size) if u_start is None else np.asarray(u_start, dtype=float)[free]
     precond = Factorization(W_I).solve if free.size else None
     rtol = 1e-2 * _SOLVE_TOL
-    x, iterations, residual = _pcg(hessian, b, precond, x0, rtol, CG_MAX_ITER)
+    (x, y, z), iterations, residual = _pcg(
+        step, b, -gradient[:, last], precond,
+        (starts[free, last].copy(), y[:, last].copy(), z[:, last].copy()), rtol, CG_MAX_ITER)
     if not residual <= rtol:
         raise ReducedSolveError(
             f"CG on {free.size} inactive controls stopped after {iterations} "
             f"iterations at reduced residual {residual:.3e} (tolerance {rtol:.0e})")
     u[free] = x
-    y, z = _state_adjoint(ops, ops.F + L @ u, ops.Yd)
     Ainv, AinvB, _, _ = _condensation_operators(ops)
     parts = {"q": Ainv @ (M1 @ u - ops.B @ y), "y": y, "p": AinvB @ z, "z": z,
              "cg": CgReport(iterations, residual)}

@@ -201,11 +201,11 @@ def edge_trace_table(mesh: Mesh, edges, s) -> np.ndarray:
     """
     edges = np.asarray(edges)
     phi = edge_basis_values(s)  # (k, 2)
-    L = np.zeros((len(edges), 2, len(phi), 3))
+    L = np.zeros((len(edges), 2, 3, len(phi)))  # filled node by node, returned as a view
     e, side = np.nonzero(mesh.edge_elems[edges] >= 0)
     for end in range(2):
-        L[e, side, :, mesh.edge_local[edges[e], side, end]] = phi[:, end]
-    return L
+        L[e, side, mesh.edge_local[edges[e], side, end]] = phi[:, end]
+    return L.swapaxes(2, 3)
 
 
 class DofMap:

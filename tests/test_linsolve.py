@@ -494,8 +494,8 @@ def test_pdas_reduced_and_monolithic_take_the_same_steps(mode, ex2_ops_128):
 def test_reduced_solve_raises_when_cg_misses_its_tolerance(ex2_ops_128, monkeypatch):
     data, ops = ex2_ops_128
 
-    def stalled_cg(apply, b, precond, x0, rtol, maxiter):
-        return x0, maxiter, 3e-4
+    def stalled_cg(apply, b, r, precond, x, rtol, maxiter):
+        return x, maxiter, 3e-4
     monkeypatch.setattr(linsolve, "_pcg", stalled_cg)
     with pytest.raises(ReducedSolveError, match="reduced residual 3.000e-04"):
         solve_optimality_system(ops, no_active(ops, "full"), data)
