@@ -26,7 +26,7 @@ edges in one batched call (``spaces.eval_field``, ``spaces.trace_on_edge``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -406,9 +406,12 @@ def error_l2_boundary(source, exact, mesh: Mesh = None) -> float:
 
     ``source`` may be a boundary-edge field (controls), a scalar element
     field (its boundary trace is used), or a constant or callable on point
-    arrays like ``exact`` (see ``geometry.data_values``).
+    arrays like ``exact`` (see ``geometry.data_values``).  A field brings
+    its mesh; a ``mesh`` passed with it must be that mesh.
     """
     if isinstance(source, DiscreteField):
+        if mesh is not None and mesh is not source.dofmap.mesh:
+            raise ValueError("the field lives on another mesh than the one passed")
         mesh = source.dofmap.mesh
     if mesh is None:
         raise ValueError("a mesh is required for callable sources")

@@ -315,9 +315,7 @@ class FdGradientCheck:
     """Comparison of the adjoint directional derivative with differences."""
 
     adjoint_value: float
-    difference_value: float
     mismatch: float
-    step: float
 
 
 def fd_gradient_check(ops: BlockOperator, u, delta_u) -> FdGradientCheck:
@@ -343,7 +341,7 @@ def fd_gradient_check(ops: BlockOperator, u, delta_u) -> FdGradientCheck:
     adjoint_value = float(np.dot(_gradient(ops, "full", data.omega, uc, z), dc))
     fd_value = (cost_of(uc + step * dc) - cost_of(uc - step * dc)) / (2.0 * step)
     scale = max(1.0, abs(adjoint_value), abs(fd_value))
-    return FdGradientCheck(adjoint_value, fd_value, abs(adjoint_value - fd_value) / scale, step)
+    return FdGradientCheck(adjoint_value, abs(adjoint_value - fd_value) / scale)
 
 
 def _initial_control(data: ProblemData, n: int) -> np.ndarray:

@@ -89,6 +89,17 @@ def test_boundary_error_of_scalar_trace():
     assert error_l2_boundary(field, lin, mesh=mesh) < 1e-12
 
 
+def test_boundary_error_rejects_a_field_on_another_mesh():
+    # a field brings its mesh: a different one passed with it is an error,
+    # not silently replaced; the field's own mesh is accepted
+    mesh, other = build_unit_square_mesh(2), build_unit_square_mesh(2)
+    field = DiscreteField(SpaceSet(mesh).control)
+    one = lambda x: np.ones(x.shape[:-1])
+    with pytest.raises(ValueError, match="another mesh"):
+        error_l2_boundary(field, one, mesh=other)
+    assert error_l2_boundary(field, one, mesh=mesh) == error_l2_boundary(field, one)
+
+
 def test_flux_normal_error_constant_gradient():
     # zero discrete flux against grad z = (1, 0): the normal component is
     # +-1 on the vertical sides and 0 on the horizontal ones

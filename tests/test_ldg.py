@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from ldgcontrol import ldg
 from ldgcontrol.analysis import example2_data, example3_data, example3_mesh
-from ldgcontrol.geometry import Mesh, build_unit_square_mesh, data_values, refine_uniform
+from ldgcontrol.geometry import build_unit_square_mesh, data_values, refine_uniform
 from ldgcontrol.ldg import (
     FluxParameters,
     ProblemData,
@@ -18,7 +18,7 @@ from ldgcontrol.ldg import (
     solve_adjoint,
     solve_state,
 )
-from ldgcontrol.linsolve import _flux_block_inverse
+from ldgcontrol.linsolve import _condensation_operators, _flux_block_inverse
 from ldgcontrol.spaces import (
     FORM_DEGREE,
     DiscreteField,
@@ -471,11 +471,9 @@ def test_divergence_form_fill_matches_the_coo_oracle(mesh, data):
     assert np.abs(new.data - ref.data).max() <= 4e-16 * np.abs(ref.data).max()
 
 
-def test_flux_block_inverse_matches_the_coo_oracle():
+def _flux_inverse_oracle(mesh):
     # the element inverses as triplets of whole 6x6 blocks, less the zeros
-    # of their 2x2 identity factor: 18 stored entries per element
-    mesh, spaces, data, flux, ops = make_ops(4)
-    Ainv = _flux_block_inverse(ops)
+    # of their 2x2 identity factor
     nt = mesh.num_elements
     rule = quadrature_rule("triangle", FORM_DEGREE)
     lam = tri_basis_values(rule.points)
@@ -483,13 +481,47 @@ def test_flux_block_inverse_matches_the_coo_oracle():
     vals = blk6[None, :, :] / (2.0 * mesh.areas)[:, None, None]
     dofs6 = 6 * np.arange(nt)[:, None] + np.arange(6)
     ref = sp.csr_matrix((vals.ravel(), (np.repeat(dofs6, 6, axis=1).ravel(),
-                                        np.tile(dofs6, (1, 6)).ravel())), shape=Ainv.shape)
+                                        np.tile(dofs6, (1, 6)).ravel())), shape=(6 * nt, 6 * nt))
     ref.eliminate_zeros()
-    assert Ainv.nnz == 18 * nt
+    return ref
+
+
+def test_flux_block_inverse_matches_the_coo_oracle():
+    # 18 stored entries per element
+    mesh, spaces, data, flux, ops = make_ops(4)
+    Ainv = _flux_block_inverse(ops)
+    ref = _flux_inverse_oracle(mesh)
+    assert Ainv.nnz == 18 * mesh.num_elements
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(Ainv, part), getattr(ref, part)), part
         assert getattr(Ainv, part).dtype == getattr(ref, part).dtype, part
     assert np.allclose((Ainv @ ops.A).toarray(), np.eye(Ainv.shape[0]), atol=1e-12)
+
+
+ELIMINATION_CASES = pytest.mark.parametrize("mesh, data", [
+    (refine_uniform(refine_uniform(build_unit_square_mesh(4))), example2_data()),
+    (example3_mesh(2), example3_data()),
+    (build_unit_square_mesh(4),
+     ProblemData(epsilon=1e-2, omega=1.0, beta=rotating_beta, alpha=1.0)),
+], ids=["ex2-chain", "ex3-fan3", "rotating"])
+
+
+@ELIMINATION_CASES
+def test_condensation_matches_the_product_form(mesh, data):
+    # A^-1 B, S = C + B' A^-1 B and Mt = M2 + B' A^-1 M1 against the plain
+    # scipy products of the assembled blocks, with the oracle inverse
+    ops = assemble_forms(mesh, data)
+    Ainv, AinvB, S, Mt = _condensation_operators(ops)
+    Ainv_ref = _flux_inverse_oracle(mesh)
+    AinvB_ref = Ainv_ref @ ops.B
+    refs = {"AinvB": (AinvB, AinvB_ref), "S": (S, ops.C + ops.B.T @ AinvB_ref),
+            "Mt": (Mt, ops.M2 + ops.B.T @ (Ainv_ref @ ops.M1))}
+    for name, (new, ref) in refs.items():
+        new, ref = new.tocsr().sorted_indices(), ref.tocsr().sorted_indices()
+        assert np.array_equal(new.indptr, ref.indptr) and np.array_equal(new.indices, ref.indices), name
+        assert np.abs(new.data - ref.data).max() <= 4e-16 * np.abs(ref.data).max(), name
+    assert S.has_canonical_format
+    assert ops.state_factorization().matrix is S
 
 
 def _chain_mesh(elements):
@@ -519,3 +551,20 @@ def test_assembly_transient_is_bounded():
     for mat in blocks:
         assert mat.format == "csr" and mat.has_canonical_format
         assert np.all(mat.data != 0.0)
+
+
+def test_elimination_transient_is_bounded():
+    # the traced peak of the flux elimination stays within a fifth above
+    # what it keeps (A^-1, A^-1 B, S and Mt)
+    ops = assemble_forms(_chain_mesh(2048), example2_data())
+    _condensation_operators(ops)  # warms the rules and scipy's paths
+    ops._condensation = None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _condensation_operators(ops)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.2 * (kept - before)

@@ -141,6 +141,38 @@ def test_refinement_counts_sweeps_then_reports_the_stall(monkeypatch):
     assert factor.sweeps == 3
 
 
+def test_columns_are_solved_and_refined_each_on_their_own(monkeypatch):
+    rng = np.random.default_rng(6)
+    A = sp.csc_matrix(rng.standard_normal((30, 30)) + 30.0 * np.eye(30))
+    factor = Factorization(A)
+    b = rng.standard_normal((30, 3))
+    b[:, 1] = 0.0
+    for trans, op in (("N", A), ("T", A.T)):
+        x = factor.solve(b, trans=trans)
+        assert x.shape == (30, 3) and not x[:, 1].any()
+        for j in (0, 2):
+            assert np.linalg.norm(op @ x[:, j] - b[:, j]) <= 1e-10 * np.linalg.norm(b[:, j])
+            assert np.allclose(x[:, j], factor.solve(b[:, j], trans=trans), rtol=0, atol=1e-14)
+    assert factor.sweeps == 0
+
+    class Perturbed:
+        # a two-column LU solve off by 1 % in its first column: that column
+        # alone is refined, by a one-column solve
+        def __init__(self, lu):
+            self.lu = lu
+            self.nnz = lu.nnz
+
+        def solve(self, c, trans="N"):
+            x = self.lu.solve(c, trans=trans)
+            if x.ndim == 2 and x.shape[1] == 2:
+                x[:, 0] *= 1.01
+            return x
+    monkeypatch.setattr(factor, "lu", Perturbed(factor.lu))
+    x = factor.solve(b[:, ::2])
+    assert factor.sweeps == 1
+    assert np.linalg.norm(A @ x - b[:, ::2], axis=0).max() <= 1e-10 * np.linalg.norm(b)
+
+
 def chain_mesh_2048():
     mesh = build_unit_square_mesh(4)
     for _ in range(3):
@@ -500,6 +532,32 @@ def test_reduced_solve_raises_when_cg_misses_its_tolerance(ex2_ops_128, monkeypa
     with pytest.raises(ReducedSolveError, match="reduced residual 3.000e-04"):
         solve_optimality_system(ops, no_active(ops, "full"), data)
     assert issubclass(ReducedSolveError, SingularSystemError)
+
+
+def test_reduced_step_makes_two_plus_two_solves_per_cg_iteration(ex2_ops_128, monkeypatch):
+    # each PDAS step: one two-column solve with S and one with S' for the
+    # right-hand side and the start residual, then one of each per CG
+    # iteration; the state and adjoint ride along with the iterate
+    data, ops = ex2_ops_128
+    factor = ops.state_factorization()
+    columns = []
+    solve = factor.solve
+
+    def counted(b, trans="N"):
+        columns[-1].append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+        return solve(b, trans=trans)
+    reduced = linsolve._reduced_solve
+
+    def step(*args):
+        columns.append([])
+        return reduced(*args)
+    monkeypatch.setattr(factor, "solve", counted)
+    monkeypatch.setattr(linsolve, "_reduced_solve", step)
+    sol = pdas_solve(ops, data, u0=np.full(ops.M_Gamma.shape[0], 0.1))
+    assert len(columns) == sol.iterations == len(sol.log) >= 2
+    for record, cols in zip(sol.log, columns):
+        assert record.cg_iterations > 0
+        assert cols == [2, 2] + [1] * (2 * record.cg_iterations)
 
 
 def test_condensed_solution_satisfies_coupled_system(ex2_ops_128):
