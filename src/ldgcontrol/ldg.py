@@ -292,11 +292,10 @@ def _flux_edge_blocks(normals, G, coef):
     """Edge part of a flux coupling: (coef G)_{ij} n0 on (flux test, scalar
     trial), for the blocks G (..., 3, 3) with coefficients coef (...) and
     the edge normals n0 (..., 2); returns blocks (..., 6, 3)."""
-    out = np.empty(G.shape[:-1] + (2, 3))
-    x, y = out[..., 0, :], out[..., 1, :]
-    np.multiply(G, coef[..., None, None], out=x)
-    np.multiply(x, normals[..., 1, None, None], out=y)
-    x *= normals[..., 0, None, None]
+    blk = G * coef[..., None, None]
+    out = np.empty(blk.shape[:-1] + (2, 3))
+    for comp in range(2):
+        np.multiply(blk, normals[..., comp, None, None], out=out[..., comp, :])
     return out.reshape(G.shape[:-2] + (6, 3))
 
 

@@ -342,13 +342,15 @@ def _flux_block_inverse(ops):
     lam = tri_basis_values(rule.points)
     minv = np.linalg.inv((lam.T * rule.weights) @ lam)
     # row 6 t + 2 i + c holds minv[i, j] / (2 area) at column 6 t + 2 j + c
-    shape = (nt, 3, 2, 3)
-    vals = np.broadcast_to(minv[None, :, None, :] / (2.0 * mesh.areas)[:, None, None, None], shape)
     n = 6 * nt
     index = np.int32 if 3 * n < 2**31 else np.int64
-    cols = (6 * np.arange(nt, dtype=index)[:, None, None, None]
-            + 2 * np.arange(3, dtype=index) + np.arange(2, dtype=index)[:, None])
-    return sp.csr_matrix((vals.ravel(), np.broadcast_to(cols, shape).ravel(),
+    vals = np.empty((nt, 3, 2, 3))
+    vals[:, :, 0] = minv / (2.0 * mesh.areas)[:, None, None]
+    vals[:, :, 1] = vals[:, :, 0]
+    cols = np.empty((nt, 3, 2, 3), dtype=index)
+    cols[:] = 6 * np.arange(nt, dtype=index)[:, None, None, None]
+    cols += 2 * np.arange(3, dtype=index) + np.arange(2, dtype=index)[:, None]
+    return sp.csr_matrix((vals.reshape(-1), cols.reshape(-1),
                           np.arange(0, 3 * n + 1, 3, dtype=index)), shape=(n, n))
 
 
