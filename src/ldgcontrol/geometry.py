@@ -8,8 +8,9 @@ lengths and an interior/boundary flag.  This is the information a
 discontinuous Galerkin assembly needs to evaluate jumps, averages and
 numerical fluxes on every edge.  ``Mesh.adjacency`` is the block pattern
 of the DG matrices (each element coupled to itself and its edge
-neighbours), and ``BlockLayout`` places a matrix of fixed-size blocks on
-such a pattern in CSR form, less its stored zeros.
+neighbours, padded to four slots), and ``BlockLayout`` holds a matrix of
+fixed-size blocks on such a pattern as one array, written block by block,
+and makes it a CSR matrix less its stored zeros.
 
 Uniform (red) refinement splits each triangle into four congruent children
 and keeps a parent-child map, so fields computed on a refined mesh can be

@@ -48,18 +48,25 @@ side, trial side) block of weighted products of these tables.  Boundary
 edges need no branch of their own: their terms are the side-0 block of
 the interior formulas, with the b weight 1/2 - C12 . n replaced by 1, and
 with the upwind factor 1/2 + D11 . n of c equal to 1 on outflow and 0 on
-inflow edges.
+inflow edges.  The volume terms and the loads are matrix products over
+the rule points.
 
-Every matrix is written in CSR form directly, with one idiom: a
-``geometry.BlockLayout`` of fixed-size element blocks.  B (6 x 3 blocks)
-and C (3 x 3) sit on the element adjacency ``Mesh.adjacency`` (each
-element and its edge neighbours, built once per mesh): their data start
-as the volume blocks on the diagonal, and each chunk's edge blocks are
-summed in place at their slots.  A, M_Omega and the boundary tables E_U,
-T_pn and T_kz hold one block per block row, so their data are the local
-blocks themselves.  ``BlockLayout.matrix`` drops the stored zeros (e.g.
-the trace of the vertex opposite an edge), so no matrix goes through COO
-triplets and a sort.
+Every matrix is built with one idiom: a ``geometry.BlockLayout`` of
+fixed-size element blocks, whose data is one array (block row, slot,
+block).  B (6 x 3 blocks) and C (3 x 3) sit on the element adjacency
+``Mesh.adjacency`` (each element and its edge neighbours, built once per
+mesh): their data start as the volume blocks on the diagonal.  The edge
+pass writes each block by indexed assignment, with no ``np.add.at``: the
+block of an interior edge between its two elements is the only term in
+its slot and is assigned there, and the (r, r) blocks are added to the
+diagonal one place at a time (each element's first, second and third
+edge, ``ElementAdjacency.edge_order``), so every diagonal block sums its
+edges in increasing edge order, as the chunks come.  The places of the
+blocks are computed once per assembly (``_edge_chunks``).  A, M_Omega and
+the boundary tables E_U, T_pn and T_kz hold one block per block row, so
+their data are the local blocks themselves.  ``BlockLayout.matrix`` drops
+the stored zeros (the padding, the trace of the vertex opposite an edge,
+...), so no matrix goes through COO triplets and a sort.
 
 Data (beta, alpha, f, y_desired, a callable control or adjoint
 right-hand side) is a constant or a callable on whole point arrays
@@ -263,29 +270,31 @@ def _edge_chunks(mesh):
     (``_edge_quadrature``) and the places of their blocks in a matrix on
     ``mesh.adjacency``: yields (edges, xg, wt, L, places).
 
-    ``places`` lists five pairs (slots, blocks) of flat indices into the
-    ``BlockLayout`` blocks of the matrix (nt * 4, slot minor) and into the
-    chunk's edge blocks (n * 4, (test side, trial side) minor): first the
-    (0, 1) and (1, 0) blocks between the elements of each interior edge,
-    then the (r, r) blocks of the elements' first, second and third edges
-    (``ElementAdjacency.edge_order``), for ``_place_edge_blocks``.
+    ``places`` is (between, own), lists of pairs (slots, blocks) of flat
+    indices into the ``BlockLayout`` blocks of the matrix (nt * 4, slot
+    minor) and into the chunk's edge blocks (n * 4, (test side, trial
+    side) minor): ``between`` for the (0, 1) and (1, 0) blocks between the
+    elements of each interior edge, ``own`` for the (r, r) blocks of the
+    elements' first, second and third edges (``ElementAdjacency.edge_order``).
+    They are found once for all chunks.
     """
     adjacency, elems = mesh.adjacency, mesh.edge_elems
     width = adjacency.neighbours.shape[1]
     inner = mesh.interior_edges
-    places = [(inner, width * elems[inner, r] + adjacency.edge_slots[inner, r, 1 - r],
-               4 * inner + 1 + r) for r in range(2)]
+    between = [(inner, width * elems[inner, r] + adjacency.edge_slots[inner, r, 1 - r],
+                4 * inner + 1 + r) for r in range(2)]
+    own = []
     for place in range(3):
         e, r = np.nonzero(adjacency.edge_order == place)
         t = elems[e, r]
-        places.append((e, width * t + adjacency.diagonal[t], 4 * e + 3 * r))
-    for start in range(0, mesh.num_edges, _EDGE_CHUNK):
+        own.append((e, width * t + adjacency.diagonal[t], 4 * e + 3 * r))
+    starts = np.arange(0, mesh.num_edges, _EDGE_CHUNK)
+    cuts = [np.searchsorted(e, np.append(starts, mesh.num_edges)) for e, _, _ in between + own]
+    for c, start in enumerate(starts):
         edges = np.arange(start, min(start + _EDGE_CHUNK, mesh.num_edges))
-        chunk = []
-        for e, slots, blocks in places:
-            run = slice(*np.searchsorted(e, [start, start + edges.size]))
-            chunk.append((slots[run], blocks[run] - 4 * start))
-        yield (edges,) + _edge_quadrature(mesh, edges) + (chunk,)
+        runs = [(slots[cut[c]:cut[c + 1]], blocks[cut[c]:cut[c + 1]] - 4 * start)
+                for (_, slots, blocks), cut in zip(between + own, cuts)]
+        yield (edges,) + _edge_quadrature(mesh, edges) + ((runs[:2], runs[2:]),)
 
 
 def _flux_edge_blocks(normals, G, coef):
@@ -314,11 +323,11 @@ def _place_edge_blocks(data, places, blocks):
     """
     I, J = blocks.shape[-2:]
     data, blocks = data.reshape(-1, I, J), blocks.reshape(-1, I, J)
-    for k, (slots, edge_blocks) in enumerate(places):
-        if k < 2:
-            data[slots] = blocks[edge_blocks]
-        else:
-            data[slots] += blocks[edge_blocks]
+    between, own = places
+    for slots, edge_blocks in between:
+        data[slots] = blocks[edge_blocks]
+    for slots, edge_blocks in own:
+        data[slots] += blocks[edge_blocks]
 
 
 def _block_rows(blocks, columns, num_cols):

@@ -17,9 +17,19 @@ set (the same factorization the state and adjoint solves of ``ldg`` use,
 the adjoint transposed) and solves each active set in control space: the
 active controls are their bounds, and the inactive ones solve the SPD
 reduced system H_II u_I = b_I, H = omega W + L' S^-T M_Omega S^-1 L, by
-conjugate gradients preconditioned with (omega W_II)^-1.  Every CG step
-costs one solve with S and one with S'.  ``ReducedSolveError`` reports a
-CG run that misses its tolerance within ``CG_MAX_ITER`` steps.
+conjugate gradients preconditioned with (omega W_II)^-1.  An active set
+with k CG steps costs 2 + 2k solves with the factor: one two-column
+solve with S and one with S' (the state and adjoint at u_I = 0, for b_I,
+and at the start control, for the start residual), then one solve with
+S and one with S' per CG step, whose results move the state and adjoint
+along with the iterate.  ``Factorization.solve`` takes several
+right-hand sides as the columns of one array and refines each on its
+own.  ``ReducedSolveError`` reports a CG run that misses its tolerance
+within ``CG_MAX_ITER`` steps.
+
+The flux elimination (``_condensation_operators``) builds A^-1 from the
+reference mass inverse, scaled per element, and forms A^-1 B, Mt and
+S = C + B' (A^-1 B) as sparse products, the last through (A^-1 B)' B.
 
 The pieces of the reduced problem live here once: ``_control_load`` (L,
 W and the flux load M1 of a mode), ``_state_adjoint`` (the state/adjoint
@@ -559,7 +569,8 @@ def _control_load(ops, mode):
 
 def _state_adjoint(ops, load, target):
     """State y = S^-1 load and adjoint z = S^-T (M_Omega y - target), both
-    on the cached factorization of S."""
+    on the cached factorization of S; the columns of a 2-d ``load`` (and
+    ``target``) are solved together."""
     lu = ops.state_factorization()
     y = lu.solve(load)
     return y, lu.solve(ops.M_Omega @ y - target, trans="T")
@@ -626,15 +637,13 @@ def _reduced_solve(ops, active, data, mode, u_start):
     free = np.flatnonzero(inactive)
     L, W, M1 = _control_load(ops, mode)
     W_I = (data.omega * W[free][:, free]).tocsc()
-    lu = ops.state_factorization()
 
     starts = u[:, None]  # u_I = 0, then the start if it has inactive values
     if u_start is not None and np.any(np.asarray(u_start, dtype=float)[free]):
         start = u.copy()
         start[free] = np.asarray(u_start, dtype=float)[free]
         starts = np.stack([u, start], axis=1)
-    y = lu.solve(ops.F[:, None] + L @ starts)
-    z = lu.solve(ops.M_Omega @ y - ops.Yd[:, None], trans="T")
+    y, z = _state_adjoint(ops, ops.F[:, None] + L @ starts, ops.Yd[:, None])
     gradient = _gradient(ops, mode, data.omega, starts, z)[free]
     b = -gradient[:, 0]
     last = -1 if b.any() else 0  # a zero b is solved by u_I = 0
@@ -642,8 +651,7 @@ def _reduced_solve(ops, active, data, mode, u_start):
     def step(d):
         v = np.zeros(u.size)
         v[free] = d
-        w = lu.solve(L @ v)
-        s = lu.solve(ops.M_Omega @ w, trans="T")
+        w, s = _state_adjoint(ops, L @ v, 0.0)
         return W_I @ d + (L.T @ s)[free], w, s
 
     precond = Factorization(W_I).solve if free.size else None
