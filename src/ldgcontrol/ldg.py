@@ -342,7 +342,7 @@ def _load_vector(mesh, fun, name):
     (``data_values`` checks the values of the data ``name``)."""
     rule = quadrature_rule("triangle", DATA_DEGREE)
     vals = data_values(fun, physical_points(mesh, rule.points), name)  # (nt, k)
-    load = (vals * rule.weights) @ tri_basis_values(rule.points)
+    load = np.einsum("tg,gi->ti", vals, rule.weights[:, None] * tri_basis_values(rule.points))
     return ((2.0 * mesh.areas)[:, None] * load).ravel()
 
 
@@ -477,9 +477,10 @@ def _volume_blocks(mesh, data):
     B_vol = ((data.sqrt_eps * grads.transpose(0, 2, 1))[:, None]
              * int_lam[:, :, None, None]).reshape(nt, 6, 3)
     # c: alpha y v - y beta . grad(v), test v = lam_i, trial y = lam_j, as
-    # two products over the k rule points: sum_g alpha w lam_i lam_j and
-    # sum_g (beta . grad(lam_i)) w lam_j
-    k = rule.weights.size
+    # two sums over the rule points g: alpha_g w_g lam_i lam_j and
+    # (beta . grad(lam_i))_g w_g lam_j.  They are einsums, not BLAS
+    # products: a first large BLAS product costs the process the memory
+    # of its work buffers.
     beta = data_values(data.beta, pts, "beta", vector=True)
     beta_grad = beta @ grads.transpose(0, 2, 1)  # (nt, k, 3)
     alpha = data_values(data.alpha, pts, "alpha")
@@ -487,9 +488,10 @@ def _volume_blocks(mesh, data):
     if bad.any():
         raise ValueError(f"alpha is negative at {int(bad.sum())} of {bad.size} points "
                          f"(first at x = {pts[bad][0].tolist()})")
-    reaction = (alpha * rule.weights) @ (lam[:, :, None] * lam[:, None, :]).reshape(k, 9)
-    convection = np.swapaxes(beta_grad, 1, 2).reshape(3 * nt, k) @ (rule.weights[:, None] * lam)
-    C_vol = two_area[:, None, None] * (reaction.reshape(nt, 3, 3) - convection.reshape(nt, 3, 3))
+    w_lam = rule.weights[:, None] * lam
+    reaction = np.einsum("tg,gk->tk", alpha, (w_lam[:, :, None] * lam[:, None, :]).reshape(-1, 9))
+    convection = np.einsum("tgi,gj->tij", beta_grad, w_lam)
+    C_vol = two_area[:, None, None] * (reaction.reshape(nt, 3, 3) - convection)
     return mass, B_vol, C_vol
 
 

@@ -385,6 +385,7 @@ def _condensation_operators(ops):
         S = ops.C + X
         del X
         S.sort_indices()
+        S = S.copy()  # the sum's arrays are views of buffers sized nnz(C) + nnz(X)
         ops._condensation = (_flux_block_inverse(ops), AinvB, S, Mt)
     return ops._condensation
 
