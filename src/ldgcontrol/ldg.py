@@ -481,8 +481,8 @@ def _volume_blocks(mesh, data):
     # (beta . grad(lam_i))_g w_g lam_j.  They are einsums, not BLAS
     # products: a first large BLAS product costs the process the memory
     # of its work buffers.
-    beta = data_values(data.beta, pts, "beta", vector=True)
-    beta_grad = beta @ grads.transpose(0, 2, 1)  # (nt, k, 3)
+    beta_grad = np.einsum("tgd,tid->tgi", data_values(data.beta, pts, "beta", vector=True),
+                          grads)  # (nt, k, 3)
     alpha = data_values(data.alpha, pts, "alpha")
     bad = alpha < 0.0
     if bad.any():

@@ -373,8 +373,10 @@ def _condensation_operators(ops):
 
     B^T (A^-1 B) is formed as the transpose of (A^-1 B)^T B, which holds
     the same sums and needs B, not A^-1 B, in column form.  A^-1 is not
-    kept while S is formed: it is built again at the end (a few ms), so
-    the peak of the elimination stays within a fifth of what it keeps.
+    kept while S is formed (it is built again at the end, a few ms), and
+    S is copied out of the sum's buffer, which scipy sizes for
+    nnz(C) + nnz(B^T A^-1 B) entries: both lower the peak and what is
+    kept.
     """
     if ops._condensation is None:
         Ainv = _flux_block_inverse(ops)
@@ -385,7 +387,7 @@ def _condensation_operators(ops):
         S = ops.C + X
         del X
         S.sort_indices()
-        S = S.copy()  # the sum's arrays are views of buffers sized nnz(C) + nnz(X)
+        S = S.copy()
         ops._condensation = (_flux_block_inverse(ops), AinvB, S, Mt)
     return ops._condensation
 
