@@ -56,12 +56,12 @@ fixed-size element blocks, whose data is one array (block row, slot,
 block).  B (6 x 3 blocks) and C (3 x 3) sit on the element adjacency
 ``Mesh.adjacency`` (each element and its edge neighbours, built once per
 mesh): their data start as the volume blocks on the diagonal.  The edge
-pass writes each block by indexed assignment, with no ``np.add.at``: the
-block of an interior edge between its two elements is the only term in
-its slot and is assigned there, and the (r, r) blocks are added to the
-diagonal one place at a time (each element's first, second and third
-edge, ``ElementAdjacency.edge_order``), so every diagonal block sums its
-edges in increasing edge order, as the chunks come.  The places of the
+pass writes each block by indexed assignment: the block of an interior
+edge between its two elements is the only term in its slot and is
+assigned there, and the (r, r) blocks are added to the diagonal one
+place at a time (each element's first, second and third edge,
+``ElementAdjacency.edge_order``), so every diagonal block sums its edges
+in increasing edge order, as the chunks come.  The places of the
 blocks are computed once per assembly (``_edge_chunks``).  A, M_Omega and
 the boundary tables E_U, T_pn and T_kz hold one block per block row, so
 their data are the local blocks themselves.  ``BlockLayout.matrix`` drops
