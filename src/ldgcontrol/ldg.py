@@ -48,7 +48,7 @@ side, trial side) block of weighted products of these tables.  Boundary
 edges need no branch of their own: their terms are the side-0 block of
 the interior formulas, with the b weight 1/2 - C12 . n replaced by 1, and
 with the upwind factor 1/2 + D11 . n of c equal to 1 on outflow and 0 on
-inflow edges.  The volume terms and the loads are matrix products over
+inflow edges.  The volume terms and the loads are two-operand sums over
 the rule points.
 
 Every matrix is built with one idiom: a ``geometry.BlockLayout`` of
