@@ -271,15 +271,17 @@ def run_example(config: RunConfig, keep_solutions: list = None) -> ErrorReport:
     Appends (elements, mesh, ops, solution) per study level to
     ``keep_solutions`` when a list is passed, for callers that also emit
     fields or matrices.  Each level's factor of S and elimination cache are
-    released once the level above it is solved (``BlockOperator.release``);
-    only the finest level keeps them.
+    released before the level above it is assembled
+    (``BlockOperator.release``): the level above starts from the solution's
+    control and multiplier alone, and no other level holds a factor while
+    one is built.  Only the finest level keeps them.
     """
     data, case = _example_data(config)
     solved, sol = [], None
     for m, mesh in zip(config.counts, _mesh_chain(config)):
-        ops, sol = _solve_level(mesh, data, config, m, start=sol)
-        if solved:  # the level below has started this one: its factor is done with
+        if solved:  # the next level starts from the solution alone
             solved[-1][2].release()
+        ops, sol = _solve_level(mesh, data, config, m, start=sol)
         solved.append((m, mesh, ops, sol))
     reference = solved.pop()[3] if config.reference is not None else None
     report = ErrorReport()
@@ -484,7 +486,8 @@ def _battery(seed: int = 0):
 
 def _cmd_run(args) -> int:
     config = RunConfig.from_file(args.config)
-    # a kept level holds its operators to the end, less its released factor
+    # a kept level holds its operators to the end, less its factor and
+    # elimination cache, which go before the next level is assembled
     keep = [] if config.vtk or config.matrices else None
     report = run_example(config, keep_solutions=keep)
     outdir = config.resolve_output_dir()

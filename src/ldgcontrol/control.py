@@ -152,8 +152,11 @@ class DiscreteSolution:
     at the boundary quadrature points in variational mode; in both modes
     ``control_on_edge`` evaluates the control anywhere on the boundary (in
     variational mode through the projection formula applied to the traces
-    of p and z), for arrays of edges and parameters at once.  ``log``
-    holds one ``PdasStep`` per active-set step.
+    of p and z), for arrays of edges and parameters at once.
+    ``multiplier`` is the multiplier of the converged step, as
+    ``reduced_gradient`` gives it: the lumped-mass nodal values in full
+    mode, the values at the boundary quadrature points in variational
+    mode.  ``log`` holds one ``PdasStep`` per active-set step.
     """
 
     y: DiscreteField
@@ -162,6 +165,7 @@ class DiscreteSolution:
     p: DiscreteField
     u: object
     active: ActiveSetState
+    multiplier: np.ndarray
     cost: float
     iterations: int
     converged: bool
@@ -362,7 +366,8 @@ def _prolonged_start(ops: BlockOperator, data: ProblemData, mode: str,
     Each fine boundary edge lies on one coarse edge between the parameters
     s0 < s1 (``NestedLocator``'s boundary registration).  In full mode the
     unknowns are the values at the ends of the fine edges, and the
-    multiplier is the coarse lumped-mass gradient prolonged the same way.
+    multiplier is the coarse lumped-mass gradient (``start.multiplier``)
+    prolonged the same way, so a released ``start.ops`` stays released.
     In variational mode the unknowns are the values at the fine boundary
     quadrature points (edge-major, parameter-minor); the control there is
     the projection of the coarse argument w, and the multiplier is
@@ -382,7 +387,7 @@ def _prolonged_start(ops: BlockOperator, data: ProblemData, mode: str,
     edges[pos], span[pos] = locator.boundary_coarse, locator.boundary_span
     edges = edges[:, None]
     if mode == "full":
-        lam = DiscreteField(start.u.dofmap, reduced_gradient(start.ops, start).nodal)
+        lam = DiscreteField(start.u.dofmap, start.multiplier)
         return (start.control_on_edge(edges, span).ravel(),
                 trace_on_edge(lam, edges, 0, span).ravel())
     t = quadrature_rule("edge", FORM_DEGREE).points
@@ -454,8 +459,8 @@ def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode: str = "full",
                 y=y, q=DiscreteField(ops.spaces.flux, parts["q"]),
                 z=DiscreteField(ops.spaces.potential, parts["z"]),
                 p=DiscreteField(ops.spaces.flux, parts["p"]), u=u_out,
-                active=new_active, cost=evaluate_cost(y, u_out, data, ops), iterations=it,
-                converged=True, mode=mode, ops=ops, data=data, log=log,
+                active=new_active, multiplier=lam, cost=evaluate_cost(y, u_out, data, ops),
+                iterations=it, converged=True, mode=mode, ops=ops, data=data, log=log,
             )
         for step, earlier in enumerate(history[:-1]):
             if new_active.same_as(earlier):

@@ -88,7 +88,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import BlockLayout, Mesh, data_values
-from .linsolve import Factorization, _condensation_operators, _control_load, _node_order
+from .linsolve import (Factorization, _control_load, _eliminated_operators, _flux_block_inverse,
+                       _node_order)
 from .spaces import (
     DATA_DEGREE,
     FORM_DEGREE,
@@ -410,11 +411,14 @@ class BlockOperator:
     ``Mesh.adjacency`` less those zeros.
 
     ``_state_lu`` and ``_condensation`` cache the factorization of S and
-    the flux-elimination operators (``linsolve._condensation_operators``);
+    the flux elimination, S and Mt alone (``linsolve._eliminated_operators``:
+    A^-1 is rebuilt where a flux is recovered, and A^-1 B is never kept);
     ``_node_order`` caches the nested-dissection order of the P1 nodes
     (``linsolve._node_order``) and ``_qp_load`` the variational
     control-to-state load L of ``linsolve._control_load``, which the
     reduced solves and ``solve_state`` of a pointwise control share.
+    ``release`` drops all but the order, so a solved level that only
+    starts the next one holds its assembled blocks and nothing more.
     """
 
     mesh: Mesh
@@ -447,7 +451,7 @@ class BlockOperator:
         P1 nodes.
         """
         if self._state_lu is None:
-            self._state_lu = Factorization(_condensation_operators(self)[2], _node_order(self))
+            self._state_lu = Factorization(_eliminated_operators(self)[0], _node_order(self))
         return self._state_lu
 
     def release(self):
@@ -614,7 +618,7 @@ def solve_state(ops: BlockOperator, u):
         if u.shape != (bq.num_points,):
             raise ValueError("pointwise control values must match the boundary quadrature")
     y = ops.state_factorization().solve(ops.F + L @ u)
-    q = _condensation_operators(ops)[0] @ (M1 @ u - ops.B @ y)
+    q = _flux_block_inverse(ops) @ (M1 @ u - ops.B @ y)
     return DiscreteField(ops.spaces.potential, y), DiscreteField(ops.spaces.flux, q)
 
 
@@ -622,7 +626,7 @@ def solve_adjoint(ops: BlockOperator, rhs_field=None, load_vector=None):
     """Solve the adjoint system for a right-hand side; returns (z_h, p_h).
 
     The adjoint operator is the transpose of the state operator, so
-    z = S^-T g reuses the state factorization and p = A^-1 B z.
+    z = S^-T g reuses the state factorization and p = A^-1 (B z).
     ``rhs_field`` may be a scalar DiscreteField or a callable on point
     arrays;
     alternatively a preassembled load vector g (tested against the scalar
@@ -636,7 +640,7 @@ def solve_adjoint(ops: BlockOperator, rhs_field=None, load_vector=None):
         else:
             raise ValueError("rhs_field must be a DiscreteField or callable")
     z = ops.state_factorization().solve(load_vector, trans="T")
-    p = _condensation_operators(ops)[1] @ z
+    p = _flux_block_inverse(ops) @ (ops.B @ z)
     return DiscreteField(ops.spaces.potential, z), DiscreteField(ops.spaces.flux, p)
 
 

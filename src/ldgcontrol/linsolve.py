@@ -27,9 +27,14 @@ right-hand sides as the columns of one array and refines each on its
 own.  ``ReducedSolveError`` reports a CG run that misses its tolerance
 within ``CG_MAX_ITER`` steps.
 
-The flux elimination (``_condensation_operators``) builds A^-1 from the
-reference mass inverse, scaled per element, and forms A^-1 B, Mt and
-S = C + B' (A^-1 B) as sparse products, the last through (A^-1 B)' B.
+The flux elimination (``_eliminated_operators``) builds A^-1 from the
+reference mass inverse, scaled per element, and forms Mt and
+S = C + B' (A^-1 B) as sparse products, the last through (A^-1 B)' B.  It
+keeps S and Mt alone, which is all a reduced solve reads besides two
+recoveries: those rebuild A^-1 and form p = A^-1 (B z), so A^-1 B is
+never kept.  ``_condensation_operators`` returns (A^-1, A^-1 B, S, Mt)
+for the condensed reference path, A^-1 and A^-1 B built on each call
+around the cached S and Mt.
 
 The pieces of the reduced problem live here once: ``_control_load`` (L,
 W and the flux load M1 of a mode), ``_state_adjoint`` (the state/adjoint
@@ -364,19 +369,19 @@ def _flux_block_inverse(ops):
                           np.arange(0, 3 * n + 1, 3, dtype=index)), shape=(n, n))
 
 
-def _condensation_operators(ops):
-    """Element-eliminated operators, cached per assembled operator set.
-
-    Returns (Ainv, AinvB, S, Mt) with S = C + B^T A^-1 B the convection-
-    diffusion operator acting on the scalar unknown alone, and
-    Mt = M2 + B^T A^-1 M1 the matching condensed control-to-state load.
+def _eliminated_operators(ops):
+    """(S, Mt), the element-eliminated operators, cached per assembled
+    operator set: S = C + B^T A^-1 B the convection-diffusion operator
+    acting on the scalar unknown alone, and Mt = M2 + B^T A^-1 M1 the
+    matching condensed control-to-state load.
 
     B^T (A^-1 B) is formed as the transpose of (A^-1 B)^T B, which holds
-    the same sums and needs B, not A^-1 B, in column form.  A^-1 is not
-    kept while S is formed (it is built again at the end, a few ms), and
-    S is copied out of the sum's buffer, which scipy sizes for
-    nnz(C) + nnz(B^T A^-1 B) entries: both lower the peak and what is
-    kept.
+    the same sums and needs B, not A^-1 B, in column form.  A^-1 goes once
+    Mt is formed and A^-1 B once the product is, which lowers the peak.  S
+    and Mt are copied out of their sums' buffers, which scipy sizes for the
+    nonzeros of both terms, so the cache keeps S and Mt alone.  The solves
+    rebuild A^-1 where they recover a flux (``_flux_block_inverse``, about
+    1 ms at 8192 elements).
     """
     if ops._condensation is None:
         Ainv = _flux_block_inverse(ops)
@@ -384,12 +389,21 @@ def _condensation_operators(ops):
         Mt = (ops.M2 + ops.B.T @ (Ainv @ ops.M1)).tocsr()
         del Ainv
         X = (AinvB.T @ ops.B).T
+        del AinvB
         S = ops.C + X
         del X
         S.sort_indices()
-        S = S.copy()
-        ops._condensation = (_flux_block_inverse(ops), AinvB, S, Mt)
+        ops._condensation = (S.copy(), Mt.copy())
     return ops._condensation
+
+
+def _condensation_operators(ops):
+    """(Ainv, AinvB, S, Mt) of the condensed reference path: A^-1 and
+    A^-1 B are built on each call around the cached S and Mt
+    (``_eliminated_operators``), which the reduced path reads alone."""
+    S, Mt = _eliminated_operators(ops)
+    Ainv = _flux_block_inverse(ops)
+    return Ainv, Ainv @ ops.B, S, Mt
 
 
 def _node_points(mesh):
@@ -413,7 +427,7 @@ def _node_order(ops):
     ``ops.mesh.dissection`` for the meshes that refine it.
     """
     if ops._node_order is None:
-        S = _condensation_operators(ops)[2]
+        S = _eliminated_operators(ops)[0]
         ancestor = ops.mesh.parent_mesh
         while ancestor is not None and ancestor.dissection is None:
             ancestor = ancestor.parent_mesh
@@ -561,12 +575,11 @@ def _control_load(ops, mode):
     quadrature weights and M1 = M1_qp; M1_qp = -T_pn' W and M2_qp = T_kz' W
     make L' z = W (T_kz z - T_pn p), the pointwise stationarity term.
     """
-    Ainv, _, _, Mt = _condensation_operators(ops)
     if mode == "full":
-        return Mt, ops.M_Gamma, ops.M1
+        return _eliminated_operators(ops)[1], ops.M_Gamma, ops.M1
     bq = ops.bq
     if ops._qp_load is None:
-        ops._qp_load = (bq.M2_qp + ops.B.T @ (Ainv @ bq.M1_qp)).tocsr()
+        ops._qp_load = (bq.M2_qp + ops.B.T @ (_flux_block_inverse(ops) @ bq.M1_qp)).tocsr()
     return ops._qp_load, sp.diags(bq.weights, format="csr"), bq.M1_qp
 
 
@@ -634,7 +647,8 @@ def _reduced_solve(ops, active, data, mode, u_start):
     gives the start residual.  CG carries the state y and adjoint z of its
     iterate: each step solves S w = L d and S' s = M_Omega w for its
     direction d, and y, z move with u as w, s.  So k CG steps cost
-    2 + 2k solves, and p, q follow from y and z.
+    2 + 2k solves, and p = A^-1 (B z), q = A^-1 (M1 u - B y) follow from
+    y and z with A^-1 built afresh.
     """
     inactive, u = _control_blocks(ops, active, data, mode)
     free = np.flatnonzero(inactive)
@@ -667,8 +681,8 @@ def _reduced_solve(ops, active, data, mode, u_start):
             f"CG on {free.size} inactive controls stopped after {iterations} "
             f"iterations at reduced residual {residual:.3e} (tolerance {rtol:.0e})")
     u[free] = x
-    Ainv, AinvB, _, _ = _condensation_operators(ops)
-    parts = {"q": Ainv @ (M1 @ u - ops.B @ y), "y": y, "p": AinvB @ z, "z": z,
+    Ainv = _flux_block_inverse(ops)
+    parts = {"q": Ainv @ (M1 @ u - ops.B @ y), "y": y, "p": Ainv @ (ops.B @ z), "z": z,
              "cg": CgReport(iterations, residual)}
     if mode == "full":
         parts["u"] = u

@@ -30,7 +30,7 @@ from ldgcontrol.cli import (
     run_example,
 )
 from ldgcontrol.geometry import build_unit_square_mesh
-from ldgcontrol.ldg import assemble_forms
+from ldgcontrol.ldg import BlockOperator, assemble_forms
 from ldgcontrol.linsolve import ReducedSolveError, SingularSystemError
 from ldgcontrol.spaces import DiscreteField, SpaceSet
 
@@ -363,14 +363,38 @@ def test_run_example_nested_rows_match_cold_solves(config):
 
 
 def test_run_example_keeps_only_the_finest_factor():
-    # a solved level's factor of S and elimination cache go once the level
-    # above it is solved; its node order and dissection tree stay
+    # a solved level's factor of S and elimination cache go before the
+    # level above it is assembled; its node order and dissection tree stay
     kept = []
     run_example(RunConfig(example=1, levels=(32, 128, 512), epsilon=1e-6), keep_solutions=kept)
     assert [ops._state_lu is not None for *_, ops, _ in kept] == [False, False, True]
     assert [ops._condensation is not None for *_, ops, _ in kept] == [False, False, True]
     assert all(ops._node_order is not None and mesh.dissection is not None
                for _, mesh, ops, _ in kept)
+
+
+def test_no_other_level_holds_a_factor_while_s_is_factored(monkeypatch):
+    # each level is released before the next is assembled, so every
+    # factorization of S runs with no other level's factor or elimination
+    # cache alive
+    assembled, held = [], []
+
+    def assemble(mesh, data):
+        assembled.append(assemble_forms(mesh, data))
+        return assembled[-1]
+
+    factorization = BlockOperator.state_factorization
+
+    def state_factorization(ops):
+        if ops._state_lu is None:
+            held.append([other.num_elements for other in assembled if other is not ops and (
+                other._state_lu is not None or other._condensation is not None)])
+        return factorization(ops)
+
+    monkeypatch.setattr(cli, "assemble_forms", assemble)
+    monkeypatch.setattr(BlockOperator, "state_factorization", state_factorization)
+    run_example(RunConfig(example=1, levels=(32, 128, 512), epsilon=1e-6))
+    assert held == [[], [], []]
 
 
 @pytest.mark.parametrize("epsilon", [1.0, 1e-6])

@@ -436,6 +436,26 @@ def test_prolonged_start_is_the_coarse_control(mode, ex2_chain):
 
 
 @pytest.mark.parametrize("mode", ["full", "variational"])
+def test_released_solution_starts_the_next_level_unchanged(mode):
+    # the start reads the multiplier stored on the solution, so a released
+    # level gives the same control and multiplier, bit for bit, and builds
+    # no factor or elimination cache again
+    data = example2_data()
+    coarse = build_unit_square_mesh(4)
+    ops_c, ops_f = (assemble_forms(mesh, data) for mesh in (coarse, refine_uniform(coarse)))
+    sol = pdas_solve(ops_c, data, mode=mode)
+    assert sol.active.upper.any()
+    grad = reduced_gradient(ops_c, sol)
+    assert np.array_equal(sol.multiplier, grad.nodal if mode == "full" else grad.at_quadrature)
+    kept = control._prolonged_start(ops_f, data, mode, sol)
+    ops_c.release()
+    released = control._prolonged_start(ops_f, data, mode, sol)
+    for a, b in zip(kept, released):
+        assert np.array_equal(a, b)
+    assert ops_c._condensation is None and ops_c._state_lu is None
+
+
+@pytest.mark.parametrize("mode", ["full", "variational"])
 def test_nested_start_matches_cold_start(mode, ex2_chain):
     data, chain = ex2_chain
     warm = pdas_solve(chain[0], data, mode=mode)

@@ -13,6 +13,8 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import ldgcontrol
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -93,3 +95,31 @@ def test_harness_imports_and_call_shapes_bind():
                 raise AssertionError(f"{where}: {exc}") from None
             bound.add(obj)
     assert {assemble_forms, pdas_solve, compose_kkt, reduced_gradient} <= bound
+
+
+def test_condensed_path_looks_up_the_elimination_by_name(monkeypatch):
+    # the harness breaks the condensed solve by patching
+    # linsolve._condensation_operators (perfbench/test_harness.py), so it
+    # must return (Ainv, AinvB, S, Mt) around the cached S, and
+    # condense_kkt must reach it through the module global
+    from ldgcontrol import linsolve
+    from ldgcontrol.analysis import example2_data
+    from ldgcontrol.control import ActiveSetState
+    from ldgcontrol.geometry import build_unit_square_mesh
+    from ldgcontrol.ldg import assemble_forms
+
+    data = example2_data()
+    ops = assemble_forms(build_unit_square_mesh(4), data)
+    Ainv, AinvB, S, Mt = linsolve._condensation_operators(ops)
+    assert S is linsolve._eliminated_operators(ops)[0]
+    assert AinvB.shape == ops.B.shape and (AinvB != Ainv @ ops.B).nnz == 0
+    n = ops.M_Gamma.shape[0]
+    active = ActiveSetState(np.zeros(n, dtype=bool), np.arange(n) % 3 == 0)
+    matrix = linsolve.condense_kkt(ops, active, data).matrix
+    operators = linsolve._condensation_operators
+
+    def wrong_operators(ops):
+        Ainv, AinvB, S, Mt = operators(ops)
+        return Ainv, AinvB, 1.001 * S, Mt
+    monkeypatch.setattr(linsolve, "_condensation_operators", wrong_operators)
+    assert (linsolve.condense_kkt(ops, active, data).matrix != matrix).nnz > 0

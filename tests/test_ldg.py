@@ -18,7 +18,7 @@ from ldgcontrol.ldg import (
     solve_adjoint,
     solve_state,
 )
-from ldgcontrol.linsolve import _condensation_operators, _flux_block_inverse
+from ldgcontrol.linsolve import _condensation_operators, _eliminated_operators, _flux_block_inverse
 from ldgcontrol.spaces import (
     FORM_DEGREE,
     DiscreteField,
@@ -553,20 +553,30 @@ def test_assembly_transient_is_bounded():
         assert np.all(mat.data != 0.0)
 
 
+def _bytes(matrix):
+    """Bytes of the value and index arrays of a compressed sparse matrix."""
+    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+
+
 def test_elimination_transient_is_bounded():
-    # the traced peak of the flux elimination stays within half again what
-    # it keeps (A^-1, A^-1 B, S and Mt), and S keeps no spare buffer space
+    # the traced peak of the cached flux elimination stays within half
+    # again the bytes of A^-1, A^-1 B, S and Mt, taken from their product
+    # form; the cache keeps S and Mt (and the few KB of their Python
+    # objects), not A^-1 or A^-1 B, and S keeps no spare buffer space
     ops = assemble_forms(_chain_mesh(2048), example2_data())
-    _condensation_operators(ops)  # warms the rules and scipy's paths
+    _eliminated_operators(ops)  # warms the rules and scipy's paths
     ops._condensation = None
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        _condensation_operators(ops)
+        S, Mt = _eliminated_operators(ops)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - before <= 1.5 * (kept - before)
-    S = _condensation_operators(ops)[2]
+    Ainv = _flux_block_inverse(ops)
+    AinvB = Ainv @ ops.B
+    S_ref, Mt_ref = ops.C + ops.B.T @ AinvB, ops.M2 + ops.B.T @ (Ainv @ ops.M1)
+    assert peak - before <= 1.5 * sum(map(_bytes, (Ainv, AinvB, S_ref, Mt_ref)))
+    assert kept - before <= _bytes(S_ref) + _bytes(Mt_ref) + 4096
     assert S.data.base is None or S.data.base.size == S.nnz
