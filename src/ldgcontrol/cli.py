@@ -270,11 +270,14 @@ def run_example(config: RunConfig, keep_solutions: list = None) -> ErrorReport:
 
     Appends (elements, mesh, ops, solution) per study level to
     ``keep_solutions`` when a list is passed, for callers that also emit
-    fields or matrices.  Each level's factor of S and elimination cache are
-    released before the level above it is assembled
-    (``BlockOperator.release``): the level above starts from the solution's
-    control and multiplier alone, and no other level holds a factor while
-    one is built.  Only the finest level keeps them.
+    fields or matrices.  Each level is released before the level above it
+    is assembled (``BlockOperator.release``): its factor of S, its
+    elimination cache and its assembled matrices go, since the level above
+    starts from the solution's control and multiplier alone and the rows
+    read only the solution fields and the boundary tables.  So no other
+    level holds a factor or an assembled matrix while one is built; a
+    later read of a released level's matrix assembles it again.  Only the
+    finest level keeps its factor, and it stores neither A nor C.
     """
     data, case = _example_data(config)
     solved, sol = [], None
@@ -408,8 +411,8 @@ def _battery(seed: int = 0):
     factor = ops.state_factorization()
     dual_gap = 0.0
     for _ in range(5):
-        r1 = rng.standard_normal(factor.matrix.shape[0])
-        r2 = rng.standard_normal(factor.matrix.shape[0])
+        r1 = rng.standard_normal(factor.order.size)
+        r2 = rng.standard_normal(factor.order.size)
         x = factor.solve(r1)
         w = factor.solve(r2, trans="T")
         scale = max(1.0, abs(r2 @ x))
@@ -470,8 +473,8 @@ def _battery(seed: int = 0):
 
     mesh_nd = build_unit_square_mesh(32)
     factor = assemble_forms(mesh_nd, example2_data()).state_factorization()
-    errors = []
-    for trans, op in (("N", factor.matrix), ("T", factor.matrix.T)):
+    errors, S = [], factor.matrix  # gathered back from the factor's permuted copy
+    for trans, op in (("N", S), ("T", S.T)):
         b = rng.standard_normal(op.shape[0])
         errors.append(np.linalg.norm(op @ factor.solve(b, trans=trans) - b) / np.linalg.norm(b))
     yield ("the state factor in nested-dissection order solves S and S' without refinement",
@@ -486,8 +489,8 @@ def _battery(seed: int = 0):
 
 def _cmd_run(args) -> int:
     config = RunConfig.from_file(args.config)
-    # a kept level holds its operators to the end, less its factor and
-    # elimination cache, which go before the next level is assembled
+    # a kept level holds its operators to the end, released before the next
+    # level is assembled; the matrix output assembles its level again
     keep = [] if config.vtk or config.matrices else None
     report = run_example(config, keep_solutions=keep)
     outdir = config.resolve_output_dir()

@@ -89,7 +89,7 @@ import scipy.sparse as sp
 
 from .geometry import BlockLayout, Mesh, data_values
 from .linsolve import (Factorization, _control_load, _eliminated_operators, _flux_block_inverse,
-                       _node_order)
+                       _node_order, _permuted, _reference_mass)
 from .spaces import (
     DATA_DEGREE,
     FORM_DEGREE,
@@ -390,7 +390,12 @@ class BoundaryQuadrature:
         self.M2_qp = (self.T_kz.T @ W).tocsr()
 
 
-@dataclass(eq=False)
+# The assembled matrices a level stores until ``BlockOperator.release``; a
+# read of one that is not stored assembles the level again for them.
+_STORED_BLOCKS = ("B", "C", "M1", "M2", "M_Omega", "M_Gamma")
+
+
+@dataclass(eq=False, repr=False)
 class BlockOperator:
     """Assembled matrices and load vectors of the LDG optimality blocks.
 
@@ -410,22 +415,29 @@ class BlockOperator:
     stored zeros; A, B, C and M_Omega have the element-block pattern of
     ``Mesh.adjacency`` less those zeros.
 
+    A is never stored: each read builds it from the reference mass that
+    ``linsolve._flux_block_inverse`` inverts.  C goes once it is summed into
+    S, and ``release`` drops the other matrices (``_STORED_BLOCKS``).  A
+    read of a matrix that is not stored runs ``assemble_forms(mesh, data)``
+    once and takes every missing one from it, bit-identical, so
+    ``compose_kkt``, a gradient check or the matrix output still work on a
+    released level; the reduced solves read none of the dropped ones.
+
     ``_state_lu`` and ``_condensation`` cache the factorization of S and
-    the flux elimination, S and Mt alone (``linsolve._eliminated_operators``:
-    A^-1 is rebuilt where a flux is recovered, and A^-1 B is never kept);
-    ``_node_order`` caches the nested-dissection order of the P1 nodes
-    (``linsolve._node_order``) and ``_qp_load`` the variational
-    control-to-state load L of ``linsolve._control_load``, which the
-    reduced solves and ``solve_state`` of a pointwise control share.
-    ``release`` drops all but the order, so a solved level that only
-    starts the next one holds its assembled blocks and nothing more.
+    the flux elimination (``linsolve._eliminated_operators``: Mt, and S
+    until the factor takes it and keeps it in its elimination order, the
+    one copy of S; A^-1 is rebuilt where a flux is recovered, and A^-1 B
+    is never kept); ``_node_order`` caches the nested-dissection order of
+    the P1 nodes (``linsolve._node_order``) and ``_qp_load`` the
+    variational control-to-state load L of ``linsolve._control_load``,
+    which the reduced solves and ``solve_state`` of a pointwise control
+    share.
     """
 
     mesh: Mesh
     spaces: SpaceSet
     data: ProblemData
     flux: FluxParameters
-    A: sp.csr_matrix
     B: sp.csr_matrix
     C: sp.csr_matrix
     M1: sp.csr_matrix
@@ -435,10 +447,27 @@ class BlockOperator:
     F: np.ndarray
     Yd: np.ndarray
     bq: BoundaryQuadrature
-    _state_lu: Optional[Factorization] = field(default=None, init=False, repr=False)
-    _condensation: Optional[tuple] = field(default=None, init=False, repr=False)
-    _node_order: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _qp_load: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False)
+    _state_lu: Optional[Factorization] = field(default=None, init=False)
+    _condensation: Optional[tuple] = field(default=None, init=False)
+    _node_order: Optional[np.ndarray] = field(default=None, init=False)
+    _qp_load: Optional[sp.csr_matrix] = field(default=None, init=False)
+
+    def __getattr__(self, name):
+        # reached only for a name that is not stored
+        if name not in _STORED_BLOCKS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        fresh = assemble_forms(self.mesh, self.data)
+        for block in _STORED_BLOCKS:
+            if block not in self.__dict__:
+                setattr(self, block, getattr(fresh, block))
+        return self.__dict__[name]
+
+    @property
+    def A(self):
+        mesh = self.mesh
+        mass = (2.0 * mesh.areas)[:, None, None] * _reference_mass()
+        return _block_rows((mass[:, :, None, :, None] * np.eye(2)[:, None, :]).reshape(-1, 6, 6),
+                           np.arange(mesh.num_elements), 6 * mesh.num_elements)
 
     @property
     def num_elements(self):
@@ -448,17 +477,28 @@ class BlockOperator:
         """Factorization of the flux-eliminated state operator S = C + B' A^-1 B.
 
         S is factored in the nested-dissection order of its unknowns, the
-        P1 nodes.
+        P1 nodes.  It moves out of the elimination cache into the factor,
+        which keeps the permuted copy it factors: no reference to S in its
+        own numbering is left while SuperLU runs.
         """
         if self._state_lu is None:
-            self._state_lu = Factorization(_eliminated_operators(self)[0], _node_order(self))
+            order = _node_order(self)
+            S, Mt = _eliminated_operators(self)
+            self._condensation = (None, Mt)
+            permuted = _permuted(S, order)
+            del S
+            self._state_lu = Factorization._of_permuted(permuted, order)
         return self._state_lu
 
     def release(self):
-        """Drop the factorization of S and the flux-elimination operators, with
-        the variational load built from them; the next use rebuilds them.  The
-        node order, and with it the mesh's dissection tree, stay."""
+        """Drop the factorization of S, the flux-elimination operators, the
+        variational load built from them and the stored matrices
+        (``_STORED_BLOCKS``).  The mesh, spaces, data, flux parameters,
+        boundary tables, F, Yd and the node order, with it the mesh's
+        dissection tree, stay; the next solve rebuilds the rest."""
         self._state_lu = self._condensation = self._qp_load = None
+        for name in _STORED_BLOCKS:
+            self.__dict__.pop(name, None)
 
 
 def _volume_tables(mesh):
@@ -476,7 +516,7 @@ def _volume_blocks(mesh, data):
     rule, lam, grads, int_lam = _volume_tables(mesh)
     pts = physical_points(mesh, rule.points)  # (nt, k, 2)
     two_area = 2.0 * mesh.areas
-    mass = two_area[:, None, None] * ((lam.T * rule.weights) @ lam)
+    mass = two_area[:, None, None] * _reference_mass()
     # b: sqrt(eps) grad(y_j)[comp] * integral(lam_i), row 2i + comp
     B_vol = ((data.sqrt_eps * grads.transpose(0, 2, 1))[:, None]
              * int_lam[:, :, None, None]).reshape(nt, 6, 3)
@@ -524,9 +564,7 @@ def assemble_forms(mesh: Mesh, data: ProblemData) -> BlockOperator:
     nW, nV = spaces.flux.num_dofs, spaces.potential.num_dofs
     sqrt_eps = data.sqrt_eps
     mass, B_vol, C_vol = _volume_blocks(mesh, data)
-    own = np.arange(mesh.num_elements)
-    A = _block_rows((mass[:, :, None, :, None] * np.eye(2)[:, None, :]).reshape(-1, 6, 6), own, nW)
-    M_Omega = _block_rows(mass, own, nV)
+    M_Omega = _block_rows(mass, np.arange(mesh.num_elements), nV)
     del mass
     B_layout, B_data = _coupling(mesh, (6, 3), B_vol)
     C_layout, C_data = _coupling(mesh, (3, 3), C_vol)
@@ -560,7 +598,7 @@ def assemble_forms(mesh: Mesh, data: ProblemData) -> BlockOperator:
     bq = BoundaryQuadrature(spaces, flux)
     return BlockOperator(
         mesh, spaces, data, flux,
-        A=A, B=B, C=C,
+        B=B, C=C,
         M1=(bq.M1_qp @ bq.E_U).sorted_indices(),
         M2=(bq.M2_qp @ bq.E_U).sorted_indices(),
         M_Omega=M_Omega,

@@ -30,11 +30,14 @@ within ``CG_MAX_ITER`` steps.
 The flux elimination (``_eliminated_operators``) builds A^-1 from the
 reference mass inverse, scaled per element, and forms Mt and
 S = C + B' (A^-1 B) as sparse products, the last through (A^-1 B)' B.  It
-keeps S and Mt alone, which is all a reduced solve reads besides two
-recoveries: those rebuild A^-1 and form p = A^-1 (B z), so A^-1 B is
-never kept.  ``_condensation_operators`` returns (A^-1, A^-1 B, S, Mt)
-for the condensed reference path, A^-1 and A^-1 B built on each call
-around the cached S and Mt.
+keeps S and Mt alone, and C, summed into S, leaves the operator set.  The
+state factor then takes S: it keeps the one copy it factors,
+S[order][:, order], so a reduced solve reads the factor, Mt, B, M1,
+M_Omega, M_Gamma and the loads, and nothing else.  Its two recoveries
+rebuild A^-1 and form p = A^-1 (B z), so A^-1 B is never kept.
+``Factorization.matrix`` gathers S back where S itself is wanted, and
+``_condensation_operators`` returns (A^-1, A^-1 B, S, Mt) for the
+condensed reference path, A^-1 and A^-1 B built on each call.
 
 The pieces of the reduced problem live here once: ``_control_load`` (L,
 W and the flux load M1 of a mode), ``_state_adjoint`` (the state/adjoint
@@ -116,6 +119,24 @@ class CgReport:
     residual: float
 
 
+def _permuted(matrix, order):
+    """``matrix[order][:, order]`` of a CSR or CSC matrix, in CSC form.
+
+    One gather along the compressed axis, the other indices relabelled
+    through the inverse order; the CSC conversion of a CSR gather sorts
+    them again.
+    """
+    permuted = matrix[order] if matrix.format == "csr" else matrix[:, order]
+    inverse = np.empty(order.size, dtype=permuted.indices.dtype)
+    inverse[order] = np.arange(order.size, dtype=inverse.dtype)
+    permuted.indices = inverse[permuted.indices]
+    permuted.has_sorted_indices = False
+    if permuted.format == "csr":
+        return permuted.tocsc()
+    permuted.sort_indices()
+    return permuted
+
+
 class Factorization:
     """Sparse LU of a square matrix in a given elimination order.
 
@@ -127,51 +148,55 @@ class Factorization:
     order gives.  Pivoting is traded away for that, so every solve refines
     its result and reports a stalled refinement as a singular system.
 
-    Attributes: ``matrix`` (kept as given when CSR or CSC, else a CSC
-    copy), ``order``, ``lu`` (the SuperLU object), ``fill`` (nonzeros of L
-    and U) and ``sweeps`` (refinement sweeps of all solves so far).
+    The factor keeps one copy of the matrix, the permuted one it factors,
+    and refines in that numbering.  Attributes: ``permuted`` (that copy,
+    CSC), ``order``, ``lu`` (the SuperLU object), ``fill`` (nonzeros of L
+    and U) and ``sweeps`` (refinement sweeps of all solves so far);
+    ``matrix`` gathers the matrix back in its own numbering on each read.
     """
 
     def __init__(self, matrix, order=None):
         if not (sp.issparse(matrix) and matrix.format in ("csr", "csc")):
             matrix = sp.csc_matrix(matrix)
-        self.matrix = matrix
-        n = self.matrix.shape[0]
-        if self.matrix.shape != (n, n):
+        n = matrix.shape[0]
+        if matrix.shape != (n, n):
             raise ValueError("a factorization needs a square matrix")
-        self.order = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
-        if self.order.shape != (n,) or not np.array_equal(np.sort(self.order), np.arange(n)):
+        order = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
+        if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError("the elimination order must be a permutation of the unknowns")
-        # matrix[order][:, order] in CSC form from one gather along the
-        # compressed axis, the other indices relabelled through the inverse
-        # order; the CSC conversion of a CSR gather sorts them again
-        if self.matrix.format == "csr":
-            permuted = self.matrix[self.order]
-        else:
-            permuted = self.matrix[:, self.order]
-        inverse = np.empty(n, dtype=permuted.indices.dtype)
-        inverse[self.order] = np.arange(n, dtype=inverse.dtype)
-        permuted.indices = inverse[permuted.indices]
-        permuted.has_sorted_indices = False
-        if permuted.format == "csr":
-            permuted = permuted.tocsc()
-        else:
-            permuted.sort_indices()
+        self._factor(_permuted(matrix, order), order)
+
+    @classmethod
+    def _of_permuted(cls, permuted, order):
+        """The factorization of the matrix whose ``[order][:, order]`` is the
+        CSC matrix ``permuted``, kept as given: a caller that hands over
+        its last reference to the matrix in its own numbering leaves no
+        copy of it alive while SuperLU runs."""
+        factor = cls.__new__(cls)
+        factor._factor(permuted, order)
+        return factor
+
+    def _factor(self, permuted, order):
+        self.permuted, self.order, self.sweeps = permuted, order, 0
+        self._inverse = np.empty_like(order)
+        self._inverse[order] = np.arange(order.size)
         try:
             self.lu = spla.splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                                 options={"SymmetricMode": True})
         except RuntimeError as exc:  # scipy reports 'Factor is exactly singular'
             raise SingularSystemError(f"sparse LU failed: {exc}") from exc
-        self.sweeps = 0
 
     @property
     def fill(self) -> int:
         return self.lu.nnz
 
-    def _lu_solve(self, b, trans):
-        x = np.empty_like(b)
-        x[self.order] = self.lu.solve(b[self.order], trans=trans)
-        return x
+    @property
+    def matrix(self):
+        """The factored matrix in its own numbering (CSR), gathered back
+        from ``permuted``: the CSR arrays of a matrix are the CSC arrays of
+        its transpose, so the CSC gather of ``permuted.T`` transposed back
+        is it."""
+        return _permuted(self.permuted.T, self._inverse).T
 
     def solve(self, b, trans: str = "N"):
         """Solve A x = b (``trans="T"``: A' x = b) with iterative refinement.
@@ -182,30 +207,37 @@ class Factorization:
         own (each counted in ``sweeps``); a zero column gives a zero
         column without a solve.  Non-finite entries or a stalled
         refinement are reported as a singular system.
+
+        The right-hand sides are gathered once into the factor's numbering,
+        one per contiguous row, so that each norm is a contiguous numpy
+        reduction and each residual product a one-vector product, and x is
+        gathered back once (an (n, m) result is a transposed view).
         """
         b = np.asarray(b, dtype=float)
-        n = self.matrix.shape[0]
+        n = self.order.size
         if b.shape[0] != n:
             raise ValueError("right-hand side does not match the factored matrix")
-        columns = b.reshape(n, -1)
-        norm_b = np.linalg.norm(columns, axis=0)
-        x = np.zeros_like(columns)
+        rows = np.take(b.reshape(n, -1).T, self.order, axis=1)
+        norm_b = np.linalg.norm(rows, axis=1)
+        x = np.zeros_like(rows)
         live = np.flatnonzero(norm_b)
         if live.size:
-            x[:, live] = self._lu_solve(columns[:, live], trans)
+            x[live] = self.lu.solve(rows[live].T, trans=trans).T
             if not np.all(np.isfinite(x)):
                 raise SingularSystemError("sparse LU produced non-finite entries (singular system)")
-        op = self.matrix if trans == "N" else self.matrix.T
+        op = self.permuted if trans == "N" else self.permuted.T
         for sweep in range(_MAX_REFINE + 1):
-            residual = columns[:, live] - op @ x[:, live]
-            error = np.linalg.norm(residual, axis=0) / norm_b[live]
+            residual = rows[live]
+            for r, xr in zip(residual, x[live]):
+                r -= op @ xr
+            error = np.linalg.norm(residual, axis=1) / norm_b[live]
             open_ = error > _SOLVE_TOL
             if not open_.any():
-                return x.reshape(b.shape)
-            live, residual = live[open_], residual[:, open_]
+                return np.take(x, self._inverse, axis=1).T.reshape(b.shape)
+            live, residual = live[open_], residual[open_]
             if sweep < _MAX_REFINE:
                 self.sweeps += live.size
-                x[:, live] += self._lu_solve(residual, trans)
+                x[live] += self.lu.solve(residual.T, trans=trans).T
         raise SingularSystemError(
             f"iterative refinement stalled at relative residual {error.max():.3e}")
 
@@ -341,21 +373,27 @@ def compose_kkt(ops, active, data, mode: str = "full") -> BlockSystem:
     return BlockSystem(K, rhs, slices, "variational", _system_order(ops, (2, 1, 2, 1)))
 
 
+def _reference_mass():
+    """The P1 mass matrix (3, 3) of the reference triangle by the form rule;
+    an element's scalar mass block is 2 area times it."""
+    rule = quadrature_rule("triangle", FORM_DEGREE)
+    lam = tri_basis_values(rule.points)
+    return (lam.T * rule.weights) @ lam
+
+
 def _flux_block_inverse(ops):
     """Exact inverse of the vector mass block, one 6x6 block per element.
 
     The flux bilinear form is the plain (weighted) vector L2 inner product,
     so on every element the block is 2*area times the reference-triangle
     linear mass matrix tensored with the 2x2 identity.  Inverting the 3x3
-    reference matrix once (by the form rule) and scaling gives the sparse
-    global inverse; the zeros of the identity factor are not stored, so
-    each element keeps 18 of its 36 entries.
+    reference matrix once (``_reference_mass``) and scaling gives the
+    sparse global inverse; the zeros of the identity factor are not stored,
+    so each element keeps 18 of its 36 entries.
     """
     mesh = ops.mesh
     nt = mesh.num_elements
-    rule = quadrature_rule("triangle", FORM_DEGREE)
-    lam = tri_basis_values(rule.points)
-    minv = np.linalg.inv((lam.T * rule.weights) @ lam)
+    minv = np.linalg.inv(_reference_mass())
     # row 6 t + 2 i + c holds minv[i, j] / (2 area) at column 6 t + 2 j + c
     n = 6 * nt
     index = np.int32 if 3 * n < 2**31 else np.int64
@@ -379,9 +417,14 @@ def _eliminated_operators(ops):
     the same sums and needs B, not A^-1 B, in column form.  A^-1 goes once
     Mt is formed and A^-1 B once the product is, which lowers the peak.  S
     and Mt are copied out of their sums' buffers, which scipy sizes for the
-    nonzeros of both terms, so the cache keeps S and Mt alone.  The solves
-    rebuild A^-1 where they recover a flux (``_flux_block_inverse``, about
-    1 ms at 8192 elements).
+    nonzeros of both terms, so the cache keeps S and Mt alone, and C, summed
+    into S, is dropped from ``ops`` (a later read assembles it again).  The
+    solves rebuild A^-1 where they recover a flux (``_flux_block_inverse``,
+    about 1 ms at 8192 elements).
+
+    ``BlockOperator.state_factorization`` takes S out of the cache, which
+    then reads (None, Mt): the factor keeps S in its elimination order, and
+    ``Factorization.matrix`` gathers it back where S itself is wanted.
     """
     if ops._condensation is None:
         Ainv = _flux_block_inverse(ops)
@@ -391,7 +434,7 @@ def _eliminated_operators(ops):
         X = (AinvB.T @ ops.B).T
         del AinvB
         S = ops.C + X
-        del X
+        del X, ops.C
         S.sort_indices()
         ops._condensation = (S.copy(), Mt.copy())
     return ops._condensation
@@ -399,9 +442,11 @@ def _eliminated_operators(ops):
 
 def _condensation_operators(ops):
     """(Ainv, AinvB, S, Mt) of the condensed reference path: A^-1 and
-    A^-1 B are built on each call around the cached S and Mt
-    (``_eliminated_operators``), which the reduced path reads alone."""
+    A^-1 B are built on each call around the cached S, or S gathered back
+    from the state factor that took it, and the cached Mt."""
     S, Mt = _eliminated_operators(ops)
+    if S is None:
+        S = ops._state_lu.matrix
     Ainv = _flux_block_inverse(ops)
     return Ainv, Ainv @ ops.B, S, Mt
 

@@ -3,12 +3,13 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ldgcontrol import cli
+from ldgcontrol import cli, ldg, linsolve
 from ldgcontrol.analysis import (
     ErrorReport,
     ErrorReportRow,
@@ -395,6 +396,62 @@ def test_no_other_level_holds_a_factor_while_s_is_factored(monkeypatch):
     monkeypatch.setattr(BlockOperator, "state_factorization", state_factorization)
     run_example(RunConfig(example=1, levels=(32, 128, 512), epsilon=1e-6))
     assert held == [[], [], []]
+
+
+ASSEMBLED = ("A", "B", "C", "M1", "M2", "M_Omega", "M_Gamma")
+
+
+def test_finest_factor_runs_beside_one_copy_of_s(monkeypatch):
+    # when SuperLU factors the finest S, S in its own numbering is gone
+    # (the factor holds the permuted copy alone), the finest level stores
+    # neither A nor C, and no level below stores an assembled matrix
+    assembled, ordered, seen = [], {}, []
+
+    def assemble(mesh, data):
+        assembled.append(assemble_forms(mesh, data))
+        return assembled[-1]
+
+    dissection_order = linsolve.dissection_order
+
+    def order(points, S, ancestor=None):
+        ordered[S.shape[0]] = weakref.ref(S)
+        return dissection_order(points, S, ancestor)
+
+    splu = linsolve.spla.splu
+
+    def factor(A, *args, **kwargs):
+        if A.shape[0] == 3 * 512:
+            finest, below = assembled[-1], assembled[:-1]
+            seen.append((ordered[A.shape[0]]() is None,
+                         [name for name in ("A", "C") if name in vars(finest)],
+                         [name for ops in below for name in ASSEMBLED if name in vars(ops)]))
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble_forms", assemble)
+    monkeypatch.setattr(linsolve, "dissection_order", order)
+    monkeypatch.setattr(linsolve.spla, "splu", factor)
+    run_example(RunConfig(example=1, levels=(32, 128, 512), epsilon=1e-6))
+    assert seen == [(True, [], [])]
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(example=1, levels=(32, 128, 512), epsilon=1e-6),
+    RunConfig(example=2, levels=(32, 128), reference=512),
+    RunConfig(example=2, levels=(32, 128), reference=512, mode="variational"),
+], ids=["ex1", "ex2-full", "ex2-variational"])
+def test_run_example_assembles_each_level_once(config, monkeypatch):
+    # a study reads no dropped block, so no level is assembled again
+    calls = []
+    assemble = ldg.assemble_forms
+
+    def counted(mesh, data):
+        calls.append(mesh.num_elements)
+        return assemble(mesh, data)
+
+    monkeypatch.setattr(cli, "assemble_forms", counted)
+    monkeypatch.setattr(ldg, "assemble_forms", counted)
+    run_example(config)
+    assert calls == list(config.counts)
 
 
 @pytest.mark.parametrize("epsilon", [1.0, 1e-6])

@@ -123,3 +123,17 @@ def test_condensed_path_looks_up_the_elimination_by_name(monkeypatch):
         return Ainv, AinvB, 1.001 * S, Mt
     monkeypatch.setattr(linsolve, "_condensation_operators", wrong_operators)
     assert (linsolve.condense_kkt(ops, active, data).matrix != matrix).nnz > 0
+
+
+def test_traced_blocks_resolve_after_assembly():
+    # perfbench/tracer.py reads A, B, C, M1 and M2 (their nnz) right after
+    # assemble_forms; A is built on read and the rest are stored, with the
+    # nonzeros they had when all five were stored
+    from ldgcontrol.analysis import example2_data
+    from ldgcontrol.geometry import build_unit_square_mesh
+    from ldgcontrol.ldg import assemble_forms
+
+    ops = assemble_forms(build_unit_square_mesh(4), example2_data())
+    assert ops.num_elements == 32
+    nnz = {name: getattr(ops, name).nnz for name in ("A", "B", "C", "M1", "M2")}
+    assert nnz == {"A": 576, "B": 904, "C": 608, "M1": 64, "M2": 64}

@@ -1,5 +1,6 @@
 """Tests of the LDG form assembly and the state/adjoint solvers."""
 
+import hashlib
 import re
 import tracemalloc
 
@@ -18,7 +19,8 @@ from ldgcontrol.ldg import (
     solve_adjoint,
     solve_state,
 )
-from ldgcontrol.linsolve import _condensation_operators, _eliminated_operators, _flux_block_inverse
+from ldgcontrol.linsolve import (_condensation_operators, _eliminated_operators,
+                                 _flux_block_inverse, compose_kkt)
 from ldgcontrol.spaces import (
     FORM_DEGREE,
     DiscreteField,
@@ -521,7 +523,37 @@ def test_condensation_matches_the_product_form(mesh, data):
         assert np.array_equal(new.indptr, ref.indptr) and np.array_equal(new.indices, ref.indices), name
         assert np.abs(new.data - ref.data).max() <= 4e-16 * np.abs(ref.data).max(), name
     assert S.has_canonical_format
-    assert ops.state_factorization().matrix is S
+    # the factor takes S and keeps it permuted; gathered back, it is S
+    factored = ops.state_factorization().matrix
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(factored, part), getattr(S, part)), part
+
+
+@ELIMINATION_CASES
+def test_dropped_blocks_come_back_bit_identical(mesh, data):
+    # A is built on each read, C goes once it is summed into S, and release
+    # drops the stored matrices; every read gets the same bits again,
+    # fresh, after factoring and after release
+    ops = assemble_forms(mesh, data)
+    n = ops.M_Gamma.shape[0]
+    inactive = (np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
+    names = ("A", "B", "C", "M1", "M2", "M_Omega", "M_Gamma")
+
+    def digests():
+        blocks = [getattr(ops, name) for name in names]
+        blocks.append(compose_kkt(ops, inactive, data).matrix)
+        return [hashlib.sha256(b"".join(getattr(m, part).tobytes()
+                                        for part in ("indptr", "indices", "data"))).hexdigest()
+                for m in blocks]
+
+    fresh = digests()
+    assert "A" not in vars(ops)
+    ops.state_factorization()
+    assert not {"A", "C"} & set(vars(ops))
+    assert digests() == fresh
+    ops.release()
+    assert not set(names) & set(vars(ops))
+    assert digests() == fresh
 
 
 def _chain_mesh(elements):
@@ -562,10 +594,12 @@ def test_elimination_transient_is_bounded():
     # the traced peak of the cached flux elimination stays within half
     # again the bytes of A^-1, A^-1 B, S and Mt, taken from their product
     # form; the cache keeps S and Mt (and the few KB of their Python
-    # objects), not A^-1 or A^-1 B, and S keeps no spare buffer space
-    ops = assemble_forms(_chain_mesh(2048), example2_data())
-    _eliminated_operators(ops)  # warms the rules and scipy's paths
-    ops._condensation = None
+    # objects), not A^-1 or A^-1 B, and S keeps no spare buffer space.
+    # The warm-up runs on another operator set: the elimination drops C,
+    # which is summed into S, so a second one would assemble C again
+    mesh, data = _chain_mesh(2048), example2_data()
+    _eliminated_operators(assemble_forms(mesh, data))  # warms the rules and scipy's paths
+    ops = assemble_forms(mesh, data)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -323,11 +323,23 @@ def test_dissection_fill_against_a_plain_factor(case):
     assert factor.fill <= 0.5 * spla.splu(factor.matrix.tocsc()).nnz
 
 
-def test_state_factor_keeps_S_without_a_copy(ex2_ops_2048):
-    S = linsolve._condensation_operators(ex2_ops_2048)[2]
-    assert np.shares_memory(ex2_ops_2048.state_factorization().matrix.data, S.data)
-    assert Factorization(S.tocoo()).matrix.format == "csc"
-    assert Factorization(np.eye(3)).matrix.format == "csc"
+def test_a_factored_level_holds_one_copy_of_S(ex2_ops_2048):
+    # the state factor takes S out of the elimination cache and keeps the
+    # one copy it factors, S[order][:, order]; S gathered back from it is
+    # the eliminated S, bit for bit
+    ops = assemble_forms(ex2_ops_2048.mesh, example2_data())
+    S = linsolve._eliminated_operators(ops)[0]
+    factor = ops.state_factorization()
+    assert ops._condensation[0] is None and ops._condensation[1] is not None
+    held = [m for m in vars(factor).values() if sp.issparse(m)]
+    assert len(held) == 1 and held[0] is factor.permuted
+    assert factor.permuted.format == "csc"
+    expected = S[factor.order][:, factor.order].tocsc()
+    for ours, theirs in ((factor.permuted, expected), (factor.matrix, S)):
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ours, part), getattr(theirs, part)), part
+    assert Factorization(S.tocoo()).permuted.format == "csc"
+    assert Factorization(np.eye(3)).permuted.format == "csc"
 
 
 def test_permuted_factor_is_bit_identical_to_the_gathered_one(ex2_ops_2048):
