@@ -251,15 +251,16 @@ def _mesh_chain(config: RunConfig) -> list:
 
 def _solve_level(mesh, data, config: RunConfig, elements: int, start=None):
     """Assemble one level and solve it, from ``start`` (a solution on an
-    ancestor mesh, see ``pdas_solve``) or from a cold start."""
+    ancestor mesh, see ``pdas_solve``) or from a cold start.  The level's
+    operators, its factor of S with them, go on return: the solution does
+    not hold them."""
     ops = assemble_forms(mesh, data)
     try:
-        sol = pdas_solve(ops, data, mode=config.mode, u0=start,
-                         max_iter=config.pdas_max_iter)
+        return pdas_solve(ops, data, mode=config.mode, u0=start,
+                          max_iter=config.pdas_max_iter)
     except PdasNonconvergence as exc:
         raise PdasNonconvergence(
             f"level with {elements} elements: {exc}") from exc
-    return ops, sol
 
 
 def run_example(config: RunConfig, keep_solutions: list = None) -> ErrorReport:
@@ -268,27 +269,22 @@ def run_example(config: RunConfig, keep_solutions: list = None) -> ErrorReport:
     below (nested iteration), and measure each study level against the
     closed form (example 1) or the reference, solved last (examples 2, 3).
 
-    Appends (elements, mesh, ops, solution) per study level to
+    Appends (elements, mesh, solution) per study level to
     ``keep_solutions`` when a list is passed, for callers that also emit
-    fields or matrices.  Each level is released before the level above it
-    is assembled (``BlockOperator.release``): its factor of S, its
-    elimination cache and its assembled matrices go, since the level above
-    starts from the solution's control and multiplier alone and the rows
-    read only the solution fields and the boundary tables.  So no other
-    level holds a factor or an assembled matrix while one is built; a
-    later read of a released level's matrix assembles it again.  Only the
-    finest level keeps its factor, and it stores neither A nor C.
+    fields or matrices.  Each level's operators live only for its solve
+    (``_solve_level``): the level above starts from the solution's control
+    and multiplier, and the rows read only the solution's fields and
+    boundary tables.  So no other level's factor or assembled matrix is
+    alive while one is built.
     """
     data, case = _example_data(config)
     solved, sol = [], None
     for m, mesh in zip(config.counts, _mesh_chain(config)):
-        if solved:  # the next level starts from the solution alone
-            solved[-1][2].release()
-        ops, sol = _solve_level(mesh, data, config, m, start=sol)
-        solved.append((m, mesh, ops, sol))
-    reference = solved.pop()[3] if config.reference is not None else None
+        sol = _solve_level(mesh, data, config, m, start=sol)
+        solved.append((m, mesh, sol))
+    reference = solved.pop()[2] if config.reference is not None else None
     report = ErrorReport()
-    for m, mesh, ops, sol in solved:
+    for m, mesh, sol in solved:
         report.add_row(closed_form_row(sol, case) if reference is None
                        else reference_compare(sol, reference))
     if keep_solutions is not None:
@@ -382,8 +378,11 @@ def emit_fields(sol, mesh, path) -> list:
     return files
 
 
-def _emit_matrices(ops, path):
+def _emit_matrices(sol, path):
+    """Write the blocks of a solution's level in Matrix Market format,
+    from a fresh assembly (``DiscreteSolution.ops``)."""
     os.makedirs(path, exist_ok=True)
+    ops = sol.ops
     blocks = {"A": ops.A, "B": ops.B, "C": ops.C, "M1": ops.M1,
               "M2": ops.M2, "M_Omega": ops.M_Omega, "M_Gamma": ops.M_Gamma}
     for name, mat in blocks.items():
@@ -489,8 +488,8 @@ def _battery(seed: int = 0):
 
 def _cmd_run(args) -> int:
     config = RunConfig.from_file(args.config)
-    # a kept level holds its operators to the end, released before the next
-    # level is assembled; the matrix output assembles its level again
+    # a kept solution holds its fields and boundary tables, not its level's
+    # operators; the matrix output assembles its level again
     keep = [] if config.vtk or config.matrices else None
     report = run_example(config, keep_solutions=keep)
     outdir = config.resolve_output_dir()
@@ -501,11 +500,11 @@ def _cmd_run(args) -> int:
     if config.markdown:
         written.append(emit_table(report, "markdown", os.path.join(outdir, "table.md")))
     if config.vtk:
-        for m, mesh, _ops, sol in keep:
+        for m, mesh, sol in keep:
             written += emit_fields(sol, mesh, os.path.join(outdir, f"fields_{m}"))
     if config.matrices:
-        m, _mesh, ops, _sol = keep[0]
-        _emit_matrices(ops, os.path.join(outdir, f"matrices_{m}"))
+        m, _mesh, sol = keep[0]
+        _emit_matrices(sol, os.path.join(outdir, f"matrices_{m}"))
         written.append(os.path.join(outdir, f"matrices_{m}"))
     for row, cells in zip(report.rows, _table_cells(report)):
         print(" ".join(cells[:1] + cells[2::2]))

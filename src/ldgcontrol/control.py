@@ -29,7 +29,8 @@ import numpy as np
 
 from .analysis import NestedLocator
 from .geometry import data_values
-from .ldg import BlockOperator, ProblemData, solve_state
+from .ldg import (BlockOperator, BoundaryQuadrature, FluxParameters, ProblemData,
+                  assemble_forms, solve_state)
 from .linsolve import _control_load, _gradient, _state_adjoint, solve_optimality_system
 from .spaces import (
     DATA_DEGREE,
@@ -157,6 +158,11 @@ class DiscreteSolution:
     ``reduced_gradient`` gives it: the lumped-mass nodal values in full
     mode, the values at the boundary quadrature points in variational
     mode.  ``log`` holds one ``PdasStep`` per active-set step.
+
+    Of its level's operators a solution keeps the boundary tables ``bq``
+    and the flux parameters ``flux``, all that its control evaluation
+    reads, so the level's blocks and factor go when the caller drops the
+    ``BlockOperator``.
     """
 
     y: DiscreteField
@@ -170,7 +176,8 @@ class DiscreteSolution:
     iterations: int
     converged: bool
     mode: str
-    ops: BlockOperator
+    bq: BoundaryQuadrature
+    flux: FluxParameters
     data: ProblemData
     log: list = dataclass_field(default_factory=list)
 
@@ -190,10 +197,18 @@ class DiscreteSolution:
     def mesh(self):
         return self.y.dofmap.mesh
 
+    @property
+    def ops(self) -> BlockOperator:
+        """The operators of this solution's level, assembled afresh on each
+        read.  The benchmark's KKT certificate (``perfbench/study.py``)
+        passes ``sol.ops`` to ``compose_kkt`` and ``reduced_gradient``;
+        this goes once that certificate is computed by the solver."""
+        return assemble_forms(self.mesh, self.data)
+
     def control_at_quadrature(self) -> np.ndarray:
         """Control values at the boundary quadrature points."""
         if self.mode == "full":
-            return self.ops.bq.E_U @ self.u.coefficients
+            return self.bq.E_U @ self.u.coefficients
         return np.asarray(self.u, dtype=float)
 
     def _projection_argument(self, edges, s):
@@ -203,7 +218,7 @@ class DiscreteSolution:
         n = self.mesh.edge_normals[edges, 0]
         pn = data.sqrt_eps * np.sum(trace_on_edge(self.p, edges, 0, s) * n, axis=-1)
         zv = trace_on_edge(self.z, edges, 0, s)
-        return (pn - self.ops.flux.kappa(edges, s) * zv) / data.omega
+        return (pn - self.flux.kappa(edges, s) * zv) / data.omega
 
     def control_on_edge(self, edges, s) -> np.ndarray:
         """Control values at parameters s of boundary edges; ``edges`` and
@@ -367,7 +382,7 @@ def _prolonged_start(ops: BlockOperator, data: ProblemData, mode: str,
     s0 < s1 (``NestedLocator``'s boundary registration).  In full mode the
     unknowns are the values at the ends of the fine edges, and the
     multiplier is the coarse lumped-mass gradient (``start.multiplier``)
-    prolonged the same way, so a released ``start.ops`` stays released.
+    prolonged the same way, so the start needs no operators of its level.
     In variational mode the unknowns are the values at the fine boundary
     quadrature points (edge-major, parameter-minor); the control there is
     the projection of the coarse argument w, and the multiplier is
@@ -418,7 +433,8 @@ def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode: str = "full",
     refinement chain (nested iteration).  A solution start is prolonged
     onto this mesh, and the first active sets come from the test above
     with its prolonged multiplier; any other start has multiplier 0.
-    A start of the wrong length, mode or mesh raises ``ValueError``.
+    A start of the wrong length, mode or mesh, or a vector or field start
+    with a non-finite value, raises ``ValueError``.
     """
     if mode not in ("full", "variational"):
         raise ValueError(f"unknown control mode {mode!r}")
@@ -438,6 +454,8 @@ def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode: str = "full",
                          dtype=float)
         if u_vec.shape != (n,):
             raise ValueError("initial control has the wrong length")
+        if not np.all(np.isfinite(u_vec)):
+            raise ValueError("the initial control u0 has non-finite values")
 
     active = _active_sets(u_vec, lam, data)
     history = [active]
@@ -460,7 +478,8 @@ def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode: str = "full",
                 z=DiscreteField(ops.spaces.potential, parts["z"]),
                 p=DiscreteField(ops.spaces.flux, parts["p"]), u=u_out,
                 active=new_active, multiplier=lam, cost=evaluate_cost(y, u_out, data, ops),
-                iterations=it, converged=True, mode=mode, ops=ops, data=data, log=log,
+                iterations=it, converged=True, mode=mode, bq=ops.bq, flux=ops.flux,
+                data=data, log=log,
             )
         for step, earlier in enumerate(history[:-1]):
             if new_active.same_as(earlier):

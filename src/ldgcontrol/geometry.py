@@ -129,7 +129,7 @@ class Mesh:
             in ``parent_mesh``, or None for a root mesh.
         parent_mesh : the coarser mesh this one refines, or None.
         dissection : the ``DissectionTree`` of the last nested-dissection
-            order of the P1 nodes of this mesh (``linsolve._node_order``),
+            order of the P1 nodes of this mesh (``linsolve._reduction``),
             which the meshes refining it inherit; None before one.
     """
 

@@ -88,8 +88,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import BlockLayout, Mesh, data_values
-from .linsolve import (Factorization, _control_load, _eliminated_operators, _flux_block_inverse,
-                       _node_order, _permuted, _reference_mass)
+from .linsolve import (Factorization, Reduction, _control_load, _flux_block_inverse,
+                       _reduction, _reference_mass)
 from .spaces import (
     DATA_DEGREE,
     FORM_DEGREE,
@@ -390,11 +390,6 @@ class BoundaryQuadrature:
         self.M2_qp = (self.T_kz.T @ W).tocsr()
 
 
-# The assembled matrices a level stores until ``BlockOperator.release``; a
-# read of one that is not stored assembles the level again for them.
-_STORED_BLOCKS = ("B", "C", "M1", "M2", "M_Omega", "M_Gamma")
-
-
 @dataclass(eq=False, repr=False)
 class BlockOperator:
     """Assembled matrices and load vectors of the LDG optimality blocks.
@@ -416,22 +411,13 @@ class BlockOperator:
     ``Mesh.adjacency`` less those zeros.
 
     A is never stored: each read builds it from the reference mass that
-    ``linsolve._flux_block_inverse`` inverts.  C goes once it is summed into
-    S, and ``release`` drops the other matrices (``_STORED_BLOCKS``).  A
-    read of a matrix that is not stored runs ``assemble_forms(mesh, data)``
-    once and takes every missing one from it, bit-identical, so
-    ``compose_kkt``, a gradient check or the matrix output still work on a
-    released level; the reduced solves read none of the dropped ones.
-
-    ``_state_lu`` and ``_condensation`` cache the factorization of S and
-    the flux elimination (``linsolve._eliminated_operators``: Mt, and S
-    until the factor takes it and keeps it in its elimination order, the
-    one copy of S; A^-1 is rebuilt where a flux is recovered, and A^-1 B
-    is never kept); ``_node_order`` caches the nested-dissection order of
-    the P1 nodes (``linsolve._node_order``) and ``_qp_load`` the
-    variational control-to-state load L of ``linsolve._control_load``,
-    which the reduced solves and ``solve_state`` of a pointwise control
-    share.
+    ``linsolve._flux_block_inverse`` inverts.  ``reduction`` is the one
+    cache, the ``linsolve.Reduction`` of the level (the factorization of
+    S in its nested-dissection order, Mt and the variational load), built
+    by ``linsolve._reduction`` on the first solve.  That build consumes C,
+    summed into S: a later read of ``C`` raises ``AttributeError``.  An
+    operator set lives as long as its caller holds it; a solution does not
+    hold it (``control.DiscreteSolution``).
     """
 
     mesh: Mesh
@@ -447,20 +433,7 @@ class BlockOperator:
     F: np.ndarray
     Yd: np.ndarray
     bq: BoundaryQuadrature
-    _state_lu: Optional[Factorization] = field(default=None, init=False)
-    _condensation: Optional[tuple] = field(default=None, init=False)
-    _node_order: Optional[np.ndarray] = field(default=None, init=False)
-    _qp_load: Optional[sp.csr_matrix] = field(default=None, init=False)
-
-    def __getattr__(self, name):
-        # reached only for a name that is not stored
-        if name not in _STORED_BLOCKS:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        fresh = assemble_forms(self.mesh, self.data)
-        for block in _STORED_BLOCKS:
-            if block not in self.__dict__:
-                setattr(self, block, getattr(fresh, block))
-        return self.__dict__[name]
+    reduction: Optional[Reduction] = field(default=None, init=False)
 
     @property
     def A(self):
@@ -474,31 +447,10 @@ class BlockOperator:
         return self.mesh.num_elements
 
     def state_factorization(self) -> Factorization:
-        """Factorization of the flux-eliminated state operator S = C + B' A^-1 B.
-
-        S is factored in the nested-dissection order of its unknowns, the
-        P1 nodes.  It moves out of the elimination cache into the factor,
-        which keeps the permuted copy it factors: no reference to S in its
-        own numbering is left while SuperLU runs.
-        """
-        if self._state_lu is None:
-            order = _node_order(self)
-            S, Mt = _eliminated_operators(self)
-            self._condensation = (None, Mt)
-            permuted = _permuted(S, order)
-            del S
-            self._state_lu = Factorization._of_permuted(permuted, order)
-        return self._state_lu
-
-    def release(self):
-        """Drop the factorization of S, the flux-elimination operators, the
-        variational load built from them and the stored matrices
-        (``_STORED_BLOCKS``).  The mesh, spaces, data, flux parameters,
-        boundary tables, F, Yd and the node order, with it the mesh's
-        dissection tree, stay; the next solve rebuilds the rest."""
-        self._state_lu = self._condensation = self._qp_load = None
-        for name in _STORED_BLOCKS:
-            self.__dict__.pop(name, None)
+        """Factorization of the flux-eliminated state operator
+        S = C + B' A^-1 B, in the nested-dissection order of its unknowns,
+        the P1 nodes (``linsolve._reduction``)."""
+        return _reduction(self).factor
 
 
 def _volume_tables(mesh):
@@ -642,19 +594,22 @@ def solve_state(ops: BlockOperator, u):
 
     ``u`` is a boundary DiscreteField (a full-mode control), a callable on
     arrays of boundary points or an array of values at the boundary
-    quadrature points (a pointwise control).  The flux is eliminated
-    exactly: y = S^-1 (F + L u), then q = A^-1 (M1 u - B y), with L and M1
-    the control loads of the mode (``linsolve._control_load``).
+    quadrature points (a pointwise control); a control with a non-finite
+    value raises ``ValueError``.  The flux is eliminated exactly:
+    y = S^-1 (F + L u), then q = A^-1 (M1 u - B y), with L and M1 the
+    control loads of the mode (``linsolve._control_load``).
     """
     if isinstance(u, DiscreteField):
-        L, _, M1 = _control_load(ops, "full")
-        u = u.coefficients
+        mode, u = "full", u.coefficients
     else:
         bq = ops.bq
-        L, _, M1 = _control_load(ops, "variational")
+        mode = "variational"
         u = data_values(u, bq.points, "u") if callable(u) else np.asarray(u, dtype=float)
         if u.shape != (bq.num_points,):
             raise ValueError("pointwise control values must match the boundary quadrature")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("the control u has non-finite values")
+    L, _, M1 = _control_load(ops, mode)
     y = ops.state_factorization().solve(ops.F + L @ u)
     q = _flux_block_inverse(ops) @ (M1 @ u - ops.B @ y)
     return DiscreteField(ops.spaces.potential, y), DiscreteField(ops.spaces.flux, q)

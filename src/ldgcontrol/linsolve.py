@@ -27,17 +27,18 @@ right-hand sides as the columns of one array and refines each on its
 own.  ``ReducedSolveError`` reports a CG run that misses its tolerance
 within ``CG_MAX_ITER`` steps.
 
-The flux elimination (``_eliminated_operators``) builds A^-1 from the
-reference mass inverse, scaled per element, and forms Mt and
-S = C + B' (A^-1 B) as sparse products, the last through (A^-1 B)' B.  It
-keeps S and Mt alone, and C, summed into S, leaves the operator set.  The
-state factor then takes S: it keeps the one copy it factors,
-S[order][:, order], so a reduced solve reads the factor, Mt, B, M1,
-M_Omega, M_Gamma and the loads, and nothing else.  Its two recoveries
-rebuild A^-1 and form p = A^-1 (B z), so A^-1 B is never kept.
-``Factorization.matrix`` gathers S back where S itself is wanted, and
-``_condensation_operators`` returns (A^-1, A^-1 B, S, Mt) for the
-condensed reference path, A^-1 and A^-1 B built on each call.
+An operator set's reduced problem is built once, by ``_reduction``, and
+kept in its one slot, ``BlockOperator.reduction``: a ``Reduction`` of the
+factor of S and Mt.  The flux elimination (``_eliminate``) builds A^-1
+from the reference mass inverse, scaled per element, and forms Mt and
+S = C + B' (A^-1 B) as sparse products, the last through (A^-1 B)' B; C,
+summed into S, leaves the operator set.  The factor takes S and keeps
+the one copy it factors, S[order][:, order], so a reduced solve reads
+the factor, Mt, B, M1, M_Omega, M_Gamma and the loads, and nothing else.
+Its two recoveries rebuild A^-1 and form p = A^-1 (B z), so A^-1 B is
+never kept.  ``Factorization.matrix`` gathers S back where S itself is
+wanted, and ``_condensation_operators`` returns (A^-1, A^-1 B, S, Mt) for
+the condensed reference path, A^-1 and A^-1 B built on each call.
 
 The pieces of the reduced problem live here once: ``_control_load`` (L,
 W and the flux load M1 of a mode), ``_state_adjoint`` (the state/adjoint
@@ -47,18 +48,18 @@ multiplier and gradient checks of ``control`` use them too.
 Two direct solves are kept as references.  ``condense_kkt`` builds the
 optimality system after the flux elimination, with the active controls
 substituted by their bounds (``strategy="condensed"``); ``compose_kkt``
-builds the unreduced five-block matrix (``strategy="monolithic"``), the
-oracle that the tests and ``ldgcontrol check`` compare the production
-path against.
+builds the unreduced five-block matrix (``strategy="monolithic"``) from
+an assembly of its own, the oracle that the tests and ``ldgcontrol
+check`` compare the production path against.
 
 Every factorization is a ``Factorization``: a sparse LU in a given
 elimination order, with diagonal pivots, and iterative refinement that
 raises ``SingularSystemError`` when the factorization fails, produces
 non-finite entries or the refinement stalls.  The order comes from one
 nested dissection of the P1 nodes, the unknowns of S, in the coupling
-graph of S (``geometry.dissection_order``, cached per operator set),
-derived from the dissection tree of the nearest ordered coarser mesh of
-the refinement chain when there is one.
+graph of S (``geometry.dissection_order``, the order of the state
+factor), derived from the dissection tree of the nearest ordered coarser
+mesh of the refinement chain when there is one.
 The two reference systems keep the unknowns of a P1 node together at its
 rank (q, y, p, z block by block, each control with the node at its
 boundary vertex).  At 8192 elements this factors S with 1.36 M nonzeros
@@ -69,6 +70,7 @@ partial pivoting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -326,47 +328,54 @@ def compose_kkt(ops, active, data, mode: str = "full") -> BlockSystem:
     mode eliminates the control: inactive quadrature points carry
     u = (sqrt(eps) p.n - kappa z)/omega, active points the bound value,
     both substituted into the state equations.
+
+    The blocks come from an assembly of its own on the mesh and data of
+    ``ops``, so the oracle reads none of the blocks a solve consumes; only
+    the elimination order is the state factor's (``_system_order``).
     """
-    A, B, C = ops.A, ops.B, ops.C
-    M_Omega = ops.M_Omega
+    from .ldg import assemble_forms  # ldg imports this module
+
+    fresh = assemble_forms(ops.mesh, ops.data)
+    A, B, C = fresh.A, fresh.B, fresh.C
+    M_Omega = fresh.M_Omega
     nW = A.shape[0]
     nV = C.shape[0]
-    inactive, bound_vals = _control_blocks(ops, active, data, mode)
+    inactive, bound_vals = _control_blocks(fresh, active, data, mode)
 
     if mode == "full":
-        nU = ops.M_Gamma.shape[0]
+        nU = fresh.M_Gamma.shape[0]
         # control rows: D_I (omega M_Gamma u + M1' p + M2' z) + D_A u = D_A u_bound
         D_I = sp.diags(inactive.astype(float))
         D_A = sp.diags((~inactive).astype(float))
         K = sp.bmat([
-            [A,     B,    None,  None,  -ops.M1],
-            [-B.T,  C,    None,  None,  -ops.M2],
+            [A,     B,    None,  None,  -fresh.M1],
+            [-B.T,  C,    None,  None,  -fresh.M2],
             [None,  None, A,     -B,    None],
             [None, -M_Omega, B.T, C.T,  None],
-            [None,  None, D_I @ ops.M1.T, D_I @ ops.M2.T,
-             data.omega * (D_I @ ops.M_Gamma) + D_A],
+            [None,  None, D_I @ fresh.M1.T, D_I @ fresh.M2.T,
+             data.omega * (D_I @ fresh.M_Gamma) + D_A],
         ], format="csc")
         rhs = np.concatenate([
-            np.zeros(nW), ops.F, np.zeros(nW), -ops.Yd, bound_vals,
+            np.zeros(nW), fresh.F, np.zeros(nW), -fresh.Yd, bound_vals,
         ])
         offs = np.cumsum([0, nW, nV, nW, nV, nU])
         slices = {name: slice(offs[i], offs[i + 1]) for i, name in enumerate("qypzu")}
         order = _system_order(ops, (2, 1, 2, 1), controls=np.arange(nU))
         return BlockSystem(K, rhs, slices, "full", order)
 
-    G1, H1, G2, H2 = _pointwise_coupling(ops, inactive, data.omega)
+    G1, H1, G2, H2 = _pointwise_coupling(fresh, inactive, data.omega)
     K = sp.bmat([
         [A,     B,    -G1,   H1],
         [-B.T,  C,    -G2,   H2],
         [None,  None, A,     -B],
         [None, -M_Omega, B.T, C.T],
     ], format="csc")
-    bq = ops.bq
+    bq = fresh.bq
     rhs = np.concatenate([
         bq.M1_qp @ bound_vals,
-        ops.F + bq.M2_qp @ bound_vals,
+        fresh.F + bq.M2_qp @ bound_vals,
         np.zeros(nW),
-        -ops.Yd,
+        -fresh.Yd,
     ])
     offs = np.cumsum([0, nW, nV, nW, nV])
     slices = {name: slice(offs[i], offs[i + 1]) for i, name in enumerate("qypz")}
@@ -407,48 +416,74 @@ def _flux_block_inverse(ops):
                           np.arange(0, 3 * n + 1, 3, dtype=index)), shape=(n, n))
 
 
-def _eliminated_operators(ops):
-    """(S, Mt), the element-eliminated operators, cached per assembled
-    operator set: S = C + B^T A^-1 B the convection-diffusion operator
-    acting on the scalar unknown alone, and Mt = M2 + B^T A^-1 M1 the
-    matching condensed control-to-state load.
+def _eliminate(ops):
+    """(S, Mt), the element-eliminated operators: S = C + B^T A^-1 B the
+    convection-diffusion operator acting on the scalar unknown alone, and
+    Mt = M2 + B^T A^-1 M1 the matching condensed control-to-state load.
 
     B^T (A^-1 B) is formed as the transpose of (A^-1 B)^T B, which holds
     the same sums and needs B, not A^-1 B, in column form.  A^-1 goes once
     Mt is formed and A^-1 B once the product is, which lowers the peak.  S
     and Mt are copied out of their sums' buffers, which scipy sizes for the
-    nonzeros of both terms, so the cache keeps S and Mt alone, and C, summed
-    into S, is dropped from ``ops`` (a later read assembles it again).  The
+    nonzeros of both terms, and C, summed into S, leaves ``ops``.  The
     solves rebuild A^-1 where they recover a flux (``_flux_block_inverse``,
     about 1 ms at 8192 elements).
-
-    ``BlockOperator.state_factorization`` takes S out of the cache, which
-    then reads (None, Mt): the factor keeps S in its elimination order, and
-    ``Factorization.matrix`` gathers it back where S itself is wanted.
     """
-    if ops._condensation is None:
-        Ainv = _flux_block_inverse(ops)
-        AinvB = Ainv @ ops.B
-        Mt = (ops.M2 + ops.B.T @ (Ainv @ ops.M1)).tocsr()
-        del Ainv
-        X = (AinvB.T @ ops.B).T
-        del AinvB
-        S = ops.C + X
-        del X, ops.C
-        S.sort_indices()
-        ops._condensation = (S.copy(), Mt.copy())
-    return ops._condensation
+    Ainv = _flux_block_inverse(ops)
+    AinvB = Ainv @ ops.B
+    Mt = (ops.M2 + ops.B.T @ (Ainv @ ops.M1)).tocsr()
+    del Ainv
+    X = (AinvB.T @ ops.B).T
+    del AinvB
+    S = ops.C + X
+    del X, ops.C
+    S.sort_indices()
+    return S.copy(), Mt.copy()
+
+
+@dataclass
+class Reduction:
+    """The reduced problem of one operator set: the factorization of S in
+    the nested-dissection order of the P1 nodes (``factor.order``), the
+    condensed load Mt and, once a pointwise control has needed it, the
+    variational load ``qp_load`` (see ``_control_load``)."""
+
+    factor: Factorization
+    Mt: sp.csr_matrix
+    qp_load: Optional[sp.csr_matrix] = None
+
+
+def _reduction(ops):
+    """The ``Reduction`` of ``ops``, built on first use and kept in
+    ``ops.reduction``.
+
+    The order is the nested dissection of the P1 nodes in the coupling
+    graph of S, derived from the dissection tree of the nearest mesh up
+    ``Mesh.parent_mesh`` that has been ordered; this one's tree is kept as
+    ``ops.mesh.dissection`` for the meshes that refine it.  The factor then
+    takes S in that order and keeps the permuted copy it factors: no
+    reference to S in its own numbering is left while SuperLU runs.
+    """
+    if ops.reduction is None:
+        S, Mt = _eliminate(ops)
+        ancestor = ops.mesh.parent_mesh
+        while ancestor is not None and ancestor.dissection is None:
+            ancestor = ancestor.parent_mesh
+        order, ops.mesh.dissection = dissection_order(
+            _node_points(ops.mesh), S, None if ancestor is None else ancestor.dissection)
+        permuted = _permuted(S, order)
+        del S
+        ops.reduction = Reduction(Factorization._of_permuted(permuted, order), Mt)
+    return ops.reduction
 
 
 def _condensation_operators(ops):
     """(Ainv, AinvB, S, Mt) of the condensed reference path: A^-1 and
-    A^-1 B are built on each call around the cached S, or S gathered back
-    from the state factor that took it, and the cached Mt."""
-    S, Mt = _eliminated_operators(ops)
-    if S is None:
-        S = ops._state_lu.matrix
+    A^-1 B built on each call, S gathered back from the state factor and
+    Mt from the reduction."""
+    reduction = _reduction(ops)
     Ainv = _flux_block_inverse(ops)
-    return Ainv, Ainv @ ops.B, S, Mt
+    return Ainv, Ainv @ ops.B, reduction.factor.matrix, reduction.Mt
 
 
 def _node_points(mesh):
@@ -462,25 +497,6 @@ def _node_points(mesh):
     return (0.8 * corners + 0.2 * corners.mean(axis=1, keepdims=True)).reshape(-1, 2)
 
 
-def _node_order(ops):
-    """Nested-dissection order of the P1 nodes in the coupling graph of S.
-
-    Cached per assembled operator set; every factorization of ``ops``
-    derives its elimination order from it (see ``_system_order``).  The
-    dissection tree of the nearest mesh up ``Mesh.parent_mesh`` that has
-    been ordered is the ancestor of this one, and this one is kept as
-    ``ops.mesh.dissection`` for the meshes that refine it.
-    """
-    if ops._node_order is None:
-        S = _eliminated_operators(ops)[0]
-        ancestor = ops.mesh.parent_mesh
-        while ancestor is not None and ancestor.dissection is None:
-            ancestor = ancestor.parent_mesh
-        ops._node_order, ops.mesh.dissection = dissection_order(
-            _node_points(ops.mesh), S, None if ancestor is None else ancestor.dissection)
-    return ops._node_order
-
-
 def _system_order(ops, per_node, controls=None):
     """Nested-dissection order of a system's unknowns, blocked by P1 node.
 
@@ -488,8 +504,9 @@ def _system_order(ops, per_node, controls=None):
     per P1 node (node major, as in the dof maps), followed by the control
     unknowns ``controls`` (positions in the boundary-edge dof map), if
     given.  The order puts all unknowns of a node together at the node's
-    rank in ``_node_order``, block by block, and each control unknown with
-    the node of its boundary element at the same boundary vertex.
+    rank in the order of the state factor (``_reduction``), block by block,
+    and each control unknown with the node of its boundary element at the
+    same boundary vertex.
     """
     mesh = ops.mesh
     nodes = 3 * mesh.num_elements
@@ -499,7 +516,7 @@ def _system_order(ops, per_node, controls=None):
         at_vertex = 3 * mesh.edge_elems[edges, 0, None] + mesh.edge_local[edges, 0]
         owner.append(at_vertex.ravel()[controls])
     rank = np.empty(nodes, dtype=np.int64)
-    rank[_node_order(ops)] = np.arange(nodes)
+    rank[_reduction(ops).factor.order] = np.arange(nodes)
     return np.argsort(rank[np.concatenate(owner)], kind="stable")
 
 
@@ -616,23 +633,24 @@ def _control_load(ops, mode):
     flux q = A^-1 (M1 u - B y), and the gradient of the reduced cost is
     omega W u + L' z (``_gradient``) with the adjoint S' z = M_Omega y - Yd.
     Full mode: L = Mt, W = M_Gamma and M1 = ops.M1.  Variational mode:
-    L = M2_qp + B' A^-1 M1_qp (cached next to Mt), W = diag of the boundary
+    L = M2_qp + B' A^-1 M1_qp (kept next to Mt), W = diag of the boundary
     quadrature weights and M1 = M1_qp; M1_qp = -T_pn' W and M2_qp = T_kz' W
     make L' z = W (T_kz z - T_pn p), the pointwise stationarity term.
     """
+    reduction = _reduction(ops)
     if mode == "full":
-        return _eliminated_operators(ops)[1], ops.M_Gamma, ops.M1
+        return reduction.Mt, ops.M_Gamma, ops.M1
     bq = ops.bq
-    if ops._qp_load is None:
-        ops._qp_load = (bq.M2_qp + ops.B.T @ (_flux_block_inverse(ops) @ bq.M1_qp)).tocsr()
-    return ops._qp_load, sp.diags(bq.weights, format="csr"), bq.M1_qp
+    if reduction.qp_load is None:
+        reduction.qp_load = (bq.M2_qp + ops.B.T @ (_flux_block_inverse(ops) @ bq.M1_qp)).tocsr()
+    return reduction.qp_load, sp.diags(bq.weights, format="csr"), bq.M1_qp
 
 
 def _state_adjoint(ops, load, target):
     """State y = S^-1 load and adjoint z = S^-T (M_Omega y - target), both
-    on the cached factorization of S; the columns of a 2-d ``load`` (and
+    on the factorization of S; the columns of a 2-d ``load`` (and
     ``target``) are solved together."""
-    lu = ops.state_factorization()
+    lu = _reduction(ops).factor
     y = lu.solve(load)
     return y, lu.solve(ops.M_Omega @ y - target, trans="T")
 
@@ -679,7 +697,7 @@ def _pcg(apply, b, r, precond, x, rtol, maxiter):
 
 
 def _reduced_solve(ops, active, data, mode, u_start):
-    """Solve one active set in control space on the cached factor of S.
+    """Solve one active set in control space on the factor of S.
 
     The inactive controls solve H_II u_I = b_I with the SPD reduced Hessian
     H = omega W + L' S^-T M_Omega S^-1 L, by CG preconditioned with
@@ -740,7 +758,7 @@ def solve_optimality_system(ops, active, data=None, mode="full",
 
     strategy
         "reduced" (the default) solves for the inactive controls by CG on
-        the cached factor of S, to a relative reduced residual of
+        the factor of S, to a relative reduced residual of
         ``_SOLVE_TOL``/100, starting from ``u_start`` (a control vector,
         default 0); "condensed" factors the flux-eliminated system and
         "monolithic" the coupled block matrix, both direct (relative

@@ -132,7 +132,7 @@ def ex2_study():
     ref_ops = assemble_forms(ref_mesh, data)
     ref_sol = pdas_solve(ref_ops, data)
     ref_iterations = ref_sol.iterations
-    ref_ops._condensation = None  # drop the cached elimination operators
+    del ref_ops  # the reference level's operators and factor go
     rows = {"full": {}, "variational": {}}
     stats = {}
     for mesh in meshes[:4]:  # 32 ... 2048 elements

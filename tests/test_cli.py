@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldgcontrol import cli, ldg, linsolve
+from ldgcontrol import cli, control, ldg, linsolve
 from ldgcontrol.analysis import (
     ErrorReport,
     ErrorReportRow,
@@ -31,7 +31,7 @@ from ldgcontrol.cli import (
     run_example,
 )
 from ldgcontrol.geometry import build_unit_square_mesh
-from ldgcontrol.ldg import BlockOperator, assemble_forms
+from ldgcontrol.ldg import assemble_forms
 from ldgcontrol.linsolve import ReducedSolveError, SingularSystemError
 from ldgcontrol.spaces import DiscreteField, SpaceSet
 
@@ -344,14 +344,14 @@ def test_run_example_nested_rows_match_cold_solves(config):
     assert [m for m, *_ in kept] == list(config.levels)
     if case is None:
         chain = dict(zip(config.counts, _mesh_chain(config)))
-        _, ref = _solve_level(chain[config.reference], data, config, config.reference)
+        ref = _solve_level(chain[config.reference], data, config, config.reference)
     steps = []
-    for row, (m, _mesh, _ops, warm) in zip(report.rows, kept):
+    for row, (m, _mesh, warm) in zip(report.rows, kept):
         if case is None:
-            cold = _solve_level(chain[m], data, config, m)[1]
+            cold = _solve_level(chain[m], data, config, m)
             cold_row = reference_compare(cold, ref)
         else:
-            cold = _solve_level(build_unit_square_mesh(_mesh_level(1, m)), data, config, m)[1]
+            cold = _solve_level(build_unit_square_mesh(_mesh_level(1, m)), data, config, m)
             cold_row = closed_form_row(cold, case)
         steps.append((warm.iterations, cold.iterations))
         assert row.elements == cold_row.elements and row.h == cold_row.h
@@ -363,53 +363,78 @@ def test_run_example_nested_rows_match_cold_solves(config):
         assert steps[1][0] < steps[1][1]
 
 
-def test_run_example_keeps_only_the_finest_factor():
-    # a solved level's factor of S and elimination cache go before the
-    # level above it is assembled; its node order and dissection tree stay
+LIFECYCLE_STUDIES = pytest.mark.parametrize("config", [
+    RunConfig(example=1, levels=(32, 128, 512), epsilon=1e-6),
+    RunConfig(example=2, levels=(32, 128), reference=512),
+    RunConfig(example=2, levels=(32, 128), reference=512, mode="variational"),
+], ids=["ex1", "ex2-full", "ex2-variational"])
+
+
+@LIFECYCLE_STUDIES
+def test_no_solution_pins_its_level(config, monkeypatch, tmp_path):
+    # a level's operators live only for its solve: each lower level's
+    # BlockOperator is gone when the next S is factored, and the kept
+    # solutions give the rows, field output and starts they gave in the run
+    levels, inputs, solutions, starts, alive = [], [], [], [], []
+    assemble, solve, prolong = cli.assemble_forms, cli.pdas_solve, control._prolonged_start
+    of_permuted = linsolve.Factorization._of_permuted
+
+    def assembled(mesh, data):
+        ops = assemble(mesh, data)
+        levels.append(weakref.ref(ops))
+        inputs.append((mesh, data))
+        return ops
+
+    def solved(ops, *args, **kwargs):
+        sol = solve(ops, *args, **kwargs)
+        emit_fields(sol, ops.mesh, tmp_path / "live" / str(ops.num_elements))
+        solutions.append(sol)
+        return sol
+
+    def prolonged(*args):
+        starts.append(prolong(*args))
+        return starts[-1]
+
+    def factored(cls, permuted, order):
+        alive.append([level() is not None for level in levels[:-1]])
+        return of_permuted(permuted, order)
+
+    monkeypatch.setattr(cli, "assemble_forms", assembled)
+    monkeypatch.setattr(cli, "pdas_solve", solved)
+    monkeypatch.setattr(control, "_prolonged_start", prolonged)
+    monkeypatch.setattr(linsolve.Factorization, "_of_permuted", classmethod(factored))
     kept = []
-    run_example(RunConfig(example=1, levels=(32, 128, 512), epsilon=1e-6), keep_solutions=kept)
-    assert [ops._state_lu is not None for *_, ops, _ in kept] == [False, False, True]
-    assert [ops._condensation is not None for *_, ops, _ in kept] == [False, False, True]
-    assert all(ops._node_order is not None and mesh.dissection is not None
-               for _, mesh, ops, _ in kept)
+    report = run_example(config, keep_solutions=kept)
+    monkeypatch.undo()
 
-
-def test_no_other_level_holds_a_factor_while_s_is_factored(monkeypatch):
-    # each level is released before the next is assembled, so every
-    # factorization of S runs with no other level's factor or elimination
-    # cache alive
-    assembled, held = [], []
-
-    def assemble(mesh, data):
-        assembled.append(assemble_forms(mesh, data))
-        return assembled[-1]
-
-    factorization = BlockOperator.state_factorization
-
-    def state_factorization(ops):
-        if ops._state_lu is None:
-            held.append([other.num_elements for other in assembled if other is not ops and (
-                other._state_lu is not None or other._condensation is not None)])
-        return factorization(ops)
-
-    monkeypatch.setattr(cli, "assemble_forms", assemble)
-    monkeypatch.setattr(BlockOperator, "state_factorization", state_factorization)
-    run_example(RunConfig(example=1, levels=(32, 128, 512), epsilon=1e-6))
-    assert held == [[], [], []]
-
-
-ASSEMBLED = ("A", "B", "C", "M1", "M2", "M_Omega", "M_Gamma")
+    assert alive == [[], [False], [False, False]]
+    assert all(level() is None for level in levels)
+    case = _example_data(config)[1]
+    assert len(kept) == len(config.levels)
+    assert all(sol is solved for (*_, sol), solved in zip(kept, solutions))
+    for row, (m, mesh, sol) in zip(report.rows, kept):
+        assert row == (closed_form_row(sol, case) if case is not None
+                       else reference_compare(sol, solutions[-1]))
+        for path in emit_fields(sol, mesh, tmp_path / "kept" / str(m)):
+            live = tmp_path / "live" / str(m) / Path(path).name
+            assert Path(path).read_bytes() == live.read_bytes()
+    assert len(starts) == len(inputs) - 1
+    for start, sol, (mesh, data) in zip(starts, solutions, inputs[1:]):
+        again = control._prolonged_start(assemble_forms(mesh, data), data, config.mode, sol)
+        for a, b in zip(start, again):
+            assert np.array_equal(a, b)
 
 
 def test_finest_factor_runs_beside_one_copy_of_s(monkeypatch):
     # when SuperLU factors the finest S, S in its own numbering is gone
-    # (the factor holds the permuted copy alone), the finest level stores
-    # neither A nor C, and no level below stores an assembled matrix
+    # (the factor holds the permuted copy alone) and the finest level
+    # stores neither A nor C
     assembled, ordered, seen = [], {}, []
 
     def assemble(mesh, data):
-        assembled.append(assemble_forms(mesh, data))
-        return assembled[-1]
+        ops = assemble_forms(mesh, data)
+        assembled.append(weakref.ref(ops))
+        return ops
 
     dissection_order = linsolve.dissection_order
 
@@ -421,24 +446,18 @@ def test_finest_factor_runs_beside_one_copy_of_s(monkeypatch):
 
     def factor(A, *args, **kwargs):
         if A.shape[0] == 3 * 512:
-            finest, below = assembled[-1], assembled[:-1]
             seen.append((ordered[A.shape[0]]() is None,
-                         [name for name in ("A", "C") if name in vars(finest)],
-                         [name for ops in below for name in ASSEMBLED if name in vars(ops)]))
+                         [name for name in ("A", "C") if name in vars(assembled[-1]())]))
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(cli, "assemble_forms", assemble)
     monkeypatch.setattr(linsolve, "dissection_order", order)
     monkeypatch.setattr(linsolve.spla, "splu", factor)
     run_example(RunConfig(example=1, levels=(32, 128, 512), epsilon=1e-6))
-    assert seen == [(True, [], [])]
+    assert seen == [(True, [])]
 
 
-@pytest.mark.parametrize("config", [
-    RunConfig(example=1, levels=(32, 128, 512), epsilon=1e-6),
-    RunConfig(example=2, levels=(32, 128), reference=512),
-    RunConfig(example=2, levels=(32, 128), reference=512, mode="variational"),
-], ids=["ex1", "ex2-full", "ex2-variational"])
+@LIFECYCLE_STUDIES
 def test_run_example_assembles_each_level_once(config, monkeypatch):
     # a study reads no dropped block, so no level is assembled again
     calls = []

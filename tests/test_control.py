@@ -1,6 +1,7 @@
 """Tests of the control-space utilities and the active-set solver."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -437,9 +438,9 @@ def test_prolonged_start_is_the_coarse_control(mode, ex2_chain):
 
 @pytest.mark.parametrize("mode", ["full", "variational"])
 def test_released_solution_starts_the_next_level_unchanged(mode):
-    # the start reads the multiplier stored on the solution, so a released
-    # level gives the same control and multiplier, bit for bit, and builds
-    # no factor or elimination cache again
+    # the start reads the multiplier stored on the solution, so once its
+    # level's operators are gone it gives the same control and multiplier,
+    # bit for bit
     data = example2_data()
     coarse = build_unit_square_mesh(4)
     ops_c, ops_f = (assemble_forms(mesh, data) for mesh in (coarse, refine_uniform(coarse)))
@@ -448,11 +449,12 @@ def test_released_solution_starts_the_next_level_unchanged(mode):
     grad = reduced_gradient(ops_c, sol)
     assert np.array_equal(sol.multiplier, grad.nodal if mode == "full" else grad.at_quadrature)
     kept = control._prolonged_start(ops_f, data, mode, sol)
-    ops_c.release()
+    level = weakref.ref(ops_c)
+    del ops_c
+    assert level() is None
     released = control._prolonged_start(ops_f, data, mode, sol)
     for a, b in zip(kept, released):
         assert np.array_equal(a, b)
-    assert ops_c._condensation is None and ops_c._state_lu is None
 
 
 @pytest.mark.parametrize("mode", ["full", "variational"])
@@ -481,3 +483,22 @@ def test_start_validation(ex2_chain):
     for start in (pdas_solve(ops_f, data), pdas_solve(build_ops(data, 8), data)):
         with pytest.raises(ValueError, match="ancestor"):
             pdas_solve(ops_m, data, u0=start)
+
+
+def test_a_non_finite_start_or_control_is_bad_input(ex2_chain):
+    # a NaN in a vector or field start, or in a control of solve_state, is
+    # reported as bad input naming the argument, before any solve
+    data, (ops, _, _) = ex2_chain
+    n = ops.M_Gamma.shape[0]
+    one_nan = np.zeros(n)
+    one_nan[3] = np.nan
+    field = DiscreteField(ops.spaces.control, np.full(n, np.inf))
+    for mode, start in (("full", np.full(n, np.nan)), ("full", one_nan), ("full", field),
+                        ("variational", np.full(ops.bq.num_points, np.nan))):
+        with pytest.raises(ValueError, match="u0 has non-finite"):
+            pdas_solve(ops, data, mode=mode, u0=start)
+    pointwise = np.zeros(ops.bq.num_points)
+    pointwise[-1] = np.nan
+    for u in (pointwise, DiscreteField(ops.spaces.control, one_nan)):
+        with pytest.raises(ValueError, match="control u has non-finite"):
+            solve_state(ops, u)

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ldgcontrol
 
@@ -100,7 +101,7 @@ def test_harness_imports_and_call_shapes_bind():
 def test_condensed_path_looks_up_the_elimination_by_name(monkeypatch):
     # the harness breaks the condensed solve by patching
     # linsolve._condensation_operators (perfbench/test_harness.py), so it
-    # must return (Ainv, AinvB, S, Mt) around the cached S, and
+    # must return (Ainv, AinvB, S, Mt) with S the eliminated S, and
     # condense_kkt must reach it through the module global
     from ldgcontrol import linsolve
     from ldgcontrol.analysis import example2_data
@@ -111,7 +112,7 @@ def test_condensed_path_looks_up_the_elimination_by_name(monkeypatch):
     data = example2_data()
     ops = assemble_forms(build_unit_square_mesh(4), data)
     Ainv, AinvB, S, Mt = linsolve._condensation_operators(ops)
-    assert S is linsolve._eliminated_operators(ops)[0]
+    assert (S != linsolve._eliminate(assemble_forms(ops.mesh, data))[0]).nnz == 0
     assert AinvB.shape == ops.B.shape and (AinvB != Ainv @ ops.B).nnz == 0
     n = ops.M_Gamma.shape[0]
     active = ActiveSetState(np.zeros(n, dtype=bool), np.arange(n) % 3 == 0)
@@ -137,3 +138,28 @@ def test_traced_blocks_resolve_after_assembly():
     assert ops.num_elements == 32
     nnz = {name: getattr(ops, name).nnz for name in ("A", "B", "C", "M1", "M2")}
     assert nnz == {"A": 576, "B": 904, "C": 608, "M1": 64, "M2": 64}
+
+
+@pytest.mark.parametrize("mode", ["full", "variational"])
+def test_certificate_calls_work_on_kept_solutions(mode):
+    # perfbench/study.py checks every solution of a study by the two calls
+    # below, after the study has dropped each level's operators: the
+    # monolithic residual of the solution and its reduced gradient
+    from ldgcontrol.cli import RunConfig, run_example
+    from ldgcontrol.control import reduced_gradient
+    from ldgcontrol.linsolve import compose_kkt
+
+    kept = []
+    run_example(RunConfig(example=2, levels=(32, 128), reference=512, mode=mode),
+                keep_solutions=kept)
+    assert [m for m, *_ in kept] == [32, 128]
+    for *_, sol in kept:
+        system = compose_kkt(sol.ops, sol.active, sol.data, mode=sol.mode)
+        x = np.empty(system.dimension)
+        for name, block in system.slices.items():
+            x[block] = getattr(sol, name).coefficients
+        residual = np.linalg.norm(system.matrix @ x - system.rhs) / np.linalg.norm(system.rhs)
+        assert residual <= 1e-8
+        grad = reduced_gradient(sol.ops, sol)
+        assert np.array_equal(grad.nodal if mode == "full" else grad.at_quadrature,
+                              sol.multiplier)

@@ -1,6 +1,5 @@
 """Tests of the LDG form assembly and the state/adjoint solvers."""
 
-import hashlib
 import re
 import tracemalloc
 
@@ -19,8 +18,9 @@ from ldgcontrol.ldg import (
     solve_adjoint,
     solve_state,
 )
-from ldgcontrol.linsolve import (_condensation_operators, _eliminated_operators,
-                                 _flux_block_inverse, compose_kkt)
+from ldgcontrol.control import pdas_solve
+from ldgcontrol.linsolve import (_condensation_operators, _eliminate, _flux_block_inverse,
+                                 compose_kkt)
 from ldgcontrol.spaces import (
     FORM_DEGREE,
     DiscreteField,
@@ -511,49 +511,43 @@ ELIMINATION_CASES = pytest.mark.parametrize("mesh, data", [
 @ELIMINATION_CASES
 def test_condensation_matches_the_product_form(mesh, data):
     # A^-1 B, S = C + B' A^-1 B and Mt = M2 + B' A^-1 M1 against the plain
-    # scipy products of the assembled blocks, with the oracle inverse
+    # scipy products of the assembled blocks, with the oracle inverse; C
+    # comes from a fresh copy, as the elimination consumes that of ops
     ops = assemble_forms(mesh, data)
     Ainv, AinvB, S, Mt = _condensation_operators(ops)
     Ainv_ref = _flux_inverse_oracle(mesh)
     AinvB_ref = Ainv_ref @ ops.B
-    refs = {"AinvB": (AinvB, AinvB_ref), "S": (S, ops.C + ops.B.T @ AinvB_ref),
+    C = assemble_forms(mesh, data).C
+    refs = {"AinvB": (AinvB, AinvB_ref), "S": (S, C + ops.B.T @ AinvB_ref),
             "Mt": (Mt, ops.M2 + ops.B.T @ (Ainv_ref @ ops.M1))}
     for name, (new, ref) in refs.items():
         new, ref = new.tocsr().sorted_indices(), ref.tocsr().sorted_indices()
         assert np.array_equal(new.indptr, ref.indptr) and np.array_equal(new.indices, ref.indices), name
         assert np.abs(new.data - ref.data).max() <= 4e-16 * np.abs(ref.data).max(), name
     assert S.has_canonical_format
-    # the factor takes S and keeps it permuted; gathered back, it is S
-    factored = ops.state_factorization().matrix
+    # the factor takes S and keeps it permuted; gathered back, it is the
+    # eliminated S, bit for bit
+    eliminated = _eliminate(assemble_forms(mesh, data))[0]
     for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(factored, part), getattr(S, part)), part
+        assert np.array_equal(getattr(S, part), getattr(eliminated, part)), part
 
 
 @ELIMINATION_CASES
-def test_dropped_blocks_come_back_bit_identical(mesh, data):
-    # A is built on each read, C goes once it is summed into S, and release
-    # drops the stored matrices; every read gets the same bits again,
-    # fresh, after factoring and after release
+def test_a_consumed_block_is_an_error(mesh, data):
+    # a solve sums C into S: reading C afterwards raises, A is built on
+    # each read, and the monolithic oracle builds its matrix from an
+    # assembly of its own
     ops = assemble_forms(mesh, data)
+    pdas_solve(ops, data)
+    with pytest.raises(AttributeError):
+        ops.C
+    assert not {"A", "C"} & set(vars(ops))
     n = ops.M_Gamma.shape[0]
     inactive = (np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
-    names = ("A", "B", "C", "M1", "M2", "M_Omega", "M_Gamma")
-
-    def digests():
-        blocks = [getattr(ops, name) for name in names]
-        blocks.append(compose_kkt(ops, inactive, data).matrix)
-        return [hashlib.sha256(b"".join(getattr(m, part).tobytes()
-                                        for part in ("indptr", "indices", "data"))).hexdigest()
-                for m in blocks]
-
-    fresh = digests()
-    assert "A" not in vars(ops)
-    ops.state_factorization()
-    assert not {"A", "C"} & set(vars(ops))
-    assert digests() == fresh
-    ops.release()
-    assert not set(names) & set(vars(ops))
-    assert digests() == fresh
+    ours = compose_kkt(ops, inactive, data).matrix
+    theirs = compose_kkt(assemble_forms(mesh, data), inactive, data).matrix
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(ours, part), getattr(theirs, part)), part
 
 
 def _chain_mesh(elements):
@@ -591,26 +585,27 @@ def _bytes(matrix):
 
 
 def test_elimination_transient_is_bounded():
-    # the traced peak of the cached flux elimination stays within half
-    # again the bytes of A^-1, A^-1 B, S and Mt, taken from their product
-    # form; the cache keeps S and Mt (and the few KB of their Python
-    # objects), not A^-1 or A^-1 B, and S keeps no spare buffer space.
-    # The warm-up runs on another operator set: the elimination drops C,
-    # which is summed into S, so a second one would assemble C again
+    # the traced peak of the flux elimination stays within half again the
+    # bytes of A^-1, A^-1 B, S and Mt, taken from their product form; it
+    # leaves S and Mt (and the few KB of their Python objects), not A^-1 or
+    # A^-1 B, and S keeps no spare buffer space.  The warm-up runs on
+    # another operator set and C comes from a third: the elimination
+    # consumes C, which is summed into S
     mesh, data = _chain_mesh(2048), example2_data()
-    _eliminated_operators(assemble_forms(mesh, data))  # warms the rules and scipy's paths
+    _eliminate(assemble_forms(mesh, data))  # warms the rules and scipy's paths
     ops = assemble_forms(mesh, data)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        S, Mt = _eliminated_operators(ops)
+        S, Mt = _eliminate(ops)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     Ainv = _flux_block_inverse(ops)
     AinvB = Ainv @ ops.B
-    S_ref, Mt_ref = ops.C + ops.B.T @ AinvB, ops.M2 + ops.B.T @ (Ainv @ ops.M1)
+    C = assemble_forms(mesh, data).C
+    S_ref, Mt_ref = C + ops.B.T @ AinvB, ops.M2 + ops.B.T @ (Ainv @ ops.M1)
     assert peak - before <= 1.5 * sum(map(_bytes, (Ainv, AinvB, S_ref, Mt_ref)))
     assert kept - before <= _bytes(S_ref) + _bytes(Mt_ref) + 4096
     assert S.data.base is None or S.data.base.size == S.nnz

@@ -208,7 +208,7 @@ def assert_halves_uncoupled(paths, S):
 
 def ex2_level(mesh):
     ops = assemble_forms(mesh, example2_data())
-    return linsolve._node_points(mesh), linsolve._condensation_operators(ops)[2]
+    return linsolve._node_points(mesh), linsolve._eliminate(ops)[0]
 
 
 @pytest.fixture(scope="module")
@@ -287,12 +287,13 @@ def test_mesh_without_an_ordered_ancestor_is_ordered_afresh(which, ex2_ops_2048)
     else:  # refined from meshes that were never ordered
         mesh = refine_uniform(refine_uniform(build_unit_square_mesh(4)))
     ops = assemble_forms(mesh, example2_data())
-    points, S = linsolve._node_points(mesh), linsolve._condensation_operators(ops)[2]
-    assert np.array_equal(linsolve._node_order(ops), dissection_order(points, S)[0])
+    points, S = linsolve._node_points(mesh), linsolve._eliminate(assemble_forms(mesh, ops.data))[0]
+    order = linsolve._reduction(ops).factor.order
+    assert np.array_equal(order, dissection_order(points, S)[0])
     # the order of the nested dissection before trees were inherited
     expected = {"square": "c29ff968f9fa317a", "unordered-chain": "b3b1bd09188170a2"}
     if which in expected:
-        assert order_digest(linsolve._node_order(ops)) == expected[which]
+        assert order_digest(order) == expected[which]
 
 
 def test_state_fill_does_not_depend_on_element_numbering(ex2_ops_2048):
@@ -324,13 +325,15 @@ def test_dissection_fill_against_a_plain_factor(case):
 
 
 def test_a_factored_level_holds_one_copy_of_S(ex2_ops_2048):
-    # the state factor takes S out of the elimination cache and keeps the
-    # one copy it factors, S[order][:, order]; S gathered back from it is
-    # the eliminated S, bit for bit
-    ops = assemble_forms(ex2_ops_2048.mesh, example2_data())
-    S = linsolve._eliminated_operators(ops)[0]
+    # the state factor keeps the one copy of S it factors, S[order][:, order],
+    # next to Mt in the level's reduction; S gathered back from it is the
+    # eliminated S, bit for bit
+    mesh, data = ex2_ops_2048.mesh, example2_data()
+    S = linsolve._eliminate(assemble_forms(mesh, data))[0]
+    ops = assemble_forms(mesh, data)
     factor = ops.state_factorization()
-    assert ops._condensation[0] is None and ops._condensation[1] is not None
+    assert ops.reduction.factor is factor
+    assert [name for name, m in vars(ops.reduction).items() if sp.issparse(m)] == ["Mt"]
     held = [m for m in vars(factor).values() if sp.issparse(m)]
     assert len(held) == 1 and held[0] is factor.permuted
     assert factor.permuted.format == "csc"
