@@ -363,6 +363,54 @@ def test_run_example_nested_rows_match_cold_solves(config):
         assert steps[1][0] < steps[1][1]
 
 
+def _track_factors(monkeypatch, at_factor=None):
+    """Weak references to each factor of S a run builds, in build order;
+    ``at_factor(factors)`` is called just before SuperLU runs on each."""
+    factors = []
+    of_permuted = linsolve.Factorization._of_permuted
+
+    def factored(cls, permuted, order):
+        if at_factor is not None:
+            at_factor(factors)
+        factor = of_permuted(permuted, order)
+        factors.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(linsolve.Factorization, "_of_permuted", classmethod(factored))
+    return factors
+
+
+def test_run_example_keeps_only_the_finest_factor(monkeypatch):
+    # when a level's solve returns, its own factor of S is the only one
+    # alive: the levels below went with their solves.  Every mesh keeps its
+    # dissection tree for the meshes that refine it
+    held = []
+    factors = _track_factors(monkeypatch)
+    solve = cli.pdas_solve
+
+    def solved(ops, *args, **kwargs):
+        sol = solve(ops, *args, **kwargs)
+        assert ops.reduction.factor is factors[-1]()
+        held.append([factor() is not None for factor in factors])
+        return sol
+
+    monkeypatch.setattr(cli, "pdas_solve", solved)
+    kept = []
+    run_example(RunConfig(example=1, levels=(32, 128, 512), epsilon=1e-6), keep_solutions=kept)
+    assert held == [[True], [False, True], [False, False, True]]
+    assert all(mesh.dissection is not None for _, mesh, _ in kept)
+
+
+def test_no_other_level_holds_a_factor_while_s_is_factored(monkeypatch):
+    # each level goes before the next is assembled, so every factorization
+    # of S runs with no other level's factor alive
+    held = []
+    _track_factors(monkeypatch, lambda factors: held.append(
+        [factor() is not None for factor in factors]))
+    run_example(RunConfig(example=1, levels=(32, 128, 512), epsilon=1e-6))
+    assert held == [[], [False], [False, False]]
+
+
 LIFECYCLE_STUDIES = pytest.mark.parametrize("config", [
     RunConfig(example=1, levels=(32, 128, 512), epsilon=1e-6),
     RunConfig(example=2, levels=(32, 128), reference=512),
