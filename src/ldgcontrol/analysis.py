@@ -1,5 +1,5 @@
-"""Convergence-study machinery: manufactured cases, error norms, rates,
-nested reference comparison and Galerkin-gap diagnostics.
+"""Convergence-study machinery: manufactured cases, error norms, rates and
+nested reference comparison.
 
 Three study problems are provided.
 
@@ -30,15 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (
-    DomainSpec,
-    Mesh,
-    build_polygon_mesh,
-    build_unit_square_mesh,
-    data_values,
-    refine_uniform,
-)
-from .ldg import BlockOperator, ProblemData, solve_adjoint, solve_state
+from .geometry import DomainSpec, Mesh, build_polygon_mesh, data_values
+from .ldg import ProblemData
 from .spaces import (
     DATA_DEGREE,
     DiscreteField,
@@ -63,12 +56,9 @@ __all__ = [
     "error_l2_boundary",
     "error_flux_normal_boundary",
     "convergence_rate",
-    "least_squares_rate",
     "NestedLocator",
     "reference_compare",
     "closed_form_row",
-    "galerkin_diagnostics",
-    "GalerkinDiagnostics",
     "ErrorReport",
     "ErrorReportRow",
 ]
@@ -443,18 +433,6 @@ def convergence_rate(e_coarse: float, e_fine: float, halvings: float = 1.0) -> f
     return float(np.log(e_coarse / e_fine) / (halvings * np.log(2.0)))
 
 
-def least_squares_rate(errors) -> float:
-    """Least-squares slope of log(error) against log(h) for halving meshes."""
-    errors = np.asarray(errors, dtype=float)
-    if errors.ndim != 1 or errors.size < 2:
-        raise ValueError("need at least two errors for a rate fit")
-    if np.any(errors <= 0.0):
-        raise ValueError("rate fits need positive errors")
-    log_h = -np.arange(errors.size) * np.log(2.0)
-    slope = np.polyfit(log_h, np.log(errors), 1)[0]
-    return float(slope)
-
-
 # ---------------------------------------------------------------------------
 # nested-mesh reference comparison
 
@@ -600,73 +578,6 @@ def closed_form_row(sol, case: ManufacturedCase) -> ErrorReportRow:
 
 
 # ---------------------------------------------------------------------------
-# Galerkin-gap diagnostics
-
-
-@dataclass
-class GalerkinDiagnostics:
-    """Terms of the control-error bound split into Galerkin pieces.
-
-    err_y_state is the state solve driven by the exact control;
-    err_pn_adjoint and err_z_adjoint come from the adjoint solve driven by
-    the exact right-hand side y - y_desired.  weighted_z2 is the squared
-    z-trace error weighted by kappa^2 (``FluxParameters.kappa``) at each
-    boundary quadrature point;
-    bound_rhs composes the right side of the gap inequality (with unit
-    leading constant).
-    """
-
-    err_y_state: float
-    err_pn_adjoint: float
-    err_z_adjoint: float
-    weighted_z2: float
-    err_quasi_interp: float
-    epsilon: float
-
-    @property
-    def bound_rhs(self) -> float:
-        return self.err_y_state**2 + self.epsilon * self.err_pn_adjoint**2 + self.weighted_z2
-
-
-def galerkin_diagnostics(case: ManufacturedCase, ops: BlockOperator) -> GalerkinDiagnostics:
-    """Galerkin-only error terms for a manufactured case on the mesh of ``ops``.
-
-    Solves the state system with the exact control and the adjoint system
-    with the exact data y - y_desired, then measures the three boundary /
-    domain terms of the error bound, plus the quasi-interpolation error of
-    the exact control.
-    """
-    mesh = ops.mesh
-    y_hu, _q_hu = solve_state(ops, case.u)
-    err_y_state = error_l2_domain(y_hu, case.y)
-
-    def adjoint_rhs(x):
-        return case.y(x) - case.y_desired(x)
-
-    z_hu, p_hu = solve_adjoint(ops, rhs_field=adjoint_rhs)
-    err_pn = error_flux_normal_boundary(p_hu, case.grad_z, case.epsilon)
-    err_z = error_l2_boundary(z_hu, case.z)
-
-    ids, s, xg, wt, _n = _boundary_rule(mesh)
-    diff2 = (data_values(case.z, xg, "z") - trace_on_edge(z_hu, ids[:, None], 0, s)) ** 2
-    weighted_z2 = float(np.sum(ops.flux.kappa(ids[:, None], s) ** 2 * wt * diff2))
-
-    from .control import quasi_interpolate
-
-    pi_u = quasi_interpolate(case.u, mesh)
-    err_pi = error_l2_boundary(pi_u, case.u, mesh)
-
-    return GalerkinDiagnostics(
-        err_y_state=err_y_state,
-        err_pn_adjoint=err_pn,
-        err_z_adjoint=err_z,
-        weighted_z2=weighted_z2,
-        err_quasi_interp=err_pi,
-        epsilon=case.epsilon,
-    )
-
-
-# ---------------------------------------------------------------------------
 # error tables
 
 
@@ -710,14 +621,3 @@ class ErrorReport:
     def __len__(self):
         return len(self.rows)
 
-
-# ---------------------------------------------------------------------------
-# mesh sequence helper shared by the drivers
-
-
-def unit_square_sequence(levels: int, base_n: int = 4):
-    """Nested unit-square meshes with 2*base_n^2*4^k elements, k < levels."""
-    meshes = [build_unit_square_mesh(base_n)]
-    for _ in range(levels - 1):
-        meshes.append(refine_uniform(meshes[-1]))
-    return meshes

@@ -36,9 +36,7 @@ from .spaces import (
     DATA_DEGREE,
     FORM_DEGREE,
     DiscreteField,
-    DofMap,
     edge_basis_values,
-    edge_points,
     physical_points,
     quadrature_rule,
     trace_on_edge,
@@ -52,7 +50,6 @@ __all__ = [
     "PdasNonconvergence",
     "PdasStep",
     "project_admissible",
-    "quasi_interpolate",
     "evaluate_cost",
     "reduced_gradient",
     "fd_gradient_check",
@@ -99,36 +96,6 @@ def project_admissible(values, u_lower: float, u_upper: float):
     if np.isscalar(values) or arr.ndim == 0:
         return float(clipped)
     return clipped
-
-
-def quasi_interpolate(u, mesh) -> DiscreteField:
-    """Weighted nodal averaging of a boundary function into the control space.
-
-    The value at a boundary node is (u, hat)_Gamma / (1, hat)_Gamma with
-    the node's piecewise-linear hat function supported on its two adjacent
-    boundary edges.  Constants are reproduced and bounds are preserved
-    (each nodal value is a convex average of u along the boundary).  ``u``
-    is a boundary DiscreteField, a constant or a callable on point arrays.
-    The edge integrals use the data rule.
-    """
-    rule = quadrature_rule("edge", DATA_DEGREE)
-    ids = mesh.boundary_edges
-    if isinstance(u, DiscreteField):
-        if u.dofmap.kind != "boundary-edge":
-            raise ValueError("quasi-interpolation sources must live on the boundary")
-        vals = trace_on_edge(u, ids[:, None], 0, rule.points)
-    else:
-        vals = data_values(u, edge_points(mesh, ids[:, None], rule.points), "u")
-
-    # (u, hat) and (1, hat) of each edge's two end vertices: the hat of the
-    # start vertex falls (1-s), the hat of the end vertex rises (s)
-    wt = rule.weights * mesh.edge_lengths[ids, None]
-    phi = edge_basis_values(rule.points)
-    ends = mesh.edges[ids].ravel()
-    num = np.bincount(ends, ((wt * vals) @ phi).ravel(), minlength=mesh.num_vertices)
-    den = np.bincount(ends, (wt @ phi).ravel(), minlength=mesh.num_vertices)
-    # boundary-edge dofs are (start, end) pairs in boundary-edge order
-    return DiscreteField(DofMap(mesh, "boundary-edge"), num[ends] / den[ends])
 
 
 @dataclass(frozen=True)
@@ -317,6 +284,8 @@ def evaluate_cost(y_h: DiscreteField, u_h, data: ProblemData, ops: BlockOperator
     track = float((2.0 * mesh.areas) @ (diff**2 @ rule.weights))
 
     if isinstance(u_h, DiscreteField):
+        if u_h.dofmap.mesh is not mesh:
+            raise ValueError("the control lives on another mesh than the state")
         # boundary-edge dofs are (start, end) pairs in boundary-edge order
         erule = quadrature_rule("edge", FORM_DEGREE)
         uv = u_h.coefficients.reshape(-1, 2) @ edge_basis_values(erule.points).T
@@ -416,7 +385,9 @@ def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode: str = "full",
     """Primal-dual active set iteration for the bound-constrained problem.
 
     ``mode`` is "full" or "variational"; any other value, or a
-    ``max_iter`` below 1, raises ``ValueError`` before a solve.  Each step
+    ``max_iter`` below 1, raises ``ValueError`` before a solve.  ``data``
+    (default ``ops.data``) may change omega and the bounds; a field the
+    blocks were assembled from raises ``ValueError`` if it differs.  Each step
     solves the coupled optimality system for the current bound sets,
     forms the multiplier, and re-marks every control unknown whose shifted
     multiplier test -lambda + omega (u - bound) indicates a violated bound.

@@ -72,12 +72,6 @@ class DomainSpec:
         self.vertices = vertices
         self.name = name
 
-    @property
-    def area(self) -> float:
-        x = self.vertices[:, 0]
-        y = self.vertices[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
 
 class ElementAdjacency(NamedTuple):
     """Block pattern of the DG matrices: each element and its edge neighbours.
@@ -243,9 +237,6 @@ class Mesh:
     def edge_midpoints(self, edge_ids=None):
         ids = np.arange(self.num_edges) if edge_ids is None else edge_ids
         return 0.5 * (self.vertices[self.edges[ids, 0]] + self.vertices[self.edges[ids, 1]])
-
-    def total_area(self) -> float:
-        return float(np.sum(self.areas))
 
 
 class BlockLayout:

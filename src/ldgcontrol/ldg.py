@@ -1,4 +1,4 @@
-"""Assembly of the local discontinuous Galerkin (LDG) forms and solvers.
+"""Assembly of the local discontinuous Galerkin (LDG) forms and the state solve.
 
 The mixed scheme introduces the scaled flux q = -sqrt(eps) grad(y) as an
 independent unknown next to the scalar state y.  With test functions r
@@ -24,9 +24,9 @@ where the forms are
         with kappa = -sqrt(eps) C11 + [edge inflow] |beta . n|,
     F(v)     = integral f v.
 
-b is assembled in its integrated-by-parts shape above; the equivalent
-divergence shape (volume term -y div(r), interior-edge upwinded trace, no
-boundary term) is provided separately for cross-checking.  The edge
+b is assembled in its integrated-by-parts shape above; the tests check
+it against the equivalent divergence shape (volume term -y div(r),
+interior-edge upwinded trace, no boundary term).  The edge
 coefficients are C11 = eps/h_E, C12 . n = sign(n . v12)/2 for a fixed
 auxiliary direction v12 (0, a central flux, on edges with n orthogonal
 to v12), and D11 . n = sign(n . beta)/2 (upwinding).  The penalty enters
@@ -68,15 +68,14 @@ their data are the local blocks themselves.  ``BlockLayout.matrix`` drops
 the stored zeros (the padding, the trace of the vertex opposite an edge,
 ...), so no matrix goes through COO triplets and a sort.
 
-Data (beta, alpha, f, y_desired, a callable control or adjoint
-right-hand side) is a constant or a callable on whole point arrays
+Data (beta, alpha, f, y_desired, a callable control) is a constant or a callable on whole point arrays
 (..., 2); ``geometry.data_values`` evaluates it, once per stacked array,
 and checks the shape and finiteness of the values.  The volume terms
 reject a negative alpha.
 
-The state and adjoint solves eliminate the flux element by element and
-share one factorization of S = C + B' A^-1 B (the adjoint uses its
-transpose).
+The state solve eliminates the flux element by element and solves with
+the factorization of S = C + B' A^-1 B that the operator set keeps; the
+adjoint solves of ``linsolve`` use its transpose.
 """
 
 from __future__ import annotations
@@ -110,9 +109,7 @@ __all__ = [
     "BlockOperator",
     "BoundaryQuadrature",
     "assemble_forms",
-    "assemble_divergence_form_b",
     "solve_state",
-    "solve_adjoint",
     "export_matrix_market",
 ]
 
@@ -561,34 +558,6 @@ def assemble_forms(mesh: Mesh, data: ProblemData) -> BlockOperator:
     )
 
 
-def assemble_divergence_form_b(flux: FluxParameters) -> sp.csr_matrix:
-    """The flux coupling b assembled from its divergence shape, on the
-    mesh and data of ``flux``.
-
-    b(y, r) = - sum_K integral sqrt(eps) y div(r)
-              + sum_{interior E} integral sqrt(eps) ({y} + C12 . [y]) [r]
-
-    with the scalar jump [r] = r1.n1 + r2.n2.  Must agree entrywise with the
-    integrated-by-parts shape produced by assemble_forms.
-    """
-    mesh = flux.mesh
-    nt, sqrt_eps = mesh.num_elements, flux.data.sqrt_eps
-    _, _, grads, int_lam = _volume_tables(mesh)
-    # volume: -sqrt(eps) y div(r); div of basis (i, comp) is grads[:, i, comp]
-    layout, vals = _coupling(mesh, (6, 3), (
-        (-sqrt_eps * grads)[:, :, :, None] * int_lam[:, None, None, :]).reshape(nt, 6, 3))
-    # trace weight of ({y} + C12 [y]): side 0 gets 1/2 + c12, side 1 gets
-    # 1/2 - c12; [r] contributes r.n0 on side 0 and -r.n0 on side 1.
-    sign = np.array([1.0, -1.0])
-    ycoef = np.where(mesh.boundary_mask[:, None], 0.0,
-                     np.stack([0.5 + flux.c12n, 0.5 - flux.c12n], axis=1))
-    coef = sqrt_eps * sign[None, :, None] * ycoef[:, None, :]
-    for edges, _, wt, L, places in _edge_chunks(mesh):
-        _place_edge_blocks(vals, places, _flux_edge_blocks(
-            mesh.edge_normals[edges, 0, None, None], _gram(wt, L), coef[edges]))
-    return layout.matrix(vals, (6 * nt, 3 * nt))
-
-
 def solve_state(ops: BlockOperator, u):
     """Solve the state system for a given control; returns (y_h, q_h).
 
@@ -613,28 +582,6 @@ def solve_state(ops: BlockOperator, u):
     y = ops.state_factorization().solve(ops.F + L @ u)
     q = _flux_block_inverse(ops) @ (M1 @ u - ops.B @ y)
     return DiscreteField(ops.spaces.potential, y), DiscreteField(ops.spaces.flux, q)
-
-
-def solve_adjoint(ops: BlockOperator, rhs_field=None, load_vector=None):
-    """Solve the adjoint system for a right-hand side; returns (z_h, p_h).
-
-    The adjoint operator is the transpose of the state operator, so
-    z = S^-T g reuses the state factorization and p = A^-1 (B z).
-    ``rhs_field`` may be a scalar DiscreteField or a callable on point
-    arrays;
-    alternatively a preassembled load vector g (tested against the scalar
-    space) can be passed directly.
-    """
-    if load_vector is None:
-        if isinstance(rhs_field, DiscreteField):
-            load_vector = ops.M_Omega @ rhs_field.coefficients
-        elif callable(rhs_field):
-            load_vector = _load_vector(ops.mesh, rhs_field, "rhs_field")
-        else:
-            raise ValueError("rhs_field must be a DiscreteField or callable")
-    z = ops.state_factorization().solve(load_vector, trans="T")
-    p = _flux_block_inverse(ops) @ (ops.B @ z)
-    return DiscreteField(ops.spaces.potential, z), DiscreteField(ops.spaces.flux, p)
 
 
 def export_matrix_market(path, matrix) -> None:

@@ -13,8 +13,8 @@ operator S = C + B' A^-1 B then acts on the scalar unknown alone, and it
 does not depend on the active set.
 
 The production path (``strategy="reduced"``) factors S once per operator
-set (the same factorization the state and adjoint solves of ``ldg`` use,
-the adjoint transposed) and solves each active set in control space: the
+set (the same factorization ``ldg.solve_state`` uses; adjoint solves
+use it transposed) and solves each active set in control space: the
 active controls are their bounds, and the inactive ones solve the SPD
 reduced system H_II u_I = b_I, H = omega W + L' S^-T M_Omega S^-1 L, by
 conjugate gradients preconditioned with (omega W_II)^-1.  An active set
@@ -274,13 +274,30 @@ class BlockSystem:
         return {name: x[sl] for name, sl in self.slices.items()}
 
 
+# the ProblemData fields that enter the assembled blocks and loads; omega
+# and the bounds enter only the solve
+_ASSEMBLED_FIELDS = ("epsilon", "beta", "alpha", "f", "y_desired", "c12_direction")
+
+
+def _same_datum(a, b):
+    """Whether two data fields agree: callables by identity, constants by value."""
+    if callable(a) or callable(b):
+        return a is b
+    return np.array_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
 def _control_blocks(ops, active, data, mode):
     """Validated active-set data shared by every solve path.
 
     Returns (inactive, bound_vals): the inactive mask over the control
     unknowns of ``mode`` and the bound values on the active ones (0
-    elsewhere).
+    elsewhere).  ``data`` must agree with the data ``ops`` was assembled
+    with in every field the blocks read (``_ASSEMBLED_FIELDS``).
     """
+    for name in _ASSEMBLED_FIELDS:
+        if not _same_datum(getattr(data, name), getattr(ops.data, name)):
+            raise ValueError(f"data.{name} differs from the {name} the operators "
+                             "were assembled with")
     if mode == "full":
         n_controls = ops.M_Gamma.shape[0]
     elif mode == "variational":

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Mesh, _text_lines, data_values
+from .geometry import Mesh, _text_lines
 
 __all__ = [
     "DofMap",
@@ -37,7 +37,6 @@ __all__ = [
     "DATA_DEGREE",
     "SpaceSet",
     "quadrature_rule",
-    "l2_project",
     "eval_field",
     "trace_on_edge",
     "barycentric",
@@ -54,8 +53,8 @@ BOUNDARY = "boundary-edge"
 # Rule degree of the bilinear forms.  Their integrands are products of two
 # P1 functions, times the velocity or reaction coefficient in the
 # convection-reaction terms, so degree 4 is exact for coefficients of
-# degree up to 2; the inverse of the flux mass block and the L2 projection
-# use the same rule.  The points of its edge rule (3 per edge) on the
+# degree up to 2; the inverse of the flux mass block uses the same rule.
+# The points of its edge rule (3 per edge) on the
 # boundary are where a variational control lives.
 FORM_DEGREE = 4
 # Rule degree of the data loads (f, y_desired), the tracking cost and the
@@ -265,35 +264,6 @@ class DiscreteField:
                 f"{dofmap.num_dofs} dofs"
             )
         self.coefficients = coefficients
-
-
-def l2_project(f, dofmap: DofMap) -> DiscreteField:
-    """Element-by-element (or edge-by-edge) L2 projection onto the space.
-
-    ``f`` is a constant or a callable on physical point arrays (..., 2)
-    (see ``geometry.data_values``); for the vector space its values are
-    2-vectors, shape (..., 2).  Globally polynomial P1 data is
-    reproduced exactly.  The inverse reference mass matrix is applied to
-    the load vectors of all entities at once, by ``FORM_DEGREE`` rules.
-    """
-    mesh = dofmap.mesh
-    if dofmap.kind == BOUNDARY:
-        rule = quadrature_rule("edge", FORM_DEGREE)
-        phi = edge_basis_values(rule.points)  # (k, 2)
-        ids = mesh.boundary_edges
-        fvals = data_values(f, edge_points(mesh, ids[:, None], rule.points), "f")  # (b, k)
-        coef = np.linalg.solve((phi.T * rule.weights) @ phi, phi.T @ (rule.weights * fvals).T)
-        return DiscreteField(dofmap, coef.T.ravel())  # (start, end) pairs in boundary order
-
-    rule = quadrature_rule("triangle", FORM_DEGREE)
-    lam = tri_basis_values(rule.points)  # (k, 3)
-    nt = mesh.num_elements
-    # (nt, k, c) values, c = 1 for scalars and 2 for vectors (interleaved per node)
-    fvals = data_values(f, physical_points(mesh, rule.points), "f",
-                        vector=dofmap.kind == VECTOR).reshape(nt, len(rule.weights), -1)
-    rhs = np.einsum("ki,tkc->itc", lam * rule.weights[:, None], fvals)  # (3, nt, c)
-    coef = np.linalg.solve((lam.T * rule.weights) @ lam, rhs.reshape(3, -1))
-    return DiscreteField(dofmap, coef.reshape(rhs.shape).transpose(1, 0, 2).ravel())
 
 
 def eval_field(field: DiscreteField, elements, points, tol: float = 1e-10):

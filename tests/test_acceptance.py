@@ -24,26 +24,29 @@ from ldgcontrol.analysis import (
     example2_data,
     example3_data,
     example3_mesh,
-    galerkin_diagnostics,
-    least_squares_rate,
     manufactured_example1,
     reference_compare,
-    unit_square_sequence,
 )
 from ldgcontrol.control import (
     fd_gradient_check,
     pdas_solve,
-    quasi_interpolate,
     reduced_gradient,
 )
 from ldgcontrol.geometry import build_unit_square_mesh, refine_uniform
 from ldgcontrol.ldg import (
     ProblemData,
     assemble_forms,
-    solve_adjoint,
     solve_state,
 )
-from ldgcontrol.spaces import DiscreteField, DofMap, l2_project
+from ldgcontrol.spaces import DiscreteField, DofMap
+from oracles import (
+    galerkin_diagnostics,
+    l2_project,
+    least_squares_rate,
+    quasi_interpolate,
+    solve_adjoint,
+    unit_square_sequence,
+)
 
 # frozen reference errors: elements -> (err_y, err_u, err_z, err_pn)
 TABLE_SMOOTH_EPS1 = {

@@ -20,11 +20,8 @@ from ldgcontrol.analysis import (
     example3_data,
     example3_domain,
     example3_mesh,
-    galerkin_diagnostics,
-    least_squares_rate,
     manufactured_example1,
     reference_compare,
-    unit_square_sequence,
 )
 from ldgcontrol.control import pdas_solve
 from ldgcontrol.geometry import build_unit_square_mesh, data_values, refine_uniform
@@ -33,8 +30,8 @@ from ldgcontrol.spaces import (
     DiscreteField,
     SpaceSet,
     eval_field,
-    l2_project,
 )
+from oracles import galerkin_diagnostics, l2_project, least_squares_rate, unit_square_sequence
 
 
 # ------------------------------------------------------------ error norms

@@ -12,6 +12,7 @@ from ldgcontrol import control
 from ldgcontrol.analysis import (
     error_l2_boundary,
     example2_data,
+    example3_mesh,
     manufactured_example1,
 )
 from ldgcontrol.control import (
@@ -21,13 +22,13 @@ from ldgcontrol.control import (
     fd_gradient_check,
     pdas_solve,
     project_admissible,
-    quasi_interpolate,
     reduced_gradient,
 )
 from ldgcontrol.geometry import build_unit_square_mesh, refine_uniform
-from ldgcontrol.ldg import ProblemData, assemble_forms, solve_adjoint, solve_state
+from ldgcontrol.ldg import ProblemData, assemble_forms, solve_state
 from ldgcontrol.linsolve import solve_optimality_system
 from ldgcontrol.spaces import FORM_DEGREE, DiscreteField, DofMap, SpaceSet, quadrature_rule
+from oracles import quasi_interpolate, solve_adjoint
 
 
 def build_ops(data, n):
@@ -146,6 +147,17 @@ def test_cost_boundary_term_scales_with_weight():
     y_h = DiscreteField(spaces.potential, np.ones(spaces.potential.num_dofs))
     u_h = DiscreteField(spaces.control, np.ones(spaces.control.num_dofs))
     assert evaluate_cost(y_h, u_h, data) == pytest.approx(4.0, rel=1e-12)
+
+
+def test_cost_rejects_a_control_from_another_mesh():
+    # both meshes have 16 boundary edges, so the coefficient counts agree
+    data = example2_data()
+    y_h = DiscreteField(SpaceSet(build_unit_square_mesh(4)).potential)
+    control = SpaceSet(example3_mesh(2, "diag2")).control
+    u_h = DiscreteField(control, np.ones(control.num_dofs))
+    assert u_h.coefficients.size == 2 * len(y_h.dofmap.mesh.boundary_edges)
+    with pytest.raises(ValueError, match="another mesh"):
+        evaluate_cost(y_h, u_h, data)
 
 
 # -------------------------------------------------------------- gradient

@@ -41,6 +41,37 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def _references(path):
+    """(name, top-level definition) of every ast.Name and ast.Attribute in
+    a file; the definition is None outside any top-level def or class.
+    Docstrings and comments hold no such node."""
+    for top in ast.parse(path.read_text(), str(path)).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+
+
+def test_every_exported_name_has_a_caller():
+    # an exported name is reached from another definition of the package
+    # or from the benchmark harness; what only tests call lives in tests/
+    package = Path(ldgcontrol.__file__).parent
+    uses = {}
+    for path in sorted(package.glob("*.py")):
+        for name, owner in _references(path):
+            uses.setdefault(name, set()).add((path.stem, owner))
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for name, owner in _references(path):
+            uses.setdefault(name, set()).add(("perfbench", owner))
+    unused = [f"{info.name}.{name}"
+              for info in pkgutil.iter_modules(ldgcontrol.__path__)
+              for name in getattr(importlib.import_module(f"ldgcontrol.{info.name}"), "__all__", ())
+              if not uses.get(name, set()) - {(info.name, name)}]
+    assert not unused, f"exported but never called: {unused}"
+
+
 def _harness_uses(path):
     """The ``ldgcontrol`` names a harness file imports, and the objects its
     attribute chains and calls reach through them.

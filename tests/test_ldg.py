@@ -13,9 +13,7 @@ from ldgcontrol.geometry import build_unit_square_mesh, data_values, refine_unif
 from ldgcontrol.ldg import (
     FluxParameters,
     ProblemData,
-    assemble_divergence_form_b,
     assemble_forms,
-    solve_adjoint,
     solve_state,
 )
 from ldgcontrol.control import pdas_solve
@@ -24,10 +22,10 @@ from ldgcontrol.linsolve import (_condensation_operators, _eliminate, _flux_bloc
 from ldgcontrol.spaces import (
     FORM_DEGREE,
     DiscreteField,
-    l2_project,
     quadrature_rule,
     tri_basis_values,
 )
+from oracles import assemble_divergence_form_b, l2_project, solve_adjoint
 
 
 def make_ops(n=3, epsilon=1.0, beta=(1.0, 1.0), alpha=1.0, **kw):

@@ -1,5 +1,6 @@
 """Tests of the direct solver and the optimality-system solve paths."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -23,7 +24,7 @@ from ldgcontrol.geometry import (
     dissection_order,
     refine_uniform,
 )
-from ldgcontrol.ldg import assemble_forms, solve_adjoint, solve_state
+from ldgcontrol.ldg import assemble_forms, solve_state
 from ldgcontrol.linsolve import (
     Factorization,
     ReducedSolveError,
@@ -34,6 +35,7 @@ from ldgcontrol.linsolve import (
     solve_optimality_system,
 )
 from ldgcontrol.spaces import DiscreteField, DofMap
+from oracles import solve_adjoint
 
 
 def build_ops(data, n):
@@ -618,6 +620,38 @@ def test_unknown_mode_and_strategy_raise(ex1_ops):
         compose_kkt(ops, active, ops.data, mode="hybrid")
     with pytest.raises(ValueError):
         solve_optimality_system(ops, active, ops.data, strategy="iterative")
+
+
+def test_a_solve_rejects_data_its_operators_were_not_assembled_with():
+    # the blocks of ops carry epsilon = 1: solving them as epsilon = 0.01
+    # would label an epsilon = 1 solution with the wrong sqrt(eps)
+    ops = build_ops(example2_data(1.0), 4)
+    with pytest.raises(ValueError, match="data.epsilon differs"):
+        pdas_solve(ops, example2_data(0.01))
+    # every path checks, and each assembled field is named
+    changed = {"beta": (1.0, 0.5), "alpha": 2.0, "f": 1.0,
+               "y_desired": lambda x: np.zeros(x.shape[:-1]), "c12_direction": (1.0, 0.0)}
+    for name, value in changed.items():
+        other = dataclasses.replace(ops.data, **{name: value})
+        for strategy in ("reduced", "condensed", "monolithic"):
+            with pytest.raises(ValueError, match=f"data.{name} differs"):
+                solve_optimality_system(ops, no_active(ops, "full"), other,
+                                        strategy=strategy)
+    # callables compare by identity: an equal but separate target is another datum
+    with pytest.raises(ValueError, match="data.y_desired differs"):
+        pdas_solve(ops, example2_data(1.0))
+
+
+@pytest.mark.parametrize("mode", ["full", "variational"])
+def test_a_solve_takes_its_own_omega_and_bounds(mode):
+    # omega and the bounds enter no assembled block, so a solve may set them
+    data = example2_data(1.0)
+    ops = build_ops(data, 4)
+    other = dataclasses.replace(data, omega=0.5, u_upper=0.1)
+    sol = pdas_solve(ops, other, mode=mode)
+    ref = pdas_solve(build_ops(other, 4), other, mode=mode)
+    assert sol.data is other and sol.cost == ref.cost
+    assert np.array_equal(sol.y.coefficients, ref.y.coefficients)
 
 
 def test_block_system_split_covers_all_rows(ex1_ops):

@@ -15,13 +15,13 @@ from ldgcontrol.spaces import (
     barycentric,
     edge_basis_values,
     eval_field,
-    l2_project,
     physical_points,
     quadrature_rule,
     trace_on_edge,
     tri_basis_values,
     write_vtk,
 )
+from oracles import l2_project
 
 
 def exact_tri_monomial(a, b):
