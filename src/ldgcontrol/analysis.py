@@ -25,7 +25,7 @@ edges in one batched call (``spaces.eval_field``, ``spaces.trace_on_edge``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,48 +65,12 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# polygon sampling helpers
-
-
-def _segment_data(vertices):
-    """Per-side arrays (start, tangent, length, outward normal) of a ccw polygon."""
-    v = np.asarray(vertices, dtype=float)
-    nxt = np.roll(v, -1, axis=0)
-    tang = nxt - v
-    lengths = np.sqrt(np.sum(tang**2, axis=1))
-    unit = tang / lengths[:, None]
-    normals = np.column_stack([unit[:, 1], -unit[:, 0]])
-    return v, unit, lengths, normals
-
-
-def _boundary_samples(vertices, per_side=25):
-    """Points strictly inside each polygon side, with outward normals,
-    both (sides * per_side, 2) in side-major order."""
-    starts, unit, lengths, normals = _segment_data(vertices)
-    t = np.linspace(0.05, 0.95, per_side)[None, :, None] * lengths[:, None, None]
-    pts = starts[:, None, :] + t * unit[:, None, :]
-    return pts.reshape(-1, 2), np.repeat(normals, per_side, axis=0)
-
-
-def _inside_polygon(vertices, x, margin):
-    """Whether points x (n, 2) lie inside the polygon, farther than
-    ``margin`` from its boundary."""
-    starts, unit, lengths, _ = _segment_data(vertices)
-    rel = x[:, None, :] - starts  # (n, side, 2)
-    cross = unit[:, 0] * rel[..., 1] - unit[:, 1] * rel[..., 0]
-    t = np.clip(np.sum(rel * unit, axis=-1), 0.0, lengths)
-    foot = starts + t[..., None] * unit
-    dist = np.min(np.sqrt(np.sum((foot - x[:, None, :]) ** 2, axis=-1)), axis=1)
-    return np.all(cross > 0.0, axis=1) & (dist > margin)
-
-
-# ---------------------------------------------------------------------------
 # manufactured case
 
 
 @dataclass
 class ManufacturedCase:
-    """Closed-form optimal solution of the control problem on a polygon.
+    """Closed-form optimal solution of the control problem on the unit square.
 
     The callables take physical points of shape (..., 2) and return shape
     (...) for the scalars (y, z, u, f, y_desired) or (..., 2) for the
@@ -127,13 +91,15 @@ class ManufacturedCase:
     u: Callable
     f: Callable
     y_desired: Callable
-    vertices: np.ndarray = dataclass_field(
-        default_factory=lambda: np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    )
-    name: str = "manufactured"
 
     def __post_init__(self):
-        pts, normals = _boundary_samples(self.vertices)
+        # 25 points inside each side, counterclockwise from the origin,
+        # with the side's outward normal
+        t = np.linspace(0.05, 0.95, 25)
+        zero, one = np.zeros_like(t), np.ones_like(t)
+        pts = np.column_stack([np.concatenate([t, one, 1.0 - t, zero]),
+                               np.concatenate([zero, t, one, 1.0 - t])])
+        normals = np.repeat([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], t.size, axis=0)
         bad = np.abs(data_values(self.z, pts, "z")) > 1e-12
         if bad.any():
             raise ValueError(f"adjoint does not vanish on the boundary at {pts[bad][0]}")
@@ -143,18 +109,6 @@ class ManufacturedCase:
             1.0, self.omega * np.abs(u))
         if bad.any():
             raise ValueError(f"optimality relation violated on the boundary at {pts[bad][0]}")
-
-    @property
-    def sqrt_eps(self) -> float:
-        return float(np.sqrt(self.epsilon))
-
-    def q(self, x):
-        """Exact scaled state flux -sqrt(eps) grad(y)."""
-        return -self.sqrt_eps * np.asarray(self.grad_y(x))
-
-    def p(self, x):
-        """Exact scaled adjoint flux +sqrt(eps) grad(z)."""
-        return self.sqrt_eps * np.asarray(self.grad_z(x))
 
     def problem_data(self, **overrides) -> ProblemData:
         """Problem data with the edge-switch convention of the study tables.
@@ -183,8 +137,12 @@ def manufactured_example1(epsilon: float = 1.0, omega: float = 1.0) -> Manufactu
     the state y = -(sqrt(eps)/omega)(x1(1-x1) + x2(1-x2)) is chosen so the
     unconstrained optimality relation omega*u = eps dz/dn holds with
     u = y|_Gamma.  Source and target data follow from the strong equations
-    with beta = (1,1) and alpha = 1.
+    with beta = (1,1) and alpha = 1.  Raises ValueError unless epsilon and
+    omega are positive and finite.
     """
+    for name, value in (("epsilon", epsilon), ("omega", omega)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     se = float(np.sqrt(epsilon))
     inv_se = 1.0 / se
     alpha = 1.0
@@ -235,27 +193,23 @@ def manufactured_example1(epsilon: float = 1.0, omega: float = 1.0) -> Manufactu
         u=y_fun,
         f=f_fun,
         y_desired=y_desired_fun,
-        name="study-1",
     )
 
 
 def check_strong_form(case: ManufacturedCase, num_points: int = 200, seed: int = 0):
     """Finite-difference residuals of the strong state/adjoint equations.
 
-    Samples random interior points (kept a few stencil widths away from the
-    boundary), drawn uniformly from the bounding box in batches of
-    ``num_points`` with the outside ones rejected, and returns the maximum
-    absolute residual of the state equation and of the adjoint equation.
+    Samples random interior points of the unit square, drawn uniformly in
+    batches of ``num_points`` with those within a few stencil widths of the
+    boundary rejected, and returns the maximum absolute residual of the
+    state equation and of the adjoint equation.
     """
     step = 1e-4  # of the difference stencil
     rng = np.random.default_rng(seed)
-    verts = case.vertices
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
     x = np.empty((0, 2))
     while len(x) < num_points:
-        draw = lo + rng.random((num_points, 2)) * (hi - lo)
-        x = np.concatenate([x, draw[_inside_polygon(verts, draw, 4.0 * step)]])
+        draw = rng.random((num_points, 2))
+        x = np.concatenate([x, draw[np.all(np.minimum(draw, 1.0 - draw) > 4.0 * step, axis=1)]])
     x = x[:num_points]
     beta = np.asarray(case.beta, dtype=float)
     # stencil x, x + step e1, x - step e1, x + step e2, x - step e2
@@ -312,9 +266,7 @@ def example3_domain() -> DomainSpec:
     Vertices (0,0), (1,0), (1,1), (-sqrt(3),1): the interior angle at the
     origin is 150 degrees.
     """
-    return DomainSpec(
-        [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (-np.sqrt(3.0), 1.0)], name="slanted-quad"
-    )
+    return DomainSpec([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (-np.sqrt(3.0), 1.0)])
 
 
 def example3_mesh(level: int, coarse: str = "fan3") -> Mesh:

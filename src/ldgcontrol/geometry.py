@@ -46,10 +46,9 @@ class DomainSpec:
     Attributes:
         vertices : (k, 2) float array, polygon corners in counterclockwise
             order.
-        name : str tag used in output files.
     """
 
-    def __init__(self, vertices, name: str = "polygon"):
+    def __init__(self, vertices):
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 2 or vertices.shape[0] < 3:
             raise ValueError("domain needs at least 3 planar vertices")
@@ -70,7 +69,6 @@ class DomainSpec:
                     f"(violated at vertex {(i + 1) % k})"
                 )
         self.vertices = vertices
-        self.name = name
 
 
 class ElementAdjacency(NamedTuple):
@@ -100,8 +98,7 @@ class Mesh:
         vertices : (nv, 2) float array of vertex coordinates.
         triangles : (nt, 3) int array of vertex indices, counterclockwise.
         areas : (nt,) element areas (all positive).
-        diameters : (nt,) element diameters (longest edge).
-        h : float, max of diameters.
+        h : float, the largest element diameter (longest edge).
         edges : (ne, 2) int array of endpoint indices.  Edges are numbered
             in the order a walk over the elements, and over the local edges
             k = 0, 1, 2 of each (edge k runs from local vertex k+1 to k+2),
@@ -152,8 +149,7 @@ class Mesh:
             ],
             axis=1,
         )
-        self.diameters = np.sqrt(np.max(np.sum(side**2, axis=2), axis=1))
-        self.h = float(np.max(self.diameters))
+        self.h = float(np.sqrt(np.max(np.sum(side**2, axis=2))))
         self._build_edges()
 
     @property

@@ -167,6 +167,15 @@ def test_manufactured_validation_rejects_broken_optimality():
         dataclasses.replace(case, u=lambda x: case.u(x) + 0.1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, value", [("epsilon", 0.0), ("epsilon", -1.0),
+                                         ("epsilon", np.inf), ("epsilon", np.nan),
+                                         ("omega", 0.0), ("omega", -2.0), ("omega", np.nan)])
+def test_manufactured_example1_rejects_bad_parameters(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        manufactured_example1(**{name: value})
+
+
 def test_problem_data_carries_edge_conventions():
     case = manufactured_example1(epsilon=0.25, omega=2.0)
     data = case.problem_data()

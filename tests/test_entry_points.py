@@ -18,6 +18,7 @@ import pytest
 
 import ldgcontrol
 
+PACKAGE = Path(ldgcontrol.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -54,22 +55,40 @@ def _references(path):
                 yield node.attr, owner
 
 
-def test_every_exported_name_has_a_caller():
-    # an exported name is reached from another definition of the package
-    # or from the benchmark harness; what only tests call lives in tests/
-    package = Path(ldgcontrol.__file__).parent
+def _uses():
+    """name -> {(module, top-level definition)} that reference it, over the
+    package and the benchmark harness (module "perfbench"); tests do not
+    count."""
     uses = {}
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         for name, owner in _references(path):
             uses.setdefault(name, set()).add((path.stem, owner))
     for path in sorted(PERFBENCH.glob("*.py")):
         for name, owner in _references(path):
             uses.setdefault(name, set()).add(("perfbench", owner))
+    return uses
+
+
+def test_every_exported_name_has_a_caller():
+    # an exported name is reached from another definition of the package
+    # or from the benchmark harness; what only tests call lives in tests/
+    uses = _uses()
     unused = [f"{info.name}.{name}"
               for info in pkgutil.iter_modules(ldgcontrol.__path__)
               for name in getattr(importlib.import_module(f"ldgcontrol.{info.name}"), "__all__", ())
               if not uses.get(name, set()) - {(info.name, name)}]
     assert not unused, f"exported but never called: {unused}"
+
+
+def test_every_top_level_definition_has_a_caller():
+    # the same for every module-level def and class, private ones too
+    uses = _uses()
+    unused = [f"{path.stem}.{top.name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for top in ast.parse(path.read_text(), str(path)).body
+              if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+              and not uses.get(top.name, set()) - {(path.stem, top.name)}]
+    assert not unused, f"defined but never called: {unused}"
 
 
 def _harness_uses(path):

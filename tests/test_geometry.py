@@ -141,7 +141,7 @@ def _polygon_area(vertices):
 
 
 def test_polygon_fan_counts():
-    quad = DomainSpec([(0, 0), (1, 0), (1, 1), (-np.sqrt(3.0), 1)], name="slanted")
+    quad = DomainSpec([(0, 0), (1, 0), (1, 1), (-np.sqrt(3.0), 1)])
     coarse = build_polygon_mesh(quad, 0, extra_boundary_points=[(0.0, 1.0)])
     assert coarse.num_elements == 3
     m1 = build_polygon_mesh(quad, 1, extra_boundary_points=[(0.0, 1.0)])
