@@ -393,12 +393,14 @@ class NestedLocator:
     """Maps points of a coarse mesh into a refined mesh of the same family.
 
     The fine mesh must descend from the coarse one through repeated uniform
-    refinement, which numbers the children of element t as 4t .. 4t+3 (the
-    parent chain is followed and verified).  Points are located by walking
+    refinement, which numbers the children of element t as 4t .. 4t+3 and
+    the midpoint of edge e as vertex nv + e (the parent chain is followed
+    and its boundary numbering verified).  Points are located by walking
     down the chain and picking, per level, the child with the largest
     smallest barycentric coordinate (the first child on a tie).  Boundary
     points are located through a registration of the fine boundary edges
-    on the coarse ones, sorted by coarse edge, then by position:
+    on the coarse ones, read from that numbering in O(nf) and sorted by
+    coarse edge, then by position:
 
         boundary_coarse : (nf,) coarse edge containing each fine edge,
         boundary_span : (nf, 2) parameters s0 < s1 of the fine edge's
@@ -421,26 +423,27 @@ class NestedLocator:
         self._register_boundary()
 
     def _register_boundary(self):
+        # a refined boundary edge runs from an end of its parent edge e to
+        # the midpoint, vertex nv + e, or back; the parents compose down the
+        # chain, and the spans are measured along the coarse edges
         coarse, fine = self.coarse, self.fine
-        tol = 1e-10
-        cb = coarse.boundary_edges
-        starts = coarse.vertices[coarse.edges[cb, 0]]
-        tang = coarse.vertices[coarse.edges[cb, 1]] - starts
+        edge = coarse.boundary_edges  # coarse edge of each boundary edge of a level
+        for parent, mesh in zip(self.chain, self.chain[1:]):
+            nv, ends = parent.num_vertices, mesh.edges[mesh.boundary_edges]
+            mid = ends.max(axis=1) - nv
+            pos = np.minimum(np.searchsorted(parent.boundary_edges, mid), edge.size - 1)
+            if not (np.array_equal(parent.boundary_edges[pos], mid) and np.array_equal(
+                    np.where(ends >= nv, nv + mid[:, None], parent.edges[mid]), ends)):
+                raise ValueError("fine boundary edge does not refine a coarse boundary edge")
+            edge = edge[pos]
+        starts = coarse.vertices[coarse.edges[edge, 0]]
+        tang = coarse.vertices[coarse.edges[edge, 1]] - starts
         lengths = np.sqrt(np.sum(tang**2, axis=1))
         unit = tang / lengths[:, None]
-        # rel[f, end, c]: endpoint ``end`` of fine edge f relative to coarse edge c
-        rel = fine.vertices[fine.edges[fine.boundary_edges]][:, :, None, :] - starts
-        cross = unit[:, 0] * rel[..., 1] - unit[:, 1] * rel[..., 0]
-        s = (rel[..., 0] * unit[:, 0] + rel[..., 1] * unit[:, 1]) / lengths
-        s0, s1 = s[:, 0], s[:, 1]
-        on_edge = (np.all(np.abs(cross) <= tol, axis=1)
-                   & (-tol <= s0) & (s0 < s1) & (s1 <= 1.0 + tol))
-        if not np.all(on_edge.any(axis=1)):
-            raise ValueError("fine boundary edge does not lie on the coarse boundary")
-        pos = np.argmax(on_edge, axis=1)  # first matching coarse edge
-        span = s[np.arange(len(pos)), :, pos]  # (nf, 2)
-        order = np.lexsort((span[:, 0], cb[pos]))
-        self.boundary_coarse = cb[pos][order]
+        rel = fine.vertices[fine.edges[fine.boundary_edges]] - starts[:, None]  # (nf, end, 2)
+        span = (rel[..., 0] * unit[:, None, 0] + rel[..., 1] * unit[:, None, 1]) / lengths[:, None]
+        order = np.lexsort((span[:, 0], edge))
+        self.boundary_coarse = edge[order]
         self.boundary_span = span[order]
         self.boundary_fine = fine.boundary_edges[order]
 

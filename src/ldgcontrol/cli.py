@@ -45,7 +45,7 @@ from .analysis import (
 from .control import PdasNonconvergence, fd_gradient_check, pdas_solve, reduced_gradient
 from .geometry import _text_lines, build_unit_square_mesh, refine_uniform, write_mesh_text
 from .ldg import assemble_forms, export_matrix_market
-from .linsolve import SingularSystemError, solve_optimality_system
+from .linsolve import SingularSystemError, _reduction, solve_optimality_system
 from .spaces import write_vtk
 
 __all__ = ["RunConfig", "ConfigError", "run_example", "emit_table", "emit_fields", "main"]
@@ -183,8 +183,12 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        read = parser.read(path)
+        # values are read as written: no '%' interpolation
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+        try:
+            read = parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:  # duplicates, stray lines
+            raise ConfigError(f"malformed config file: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         sections = {section for section, _ in _KEYS.values()}
@@ -407,7 +411,7 @@ def _battery(seed: int = 0):
     mesh = build_unit_square_mesh(4)
     ops = assemble_forms(mesh, data)
 
-    factor = ops.state_factorization()
+    factor = _reduction(ops).factor
     dual_gap = 0.0
     for _ in range(5):
         r1 = rng.standard_normal(factor.order.size)
@@ -471,7 +475,7 @@ def _battery(seed: int = 0):
            + ", variational ".join(f"{w}/{c}" for w, c in steps))
 
     mesh_nd = build_unit_square_mesh(32)
-    factor = assemble_forms(mesh_nd, example2_data()).state_factorization()
+    factor = _reduction(assemble_forms(mesh_nd, example2_data())).factor
     errors, S = [], factor.matrix  # gathered back from the factor's permuted copy
     for trans, op in (("N", S), ("T", S.T)):
         b = rng.standard_normal(op.shape[0])

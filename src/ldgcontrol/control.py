@@ -29,9 +29,9 @@ import numpy as np
 
 from .analysis import NestedLocator
 from .geometry import data_values
-from .ldg import (BlockOperator, BoundaryQuadrature, FluxParameters, ProblemData,
-                  assemble_forms, solve_state)
-from .linsolve import _control_load, _gradient, _state_adjoint, solve_optimality_system
+from .ldg import BlockOperator, BoundaryQuadrature, FluxParameters, ProblemData, assemble_forms
+from .linsolve import (_control_load, _gradient, _state_adjoint, solve_optimality_system,
+                       solve_state)
 from .spaces import (
     DATA_DEGREE,
     FORM_DEGREE,

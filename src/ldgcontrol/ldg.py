@@ -1,4 +1,4 @@
-"""Assembly of the local discontinuous Galerkin (LDG) forms and the state solve.
+"""Assembly of the local discontinuous Galerkin (LDG) forms of one mesh level.
 
 The mixed scheme introduces the scaled flux q = -sqrt(eps) grad(y) as an
 independent unknown next to the scalar state y.  With test functions r
@@ -73,26 +73,22 @@ Data (beta, alpha, f, y_desired, a callable control) is a constant or a callable
 and checks the shape and finiteness of the values.  The volume terms
 reject a negative alpha.
 
-The state solve eliminates the flux element by element and solves with
-the factorization of S = C + B' A^-1 B that the operator set keeps; the
-adjoint solves of ``linsolve`` use its transpose.
+A and A^-1 (``_flux_block_inverse``) scale one reference mass per
+element.  This module builds a level and solves nothing: ``linsolve``
+factors S = C + B' A^-1 B and owns every solve, the state solve too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .geometry import BlockLayout, Mesh, data_values
-from .linsolve import (Factorization, Reduction, _control_load, _flux_block_inverse,
-                       _reduction, _reference_mass)
 from .spaces import (
     DATA_DEGREE,
     FORM_DEGREE,
-    DiscreteField,
     SpaceSet,
     edge_basis_values,
     edge_points,
@@ -109,7 +105,6 @@ __all__ = [
     "BlockOperator",
     "BoundaryQuadrature",
     "assemble_forms",
-    "solve_state",
     "export_matrix_market",
 ]
 
@@ -408,13 +403,13 @@ class BlockOperator:
     ``Mesh.adjacency`` less those zeros.
 
     A is never stored: each read builds it from the reference mass that
-    ``linsolve._flux_block_inverse`` inverts.  ``reduction`` is the one
-    cache, the ``linsolve.Reduction`` of the level (the factorization of
-    S in its nested-dissection order, Mt and the variational load), built
-    by ``linsolve._reduction`` on the first solve.  That build consumes C,
-    summed into S: a later read of ``C`` raises ``AttributeError``.  An
-    operator set lives as long as its caller holds it; a solution does not
-    hold it (``control.DiscreteSolution``).
+    ``_flux_block_inverse`` inverts.  ``reduction`` is a slot that belongs
+    to ``linsolve``: its ``_reduction`` keeps there, on the first solve,
+    the level's ``linsolve.Reduction`` (the factorization of S in its
+    nested-dissection order, Mt and the variational load).  That build
+    consumes C, summed into S: a later read of ``C`` raises
+    ``AttributeError``.  An operator set lives as long as its caller holds
+    it; a solution does not hold it (``control.DiscreteSolution``).
     """
 
     mesh: Mesh
@@ -430,7 +425,7 @@ class BlockOperator:
     F: np.ndarray
     Yd: np.ndarray
     bq: BoundaryQuadrature
-    reduction: Optional[Reduction] = field(default=None, init=False)
+    reduction: object = field(default=None, init=False)
 
     @property
     def A(self):
@@ -443,11 +438,39 @@ class BlockOperator:
     def num_elements(self):
         return self.mesh.num_elements
 
-    def state_factorization(self) -> Factorization:
-        """Factorization of the flux-eliminated state operator
-        S = C + B' A^-1 B, in the nested-dissection order of its unknowns,
-        the P1 nodes (``linsolve._reduction``)."""
-        return _reduction(self).factor
+
+def _reference_mass():
+    """The P1 mass matrix (3, 3) of the reference triangle by the form rule;
+    an element's scalar mass block is 2 area times it."""
+    rule = quadrature_rule("triangle", FORM_DEGREE)
+    lam = tri_basis_values(rule.points)
+    return (lam.T * rule.weights) @ lam
+
+
+def _flux_block_inverse(ops):
+    """Exact inverse of the vector mass block, one 6x6 block per element.
+
+    The flux bilinear form is the plain (weighted) vector L2 inner product,
+    so on every element the block is 2*area times the reference-triangle
+    linear mass matrix tensored with the 2x2 identity.  Inverting the 3x3
+    reference matrix once (``_reference_mass``) and scaling gives the
+    sparse global inverse; the zeros of the identity factor are not stored,
+    so each element keeps 18 of its 36 entries.
+    """
+    mesh = ops.mesh
+    nt = mesh.num_elements
+    minv = np.linalg.inv(_reference_mass())
+    # row 6 t + 2 i + c holds minv[i, j] / (2 area) at column 6 t + 2 j + c
+    n = 6 * nt
+    index = np.int32 if 3 * n < 2**31 else np.int64
+    vals = np.empty((nt, 3, 2, 3))
+    vals[:, :, 0] = minv / (2.0 * mesh.areas)[:, None, None]
+    vals[:, :, 1] = vals[:, :, 0]
+    cols = np.empty((nt, 3, 2, 3), dtype=index)
+    cols[:] = 6 * np.arange(nt, dtype=index)[:, None, None, None]
+    cols += 2 * np.arange(3, dtype=index) + np.arange(2, dtype=index)[:, None]
+    return sp.csr_matrix((vals.reshape(-1), cols.reshape(-1),
+                          np.arange(0, 3 * n + 1, 3, dtype=index)), shape=(n, n))
 
 
 def _volume_tables(mesh):
@@ -556,32 +579,6 @@ def assemble_forms(mesh: Mesh, data: ProblemData) -> BlockOperator:
         Yd=_load_vector(mesh, data.y_desired, "y_desired"),
         bq=bq,
     )
-
-
-def solve_state(ops: BlockOperator, u):
-    """Solve the state system for a given control; returns (y_h, q_h).
-
-    ``u`` is a boundary DiscreteField (a full-mode control), a callable on
-    arrays of boundary points or an array of values at the boundary
-    quadrature points (a pointwise control); a control with a non-finite
-    value raises ``ValueError``.  The flux is eliminated exactly:
-    y = S^-1 (F + L u), then q = A^-1 (M1 u - B y), with L and M1 the
-    control loads of the mode (``linsolve._control_load``).
-    """
-    if isinstance(u, DiscreteField):
-        mode, u = "full", u.coefficients
-    else:
-        bq = ops.bq
-        mode = "variational"
-        u = data_values(u, bq.points, "u") if callable(u) else np.asarray(u, dtype=float)
-        if u.shape != (bq.num_points,):
-            raise ValueError("pointwise control values must match the boundary quadrature")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("the control u has non-finite values")
-    L, _, M1 = _control_load(ops, mode)
-    y = ops.state_factorization().solve(ops.F + L @ u)
-    q = _flux_block_inverse(ops) @ (M1 @ u - ops.B @ y)
-    return DiscreteField(ops.spaces.potential, y), DiscreteField(ops.spaces.flux, q)
 
 
 def export_matrix_market(path, matrix) -> None:

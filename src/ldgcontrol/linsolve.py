@@ -12,10 +12,11 @@ element-local mass matrices and their elimination is exact.  The state
 operator S = C + B' A^-1 B then acts on the scalar unknown alone, and it
 does not depend on the active set.
 
-The production path (``strategy="reduced"``) factors S once per operator
-set (the same factorization ``ldg.solve_state`` uses; adjoint solves
-use it transposed) and solves each active set in control space: the
-active controls are their bounds, and the inactive ones solve the SPD
+This module owns every factor and solve of a level that ``ldg`` has
+assembled.  The production path (``strategy="reduced"``) factors S once
+per operator set (the same factorization ``solve_state`` uses; adjoint
+solves use it transposed) and solves each active set in control space:
+the active controls are their bounds, and the inactive ones solve the SPD
 reduced system H_II u_I = b_I, H = omega W + L' S^-T M_Omega S^-1 L, by
 conjugate gradients preconditioned with (omega W_II)^-1.  An active set
 with k CG steps costs 2 + 2k solves with the factor: one two-column
@@ -28,21 +29,22 @@ own.  ``ReducedSolveError`` reports a CG run that misses its tolerance
 within ``CG_MAX_ITER`` steps.
 
 An operator set's reduced problem is built once, by ``_reduction``, and
-kept in its one slot, ``BlockOperator.reduction``: a ``Reduction`` of the
-factor of S and Mt.  The flux elimination (``_eliminate``) builds A^-1
-from the reference mass inverse, scaled per element, and forms Mt and
-S = C + B' (A^-1 B) as sparse products, the last through (A^-1 B)' B; C,
-summed into S, leaves the operator set.  The factor takes S and keeps
-the one copy it factors, S[order][:, order], so a reduced solve reads
-the factor, Mt, B, M1, M_Omega, M_Gamma and the loads, and nothing else.
-Its two recoveries rebuild A^-1 and form p = A^-1 (B z), so A^-1 B is
-never kept.  ``Factorization.matrix`` gathers S back where S itself is
-wanted, and ``_condensation_operators`` returns (A^-1, A^-1 B, S, Mt) for
-the condensed reference path, A^-1 and A^-1 B built on each call.
+kept in the slot ``BlockOperator.reduction`` that is this module's: a
+``Reduction`` of the factor of S and Mt.  The flux elimination
+(``_eliminate``) takes A^-1 from ``ldg._flux_block_inverse`` and forms
+Mt and S = C + B' (A^-1 B) as sparse products, the last through
+(A^-1 B)' B; C, summed into S, leaves the operator set.  The factor
+takes S and keeps the one copy it factors, S[order][:, order], so a
+reduced solve reads the factor, Mt, B, M1, M_Omega, M_Gamma and the
+loads, and nothing else.  Its two recoveries rebuild A^-1 and form
+p = A^-1 (B z), so A^-1 B is never kept.  ``Factorization.matrix``
+gathers S back where S itself is wanted, and ``_condensation_operators``
+returns (A^-1, A^-1 B, S, Mt) for the condensed reference path, A^-1 and
+A^-1 B built on each call.
 
 The pieces of the reduced problem live here once: ``_control_load`` (L,
 W and the flux load M1 of a mode), ``_state_adjoint`` (the state/adjoint
-pair) and ``_gradient`` (omega W u + L' z); ``ldg.solve_state`` and the
+pair) and ``_gradient`` (omega W u + L' z); ``solve_state`` and the
 multiplier and gradient checks of ``control`` use them too.
 
 Two direct solves are kept as references.  ``condense_kkt`` builds the
@@ -76,8 +78,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import dissection_order
-from .spaces import FORM_DEGREE, quadrature_rule, tri_basis_values
+from .geometry import data_values, dissection_order
+from .ldg import _flux_block_inverse, assemble_forms
+from .spaces import DiscreteField
 
 __all__ = [
     "SingularSystemError",
@@ -90,6 +93,7 @@ __all__ = [
     "CondensedSystem",
     "condense_kkt",
     "solve_optimality_system",
+    "solve_state",
 ]
 
 
@@ -350,8 +354,6 @@ def compose_kkt(ops, active, data, mode: str = "full") -> BlockSystem:
     ``ops``, so the oracle reads none of the blocks a solve consumes; only
     the elimination order is the state factor's (``_system_order``).
     """
-    from .ldg import assemble_forms  # ldg imports this module
-
     fresh = assemble_forms(ops.mesh, ops.data)
     A, B, C = fresh.A, fresh.B, fresh.C
     M_Omega = fresh.M_Omega
@@ -397,40 +399,6 @@ def compose_kkt(ops, active, data, mode: str = "full") -> BlockSystem:
     offs = np.cumsum([0, nW, nV, nW, nV])
     slices = {name: slice(offs[i], offs[i + 1]) for i, name in enumerate("qypz")}
     return BlockSystem(K, rhs, slices, "variational", _system_order(ops, (2, 1, 2, 1)))
-
-
-def _reference_mass():
-    """The P1 mass matrix (3, 3) of the reference triangle by the form rule;
-    an element's scalar mass block is 2 area times it."""
-    rule = quadrature_rule("triangle", FORM_DEGREE)
-    lam = tri_basis_values(rule.points)
-    return (lam.T * rule.weights) @ lam
-
-
-def _flux_block_inverse(ops):
-    """Exact inverse of the vector mass block, one 6x6 block per element.
-
-    The flux bilinear form is the plain (weighted) vector L2 inner product,
-    so on every element the block is 2*area times the reference-triangle
-    linear mass matrix tensored with the 2x2 identity.  Inverting the 3x3
-    reference matrix once (``_reference_mass``) and scaling gives the
-    sparse global inverse; the zeros of the identity factor are not stored,
-    so each element keeps 18 of its 36 entries.
-    """
-    mesh = ops.mesh
-    nt = mesh.num_elements
-    minv = np.linalg.inv(_reference_mass())
-    # row 6 t + 2 i + c holds minv[i, j] / (2 area) at column 6 t + 2 j + c
-    n = 6 * nt
-    index = np.int32 if 3 * n < 2**31 else np.int64
-    vals = np.empty((nt, 3, 2, 3))
-    vals[:, :, 0] = minv / (2.0 * mesh.areas)[:, None, None]
-    vals[:, :, 1] = vals[:, :, 0]
-    cols = np.empty((nt, 3, 2, 3), dtype=index)
-    cols[:] = 6 * np.arange(nt, dtype=index)[:, None, None, None]
-    cols += 2 * np.arange(3, dtype=index) + np.arange(2, dtype=index)[:, None]
-    return sp.csr_matrix((vals.reshape(-1), cols.reshape(-1),
-                          np.arange(0, 3 * n + 1, 3, dtype=index)), shape=(n, n))
 
 
 def _eliminate(ops):
@@ -670,6 +638,32 @@ def _state_adjoint(ops, load, target):
     lu = _reduction(ops).factor
     y = lu.solve(load)
     return y, lu.solve(ops.M_Omega @ y - target, trans="T")
+
+
+def solve_state(ops, u):
+    """Solve the state system for a given control; returns (y_h, q_h).
+
+    ``u`` is a boundary DiscreteField (a full-mode control), a callable on
+    arrays of boundary points or an array of values at the boundary
+    quadrature points (a pointwise control); a control with a non-finite
+    value raises ``ValueError``.  The flux is eliminated exactly:
+    y = S^-1 (F + L u), then q = A^-1 (M1 u - B y), with L and M1 the
+    control loads of the mode (``_control_load``).
+    """
+    if isinstance(u, DiscreteField):
+        mode, u = "full", u.coefficients
+    else:
+        bq = ops.bq
+        mode = "variational"
+        u = data_values(u, bq.points, "u") if callable(u) else np.asarray(u, dtype=float)
+        if u.shape != (bq.num_points,):
+            raise ValueError("pointwise control values must match the boundary quadrature")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("the control u has non-finite values")
+    L, _, M1 = _control_load(ops, mode)
+    y = _reduction(ops).factor.solve(ops.F + L @ u)
+    q = _flux_block_inverse(ops) @ (M1 @ u - ops.B @ y)
+    return DiscreteField(ops.spaces.potential, y), DiscreteField(ops.spaces.flux, q)
 
 
 def _gradient(ops, mode, omega, u, z):

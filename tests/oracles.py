@@ -42,10 +42,10 @@ from ldgcontrol.ldg import (
     _gram,
     _load_vector,
     _place_edge_blocks,
+    _flux_block_inverse,
     _volume_tables,
-    solve_state,
 )
-from ldgcontrol.linsolve import _flux_block_inverse
+from ldgcontrol.linsolve import _reduction, solve_state
 from ldgcontrol.spaces import (
     BOUNDARY,
     DATA_DEGREE,
@@ -101,7 +101,7 @@ def solve_adjoint(ops: BlockOperator, load_vector):
     z = S^-T g reuses the state factorization and p = A^-1 (B z), for
     the load vector g tested against the scalar space.
     """
-    z = ops.state_factorization().solve(load_vector, trans="T")
+    z = _reduction(ops).factor.solve(load_vector, trans="T")
     p = _flux_block_inverse(ops) @ (ops.B @ z)
     return DiscreteField(ops.spaces.potential, z), DiscreteField(ops.spaces.flux, p)
 

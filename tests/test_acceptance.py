@@ -36,8 +36,8 @@ from ldgcontrol.geometry import build_unit_square_mesh, refine_uniform
 from ldgcontrol.ldg import (
     ProblemData,
     assemble_forms,
-    solve_state,
 )
+from ldgcontrol.linsolve import solve_state
 from ldgcontrol.spaces import DiscreteField, DofMap
 from oracles import (
     galerkin_diagnostics,

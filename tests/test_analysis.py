@@ -24,7 +24,7 @@ from ldgcontrol.analysis import (
     reference_compare,
 )
 from ldgcontrol.control import pdas_solve
-from ldgcontrol.geometry import build_unit_square_mesh, data_values, refine_uniform
+from ldgcontrol.geometry import Mesh, build_unit_square_mesh, data_values, refine_uniform
 from ldgcontrol.ldg import assemble_forms
 from ldgcontrol.spaces import (
     DiscreteField,
@@ -302,6 +302,19 @@ def test_locator_boundary_registration_partitions_coarse_edges():
 def test_locator_rejects_unrelated_meshes():
     with pytest.raises(ValueError):
         NestedLocator(build_unit_square_mesh(2), build_unit_square_mesh(4))
+
+
+def test_locator_rejects_a_child_not_numbered_by_refine_uniform():
+    # the boundary registration reads refine_uniform's vertex numbering, so
+    # a refinement with its vertices renumbered is not taken as nested
+    coarse = build_unit_square_mesh(2)
+    fine = refine_uniform(coarse)
+    perm = np.random.default_rng(0).permutation(fine.num_vertices)
+    inverse = np.argsort(perm)
+    renumbered = Mesh(fine.vertices[perm], inverse[fine.triangles], parent=fine.parent,
+                      parent_mesh=coarse)
+    with pytest.raises(ValueError, match="does not refine"):
+        NestedLocator(coarse, renumbered)
 
 
 class _ProlongedReference:

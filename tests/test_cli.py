@@ -73,6 +73,19 @@ levels = 32,128,512
     assert cfg.reference is None and cfg.pdas_max_iter == 50
 
 
+def test_config_reads_values_as_written(tmp_path):
+    # no '%' interpolation: a lone '%' is no error and '%%' stays two
+    cfg = RunConfig.from_file(write_config(tmp_path, """
+[problem]
+example = 1
+[study]
+levels = 32
+[output]
+directory = out%x%%
+"""))
+    assert cfg.directory == "out%x%%"
+
+
 @pytest.mark.parametrize("example, levels, reference", [
     (1, (32,), None), (2, (32,), 128), (3, (12,), 48)])
 def test_example_data_applies_overrides(example, levels, reference):
@@ -164,6 +177,27 @@ def test_main_rejects_example1_reference_and_off_chain_levels(tmp_path, capsys, 
     assert main(["run", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("body", [
+    "[problem]\nexample = 1\nexample = 2\n",
+    "[problem]\nexample = 1\n[problem]\nmode = full\n",
+    "example = 1\n",
+    "[problem]\nexample = 1\njunkline\n",
+    "[problem]\nexample = 1\xe9\n",
+], ids=["duplicate-option", "duplicate-section", "no-section-header", "bare-line",
+        "not-utf8"])
+def test_run_reports_a_malformed_ini_as_a_config_error(tmp_path, body):
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(body.encode("latin-1"))  # the last file's byte 0xe9 is no UTF-8
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    result = subprocess.run([sys.executable, "-m", "ldgcontrol.cli", "run", cfg], env=env,
+                            capture_output=True, text=True, cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith("config error:")
+    assert "Traceback" not in result.stderr
 
 
 def test_config_rejects_unknown_key(tmp_path):

@@ -25,7 +25,8 @@ from ldgcontrol.control import (
     reduced_gradient,
 )
 from ldgcontrol.geometry import build_unit_square_mesh, refine_uniform
-from ldgcontrol.ldg import ProblemData, assemble_forms, solve_state
+from ldgcontrol.ldg import ProblemData, assemble_forms
+from ldgcontrol.linsolve import solve_state
 from ldgcontrol.linsolve import solve_optimality_system
 from ldgcontrol.spaces import FORM_DEGREE, DiscreteField, DofMap, SpaceSet, quadrature_rule
 from oracles import quasi_interpolate, solve_adjoint

@@ -11,6 +11,7 @@ import importlib
 import inspect
 import pkgutil
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,26 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"ldgcontrol.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_package_imports_form_no_cycle():
+    # every relative import of a package module, at module level or inside
+    # a function, is an edge; ldg builds a level and linsolve solves it, so
+    # ldg must not import linsolve back
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        edges = graph.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    edges.add(node.module.split(".")[0])
+                else:
+                    edges.update(alias.name for alias in node.names)
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        # graphlib lists each module before a module that imports it
+        raise AssertionError(f"import cycle: {' -> '.join(reversed(exc.args[1]))}") from None
 
 
 def _references(path):

@@ -13,12 +13,11 @@ from ldgcontrol.geometry import build_unit_square_mesh, data_values, refine_unif
 from ldgcontrol.ldg import (
     FluxParameters,
     ProblemData,
+    _flux_block_inverse,
     assemble_forms,
-    solve_state,
 )
 from ldgcontrol.control import pdas_solve
-from ldgcontrol.linsolve import (_condensation_operators, _eliminate, _flux_block_inverse,
-                                 compose_kkt)
+from ldgcontrol.linsolve import _condensation_operators, _eliminate, compose_kkt, solve_state
 from ldgcontrol.spaces import (
     FORM_DEGREE,
     DiscreteField,

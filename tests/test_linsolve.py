@@ -24,7 +24,7 @@ from ldgcontrol.geometry import (
     dissection_order,
     refine_uniform,
 )
-from ldgcontrol.ldg import assemble_forms, solve_state
+from ldgcontrol.ldg import assemble_forms
 from ldgcontrol.linsolve import (
     Factorization,
     ReducedSolveError,
@@ -33,6 +33,7 @@ from ldgcontrol.linsolve import (
     condense_kkt,
     direct_solve,
     solve_optimality_system,
+    solve_state,
 )
 from ldgcontrol.spaces import DiscreteField, DofMap
 from oracles import solve_adjoint
@@ -192,7 +193,7 @@ def ex2_ops_2048():
 
 
 def test_dissection_order_is_a_permutation(ex2_ops_2048):
-    factor = ex2_ops_2048.state_factorization()
+    factor = linsolve._reduction(ex2_ops_2048).factor
     order, _ = dissection_order(linsolve._node_points(ex2_ops_2048.mesh), factor.matrix)
     assert np.array_equal(np.sort(order), np.arange(3 * ex2_ops_2048.num_elements))
     assert np.array_equal(factor.order, order)
@@ -263,12 +264,12 @@ def test_inherited_fill_matches_the_fresh_order(case):
         coarse = chain_mesh_2048().parent_mesh
         data = (manufactured_example1(epsilon=1e-6).problem_data() if case == "ex1"
                 else example2_data())
-    assemble_forms(coarse, data).state_factorization()
+    linsolve._reduction(assemble_forms(coarse, data)).factor
     assert coarse.dissection is not None
     mesh = refine_uniform(coarse)
     assert mesh.num_elements == 2048
     ops = assemble_forms(mesh, data)
-    inherited = ops.state_factorization()
+    inherited = linsolve._reduction(ops).factor
     fresh, _ = dissection_order(linsolve._node_points(mesh), inherited.matrix)
     assert not np.array_equal(inherited.order, fresh)
     assert inherited.fill <= 1.05 * Factorization(inherited.matrix, fresh).fill
@@ -303,8 +304,8 @@ def test_state_fill_does_not_depend_on_element_numbering(ex2_ops_2048):
     perm = np.random.default_rng(11).permutation(mesh.num_elements)
     relabelled = Mesh(mesh.vertices, mesh.triangles[perm])
     ops = assemble_forms(relabelled, example2_data())
-    fill = ex2_ops_2048.state_factorization().fill
-    assert abs(ops.state_factorization().fill - fill) <= 0.1 * fill
+    fill = linsolve._reduction(ex2_ops_2048).factor.fill
+    assert abs(linsolve._reduction(ops).factor.fill - fill) <= 0.1 * fill
 
 
 @pytest.mark.parametrize("case", [
@@ -322,7 +323,7 @@ def test_dissection_fill_against_a_plain_factor(case):
         data = (manufactured_example1(epsilon=1e-6).problem_data() if case == "ex1"
                 else example2_data())
     assert mesh.num_elements == 2048
-    factor = assemble_forms(mesh, data).state_factorization()
+    factor = linsolve._reduction(assemble_forms(mesh, data)).factor
     assert factor.fill <= 0.5 * spla.splu(factor.matrix.tocsc()).nnz
 
 
@@ -333,7 +334,7 @@ def test_a_factored_level_holds_one_copy_of_S(ex2_ops_2048):
     mesh, data = ex2_ops_2048.mesh, example2_data()
     S = linsolve._eliminate(assemble_forms(mesh, data))[0]
     ops = assemble_forms(mesh, data)
-    factor = ops.state_factorization()
+    factor = linsolve._reduction(ops).factor
     assert ops.reduction.factor is factor
     assert [name for name, m in vars(ops.reduction).items() if sp.issparse(m)] == ["Mt"]
     held = [m for m in vars(factor).values() if sp.issparse(m)]
@@ -350,7 +351,8 @@ def test_a_factored_level_holds_one_copy_of_S(ex2_ops_2048):
 def test_permuted_factor_is_bit_identical_to_the_gathered_one(ex2_ops_2048):
     # one row gather and relabelled indices give the factor of the double
     # gather matrix[order][:, order], to the last bit, for CSR and CSC input
-    S, order = ex2_ops_2048.state_factorization().matrix, ex2_ops_2048.state_factorization().order
+    factor = linsolve._reduction(ex2_ops_2048).factor
+    S, order = factor.matrix, factor.order
     reference = spla.splu(S[order][:, order].tocsc(), permc_spec="NATURAL",
                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     for matrix in (S, S.tocsc()):
@@ -363,7 +365,7 @@ def test_permuted_factor_is_bit_identical_to_the_gathered_one(ex2_ops_2048):
 def test_state_factor_solves_without_refinement(ex2_ops_2048):
     # the nested-dissection factor of S, with diagonal pivots only, solves
     # S and S' to the 1e-10 contract without a refinement sweep
-    factor = ex2_ops_2048.state_factorization()
+    factor = linsolve._reduction(ex2_ops_2048).factor
     S = factor.matrix
     rng = np.random.default_rng(2)
     for trans, op in (("N", S), ("T", S.T)):
@@ -556,7 +558,7 @@ def test_reduced_step_makes_two_plus_two_solves_per_cg_iteration(ex2_ops_128, mo
     # right-hand side and the start residual, then one of each per CG
     # iteration; the state and adjoint ride along with the iterate
     data, ops = ex2_ops_128
-    factor = ops.state_factorization()
+    factor = linsolve._reduction(ops).factor
     columns = []
     solve = factor.solve
 
