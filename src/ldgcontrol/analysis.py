@@ -481,55 +481,47 @@ class NestedLocator:
         return self.boundary_fine[i][()], np.clip((s - s0) / (s1 - s0), 0.0, 1.0)[()]
 
 
-def reference_compare(coarse_sol, reference_sol):
-    """Error row of a coarse solution against a nested reference solution.
-
-    All four columns are integrated on the coarse elements and edges with
-    the reference fields evaluated inside the containing fine entity, so
-    full and variational controls are compared through their pointwise
-    values rather than coefficients.
-    """
-    coarse_mesh = coarse_sol.mesh
-    locator = NestedLocator(coarse_mesh, reference_sol.mesh)
-
-    rule, lam, pts = _domain_quad(coarse_mesh)
-    nt = coarse_mesh.num_elements
-    vals_h = np.einsum("ti,ki->tk", coarse_sol.y.coefficients.reshape(nt, 3), lam)
-    tf = locator.locate(np.arange(nt)[:, None], pts)
-    diff2 = (vals_h - eval_field(reference_sol.y, tf, pts, tol=1e-8)) ** 2
-    err_y2 = (2.0 * coarse_mesh.areas) @ (diff2 @ rule.weights)
-
-    ids, s, _xg, wt, n = _boundary_rule(coarse_mesh)
+def _error_row(sol, y_true, boundary_true) -> ErrorReportRow:
+    """The four L2 columns of a study row on the solution's mesh, against a
+    truth given at the data-rule points: ``y_true(pts)`` the state at the
+    points (nt, k, 2) of ``_domain_quad``, ``boundary_true(e, s, xg)`` the
+    control, the adjoint and the flux sqrt(eps) grad(z) at the edges e (b, 1),
+    parameters s (k,) and points xg (b, k, 2) of ``_boundary_rule``.  Both
+    control modes are measured pointwise, through ``sol.control_on_edge``."""
+    mesh = sol.mesh
+    rule, lam, pts = _domain_quad(mesh)
+    y_h = np.einsum("ti,ki->tk", sol.y.coefficients.reshape(-1, 3), lam)
+    ids, s, xg, wt, n = _boundary_rule(mesh)
     e = ids[:, None]
-    f, sf = locator.locate_boundary(e, s)
-    err_u2 = np.sum(wt * (coarse_sol.control_on_edge(e, s)
-                          - reference_sol.control_on_edge(f, sf)) ** 2)
-    err_z2 = np.sum(wt * (trace_on_edge(coarse_sol.z, e, 0, s)
-                          - trace_on_edge(reference_sol.z, f, 0, sf)) ** 2)
-    dp = trace_on_edge(coarse_sol.p, e, 0, s) - trace_on_edge(reference_sol.p, f, 0, sf)
-    err_pn2 = np.sum(wt * np.einsum("egd,ed->eg", dp, n) ** 2)
+    u, z, p = boundary_true(e, s, xg)
+    sums = ((2.0 * mesh.areas) @ ((y_true(pts) - y_h) ** 2 @ rule.weights),
+            np.sum(wt * (u - sol.control_on_edge(e, s)) ** 2),
+            np.sum(wt * (z - trace_on_edge(sol.z, e, 0, s)) ** 2),
+            np.sum(wt * np.einsum("egd,ed->eg", p - trace_on_edge(sol.p, e, 0, s), n) ** 2))
+    return ErrorReportRow(mesh.num_elements, mesh.h, *(float(np.sqrt(v)) for v in sums))
 
-    return ErrorReportRow(
-        elements=coarse_mesh.num_elements,
-        h=coarse_mesh.h,
-        err_y=float(np.sqrt(err_y2)),
-        err_u=float(np.sqrt(err_u2)),
-        err_z=float(np.sqrt(err_z2)),
-        err_pn=float(np.sqrt(err_pn2)),
-    )
+
+def reference_compare(coarse_sol, reference_sol):
+    """Error row of a coarse solution against a nested reference solution,
+    evaluated in the fine element or edge containing each quadrature point."""
+    ref, locator = reference_sol, NestedLocator(coarse_sol.mesh, reference_sol.mesh)
+
+    def boundary_true(e, s, _xg):
+        f, sf = locator.locate_boundary(e, s)
+        return (ref.control_on_edge(f, sf), trace_on_edge(ref.z, f, 0, sf),
+                trace_on_edge(ref.p, f, 0, sf))
+
+    return _error_row(coarse_sol, lambda pts: eval_field(
+        ref.y, locator.locate(np.arange(len(pts))[:, None], pts), pts, tol=1e-8), boundary_true)
 
 
 def closed_form_row(sol, case: ManufacturedCase) -> ErrorReportRow:
-    """Error row of a solution against the closed-form optimal triple.  The
-    control is evaluated through ``sol.control_on_edge``, as in
-    ``reference_compare``, so both control modes are measured pointwise."""
-    mesh = sol.mesh
-    ids, s, xg, wt, _n = _boundary_rule(mesh)
-    du = data_values(case.u, xg, "exact") - sol.control_on_edge(ids[:, None], s)
-    return ErrorReportRow(
-        mesh.num_elements, mesh.h, error_l2_domain(sol.y, case.y),
-        float(np.sqrt(np.sum(wt * du**2))), error_l2_boundary(sol.z, case.z),
-        error_flux_normal_boundary(sol.p, case.grad_z, case.epsilon))
+    """Error row of a solution against the closed-form optimal triple."""
+    def boundary_true(_e, _s, xg):
+        return (data_values(case.u, xg, "exact"), data_values(case.z, xg, "exact"),
+                np.sqrt(case.epsilon) * data_values(case.grad_z, xg, "exact", vector=True))
+
+    return _error_row(sol, lambda pts: data_values(case.y, pts, "exact"), boundary_true)
 
 
 # ---------------------------------------------------------------------------

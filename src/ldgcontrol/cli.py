@@ -101,7 +101,7 @@ def _mesh_level(example: int, elements: int, coarse: str = "fan3") -> int:
                 f"{elements} is not a valid element count for the square "
                 f"(needs 2 n^2)")
         return n
-    base = 3 if coarse == "fan3" else 2
+    base = example3_mesh(0, coarse).num_elements
     level, k = 0, elements
     while k % 4 == 0:
         k //= 4
@@ -133,20 +133,15 @@ class RunConfig:
     markdown: bool = False
     vtk: bool = False
     matrices: bool = False
+    # the ProblemData and (example 1) ManufacturedCase, built from the fields
+    data: object = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    case: object = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.example not in (1, 2, 3):
             raise ConfigError(f"unknown example id {self.example!r}")
         if self.mode not in ("full", "variational"):
             raise ConfigError(f"unknown control mode {self.mode!r}")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ConfigError("diffusion coefficient must be positive and finite")
-        if self.omega is not None and not (np.isfinite(self.omega) and self.omega > 0.0):
-            raise ConfigError("regularization weight must be positive and finite")
-        if any(b is not None and np.isnan(b) for b in (self.u_lower, self.u_upper)):
-            raise ConfigError("control bounds must not be NaN")
-        if self.c12_direction is not None and not np.all(np.isfinite(self.c12_direction)):
-            raise ConfigError("c12_direction must be finite")
         if self.pdas_max_iter < 1:
             raise ConfigError("active-set iteration cap must be at least 1")
         levels = tuple(int(m) for m in self.levels)
@@ -164,6 +159,7 @@ class RunConfig:
         if self.reference is not None and self.reference <= levels[-1]:
             raise ConfigError("reference mesh must be deeper than the deepest study level")
         self._validate_chain()
+        self.data, self.case = _example_data(self)
 
     @property
     def counts(self) -> tuple:
@@ -220,7 +216,8 @@ class RunConfig:
 
 
 def _example_data(config: RunConfig):
-    """Problem data and (for the closed-form case) the exact solution."""
+    """Problem data and (for the closed-form case) the exact solution of a
+    config; the data's own ValueError becomes a ConfigError."""
     overrides = {key: getattr(config, key)
                  for key in ("omega", "u_lower", "u_upper", "c12_direction")
                  if getattr(config, key) is not None}
@@ -232,8 +229,6 @@ def _example_data(config: RunConfig):
         data = (example2_data(config.epsilon) if config.example == 2
                 else example3_data(config.epsilon))
         return dataclasses.replace(data, **overrides), None
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -281,15 +276,14 @@ def run_example(config: RunConfig, keep_solutions: list = None) -> ErrorReport:
     boundary tables.  So no other level's factor or assembled matrix is
     alive while one is built.
     """
-    data, case = _example_data(config)
     solved, sol = [], None
     for m, mesh in zip(config.counts, _mesh_chain(config)):
-        sol = _solve_level(mesh, data, config, m, start=sol)
+        sol = _solve_level(mesh, config.data, config, m, start=sol)
         solved.append((m, mesh, sol))
     reference = solved.pop()[2] if config.reference is not None else None
     report = ErrorReport()
     for m, mesh, sol in solved:
-        report.add_row(closed_form_row(sol, case) if reference is None
+        report.add_row(closed_form_row(sol, config.case) if reference is None
                        else reference_compare(sol, reference))
     if keep_solutions is not None:
         keep_solutions.extend(solved)
@@ -492,12 +486,15 @@ def _battery(seed: int = 0):
 
 def _cmd_run(args) -> int:
     config = RunConfig.from_file(args.config)
+    outdir = config.resolve_output_dir()
+    try:  # before any solve: a study must not run for an unwritable directory
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir}: {exc}") from exc
     # a kept solution holds its fields and boundary tables, not its level's
     # operators; the matrix output assembles its level again
     keep = [] if config.vtk or config.matrices else None
     report = run_example(config, keep_solutions=keep)
-    outdir = config.resolve_output_dir()
-    os.makedirs(outdir, exist_ok=True)
     written = []
     if config.csv:
         written.append(emit_table(report, "csv", os.path.join(outdir, "table.csv")))

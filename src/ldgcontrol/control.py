@@ -27,20 +27,17 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import NestedLocator
+from .analysis import NestedLocator, _domain_quad
 from .geometry import data_values
 from .ldg import BlockOperator, BoundaryQuadrature, FluxParameters, ProblemData, assemble_forms
 from .linsolve import (_control_load, _gradient, _state_adjoint, solve_optimality_system,
                        solve_state)
 from .spaces import (
-    DATA_DEGREE,
     FORM_DEGREE,
     DiscreteField,
     edge_basis_values,
-    physical_points,
     quadrature_rule,
     trace_on_edge,
-    tri_basis_values,
 )
 
 __all__ = [
@@ -278,9 +275,9 @@ def evaluate_cost(y_h: DiscreteField, u_h, data: ProblemData, ops: BlockOperator
     weights for pointwise (variational) controls, which requires ``ops``.
     """
     mesh = y_h.dofmap.mesh
-    rule = quadrature_rule("triangle", DATA_DEGREE)
-    vals = np.einsum("ti,ki->tk", y_h.coefficients.reshape(-1, 3), tri_basis_values(rule.points))
-    diff = vals - data_values(data.y_desired, physical_points(mesh, rule.points), "y_desired")
+    rule, lam, pts = _domain_quad(mesh)
+    diff = (np.einsum("ti,ki->tk", y_h.coefficients.reshape(-1, 3), lam)
+            - data_values(data.y_desired, pts, "y_desired"))
     track = float((2.0 * mesh.areas) @ (diff**2 @ rule.weights))
 
     if isinstance(u_h, DiscreteField):

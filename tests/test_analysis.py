@@ -1,6 +1,7 @@
 """Tests of error norms, manufactured cases, and nested-mesh comparison."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ldgcontrol.analysis import (
     ErrorReportRow,
     NestedLocator,
     check_strong_form,
+    closed_form_row,
     convergence_rate,
     error_flux_normal_boundary,
     error_l2_boundary,
@@ -30,6 +32,7 @@ from ldgcontrol.spaces import (
     DiscreteField,
     SpaceSet,
     eval_field,
+    trace_on_edge,
 )
 from oracles import galerkin_diagnostics, l2_project, least_squares_rate, unit_square_sequence
 
@@ -376,6 +379,41 @@ def test_reference_compare_detects_known_offset(mode):
     row = reference_compare(sol, ref)
     assert row.err_y == pytest.approx(0.25, rel=1e-10)
     assert row.err_u < 1e-10 and row.err_z < 1e-10 and row.err_pn < 1e-10
+
+
+def test_both_truths_measure_the_same_norms():
+    # a closed form that is a finer solution of the same chain, evaluated
+    # where the nested comparison evaluates it, must give that row
+    case = manufactured_example1(epsilon=0.5)
+    coarse_mesh = build_unit_square_mesh(4)
+    fine_mesh = refine_uniform(refine_uniform(coarse_mesh))
+    coarse, fine = (pdas_solve(assemble_forms(m, case.problem_data()))
+                    for m in (coarse_mesh, fine_mesh))
+    assert (coarse_mesh.num_elements, fine_mesh.num_elements) == (32, 512)
+    locator = NestedLocator(coarse_mesh, fine_mesh)
+    edges = coarse_mesh.boundary_edges
+    start, end = (coarse_mesh.vertices[coarse_mesh.edges[edges, k]] for k in range(2))
+
+    def on_boundary(values):
+        # points (b, k, 2) lie on the coarse boundary edges, in their order
+        def at(x):
+            s = (np.einsum("ekd,ed->ek", x - start[:, None], end - start)
+                 / np.sum((end - start) ** 2, axis=1)[:, None])
+            return values(*locator.locate_boundary(edges[:, None], s))
+        return at
+
+    fine_case = types.SimpleNamespace(
+        epsilon=case.epsilon,
+        y=lambda x: eval_field(fine.y, locator.locate(np.arange(len(x))[:, None], x), x,
+                               tol=1e-8),
+        u=on_boundary(fine.control_on_edge),
+        z=on_boundary(lambda f, s: trace_on_edge(fine.z, f, 0, s)),
+        grad_z=on_boundary(lambda f, s: trace_on_edge(fine.p, f, 0, s) / np.sqrt(case.epsilon)))
+    row, expected = closed_form_row(coarse, fine_case), reference_compare(coarse, fine)
+    assert (row.elements, row.h) == (expected.elements, expected.h)
+    for name in ErrorReport.COLUMNS:
+        assert getattr(row, name) == pytest.approx(getattr(expected, name), rel=1e-12, abs=0.0)
+        assert getattr(row, name) > 1e-6
 
 
 # ----------------------------------------------------- gap diagnostics

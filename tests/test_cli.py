@@ -676,6 +676,48 @@ directory = {tmp_path / 'out'}
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+def test_config_reports_bad_problem_data_with_the_library_message(tmp_path, capsys):
+    # the config builds its problem data when it is parsed, so the data's
+    # own check speaks before any mesh is built
+    with pytest.raises(ValueError) as library:
+        ldg.ProblemData(epsilon=1.0, omega=1.0, u_lower=1.0, u_upper=0.0)
+    with pytest.raises(ConfigError) as parsed:
+        RunConfig.from_file(write_config(tmp_path, """
+[problem]
+example = 2
+u_lower = 1
+u_upper = 0
+
+[study]
+levels = 32
+reference = 128
+"""))
+    assert str(parsed.value) == str(library.value)
+    with pytest.raises(ValueError) as library:
+        ldg.ProblemData(epsilon=float("nan"), omega=1.0)
+    cfg = write_config(tmp_path, "[problem]\nexample = 2\nepsilon = nan\n"
+                                 "[study]\nlevels = 32\nreference = 128\n")
+    assert main(["run", cfg]) == 1
+    assert capsys.readouterr().err == f"config error: {library.value}\n"
+
+
+def test_main_checks_the_output_directory_before_solving(tmp_path, capsys, monkeypatch):
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return control.pdas_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "pdas_solve", counted)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    cfg = write_config(tmp_path, f"[problem]\nexample = 1\n[study]\nlevels = 8, 32\n"
+                                 f"[output]\ndirectory = {taken}\n")
+    assert main(["run", cfg]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not solves
+
+
 @pytest.mark.parametrize("error", [SingularSystemError, ReducedSolveError])
 def test_main_linear_solve_failure_exit_code(tmp_path, capsys, monkeypatch, error):
     def fail(*args, **kwargs):
