@@ -20,7 +20,7 @@ and the data loads were assembled with that rule as well, so cost values
 and gradients stay mutually consistent.  Every norm and the nested-reference
 comparison evaluate all quadrature points of all elements or boundary
 edges in one batched call (``spaces.eval_field``, ``spaces.trace_on_edge``,
-``NestedLocator.locate``/``locate_boundary``).
+``geometry.NestedLocator.locate``/``locate_boundary``).
 """
 
 from __future__ import annotations
@@ -30,17 +30,16 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import DomainSpec, Mesh, build_polygon_mesh, data_values
+from .geometry import (DomainSpec, Mesh, NestedLocator, build_polygon_mesh, data_values,
+                       refine_uniform)
 from .ldg import ProblemData
 from .spaces import (
     DATA_DEGREE,
     DiscreteField,
-    barycentric,
+    domain_data_rule,
     edge_points,
     eval_field,
-    physical_points,
     quadrature_rule,
-    tri_basis_values,
     trace_on_edge,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "error_l2_boundary",
     "error_flux_normal_boundary",
     "convergence_rate",
-    "NestedLocator",
     "reference_compare",
     "closed_form_row",
     "ErrorReport",
@@ -74,7 +72,7 @@ class ManufacturedCase:
 
     The callables take physical points of shape (..., 2) and return shape
     (...) for the scalars (y, z, u, f, y_desired) or (..., 2) for the
-    gradients (grad_y, grad_z).  Construction validates
+    adjoint gradient grad_z.  Construction validates
     the two structural identities every admissible case must satisfy: the
     adjoint vanishes on the boundary, and the unconstrained optimality
     relation omega*u = eps * dz/dn holds along the boundary.
@@ -85,7 +83,6 @@ class ManufacturedCase:
     beta: tuple
     alpha: float
     y: Callable
-    grad_y: Callable
     z: Callable
     grad_z: Callable
     u: Callable
@@ -187,7 +184,6 @@ def manufactured_example1(epsilon: float = 1.0, omega: float = 1.0) -> Manufactu
         beta=(1.0, 1.0),
         alpha=alpha,
         y=y_fun,
-        grad_y=grad_y_fun,
         z=z_fun,
         grad_z=grad_z_fun,
         u=y_fun,
@@ -272,17 +268,22 @@ def example3_domain() -> DomainSpec:
 def example3_mesh(level: int, coarse: str = "fan3") -> Mesh:
     """Nested meshes of the slanted quadrilateral.
 
-    ``coarse`` selects the root triangulation: "fan3" inserts the boundary
-    point (0,1) on the top side and fans from the origin (3 root elements,
+    ``coarse`` selects the root triangulation: "fan3" fans from the origin
+    over the corners and the point (0,1) of the top side (3 root elements,
     counts 3*4^level); "diag2" splits along the diagonal from the origin
     (2 root elements, counts 2*4^level).
     """
-    domain = example3_domain()
-    if coarse == "fan3":
-        return build_polygon_mesh(domain, level, extra_boundary_points=[(0.0, 1.0)])
     if coarse == "diag2":
-        return build_polygon_mesh(domain, level)
-    raise ValueError(f"unknown coarse triangulation {coarse!r}")
+        return build_polygon_mesh(example3_domain(), level)
+    if coarse != "fan3":
+        raise ValueError(f"unknown coarse triangulation {coarse!r}")
+    if level < 0:
+        raise ValueError("refinement level must be nonnegative")
+    mesh = Mesh([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-np.sqrt(3.0), 1.0)],
+                [[0, 1, 2], [0, 2, 3], [0, 3, 4]])
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    return mesh
 
 
 def example3_data(epsilon: float = 1.0) -> ProblemData:
@@ -312,17 +313,10 @@ def example3_data(epsilon: float = 1.0) -> ProblemData:
 # error norms
 
 
-def _domain_quad(mesh):
-    rule = quadrature_rule("triangle", DATA_DEGREE)
-    lam = tri_basis_values(rule.points)
-    pts = physical_points(mesh, rule.points)
-    return rule, lam, pts
-
-
 def error_l2_domain(field: DiscreteField, exact) -> float:
     """L2(domain) distance between an element field and an exact function."""
     mesh = field.dofmap.mesh
-    rule, lam, pts = _domain_quad(mesh)
+    rule, lam, pts = domain_data_rule(mesh)
     if field.dofmap.kind == "scalar-element":
         vals_h = np.einsum("ti,ki->tk", field.coefficients.reshape(-1, 3), lam)
         diff2 = (data_values(exact, pts, "exact") - vals_h) ** 2
@@ -389,107 +383,15 @@ def convergence_rate(e_coarse: float, e_fine: float, halvings: float = 1.0) -> f
 # nested-mesh reference comparison
 
 
-class NestedLocator:
-    """Maps points of a coarse mesh into a refined mesh of the same family.
-
-    The fine mesh must descend from the coarse one through repeated uniform
-    refinement, which numbers the children of element t as 4t .. 4t+3 and
-    the midpoint of edge e as vertex nv + e (the parent chain is followed
-    and its boundary numbering verified).  Points are located by walking
-    down the chain and picking, per level, the child with the largest
-    smallest barycentric coordinate (the first child on a tie).  Boundary
-    points are located through a registration of the fine boundary edges
-    on the coarse ones, read from that numbering in O(nf) and sorted by
-    coarse edge, then by position:
-
-        boundary_coarse : (nf,) coarse edge containing each fine edge,
-        boundary_span : (nf, 2) parameters s0 < s1 of the fine edge's
-            endpoints along its coarse edge,
-        boundary_fine : (nf,) the fine boundary edge ids.
-    """
-
-    def __init__(self, coarse: Mesh, fine: Mesh):
-        chain = [fine]
-        mesh = fine
-        while mesh is not coarse:
-            if mesh.parent_mesh is None:
-                raise ValueError("meshes are not nested (no refinement chain found)")
-            mesh = mesh.parent_mesh
-            chain.append(mesh)
-        chain.reverse()
-        self.chain = chain  # coarse ... fine
-        self.coarse = coarse
-        self.fine = fine
-        self._register_boundary()
-
-    def _register_boundary(self):
-        # a refined boundary edge runs from an end of its parent edge e to
-        # the midpoint, vertex nv + e, or back; the parents compose down the
-        # chain, and the spans are measured along the coarse edges
-        coarse, fine = self.coarse, self.fine
-        edge = coarse.boundary_edges  # coarse edge of each boundary edge of a level
-        for parent, mesh in zip(self.chain, self.chain[1:]):
-            nv, ends = parent.num_vertices, mesh.edges[mesh.boundary_edges]
-            mid = ends.max(axis=1) - nv
-            pos = np.minimum(np.searchsorted(parent.boundary_edges, mid), edge.size - 1)
-            if not (np.array_equal(parent.boundary_edges[pos], mid) and np.array_equal(
-                    np.where(ends >= nv, nv + mid[:, None], parent.edges[mid]), ends)):
-                raise ValueError("fine boundary edge does not refine a coarse boundary edge")
-            edge = edge[pos]
-        starts = coarse.vertices[coarse.edges[edge, 0]]
-        tang = coarse.vertices[coarse.edges[edge, 1]] - starts
-        lengths = np.sqrt(np.sum(tang**2, axis=1))
-        unit = tang / lengths[:, None]
-        rel = fine.vertices[fine.edges[fine.boundary_edges]] - starts[:, None]  # (nf, end, 2)
-        span = (rel[..., 0] * unit[:, None, 0] + rel[..., 1] * unit[:, None, 1]) / lengths[:, None]
-        order = np.lexsort((span[:, 0], edge))
-        self.boundary_coarse = edge[order]
-        self.boundary_span = span[order]
-        self.boundary_fine = fine.boundary_edges[order]
-
-    def locate(self, elements, points):
-        """Fine elements containing points of the given coarse elements.
-
-        ``elements`` broadcasts against ``points`` (..., 2) without its last
-        axis; a scalar id with one point gives one fine element id.
-        """
-        t = np.asarray(elements)
-        for mesh in self.chain[1:]:
-            # child by child keeps the vertex gathers a quarter of the size
-            fit = np.stack([barycentric(mesh, 4 * t + k, points).min(axis=-1)
-                            for k in range(4)], axis=-1)
-            t = 4 * t + np.argmax(fit, axis=-1)
-        return t[()]
-
-    def locate_boundary(self, edges, s):
-        """Fine boundary edges and local parameters of coarse boundary points.
-
-        ``edges`` (coarse boundary edge ids) and ``s`` (parameters along
-        them) broadcast.  A point is given to the first fine edge of its
-        coarse edge that ends at or after it; the local parameter is
-        clamped to [0, 1].
-        """
-        edges, s = np.broadcast_arrays(np.asarray(edges), np.asarray(s, dtype=float))
-        # complex numbers sort lexicographically: by coarse edge, then by
-        # the end parameter of the fine edge (with its 1e-12 slack)
-        keys = self.boundary_coarse + 1j * (self.boundary_span[:, 1] + 1e-12)
-        last = np.searchsorted(self.boundary_coarse, edges, side="right") - 1
-        i = np.minimum(np.searchsorted(keys, edges + 1j * s), last)
-        if np.any(self.boundary_coarse[i] != edges):
-            raise ValueError("locate_boundary needs boundary edges of the coarse mesh")
-        s0, s1 = self.boundary_span[i, 0], self.boundary_span[i, 1]
-        return self.boundary_fine[i][()], np.clip((s - s0) / (s1 - s0), 0.0, 1.0)[()]
-
-
 def _error_row(sol, y_true, boundary_true) -> ErrorReportRow:
     """The four L2 columns of a study row on the solution's mesh, against a
     truth given at the data-rule points: ``y_true(pts)`` the state at the
-    points (nt, k, 2) of ``_domain_quad``, ``boundary_true(e, s, xg)`` the
+    points (nt, k, 2) of ``domain_data_rule``, ``boundary_true(e, s, xg)`` the
     control, the adjoint and the flux sqrt(eps) grad(z) at the edges e (b, 1),
     parameters s (k,) and points xg (b, k, 2) of ``_boundary_rule``.  Both
     control modes are measured pointwise, through ``sol.control_on_edge``."""
     mesh = sol.mesh
-    rule, lam, pts = _domain_quad(mesh)
+    rule, lam, pts = domain_data_rule(mesh)
     y_h = np.einsum("ti,ki->tk", sol.y.coefficients.reshape(-1, 3), lam)
     ids, s, xg, wt, n = _boundary_rule(mesh)
     e = ids[:, None]
@@ -555,14 +457,17 @@ class ErrorReport:
         return np.array([getattr(r, name) for r in self.rows])
 
     def rates(self, name: str):
-        """Per-row observed orders (None on the first row) against the row
-        before: rows m_coarse < m_fine elements lie 1/2 log2(m_fine / m_coarse)
-        halvings of h apart, as uniform refinement quadruples the count."""
+        """Per-row observed orders against the row before: rows m_coarse <
+        m_fine elements lie 1/2 log2(m_fine / m_coarse) halvings of h apart,
+        as uniform refinement quadruples the count.  None on the first row
+        and where either error is 0 (exact, as when every control sits on a
+        bound), which has no order."""
         vals = self.column(name)
         out = [None]
         for i in range(1, len(vals)):
             halvings = 0.5 * np.log2(self.rows[i].elements / self.rows[i - 1].elements)
-            out.append(convergence_rate(vals[i - 1], vals[i], halvings))
+            out.append(None if vals[i - 1] == 0.0 or vals[i] == 0.0
+                       else convergence_rate(vals[i - 1], vals[i], halvings))
         return out
 
     def __len__(self):

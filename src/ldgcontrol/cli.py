@@ -14,9 +14,11 @@ consistency battery), ``dump-mesh`` (text dump of the mesh of a count:
 for examples 1 and 2 ``build_unit_square_mesh(n)``, a study's mesh only at
 its first level, as later levels are ``refine_uniform`` refinements with
 other numbering; for example 3 the chain mesh every study uses).  Exit
-codes: 0 success, 1 configuration errors, 2 active-set nonconvergence,
-3 a failed linear solve (a singular factorization or a reduced solve that
-misses its tolerance).
+codes: 0 success, 1 configuration errors (an output that cannot be
+written among them), 2 active-set nonconvergence, 3 a failed linear solve
+(a singular factorization or a reduced solve that misses its tolerance).
+A rate cell is empty on a table's first row and where either error of
+the pair is 0.
 """
 
 from __future__ import annotations
@@ -55,12 +57,8 @@ OUTPUT_ROOT_VAR = "LDGCONTROL_OUTPUT_ROOT"
 CSV_HEADER = ("elements,h,err_y_L2,rate_y,err_u_Gamma,rate_u,"
               "err_z_Gamma,rate_z,err_pn_Gamma,rate_pn")
 
-_BOOL = {"true": True, "yes": True, "1": True, "on": True,
-         "false": False, "no": False, "0": False, "off": False}
-
-
 def _as_bool(raw):
-    return _BOOL[raw.lower()]
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
 def _as_pair(raw):
@@ -487,10 +485,8 @@ def _battery(seed: int = 0):
 def _cmd_run(args) -> int:
     config = RunConfig.from_file(args.config)
     outdir = config.resolve_output_dir()
-    try:  # before any solve: a study must not run for an unwritable directory
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {outdir}: {exc}") from exc
+    # before any solve: a study must not run for an unwritable directory
+    os.makedirs(outdir, exist_ok=True)
     # a kept solution holds its fields and boundary tables, not its level's
     # operators; the matrix output assembles its level again
     keep = [] if config.vtk or config.matrices else None
@@ -566,6 +562,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output: the config reader skips a file it cannot open
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 1
     except PdasNonconvergence as exc:
         print(f"active-set iteration failed: {exc}", file=sys.stderr)

@@ -27,14 +27,14 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import NestedLocator, _domain_quad
-from .geometry import data_values
+from .geometry import NestedLocator, data_values
 from .ldg import BlockOperator, BoundaryQuadrature, FluxParameters, ProblemData, assemble_forms
 from .linsolve import (_control_load, _gradient, _state_adjoint, solve_optimality_system,
                        solve_state)
 from .spaces import (
     FORM_DEGREE,
     DiscreteField,
+    domain_data_rule,
     edge_basis_values,
     quadrature_rule,
     trace_on_edge,
@@ -275,7 +275,7 @@ def evaluate_cost(y_h: DiscreteField, u_h, data: ProblemData, ops: BlockOperator
     weights for pointwise (variational) controls, which requires ``ops``.
     """
     mesh = y_h.dofmap.mesh
-    rule, lam, pts = _domain_quad(mesh)
+    rule, lam, pts = domain_data_rule(mesh)
     diff = (np.einsum("ti,ki->tk", y_h.coefficients.reshape(-1, 3), lam)
             - data_values(data.y_desired, pts, "y_desired"))
     track = float((2.0 * mesh.areas) @ (diff**2 @ rule.weights))
@@ -330,13 +330,10 @@ def fd_gradient_check(ops: BlockOperator, u, delta_u) -> FdGradientCheck:
 
 
 def _initial_control(data: ProblemData, n: int) -> np.ndarray:
+    """The midpoint of two finite bounds, else the admissible value nearest 0."""
     if np.isfinite(data.u_lower) and np.isfinite(data.u_upper):
         return np.full(n, 0.5 * (data.u_lower + data.u_upper))
-    if np.isfinite(data.u_lower):
-        return np.full(n, max(0.0, data.u_lower))
-    if np.isfinite(data.u_upper):
-        return np.full(n, min(0.0, data.u_upper))
-    return np.zeros(n)
+    return np.full(n, project_admissible(0.0, data.u_lower, data.u_upper))
 
 
 def _prolonged_start(ops: BlockOperator, data: ProblemData, mode: str,

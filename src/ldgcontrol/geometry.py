@@ -13,8 +13,9 @@ fixed-size blocks on such a pattern as one array, written block by block,
 and makes it a CSR matrix less its stored zeros.
 
 Uniform (red) refinement splits each triangle into four congruent children
-and keeps a parent-child map, so fields computed on a refined mesh can be
-evaluated inside any element of a coarser mesh of the same hierarchy.
+and keeps a parent-child map; ``NestedLocator`` reads its numbering to find
+the fine element or boundary edge of each point of a coarser mesh of the
+same hierarchy, so fields computed on a refined mesh can be evaluated there.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ __all__ = [
     "build_unit_square_mesh",
     "build_polygon_mesh",
     "refine_uniform",
+    "barycentric",
+    "NestedLocator",
     "DissectionTree",
     "dissection_order",
     "data_values",
@@ -304,37 +307,16 @@ def build_unit_square_mesh(n: int) -> Mesh:
     return Mesh(vertices, triangles)
 
 
-def build_polygon_mesh(domain: DomainSpec, level: int, extra_boundary_points=None) -> Mesh:
+def build_polygon_mesh(domain: DomainSpec, level: int) -> Mesh:
     """Coarse fan triangulation of a convex polygon, red-refined `level` times.
 
-    The coarse mesh fans out from the first polygon vertex over the boundary
-    loop.  ``extra_boundary_points`` may list points to insert into the loop
-    first; each must lie on one of the polygon's sides.  The element count
-    multiplies by 4 per refinement level.
+    The coarse mesh fans out from the first polygon vertex over the
+    corners.  The element count multiplies by 4 per refinement level.
     """
     if level < 0:
         raise ValueError("refinement level must be nonnegative")
-    loop = [domain.vertices[i] for i in range(domain.vertices.shape[0])]
-    if extra_boundary_points is not None:
-        for p in extra_boundary_points:
-            p = np.asarray(p, dtype=float)
-            placed = False
-            for i in range(len(loop)):
-                a, b = loop[i], loop[(i + 1) % len(loop)]
-                ab = b - a
-                ap = p - a
-                cross = ab[0] * ap[1] - ab[1] * ap[0]
-                t = np.dot(ap, ab) / np.dot(ab, ab)
-                if abs(cross) < 1e-12 * np.linalg.norm(ab) and 1e-12 < t < 1 - 1e-12:
-                    loop.insert(i + 1, p)
-                    placed = True
-                    break
-            if not placed:
-                raise ValueError(f"extra boundary point {p} does not lie on a polygon side")
-    loop = np.array(loop)
-    k = loop.shape[0]
-    triangles = np.array([[0, i, i + 1] for i in range(1, k - 1)], dtype=np.int64)
-    mesh = Mesh(loop, triangles)
+    k = domain.vertices.shape[0]
+    mesh = Mesh(domain.vertices.copy(), [[0, i, i + 1] for i in range(1, k - 1)])
     for _ in range(level):
         mesh = refine_uniform(mesh)
     return mesh
@@ -344,8 +326,10 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     """Red refinement: split each triangle into 4 congruent children.
 
     Edge midpoints become new vertices (one per edge, so the refined mesh is
-    conforming).  The result stores the parent-child map and a reference to
-    the input mesh.
+    conforming): the midpoint of edge e is vertex nv + e, and the children
+    of element t are elements 4t .. 4t+3, the last one the middle triangle.
+    The result stores the parent-child map and a reference to the input
+    mesh.
     """
     nv = mesh.num_vertices
     midpoints = mesh.edge_midpoints()
@@ -366,6 +350,113 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     triangles[2::4] = np.column_stack([v[:, 2], mid_of[:, 1], mid_of[:, 0]])
     triangles[3::4] = mid_of
     return Mesh(vertices, triangles, parent=parent, parent_mesh=mesh)
+
+
+def barycentric(mesh: Mesh, elements, points) -> np.ndarray:
+    """Barycentric coordinates (..., 3) of points (..., 2) in elements (...).
+
+    ``elements`` broadcasts against ``points`` without its last axis.
+    """
+    p = mesh.vertices[mesh.triangles[elements]]  # (..., 3, 2)
+    d1 = p[..., 1, :] - p[..., 0, :]
+    d2 = p[..., 2, :] - p[..., 0, :]
+    r = np.asarray(points, dtype=float) - p[..., 0, :]
+    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    x = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / det
+    y = (d1[..., 0] * r[..., 1] - d1[..., 1] * r[..., 0]) / det
+    return np.stack([1.0 - x - y, x, y], axis=-1)
+
+
+class NestedLocator:
+    """Maps points of a coarse mesh into a refined mesh of the same family.
+
+    The fine mesh must descend from the coarse one through repeated
+    ``refine_uniform``, whose numbering (children 4t .. 4t+3, edge
+    midpoints nv + e) it reads; the parent chain is followed and its
+    boundary numbering verified.  Points are located by walking
+    down the chain and picking, per level, the child with the largest
+    smallest barycentric coordinate (the first child on a tie).  Boundary
+    points are located through a registration of the fine boundary edges
+    on the coarse ones, read from that numbering in O(nf) and sorted by
+    coarse edge, then by position:
+
+        boundary_coarse : (nf,) coarse edge containing each fine edge,
+        boundary_span : (nf, 2) parameters s0 < s1 of the fine edge's
+            endpoints along its coarse edge,
+        boundary_fine : (nf,) the fine boundary edge ids.
+    """
+
+    def __init__(self, coarse: Mesh, fine: Mesh):
+        chain = [fine]
+        mesh = fine
+        while mesh is not coarse:
+            if mesh.parent_mesh is None:
+                raise ValueError("meshes are not nested (no refinement chain found)")
+            mesh = mesh.parent_mesh
+            chain.append(mesh)
+        chain.reverse()
+        self.chain = chain  # coarse ... fine
+        self.coarse = coarse
+        self.fine = fine
+        self._register_boundary()
+
+    def _register_boundary(self):
+        # a refined boundary edge runs from an end of its parent edge e to
+        # the midpoint, vertex nv + e, or back; the parents compose down the
+        # chain, and the spans are measured along the coarse edges
+        coarse, fine = self.coarse, self.fine
+        edge = coarse.boundary_edges  # coarse edge of each boundary edge of a level
+        for parent, mesh in zip(self.chain, self.chain[1:]):
+            nv, ends = parent.num_vertices, mesh.edges[mesh.boundary_edges]
+            mid = ends.max(axis=1) - nv
+            pos = np.minimum(np.searchsorted(parent.boundary_edges, mid), edge.size - 1)
+            if not (np.array_equal(parent.boundary_edges[pos], mid) and np.array_equal(
+                    np.where(ends >= nv, nv + mid[:, None], parent.edges[mid]), ends)):
+                raise ValueError("fine boundary edge does not refine a coarse boundary edge")
+            edge = edge[pos]
+        starts = coarse.vertices[coarse.edges[edge, 0]]
+        tang = coarse.vertices[coarse.edges[edge, 1]] - starts
+        lengths = np.sqrt(np.sum(tang**2, axis=1))
+        unit = tang / lengths[:, None]
+        rel = fine.vertices[fine.edges[fine.boundary_edges]] - starts[:, None]  # (nf, end, 2)
+        span = (rel[..., 0] * unit[:, None, 0] + rel[..., 1] * unit[:, None, 1]) / lengths[:, None]
+        order = np.lexsort((span[:, 0], edge))
+        self.boundary_coarse = edge[order]
+        self.boundary_span = span[order]
+        self.boundary_fine = fine.boundary_edges[order]
+
+    def locate(self, elements, points):
+        """Fine elements containing points of the given coarse elements.
+
+        ``elements`` broadcasts against ``points`` (..., 2) without its last
+        axis; a scalar id with one point gives one fine element id.
+        """
+        t = np.asarray(elements)
+        for mesh in self.chain[1:]:
+            # child by child keeps the vertex gathers a quarter of the size
+            fit = np.stack([barycentric(mesh, 4 * t + k, points).min(axis=-1)
+                            for k in range(4)], axis=-1)
+            t = 4 * t + np.argmax(fit, axis=-1)
+        return t[()]
+
+    def locate_boundary(self, edges, s):
+        """Fine boundary edges and local parameters of coarse boundary points.
+
+        ``edges`` (coarse boundary edge ids) and ``s`` (parameters along
+        them) broadcast.  A point is given to the first fine edge of its
+        coarse edge that ends at or after it; the local parameter is
+        clamped to [0, 1].
+        """
+        edges, s = np.broadcast_arrays(np.asarray(edges), np.asarray(s, dtype=float))
+        # complex numbers sort lexicographically: by coarse edge, then by
+        # the end parameter of the fine edge (with its 1e-12 slack)
+        keys = self.boundary_coarse + 1j * (self.boundary_span[:, 1] + 1e-12)
+        last = np.searchsorted(self.boundary_coarse, edges, side="right") - 1
+        i = np.minimum(np.searchsorted(keys, edges + 1j * s), last)
+        if np.any(self.boundary_coarse[i] != edges):
+            raise ValueError("locate_boundary needs boundary edges of the coarse mesh")
+        s0, s1 = self.boundary_span[i, 0], self.boundary_span[i, 1]
+        return self.boundary_fine[i][()], np.clip((s - s0) / (s1 - s0), 0.0, 1.0)[()]
 
 
 # tree nodes of at most this many points are leaves of the dissection

@@ -38,7 +38,7 @@ the inflow mask of the boundary edges, read from the same array of
 beta(midpoint) . n as D11; and the one formula of kappa
 (``FluxParameters.kappa``), which each boundary term evaluates at its own
 points.  The forms use ``spaces.FORM_DEGREE`` rules and
-the data loads ``spaces.DATA_DEGREE`` rules.
+the data loads the ``DATA_DEGREE`` rule of ``spaces.domain_data_rule``.
 
 Assembly is batched over all elements and, in chunks of ``_EDGE_CHUNK``
 edges, over all edges.  Each edge side gets a trace table L[e, side, g, i]
@@ -87,9 +87,9 @@ import scipy.sparse as sp
 
 from .geometry import BlockLayout, Mesh, data_values
 from .spaces import (
-    DATA_DEGREE,
     FORM_DEGREE,
     SpaceSet,
+    domain_data_rule,
     edge_basis_values,
     edge_points,
     edge_trace_table,
@@ -333,9 +333,9 @@ def _block_rows(blocks, columns, num_cols):
 def _load_vector(mesh, fun, name):
     """(fun, v) for every scalar basis function v, by the data rule
     (``data_values`` checks the values of the data ``name``)."""
-    rule = quadrature_rule("triangle", DATA_DEGREE)
-    vals = data_values(fun, physical_points(mesh, rule.points), name)  # (nt, k)
-    load = np.einsum("tg,gi->ti", vals, rule.weights[:, None] * tri_basis_values(rule.points))
+    rule, lam, pts = domain_data_rule(mesh)
+    vals = data_values(fun, pts, name)  # (nt, k)
+    load = np.einsum("tg,gi->ti", vals, rule.weights[:, None] * lam)
     return ((2.0 * mesh.areas)[:, None] * load).ravel()
 
 

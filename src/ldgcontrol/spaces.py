@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Mesh, _text_lines
+from .geometry import Mesh, _text_lines, barycentric
 
 __all__ = [
     "DofMap",
@@ -37,9 +37,9 @@ __all__ = [
     "DATA_DEGREE",
     "SpaceSet",
     "quadrature_rule",
+    "domain_data_rule",
     "eval_field",
     "trace_on_edge",
-    "barycentric",
     "edge_points",
     "edge_trace_table",
     "element_gradients",
@@ -169,19 +169,12 @@ def physical_points(mesh: Mesh, ref_points) -> np.ndarray:
     return lam @ mesh.vertices[mesh.triangles]
 
 
-def barycentric(mesh: Mesh, elements, points) -> np.ndarray:
-    """Barycentric coordinates (..., 3) of points (..., 2) in elements (...).
-
-    ``elements`` broadcasts against ``points`` without its last axis.
-    """
-    p = mesh.vertices[mesh.triangles[elements]]  # (..., 3, 2)
-    d1 = p[..., 1, :] - p[..., 0, :]
-    d2 = p[..., 2, :] - p[..., 0, :]
-    r = np.asarray(points, dtype=float) - p[..., 0, :]
-    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-    x = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / det
-    y = (d1[..., 0] * r[..., 1] - d1[..., 1] * r[..., 0]) / det
-    return np.stack([1.0 - x - y, x, y], axis=-1)
+def domain_data_rule(mesh: Mesh):
+    """The ``DATA_DEGREE`` rule on every element, as the data loads, the
+    cost and the error norms use it: the rule, the nodal basis at its
+    points (k, 3) and the physical points (nt, k, 2)."""
+    rule = quadrature_rule("triangle", DATA_DEGREE)
+    return rule, tri_basis_values(rule.points), physical_points(mesh, rule.points)
 
 
 def edge_points(mesh: Mesh, edges, s) -> np.ndarray:

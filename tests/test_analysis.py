@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from ldgcontrol.analysis import (
     ErrorReport,
     ErrorReportRow,
-    NestedLocator,
     check_strong_form,
     closed_form_row,
     convergence_rate,
@@ -26,7 +25,8 @@ from ldgcontrol.analysis import (
     reference_compare,
 )
 from ldgcontrol.control import pdas_solve
-from ldgcontrol.geometry import Mesh, build_unit_square_mesh, data_values, refine_uniform
+from ldgcontrol.geometry import (Mesh, NestedLocator, build_unit_square_mesh, data_values,
+                                 refine_uniform)
 from ldgcontrol.ldg import assemble_forms
 from ldgcontrol.spaces import (
     DiscreteField,

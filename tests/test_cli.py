@@ -190,13 +190,32 @@ def test_main_rejects_example1_reference_and_off_chain_levels(tmp_path, capsys, 
 def test_run_reports_a_malformed_ini_as_a_config_error(tmp_path, body):
     cfg = tmp_path / "run.ini"
     cfg.write_bytes(body.encode("latin-1"))  # the last file's byte 0xe9 is no UTF-8
+    result = _cli(tmp_path, "run", cfg)
+    assert result.returncode == 1
+    assert result.stderr.startswith("config error:")
+    assert "Traceback" not in result.stderr
+
+
+def _cli(cwd, *args):
+    """``python -m ldgcontrol.cli *args`` in a fresh interpreter, run in ``cwd``."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    result = subprocess.run([sys.executable, "-m", "ldgcontrol.cli", "run", cfg], env=env,
-                            capture_output=True, text=True, cwd=tmp_path)
+    return subprocess.run([sys.executable, "-m", "ldgcontrol.cli", *map(str, args)], env=env,
+                          capture_output=True, text=True, cwd=cwd)
+
+
+@pytest.mark.parametrize("command", [
+    ["dump-mesh", "--elements", "32", "--output", "missing/m.txt"],
+    ["run", "run.ini"],  # solves the study, then meets the directory out/table.csv
+], ids=["dump-mesh-into-a-missing-directory", "run-onto-a-directory"])
+def test_main_reports_an_unwritable_output(tmp_path, command):
+    (tmp_path / "out" / "table.csv").mkdir(parents=True)
+    write_config(tmp_path, "[problem]\nexample = 1\n[study]\nlevels = 8, 32\n"
+                           "[output]\ndirectory = out\n")
+    result = _cli(tmp_path, *command)
     assert result.returncode == 1
-    assert result.stderr.startswith("config error:")
+    assert result.stderr.startswith("config error: cannot write ")
     assert "Traceback" not in result.stderr
 
 
@@ -727,6 +746,32 @@ def test_main_linear_solve_failure_exit_code(tmp_path, capsys, monkeypatch, erro
     cfg = write_config(tmp_path, EX1_TWO_LEVELS.format(out=tmp_path / "out"))
     assert main(["run", cfg]) == 3
     assert capsys.readouterr().err == "linear solve failed: factor of S is singular\n"
+
+
+def test_zero_error_column_has_no_rates(tmp_path):
+    # at omega = 1e-2 every control of example 2 sits on a bound, so the
+    # control error is exactly 0 on every row and has no observed order
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"""
+[problem]
+example = 2
+omega = 1e-2
+
+[study]
+levels = 32, 128
+reference = 512
+
+[output]
+directory = {out}
+markdown = true
+""")
+    assert main(["run", cfg]) == 0
+    header, *rows = (line.split(",") for line in (out / "table.csv").read_text().splitlines())
+    u = header.index("err_u_Gamma")
+    assert [row[u:u + 2] for row in rows] == [["0.00e+00", ""], ["0.00e+00", ""]]
+    assert rows[1][header.index("rate_y")] != ""
+    table = (out / "table.md").read_text().splitlines()
+    assert [line.split(" | ")[u:u + 2] for line in table[2:]] == [["0.00e+00", "--"]] * 2
 
 
 def test_main_dump_mesh(tmp_path):

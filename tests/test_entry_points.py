@@ -43,10 +43,9 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
-def test_package_imports_form_no_cycle():
-    # every relative import of a package module, at module level or inside
-    # a function, is an edge; ldg builds a level and linsolve solves it, so
-    # ldg must not import linsolve back
+def _package_imports():
+    """module -> the package modules it imports: every relative import, at
+    module level or inside a function, is an edge."""
     graph = {}
     for path in sorted(PACKAGE.glob("*.py")):
         edges = graph.setdefault(path.stem, set())
@@ -56,11 +55,28 @@ def test_package_imports_form_no_cycle():
                     edges.add(node.module.split(".")[0])
                 else:
                     edges.update(alias.name for alias in node.names)
+    return graph
+
+
+def test_package_imports_form_no_cycle():
+    # ldg builds a level and linsolve solves it, so ldg must not import
+    # linsolve back
+    graph = _package_imports()
     try:
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         # graphlib lists each module before a module that imports it
         raise AssertionError(f"import cycle: {' -> '.join(reversed(exc.args[1]))}") from None
+
+
+def test_solver_layers_do_not_import_the_study_layer():
+    # geometry -> spaces -> ldg -> linsolve -> control solve a level;
+    # analysis and cli measure and drive studies on top of them
+    graph = _package_imports()
+    upward = {f"{module} imports {', '.join(sorted(graph[module] & {'analysis', 'cli'}))}"
+              for module in ("geometry", "spaces", "ldg", "linsolve", "control")
+              if graph[module] & {"analysis", "cli"}}
+    assert not upward, sorted(upward)
 
 
 def _references(path):

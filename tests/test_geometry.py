@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ldgcontrol.analysis import example3_mesh
+from ldgcontrol.analysis import example3_domain, example3_mesh
 from ldgcontrol.geometry import (
     DomainSpec,
     Mesh,
@@ -141,16 +141,11 @@ def _polygon_area(vertices):
 
 
 def test_polygon_fan_counts():
-    quad = DomainSpec([(0, 0), (1, 0), (1, 1), (-np.sqrt(3.0), 1)])
-    coarse = build_polygon_mesh(quad, 0, extra_boundary_points=[(0.0, 1.0)])
-    assert coarse.num_elements == 3
-    m1 = build_polygon_mesh(quad, 1, extra_boundary_points=[(0.0, 1.0)])
-    assert m1.num_elements == 12
-    m2 = build_polygon_mesh(quad, 2, extra_boundary_points=[(0.0, 1.0)])
-    assert m2.num_elements == 48
+    quad = example3_domain()
+    assert [example3_mesh(level).num_elements for level in range(3)] == [3, 12, 48]
     area = _polygon_area(quad.vertices)
-    assert abs(m2.areas.sum() - area) < 1e-12 * area
-    # without the inserted point the fan has 2 coarse triangles
+    assert abs(example3_mesh(2).areas.sum() - area) < 1e-12 * area
+    # the fan of the corners alone has 2 coarse triangles
     alt = build_polygon_mesh(quad, 2)
     assert alt.num_elements == 32
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ldgcontrol.geometry import Mesh, build_unit_square_mesh
+from ldgcontrol.geometry import Mesh, barycentric, build_unit_square_mesh
 from ldgcontrol.spaces import (
     BOUNDARY,
     DATA_DEGREE,
@@ -12,7 +12,6 @@ from ldgcontrol.spaces import (
     VECTOR,
     DiscreteField,
     DofMap,
-    barycentric,
     edge_basis_values,
     eval_field,
     physical_points,
