@@ -30,8 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (DomainSpec, Mesh, NestedLocator, build_polygon_mesh, data_values,
-                       refine_uniform)
+from .geometry import Mesh, NestedLocator, data_values, refine_uniform
 from .ldg import ProblemData
 from .spaces import (
     DATA_DEGREE,
@@ -48,7 +47,7 @@ __all__ = [
     "manufactured_example1",
     "check_strong_form",
     "example2_data",
-    "example3_domain",
+    "EXAMPLE3_ROOTS",
     "example3_mesh",
     "example3_data",
     "error_l2_domain",
@@ -90,13 +89,7 @@ class ManufacturedCase:
     y_desired: Callable
 
     def __post_init__(self):
-        # 25 points inside each side, counterclockwise from the origin,
-        # with the side's outward normal
-        t = np.linspace(0.05, 0.95, 25)
-        zero, one = np.zeros_like(t), np.ones_like(t)
-        pts = np.column_stack([np.concatenate([t, one, 1.0 - t, zero]),
-                               np.concatenate([zero, t, one, 1.0 - t])])
-        normals = np.repeat([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], t.size, axis=0)
+        pts, normals = _side_samples()
         bad = np.abs(data_values(self.z, pts, "z")) > 1e-12
         if bad.any():
             raise ValueError(f"adjoint does not vanish on the boundary at {pts[bad][0]}")
@@ -112,7 +105,9 @@ class ManufacturedCase:
 
         The auxiliary C12 direction is set to the velocity field, so edges
         whose normal is orthogonal to it take the central flux; this is the
-        convention the stored reference errors were computed with.
+        convention the stored reference errors were computed with.  Raises
+        ValueError when the closed-form control leaves the bounds at the
+        corners or the side samples, where it is no longer the optimum.
         """
         kwargs = dict(
             epsilon=self.epsilon,
@@ -124,7 +119,24 @@ class ManufacturedCase:
             c12_direction=tuple(self.beta),
         )
         kwargs.update(overrides)
-        return ProblemData(**kwargs)
+        data = ProblemData(**kwargs)
+        pts = np.vstack([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], _side_samples()[0]])
+        u = data_values(self.u, pts, "u")
+        bad = (u < data.u_lower) | (u > data.u_upper)
+        if bad.any():
+            raise ValueError(f"the closed-form control leaves the bounds [{data.u_lower}, "
+                             f"{data.u_upper}] at {pts[bad][0]}")
+        return data
+
+
+def _side_samples():
+    """25 points inside each side of the unit square, counterclockwise from the
+    origin (the midpoints among them), and the side's outward normal at each."""
+    t = np.linspace(0.05, 0.95, 25)
+    zero, one = np.zeros_like(t), np.ones_like(t)
+    pts = np.column_stack([np.concatenate([t, one, 1.0 - t, zero]),
+                           np.concatenate([zero, t, one, 1.0 - t])])
+    return pts, np.repeat([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], t.size, axis=0)
 
 
 def manufactured_example1(epsilon: float = 1.0, omega: float = 1.0) -> ManufacturedCase:
@@ -256,31 +268,23 @@ def example2_data(epsilon: float = 1.0) -> ProblemData:
     )
 
 
-def example3_domain() -> DomainSpec:
-    """Convex quadrilateral with its largest corner at the origin.
-
-    Vertices (0,0), (1,0), (1,1), (-sqrt(3),1): the interior angle at the
-    origin is 150 degrees.
-    """
-    return DomainSpec([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (-np.sqrt(3.0), 1.0)])
+# The roots (vertices, triangles) of example 3's quadrilateral (0,0), (1,0), (1,1),
+# (-sqrt(3),1), with a 150-degree corner at the origin: "fan3" fans from the origin
+# over the corners and the point (0,1), "diag2" splits it along the diagonal.
+EXAMPLE3_ROOTS = {
+    "fan3": ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-np.sqrt(3.0), 1.0)],
+             [[0, 1, 2], [0, 2, 3], [0, 3, 4]]),
+    "diag2": ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (-np.sqrt(3.0), 1.0)],
+              [[0, 1, 2], [0, 2, 3]]),
+}
 
 
 def example3_mesh(level: int, coarse: str = "fan3") -> Mesh:
-    """Nested meshes of the slanted quadrilateral.
-
-    ``coarse`` selects the root triangulation: "fan3" fans from the origin
-    over the corners and the point (0,1) of the top side (3 root elements,
-    counts 3*4^level); "diag2" splits along the diagonal from the origin
-    (2 root elements, counts 2*4^level).
-    """
-    if coarse == "diag2":
-        return build_polygon_mesh(example3_domain(), level)
-    if coarse != "fan3":
-        raise ValueError(f"unknown coarse triangulation {coarse!r}")
+    """The root ``EXAMPLE3_ROOTS[coarse]`` refined ``level`` times: 3 * 4^level
+    elements for "fan3", 2 * 4^level for "diag2"."""
     if level < 0:
         raise ValueError("refinement level must be nonnegative")
-    mesh = Mesh([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-np.sqrt(3.0), 1.0)],
-                [[0, 1, 2], [0, 2, 3], [0, 3, 4]])
+    mesh = Mesh(*EXAMPLE3_ROOTS[coarse])
     for _ in range(level):
         mesh = refine_uniform(mesh)
     return mesh

@@ -10,12 +10,11 @@ the same chain, solved last.  All outputs are plain text and bytewise
 deterministic for a fixed config.
 
 Subcommands: ``run`` (study from a config file), ``check`` (built-in
-consistency battery), ``dump-mesh`` (text dump of the mesh of a count:
-for examples 1 and 2 ``build_unit_square_mesh(n)``, a study's mesh only at
-its first level, as later levels are ``refine_uniform`` refinements with
-other numbering; for example 3 the chain mesh every study uses).  Exit
-codes: 0 success, 1 configuration errors (an output that cannot be
-written among them), 2 active-set nonconvergence, 3 a failed linear solve
+consistency battery), ``dump-mesh`` (text dump of the mesh of a count as
+``_mesh_chain`` builds it alone: on the square a study's mesh only at its
+first level, as later levels are refinements with other numbering).  Exit
+codes: 0 success, 1 configuration and usage errors (an output that cannot
+be written among them), 2 active-set nonconvergence, 3 a failed linear solve
 (a singular factorization or a reduced solve that misses its tolerance).
 A rate cell is empty on a table's first row and where either error of
 the pair is 0.
@@ -26,12 +25,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import os
 import sys
 
 import numpy as np
 
 from .analysis import (
+    EXAMPLE3_ROOTS,
     ErrorReport,
     ErrorReportRow,
     check_strong_form,
@@ -86,29 +87,26 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent run configurations."""
 
 
-def _mesh_level(example: int, elements: int, coarse: str = "fan3") -> int:
-    """Mesh parameter of an element count: n with 2 n^2 elements on the
-    unit square (examples 1, 2), or the refinement level k with
-    base * 4^k elements on the skewed domain (example 3)."""
-    if elements < 1:
-        raise ConfigError(f"{elements} is not a positive element count")
-    if example in (1, 2):
-        n = int(round(np.sqrt(elements / 2.0)))
-        if 2 * n * n != elements:
-            raise ConfigError(
-                f"{elements} is not a valid element count for the square "
-                f"(needs 2 n^2)")
-        return n
-    base = example3_mesh(0, coarse).num_elements
-    level, k = 0, elements
-    while k % 4 == 0:
-        k //= 4
-        level += 1
-    if k != base:
-        raise ConfigError(
-            f"{elements} is not a valid element count for the skewed "
-            f"domain (needs {base} * 4^k)")
-    return level
+def _chain_depths(example: int, counts, coarse: str = "fan3") -> list:
+    """The refinement depth of each element count below the root of its
+    chain, checked by arithmetic alone (no mesh is built).  The root is the
+    unit square with 2 n^2 elements at the first count (examples 1, 2) or
+    ``EXAMPLE3_ROOTS[coarse]`` (example 3); each count is base * 4^k."""
+    square = example in (1, 2)
+    base = counts[0] if square else len(EXAMPLE3_ROOTS[coarse][1])
+    off_chain = (f"does not lie on the refinement chain of {base}" if square else
+                 f"is not a valid element count for the skewed domain (needs {base} * 4^k)")
+    depths = []
+    for m in counts:
+        if m < 1:
+            raise ConfigError(f"{m} is not a positive element count")
+        if square and 2 * math.isqrt(m // 2) ** 2 != m:
+            raise ConfigError(f"{m} is not a valid element count for the square (needs 2 n^2)")
+        depth = (m // base).bit_length() // 2  # uniform refinement quadruples the count
+        if base * 4**depth != m:
+            raise ConfigError(f"{m} {off_chain}")
+        depths.append(depth)
+    return depths
 
 
 @dataclasses.dataclass
@@ -148,7 +146,7 @@ class RunConfig:
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ConfigError("mesh sequence must be strictly increasing")
         self.levels = levels
-        if self.coarse not in ("fan3", "diag2"):
+        if self.coarse not in EXAMPLE3_ROOTS:
             raise ConfigError(f"unknown coarse-mesh family {self.coarse!r}")
         if self.example == 1 and self.reference is not None:
             raise ConfigError("example 1 takes no reference: it has a closed form")
@@ -156,7 +154,7 @@ class RunConfig:
             raise ConfigError("examples 2 and 3 need a reference element count")
         if self.reference is not None and self.reference <= levels[-1]:
             raise ConfigError("reference mesh must be deeper than the deepest study level")
-        self._validate_chain()
+        _chain_depths(self.example, self.counts, self.coarse)
         self.data, self.case = _example_data(self)
 
     @property
@@ -164,16 +162,6 @@ class RunConfig:
         """Element counts the study solves: the levels, then the reference
         when there is one."""
         return self.levels + (() if self.reference is None else (self.reference,))
-
-    def _validate_chain(self):
-        base = self.counts[0]
-        for m in self.counts:
-            _mesh_level(self.example, m, self.coarse)
-            ratio = m // base
-            # uniform refinement multiplies the count by 4 per level
-            power_of_four = not (ratio & (ratio - 1)) and ratio.bit_length() % 2 == 1
-            if base * ratio != m or not power_of_four:
-                raise ConfigError(f"{m} does not lie on the refinement chain of {base}")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -231,19 +219,15 @@ def _example_data(config: RunConfig):
         raise ConfigError(str(exc)) from exc
 
 
-def _mesh_chain(config: RunConfig) -> list:
-    """The meshes of ``config.counts``, in order, nested along one
-    uniform-refinement chain (the config has checked that they lie on it)."""
-    if config.example in (1, 2):
-        mesh = build_unit_square_mesh(_mesh_level(config.example, config.counts[0]))
-    else:
-        mesh = example3_mesh(0, coarse=config.coarse)
-    chain = []
-    for m in config.counts:
-        while mesh.num_elements < m:
-            mesh = refine_uniform(mesh)
-        chain.append(mesh)
-    return chain
+def _mesh_chain(example: int, counts, coarse: str = "fan3") -> list:
+    """The meshes of the element counts ``counts``, in order, nested along
+    one uniform-refinement chain from the root of ``_chain_depths``."""
+    depths = _chain_depths(example, counts, coarse)
+    meshes = [build_unit_square_mesh(math.isqrt(counts[0] // 2)) if example in (1, 2)
+              else example3_mesh(0, coarse)]
+    for _ in range(depths[-1]):
+        meshes.append(refine_uniform(meshes[-1]))
+    return [meshes[depth] for depth in depths]
 
 
 def _solve_level(mesh, data, config: RunConfig, elements: int, start=None):
@@ -275,7 +259,7 @@ def run_example(config: RunConfig, keep_solutions: list = None) -> ErrorReport:
     alive while one is built.
     """
     solved, sol = [], None
-    for m, mesh in zip(config.counts, _mesh_chain(config)):
+    for m, mesh in zip(config.counts, _mesh_chain(config.example, config.counts, config.coarse)):
         sol = _solve_level(mesh, config.data, config, m, start=sol)
         solved.append((m, mesh, sol))
     reference = solved.pop()[2] if config.reference is not None else None
@@ -520,14 +504,15 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dump_mesh(args) -> int:
-    level = _mesh_level(args.example, args.elements, args.coarse)
-    if args.example in (1, 2):
-        mesh = build_unit_square_mesh(level)
-    else:
-        mesh = example3_mesh(level, coarse=args.coarse)
-    write_mesh_text(mesh, args.output)
+    write_mesh_text(_mesh_chain(args.example, (args.elements,), args.coarse)[0], args.output)
     print(f"wrote {args.output}")
     return 0
+
+
+def _seed(raw):
+    if not raw.isdigit():
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def _build_parser():
@@ -542,22 +527,24 @@ def _build_parser():
     p_run.set_defaults(func=_cmd_run)
 
     p_check = sub.add_parser("check", help="run the built-in consistency battery")
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=_seed, default=0)
     p_check.set_defaults(func=_cmd_check)
 
     p_dump = sub.add_parser("dump-mesh", help="write the mesh of a count as text "
                             "(examples 1, 2: a study's mesh at its first level only)")
     p_dump.add_argument("--example", type=int, default=1, choices=(1, 2, 3))
     p_dump.add_argument("--elements", type=int, required=True)
-    p_dump.add_argument("--coarse", default="fan3", choices=("fan3", "diag2"))
+    p_dump.add_argument("--coarse", default="fan3", choices=tuple(EXAMPLE3_ROOTS))
     p_dump.add_argument("--output", required=True)
     p_dump.set_defaults(func=_cmd_dump_mesh)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage printed: 0 after --help, else a usage error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -12,8 +12,8 @@ neighbours, padded to four slots), and ``BlockLayout`` holds a matrix of
 fixed-size blocks on such a pattern as one array, written block by block,
 and makes it a CSR matrix less its stored zeros.
 
-Uniform (red) refinement splits each triangle into four congruent children
-and keeps a parent-child map; ``NestedLocator`` reads its numbering to find
+Uniform (red) refinement splits each triangle into four congruent children,
+numbered after their parent; ``NestedLocator`` reads that numbering to find
 the fine element or boundary edge of each point of a coarser mesh of the
 same hierarchy, so fields computed on a refined mesh can be evaluated there.
 """
@@ -27,12 +27,10 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "DomainSpec",
     "Mesh",
     "ElementAdjacency",
     "BlockLayout",
     "build_unit_square_mesh",
-    "build_polygon_mesh",
     "refine_uniform",
     "barycentric",
     "NestedLocator",
@@ -41,37 +39,6 @@ __all__ = [
     "data_values",
     "write_mesh_text",
 ]
-
-
-class DomainSpec:
-    """A convex polygonal computational domain.
-
-    Attributes:
-        vertices : (k, 2) float array, polygon corners in counterclockwise
-            order.
-    """
-
-    def __init__(self, vertices):
-        vertices = np.asarray(vertices, dtype=float)
-        if vertices.ndim != 2 or vertices.shape[1] != 2 or vertices.shape[0] < 3:
-            raise ValueError("domain needs at least 3 planar vertices")
-        k = vertices.shape[0]
-        for i in range(k):
-            if np.allclose(vertices[i], vertices[(i + 1) % k]):
-                raise ValueError("consecutive polygon vertices coincide")
-        # Convexity and counterclockwise orientation: every cross product of
-        # consecutive edge vectors must be positive (interior angle < pi).
-        for i in range(k):
-            a = vertices[i]
-            b = vertices[(i + 1) % k]
-            c = vertices[(i + 2) % k]
-            cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-            if cross <= 0.0:
-                raise ValueError(
-                    "polygon must be convex and counterclockwise "
-                    f"(violated at vertex {(i + 1) % k})"
-                )
-        self.vertices = vertices
 
 
 class ElementAdjacency(NamedTuple):
@@ -119,22 +86,20 @@ class Mesh:
         boundary_mask : (ne,) bool, True on boundary edges.
         boundary_edges : int array of boundary edge ids (increasing).
         interior_edges : int array of interior edge ids (increasing).
-        parent : (nt,) int array mapping each element to its parent element
-            in ``parent_mesh``, or None for a root mesh.
-        parent_mesh : the coarser mesh this one refines, or None.
+        parent_mesh : the coarser mesh this one refines, or None; element t
+            of it is the parent of elements 4t .. 4t+3 (``refine_uniform``).
         dissection : the ``DissectionTree`` of the last nested-dissection
             order of the P1 nodes of this mesh (``linsolve._reduction``),
             which the meshes refining it inherit; None before one.
     """
 
-    def __init__(self, vertices, triangles, parent=None, parent_mesh=None):
+    def __init__(self, vertices, triangles, parent_mesh=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be an (nv, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must be an (nt, 3) array")
-        self.parent = None if parent is None else np.asarray(parent, dtype=np.int64)
         self.parent_mesh = parent_mesh
         self.dissection = None
 
@@ -307,29 +272,13 @@ def build_unit_square_mesh(n: int) -> Mesh:
     return Mesh(vertices, triangles)
 
 
-def build_polygon_mesh(domain: DomainSpec, level: int) -> Mesh:
-    """Coarse fan triangulation of a convex polygon, red-refined `level` times.
-
-    The coarse mesh fans out from the first polygon vertex over the
-    corners.  The element count multiplies by 4 per refinement level.
-    """
-    if level < 0:
-        raise ValueError("refinement level must be nonnegative")
-    k = domain.vertices.shape[0]
-    mesh = Mesh(domain.vertices.copy(), [[0, i, i + 1] for i in range(1, k - 1)])
-    for _ in range(level):
-        mesh = refine_uniform(mesh)
-    return mesh
-
-
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Red refinement: split each triangle into 4 congruent children.
 
     Edge midpoints become new vertices (one per edge, so the refined mesh is
     conforming): the midpoint of edge e is vertex nv + e, and the children
     of element t are elements 4t .. 4t+3, the last one the middle triangle.
-    The result stores the parent-child map and a reference to the input
-    mesh.
+    The result keeps the input mesh as its ``parent_mesh``.
     """
     nv = mesh.num_vertices
     midpoints = mesh.edge_midpoints()
@@ -343,13 +292,12 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
     nt = mesh.num_elements
     triangles = np.empty((4 * nt, 3), dtype=np.int64)
-    parent = np.repeat(np.arange(nt, dtype=np.int64), 4)
     v = mesh.triangles
     triangles[0::4] = np.column_stack([v[:, 0], mid_of[:, 2], mid_of[:, 1]])
     triangles[1::4] = np.column_stack([v[:, 1], mid_of[:, 0], mid_of[:, 2]])
     triangles[2::4] = np.column_stack([v[:, 2], mid_of[:, 1], mid_of[:, 0]])
     triangles[3::4] = mid_of
-    return Mesh(vertices, triangles, parent=parent, parent_mesh=mesh)
+    return Mesh(vertices, triangles, parent_mesh=mesh)
 
 
 def barycentric(mesh: Mesh, elements, points) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldgcontrol.analysis import (
+    EXAMPLE3_ROOTS,
     ErrorReport,
     ErrorReportRow,
     check_strong_form,
@@ -19,7 +20,6 @@ from ldgcontrol.analysis import (
     error_l2_domain,
     example2_data,
     example3_data,
-    example3_domain,
     example3_mesh,
     manufactured_example1,
     reference_compare,
@@ -186,6 +186,20 @@ def test_problem_data_carries_edge_conventions():
     assert data.c12_direction == tuple(case.beta)
 
 
+@pytest.mark.parametrize("bounds, where", [
+    ((-1.0, -1e-3), [0.0, 0.0]),       # above the bound only at the corners, where u = 0
+    ((-0.2499, 1.0), [0.5, 0.0]),      # below it only at the side midpoints, u = -1/4
+], ids=["corners", "midpoints"])
+def test_problem_data_rejects_bounds_that_cut_the_closed_form_control(bounds, where):
+    case = manufactured_example1()
+    with pytest.raises(ValueError, match="closed-form control") as info:
+        case.problem_data(u_lower=bounds[0], u_upper=bounds[1])
+    assert str(np.array(where)) in str(info.value)
+    # the control's range is [-1/4, 0]: bounds at its extremes keep it optimal
+    data = case.problem_data(u_lower=-0.25, u_upper=0.0)
+    assert (data.u_lower, data.u_upper) == (-0.25, 0.0)
+
+
 # ------------------------------------------------------------ example data
 
 
@@ -199,9 +213,9 @@ def test_example2_data_facts():
 
 
 def test_example3_domain_and_meshes():
-    domain = example3_domain()
-    assert domain.vertices.shape == (4, 2)
-    assert domain.vertices[3, 0] == pytest.approx(-np.sqrt(3.0))
+    corners = np.array(EXAMPLE3_ROOTS["diag2"][0])
+    assert corners.shape == (4, 2)
+    assert corners[3, 0] == pytest.approx(-np.sqrt(3.0))
     for level, count in ((0, 3), (1, 12), (2, 48)):
         assert example3_mesh(level).num_elements == count
     assert example3_mesh(1, coarse="diag2").num_elements == 8
@@ -314,8 +328,7 @@ def test_locator_rejects_a_child_not_numbered_by_refine_uniform():
     fine = refine_uniform(coarse)
     perm = np.random.default_rng(0).permutation(fine.num_vertices)
     inverse = np.argsort(perm)
-    renumbered = Mesh(fine.vertices[perm], inverse[fine.triangles], parent=fine.parent,
-                      parent_mesh=coarse)
+    renumbered = Mesh(fine.vertices[perm], inverse[fine.triangles], parent_mesh=coarse)
     with pytest.raises(ValueError, match="does not refine"):
         NestedLocator(coarse, renumbered)
 

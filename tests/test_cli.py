@@ -9,28 +9,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldgcontrol import cli, control, ldg, linsolve
+from ldgcontrol import cli, control, geometry, ldg, linsolve
 from ldgcontrol.analysis import (
     ErrorReport,
     ErrorReportRow,
     closed_form_row,
     convergence_rate,
+    example3_mesh,
     reference_compare,
 )
 from ldgcontrol.cli import (
     CSV_HEADER,
     ConfigError,
     RunConfig,
+    _chain_depths,
     _example_data,
     _mesh_chain,
-    _mesh_level,
     _solve_level,
     emit_fields,
     emit_table,
     main,
     run_example,
 )
-from ldgcontrol.geometry import build_unit_square_mesh
+from ldgcontrol.geometry import build_unit_square_mesh, write_mesh_text
 from ldgcontrol.ldg import assemble_forms
 from ldgcontrol.linsolve import ReducedSolveError, SingularSystemError
 from ldgcontrol.spaces import DiscreteField, SpaceSet
@@ -165,6 +166,37 @@ example = 2
 levels = 32
 reference = 72
 """))
+
+
+@pytest.mark.parametrize("example, counts, coarse, depths", [
+    (1, (32, 128, 2048), "fan3", [0, 1, 3]),
+    (2, (8, 32, 8192), "fan3", [0, 1, 5]),
+    (3, (12, 48, 768), "fan3", [1, 2, 4]),
+    (3, (8, 32, 512), "diag2", [1, 2, 4]),
+])
+def test_chain_depths_count_the_refinements_below_the_root(example, counts, coarse, depths):
+    assert _chain_depths(example, counts, coarse) == depths
+    chain = _mesh_chain(example, counts, coarse)
+    assert [mesh.num_elements for mesh in chain] == list(counts)
+    ancestry = [chain[-1]]  # the finest mesh and the meshes it refines
+    while ancestry[-1].parent_mesh is not None:
+        ancestry.append(ancestry[-1].parent_mesh)
+    assert len(ancestry) == depths[-1] + 1
+    assert all(ancestry[depths[-1] - depth] is mesh for depth, mesh in zip(depths, chain))
+    assert ancestry[-1].num_elements == (counts[0] if example < 3
+                                         else len(cli.EXAMPLE3_ROOTS[coarse][1]))
+
+
+def test_config_builds_no_mesh(monkeypatch):
+    # the chain check is arithmetic: parsing a study builds no mesh
+    def built(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(geometry.Mesh, "__init__", built)
+    RunConfig(example=1, levels=(32, 128, 512))
+    RunConfig(example=2, levels=(32, 128), reference=8192)
+    RunConfig(example=3, levels=(12, 48), reference=768)
+    RunConfig(example=3, levels=(8, 32), reference=512, coarse="diag2")
 
 
 @pytest.mark.parametrize("study, message", [
@@ -396,7 +428,8 @@ def test_run_example_nested_rows_match_cold_solves(config):
     data, case = _example_data(config)
     assert [m for m, *_ in kept] == list(config.levels)
     if case is None:
-        chain = dict(zip(config.counts, _mesh_chain(config)))
+        chain = dict(zip(config.counts, _mesh_chain(config.example, config.counts,
+                                                     config.coarse)))
         ref = _solve_level(chain[config.reference], data, config, config.reference)
     steps = []
     for row, (m, _mesh, warm) in zip(report.rows, kept):
@@ -404,7 +437,7 @@ def test_run_example_nested_rows_match_cold_solves(config):
             cold = _solve_level(chain[m], data, config, m)
             cold_row = reference_compare(cold, ref)
         else:
-            cold = _solve_level(build_unit_square_mesh(_mesh_level(1, m)), data, config, m)
+            cold = _solve_level(_mesh_chain(1, (m,))[0], data, config, m)
             cold_row = closed_form_row(cold, case)
         steps.append((warm.iterations, cold.iterations))
         assert row.elements == cold_row.elements and row.h == cold_row.h
@@ -621,7 +654,7 @@ def test_main_run_writes_matrix_market_blocks(tmp_path):
     cfg = write_config(tmp_path, EX1_TWO_LEVELS.format(out=out) + "matrices = true\n")
     assert main(["run", cfg]) == 0
     config = RunConfig.from_file(cfg)
-    mesh = _mesh_chain(config)[0]
+    mesh = _mesh_chain(config.example, config.counts)[0]
     ops = assemble_forms(mesh, _example_data(config)[0])
     for name in ("A", "B", "C", "M1", "M2", "M_Omega", "M_Gamma"):
         written = scipy.io.mmread(out / f"matrices_{mesh.num_elements}" / f"{name}.mtx")
@@ -772,6 +805,62 @@ markdown = true
     assert rows[1][header.index("rate_y")] != ""
     table = (out / "table.md").read_text().splitlines()
     assert [line.split(" | ")[u:u + 2] for line in table[2:]] == [["0.00e+00", "--"]] * 2
+
+
+def test_example1_rejects_bounds_that_cut_its_closed_form_control(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the closed-form control reaches 0 at the corners: under u <= -0.1 it is
+    # not the optimum of the bounded problem, so no table is measured against it
+    solves = []
+    monkeypatch.setattr(cli, "pdas_solve", lambda *args, **kwargs: solves.append(args))
+    cfg = write_config(tmp_path, f"[problem]\nexample = 1\nu_upper = -0.1\n"
+                                 f"[study]\nlevels = 32, 128, 512\n"
+                                 f"[output]\ndirectory = {tmp_path / 'out'}\n")
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the closed-form control ")
+    assert not solves
+
+
+@pytest.mark.parametrize("command, message", [
+    (["dump-mesh", "--example", "1", "--elements", "32"], "required: --output"),
+    (["run"], "required: config"),
+    (["check", "--seed", "-1"], "seed must be a nonnegative integer, got '-1'"),
+], ids=["dump-mesh-without-output", "run-without-config", "negative-seed"])
+def test_usage_errors_exit_1(tmp_path, command, message):
+    # exit code 2 is the active-set failure; a usage error is a bad configuration
+    result = _cli(tmp_path, *command)
+    assert result.returncode == 1
+    assert result.stderr.startswith("usage: ldgcontrol") and message in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_help_exits_0(tmp_path):
+    result = _cli(tmp_path, "run", "--help")
+    assert result.returncode == 0 and result.stdout.startswith("usage: ldgcontrol run")
+
+
+def test_main_runs_example3_on_the_diag2_root(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"[problem]\nexample = 3\ncoarse = diag2\n"
+                                 f"[study]\nlevels = 8, 32\nreference = 512\n"
+                                 f"[output]\ndirectory = {out}\n")
+    assert main(["run", cfg]) == 0
+    header, *rows = (out / "table.csv").read_text().splitlines()
+    assert header == CSV_HEADER
+    assert [row.split(",")[0] for row in rows] == ["8", "32"]
+
+
+def test_main_dump_mesh_of_the_diag2_root(tmp_path, capsys):
+    target, expected = tmp_path / "mesh.txt", tmp_path / "expected.txt"
+    dump = ["dump-mesh", "--example", "3", "--coarse", "diag2", "--output", str(target)]
+    assert main(dump + ["--elements", "32"]) == 0
+    write_mesh_text(example3_mesh(2, "diag2"), expected)
+    assert target.read_bytes() == expected.read_bytes()
+    capsys.readouterr()
+    assert main(dump + ["--elements", "12"]) == 1
+    assert capsys.readouterr().err == ("config error: 12 is not a valid element count "
+                                       "for the skewed domain (needs 2 * 4^k)\n")
 
 
 def test_main_dump_mesh(tmp_path):

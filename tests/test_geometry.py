@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from ldgcontrol.analysis import example3_domain, example3_mesh
+from ldgcontrol.analysis import EXAMPLE3_ROOTS, example3_mesh
 from ldgcontrol.geometry import (
-    DomainSpec,
     Mesh,
-    build_polygon_mesh,
     build_unit_square_mesh,
     refine_uniform,
     write_mesh_text,
@@ -83,10 +81,9 @@ def test_refine_quadruples_and_preserves_area():
     assert r.num_elements == 8
     assert abs(r.areas.sum() - m.areas.sum()) < 1e-12
     assert r.parent_mesh is m
-    assert np.all(r.parent == np.repeat(np.arange(2), 4))
-    # children tile the parent exactly
+    # the children 4t .. 4t+3 tile their parent t exactly
     for t in range(m.num_elements):
-        child_area = r.areas[r.parent == t].sum()
+        child_area = r.areas[4 * t:4 * t + 4].sum()
         assert abs(child_area - m.areas[t]) < 1e-14
 
 
@@ -127,13 +124,6 @@ def test_classification_tie_is_outflow():
             assert is_in
 
 
-def test_domain_rejects_nonconvex():
-    with pytest.raises(ValueError):
-        DomainSpec([(0, 0), (2, 0), (1, 0.1), (0, 2)])
-    with pytest.raises(ValueError):
-        DomainSpec([(0, 0), (0, 1), (1, 1), (1, 0)])  # clockwise
-
-
 def _polygon_area(vertices):
     """Shoelace area of a counterclockwise polygon (k, 2)."""
     x, y = vertices[:, 0], vertices[:, 1]
@@ -141,13 +131,14 @@ def _polygon_area(vertices):
 
 
 def test_polygon_fan_counts():
-    quad = example3_domain()
+    corners = np.array(EXAMPLE3_ROOTS["diag2"][0])
     assert [example3_mesh(level).num_elements for level in range(3)] == [3, 12, 48]
-    area = _polygon_area(quad.vertices)
-    assert abs(example3_mesh(2).areas.sum() - area) < 1e-12 * area
+    area = _polygon_area(corners)
+    for coarse in EXAMPLE3_ROOTS:
+        assert abs(example3_mesh(2, coarse).areas.sum() - area) < 1e-12 * area
     # the fan of the corners alone has 2 coarse triangles
-    alt = build_polygon_mesh(quad, 2)
-    assert alt.num_elements == 32
+    assert example3_mesh(2, "diag2").num_elements == 32
+    assert np.array_equal(example3_mesh(0, "diag2").vertices, corners)
 
 
 def test_mesh_text_dump(tmp_path):

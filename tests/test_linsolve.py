@@ -381,8 +381,9 @@ def test_state_factor_solves_without_refinement(ex2_ops_2048):
 def test_fully_pinned_control_reduces_to_state_solve(ex1_ops):
     # pin every control DOF to a zero lower bound: the optimality solve
     # must return exactly the forward solution with homogeneous control
+    # (the case's own problem_data refuses a bound its closed form crosses)
     case, ops = ex1_ops
-    data = case.problem_data(u_lower=0.0)
+    data = dataclasses.replace(case.problem_data(), u_lower=0.0)
     n_u = ops.M_Gamma.shape[0]
     active = (np.ones(n_u, bool), np.zeros(n_u, bool))
     parts = solve_optimality_system(ops, active, data, mode="full")
@@ -609,7 +610,7 @@ def test_active_mask_validation(ex1_ops):
     both = np.ones(n_u, bool)
     with pytest.raises(ValueError):
         compose_kkt(ops, (both, both),
-                    case.problem_data(u_lower=0.0, u_upper=1.0))
+                    dataclasses.replace(case.problem_data(), u_lower=0.0, u_upper=1.0))
     with pytest.raises(ValueError):
         # marking DOFs active at an unbounded side is inconsistent
         compose_kkt(ops, (both, np.zeros(n_u, bool)), data)
