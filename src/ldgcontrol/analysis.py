@@ -108,7 +108,15 @@ class ManufacturedCase:
         convention the stored reference errors were computed with.  Raises
         ValueError when the closed-form control leaves the bounds at the
         corners or the side samples, where it is no longer the optimum.
+        Overrides may set the bounds and ``c12_direction``; an override of
+        a field that defines the closed-form triple (epsilon, omega, beta,
+        alpha, f, y_desired) raises ValueError, since the case would no
+        longer be the optimum of its data.
         """
+        fixed = sorted(overrides.keys() & {"epsilon", "omega", "beta", "alpha", "f", "y_desired"})
+        if fixed:
+            raise ValueError(f"{', '.join(fixed)} fixed by the closed-form case; build "
+                             "another case to change it")
         kwargs = dict(
             epsilon=self.epsilon,
             omega=self.omega,

@@ -22,7 +22,7 @@ unconstrained bounds both modes converge in a single step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import astuple, dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
@@ -97,16 +97,23 @@ def project_admissible(values, u_lower: float, u_upper: float):
 
 @dataclass(frozen=True)
 class PdasStep:
-    """What one active-set step solved: the sizes of its lower-active,
-    upper-active and inactive sets, and the CG iterations and final
-    relative residual of its reduced solve (0 and None on the direct
-    reference paths)."""
+    """What one active-set step solved and proved: the sizes of its
+    lower-active, upper-active and inactive sets; the CG iterations and
+    final relative residual of its reduced solve; the certificate of the
+    step, its relative state and adjoint residuals and stationarity on the
+    inactive set; and whether the step was re-run with refined solves
+    (``linsolve.CgReport``).  The direct reference paths record 0, None
+    and False."""
 
     lower: int
     upper: int
     inactive: int
     cg_iterations: int
     cg_residual: Optional[float]
+    state_residual: Optional[float]
+    adjoint_residual: Optional[float]
+    stationarity: Optional[float]
+    refined: bool
 
 
 @dataclass
@@ -431,7 +438,7 @@ def pdas_solve(ops: BlockOperator, data: ProblemData = None, mode: str = "full",
         cg = parts.get("cg")
         log.append(PdasStep(int(active.lower.sum()), int(active.upper.sum()),
                             int(active.inactive.sum()),
-                            cg.iterations if cg else 0, cg.residual if cg else None))
+                            *(astuple(cg) if cg else (0, None, None, None, None, False))))
         u_vec, lam = _multiplier(ops, data, mode, active, parts)
         new_active = _active_sets(u_vec, lam, data)
 

@@ -23,10 +23,12 @@ with k CG steps costs 2 + 2k solves with the factor: one two-column
 solve with S and one with S' (the state and adjoint at u_I = 0, for b_I,
 and at the start control, for the start residual), then one solve with
 S and one with S' per CG step, whose results move the state and adjoint
-along with the iterate.  ``Factorization.solve`` takes several
-right-hand sides as the columns of one array and refines each on its
-own.  ``ReducedSolveError`` reports a CG run that misses its tolerance
-within ``CG_MAX_ITER`` steps.
+along with the iterate.  These solves, and those with omega W_II, are
+bare LU solves (``Factorization.bare_solve``), fixed linear operators,
+which is all CG needs; the step is certified once instead, and re-run
+with refined solves if that fails (``_reduced_solve``).
+``ReducedSolveError`` reports a CG run that misses its tolerance within
+``CG_MAX_ITER`` steps.
 
 An operator set's reduced problem is built once, by ``_reduction``, and
 kept in the slot ``BlockOperator.reduction`` that is this module's: a
@@ -55,7 +57,7 @@ an assembly of its own, the oracle that the tests and ``ldgcontrol
 check`` compare the production path against.
 
 Every factorization is a ``Factorization``: a sparse LU in a given
-elimination order, with diagonal pivots, and iterative refinement that
+elimination order, with diagonal pivots, whose ``solve`` refines and
 raises ``SingularSystemError`` when the factorization fails, produces
 non-finite entries or the refinement stalls.  The order comes from one
 nested dissection of the P1 nodes, the unknowns of S, in the coupling
@@ -105,9 +107,10 @@ class ReducedSolveError(SingularSystemError):
     """Raised when CG on the reduced control system misses its tolerance."""
 
 
-# Every direct solve refines its relative residual below _SOLVE_TOL in at
-# most _MAX_REFINE sweeps; the reduced CG stops two digits lower, so that
-# the parts it recovers agree with the direct solves' to about _SOLVE_TOL.
+# Every refined solve drives its relative residual below _SOLVE_TOL in at
+# most _MAX_REFINE sweeps, and each certificate residual of a reduced step
+# must be within it; the reduced CG stops two digits lower, so that the
+# parts it recovers agree with the direct solves' to about _SOLVE_TOL.
 _SOLVE_TOL = 1e-10
 _MAX_REFINE = 3
 
@@ -119,10 +122,22 @@ CG_MAX_ITER = 500
 
 @dataclass(frozen=True)
 class CgReport:
-    """Iterations and final relative residual of one reduced CG solve."""
+    """What one reduced solve did and proved: its CG iterations and final
+    relative residual, the three residuals of its certificate (see
+    ``_reduced_solve``) and whether it is a refined re-run."""
 
     iterations: int
     residual: float
+    state_residual: float
+    adjoint_residual: float
+    stationarity: float
+    refined: bool
+
+    @property
+    def certified(self) -> bool:
+        """Whether every certificate residual is within ``_SOLVE_TOL``."""
+        return all(r <= _SOLVE_TOL for r in
+                   (self.state_residual, self.adjoint_residual, self.stationarity))
 
 
 def _permuted(matrix, order):
@@ -151,8 +166,9 @@ class Factorization:
     diagonal (a row exchange only where a diagonal entry is exactly zero).
     ``order`` defaults to the identity; the solvers pass a nested-dissection
     order, which keeps the fill a fraction of what a fill-reducing column
-    order gives.  Pivoting is traded away for that, so every solve refines
-    its result and reports a stalled refinement as a singular system.
+    order gives.  Pivoting is traded away for that, so ``solve`` refines
+    its result and reports a stalled refinement as a singular system;
+    ``bare_solve`` leaves the check to its caller.
 
     The factor keeps one copy of the matrix, the permuted one it factors,
     and refines in that numbering.  Attributes: ``permuted`` (that copy,
@@ -204,6 +220,22 @@ class Factorization:
         is it."""
         return _permuted(self.permuted.T, self._inverse).T
 
+    def _rows(self, b):
+        """The columns of ``b`` gathered into the factor's numbering, one
+        per contiguous row."""
+        n = self.order.size
+        if b.shape[0] != n:
+            raise ValueError("right-hand side does not match the factored matrix")
+        return np.take(b.reshape(n, -1).T, self.order, axis=1)
+
+    def _lu_solve(self, rows, trans):
+        """The LU solve of gathered rows, with non-finite entries reported
+        as a singular system."""
+        x = self.lu.solve(rows.T, trans=trans).T
+        if not np.all(np.isfinite(x)):
+            raise SingularSystemError("sparse LU produced non-finite entries (singular system)")
+        return x
+
     def solve(self, b, trans: str = "N"):
         """Solve A x = b (``trans="T"``: A' x = b) with iterative refinement.
 
@@ -220,17 +252,12 @@ class Factorization:
         gathered back once (an (n, m) result is a transposed view).
         """
         b = np.asarray(b, dtype=float)
-        n = self.order.size
-        if b.shape[0] != n:
-            raise ValueError("right-hand side does not match the factored matrix")
-        rows = np.take(b.reshape(n, -1).T, self.order, axis=1)
+        rows = self._rows(b)
         norm_b = np.linalg.norm(rows, axis=1)
         x = np.zeros_like(rows)
         live = np.flatnonzero(norm_b)
         if live.size:
-            x[live] = self.lu.solve(rows[live].T, trans=trans).T
-            if not np.all(np.isfinite(x)):
-                raise SingularSystemError("sparse LU produced non-finite entries (singular system)")
+            x[live] = self._lu_solve(rows[live], trans)
         op = self.permuted if trans == "N" else self.permuted.T
         for sweep in range(_MAX_REFINE + 1):
             residual = rows[live]
@@ -246,6 +273,28 @@ class Factorization:
                 x[live] += self.lu.solve(residual.T, trans=trans).T
         raise SingularSystemError(
             f"iterative refinement stalled at relative residual {error.max():.3e}")
+
+    def bare_solve(self, b, trans: str = "N"):
+        """Solve A x = b (``trans="T"``: A' x = b) by the LU alone, with no
+        residual and no refinement: a fixed linear operator, whose result
+        the caller certifies (see ``_reduced_solve``).  ``b`` and the
+        non-finite check are as in ``solve``."""
+        b = np.asarray(b, dtype=float)
+        x = self._lu_solve(self._rows(b), trans)
+        return np.take(x, self._inverse, axis=1).T.reshape(b.shape)
+
+    def residual(self, x, b, trans: str = "N") -> float:
+        """Relative residual ||A x - b|| / ||b|| (``trans="T"``: A') of one
+        vector, formed in the factor's numbering; 0 where A x = b holds
+        exactly, b = 0 included."""
+        op = self.permuted if trans == "N" else self.permuted.T
+        return _relative(op @ x[self.order] - b[self.order], b)
+
+
+def _relative(r, reference) -> float:
+    """||r|| / ||reference||, and 0 for r = 0 whatever the reference."""
+    norm = np.linalg.norm(r)
+    return float(norm / np.linalg.norm(reference)) if norm else 0.0
 
 
 def direct_solve(A, b, order=None):
@@ -631,13 +680,15 @@ def _control_load(ops, mode):
     return reduction.qp_load, sp.diags(bq.weights, format="csr"), bq.M1_qp
 
 
-def _state_adjoint(ops, load, target):
+def _state_adjoint(ops, load, target, refined=True):
     """State y = S^-1 load and adjoint z = S^-T (M_Omega y - target), both
-    on the factorization of S; the columns of a 2-d ``load`` (and
-    ``target``) are solved together."""
-    lu = _reduction(ops).factor
-    y = lu.solve(load)
-    return y, lu.solve(ops.M_Omega @ y - target, trans="T")
+    on the factorization of S, by refined solves or (``refined=False``)
+    bare ones; the columns of a 2-d ``load`` (and ``target``) are solved
+    together."""
+    factor = _reduction(ops).factor
+    solve = factor.solve if refined else factor.bare_solve
+    y = solve(load)
+    return y, solve(ops.M_Omega @ y - target, trans="T")
 
 
 def solve_state(ops, u):
@@ -707,7 +758,7 @@ def _pcg(apply, b, r, precond, x, rtol, maxiter):
     return x, it, res
 
 
-def _reduced_solve(ops, active, data, mode, u_start):
+def _reduced_solve(ops, active, data, mode, u_start, refined):
     """Solve one active set in control space on the factor of S.
 
     The inactive controls solve H_II u_I = b_I with the SPD reduced Hessian
@@ -723,6 +774,13 @@ def _reduced_solve(ops, active, data, mode, u_start):
     direction d, and y, z move with u as w, s.  So k CG steps cost
     2 + 2k solves, and p = A^-1 (B z), q = A^-1 (M1 u - B y) follow from
     y and z with A^-1 built afresh.
+
+    ``refined`` selects the solves with S, S' and omega W_II: refined ones,
+    or bare LU solves, fixed linear operators, which is all CG needs.
+    Either way the step is then certified once (``CgReport``): the state
+    residual S y - (F + L u), the adjoint residual S' z - (M_Omega y - Yd),
+    each relative to its right-hand side, and the stationarity
+    (omega W u + L' z)_I relative to b_I.
     """
     inactive, u = _control_blocks(ops, active, data, mode)
     free = np.flatnonzero(inactive)
@@ -734,7 +792,7 @@ def _reduced_solve(ops, active, data, mode, u_start):
         start = u.copy()
         start[free] = np.asarray(u_start, dtype=float)[free]
         starts = np.stack([u, start], axis=1)
-    y, z = _state_adjoint(ops, ops.F[:, None] + L @ starts, ops.Yd[:, None])
+    y, z = _state_adjoint(ops, ops.F[:, None] + L @ starts, ops.Yd[:, None], refined)
     gradient = _gradient(ops, mode, data.omega, starts, z)[free]
     b = -gradient[:, 0]
     last = -1 if b.any() else 0  # a zero b is solved by u_I = 0
@@ -742,10 +800,13 @@ def _reduced_solve(ops, active, data, mode, u_start):
     def step(d):
         v = np.zeros(u.size)
         v[free] = d
-        w, s = _state_adjoint(ops, L @ v, 0.0)
+        w, s = _state_adjoint(ops, L @ v, 0.0, refined)
         return W_I @ d + (L.T @ s)[free], w, s
 
-    precond = Factorization(W_I).solve if free.size else None
+    precond = None
+    if free.size:
+        weight = Factorization(W_I)
+        precond = weight.solve if refined else weight.bare_solve
     rtol = 1e-2 * _SOLVE_TOL
     (x, y, z), iterations, residual = _pcg(
         step, b, -gradient[:, last], precond,
@@ -755,9 +816,13 @@ def _reduced_solve(ops, active, data, mode, u_start):
             f"CG on {free.size} inactive controls stopped after {iterations} "
             f"iterations at reduced residual {residual:.3e} (tolerance {rtol:.0e})")
     u[free] = x
+    factor = _reduction(ops).factor
+    certificate = (factor.residual(y, ops.F + L @ u),
+                   factor.residual(z, ops.M_Omega @ y - ops.Yd, trans="T"),
+                   _relative(_gradient(ops, mode, data.omega, u, z)[free], b))
     Ainv = _flux_block_inverse(ops)
     parts = {"q": Ainv @ (M1 @ u - ops.B @ y), "y": y, "p": Ainv @ (ops.B @ z), "z": z,
-             "cg": CgReport(iterations, residual)}
+             "cg": CgReport(iterations, residual, *certificate, refined)}
     if mode == "full":
         parts["u"] = u
     return parts
@@ -771,17 +836,27 @@ def solve_optimality_system(ops, active, data=None, mode="full",
         "reduced" (the default) solves for the inactive controls by CG on
         the factor of S, to a relative reduced residual of
         ``_SOLVE_TOL``/100, starting from ``u_start`` (a control vector,
-        default 0); "condensed" factors the flux-eliminated system and
-        "monolithic" the coupled block matrix, both direct (relative
-        residual ``_SOLVE_TOL``) and kept as references.
+        default 0), with bare solves and one certificate of the step, and
+        re-runs the step with refined solves if the certificate fails or
+        the bare pass raises (see ``_reduced_solve``); "condensed" factors
+        the flux-eliminated system and "monolithic" the coupled block
+        matrix, both direct (relative residual ``_SOLVE_TOL``) and kept as
+        references.
 
     Returns the parts dict with keys q, y, p, z and, in full mode, u; the
-    reduced path adds "cg", a ``CgReport`` of its iteration.
+    reduced path adds "cg", a ``CgReport`` of its iteration and
+    certificate.
     """
     if data is None:
         data = ops.data
     if strategy == "reduced":
-        return _reduced_solve(ops, active, data, mode, u_start)
+        try:
+            parts = _reduced_solve(ops, active, data, mode, u_start, refined=False)
+            if parts["cg"].certified:
+                return parts
+        except SingularSystemError:  # non-finite entries, or CG missed its tolerance
+            pass
+        return _reduced_solve(ops, active, data, mode, u_start, refined=True)
     if strategy == "condensed":
         system = condense_kkt(ops, active, data=data, mode=mode)
         return system.recover(direct_solve(system.matrix, system.rhs, system.order))

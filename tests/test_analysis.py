@@ -200,6 +200,14 @@ def test_problem_data_rejects_bounds_that_cut_the_closed_form_control(bounds, wh
     assert (data.u_lower, data.u_upper) == (-0.25, 0.0)
 
 
+@pytest.mark.parametrize("field", ["epsilon", "omega", "beta", "alpha", "f", "y_desired"])
+def test_problem_data_rejects_an_override_of_the_closed_form(field):
+    # the closed-form triple is the optimum of the case's own data alone:
+    # at omega = 2 the case at omega = 1 no longer converges
+    with pytest.raises(ValueError, match=f"^{field} fixed by the closed-form case"):
+        manufactured_example1().problem_data(**{field: 2.0})
+
+
 # ------------------------------------------------------------ example data
 
 

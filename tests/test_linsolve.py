@@ -554,30 +554,88 @@ def test_reduced_solve_raises_when_cg_misses_its_tolerance(ex2_ops_128, monkeypa
     assert issubclass(ReducedSolveError, SingularSystemError)
 
 
+class CountedLU:
+    """A proxy of a SuperLU object that records the columns of each solve
+    and scales every result by ``scale``."""
+
+    def __init__(self, lu, columns, scale=1.0):
+        self.lu, self.columns, self.scale = lu, columns, scale
+        self.nnz = lu.nnz
+
+    def solve(self, b, trans="N"):
+        self.columns.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+        return self.scale * self.lu.solve(b, trans=trans)
+
+
 def test_reduced_step_makes_two_plus_two_solves_per_cg_iteration(ex2_ops_128, monkeypatch):
     # each PDAS step: one two-column solve with S and one with S' for the
     # right-hand side and the start residual, then one of each per CG
-    # iteration; the state and adjoint ride along with the iterate
+    # iteration; the state and adjoint ride along with the iterate, and the
+    # step's certificate needs no solve
     data, ops = ex2_ops_128
     factor = linsolve._reduction(ops).factor
-    columns = []
-    solve = factor.solve
-
-    def counted(b, trans="N"):
-        columns[-1].append(1 if np.ndim(b) == 1 else np.shape(b)[1])
-        return solve(b, trans=trans)
+    lu, columns = factor.lu, []
     reduced = linsolve._reduced_solve
 
-    def step(*args):
+    def step(*args, refined):
         columns.append([])
-        return reduced(*args)
-    monkeypatch.setattr(factor, "solve", counted)
+        monkeypatch.setattr(factor, "lu", CountedLU(lu, columns[-1]))
+        return reduced(*args, refined=refined)
     monkeypatch.setattr(linsolve, "_reduced_solve", step)
     sol = pdas_solve(ops, data, u0=np.full(ops.M_Gamma.shape[0], 0.1))
     assert len(columns) == sol.iterations == len(sol.log) >= 2
     for record, cols in zip(sol.log, columns):
-        assert record.cg_iterations > 0
+        assert record.cg_iterations > 0 and not record.refined
         assert cols == [2, 2] + [1] * (2 * record.cg_iterations)
+    assert factor.sweeps == 0
+
+
+@pytest.mark.parametrize("mode", ["full", "variational"])
+def test_a_step_whose_certificate_fails_is_re_run_refined(mode, ex2_ops_128, monkeypatch):
+    # every bare LU solve 1 % off: CG converges on a wrong operator, the
+    # certificate catches it, and the refined re-run gives the oracle's answer
+    data, ops = ex2_ops_128
+    ref = pdas_solve(ops, data, mode=mode, strategy="monolithic")
+    active = (ref.active.lower, ref.active.upper)
+    factor = linsolve._reduction(ops).factor
+    lu, passes = factor.lu, []
+    reduced = linsolve._reduced_solve
+
+    def step(*args, refined):
+        passes.append(refined)
+        monkeypatch.setattr(factor, "lu", lu if refined else CountedLU(lu, [], 1.01))
+        return reduced(*args, refined=refined)
+    monkeypatch.setattr(linsolve, "_reduced_solve", step)
+    pm = solve_optimality_system(ops, active, data, mode=mode, strategy="monolithic")
+    pr = solve_optimality_system(ops, active, data, mode=mode)
+    assert passes == [False, True]
+    assert pr["cg"].refined and pr["cg"].certified
+    for name in pm:
+        scale = max(1.0, np.abs(pm[name]).max())
+        assert np.abs(pm[name] - pr[name]).max() <= 1e-10 * scale, name
+    sol = pdas_solve(ops, data, mode=mode)
+    assert all(s.refined and s.state_residual <= 1e-10 for s in sol.log)
+    assert sol.active.same_as(ref.active)
+
+
+def test_a_nearly_singular_state_operator_is_solved_and_certified():
+    # at eps = 0.064108 a real eigenvalue of S crosses zero near 512
+    # elements; one refined S' solve there stalls at 4.2e-10 against the
+    # 1e-10 per-solve test, while the bare solves give a step that meets the
+    # same tolerance once, in the certificate
+    data = example2_data(0.064108)
+    ops = assemble_forms(build_unit_square_mesh(16), data)
+    sol = pdas_solve(ops, data)
+    assert sol.iterations == 3
+    for s in sol.log:
+        assert not s.refined
+        assert max(s.state_residual, s.adjoint_residual, s.stationarity) <= linsolve._SOLVE_TOL
+    ref = pdas_solve(assemble_forms(build_unit_square_mesh(16), data), data,
+                     strategy="monolithic")
+    assert sol.active.same_as(ref.active)
+    for name in "yqzpu":
+        ours, theirs = getattr(sol, name).coefficients, getattr(ref, name).coefficients
+        assert np.abs(ours - theirs).max() <= 1e-10 * max(1.0, np.abs(theirs).max()), name
 
 
 def test_condensed_solution_satisfies_coupled_system(ex2_ops_128):
